@@ -12,15 +12,20 @@ distinguished path.  Two independent cross-checks are built in:
 * the whole matrix must equal the output of the path-counting oracle
   (``kn_oracle``), which uses nothing but graded path counts and the
   symmetric-plus-positive splitting of Laurent polynomials.
+
+Both routes read the graded path counts, which are also the graded
+standard dimensions, from one table per block (``_standard_dims``).  Each
+column of it comes from the tableau-placement count of ``paths``; no
+reflection closure is enumerated here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import geometry_for
+from .geometry import compositions, geometry_for
 from .laurent import Laurent, ONE, ZERO, split_symmetric
-from .paths import alcove_series, distinguished_path, graded_path_count, paths_between
+from .paths import alcove_series, distinguished_path, graded_path_count
 from .soergel import InternalMismatch, run_all
 
 
@@ -59,7 +64,7 @@ def blocks(params, n):
     """All blocks of TL_n(kappa), sorted by their first member."""
     geom = geometry_for(params)
     groups = {}
-    for q in _compositions(n, params.l):
+    for q in compositions(n, params.l):
         groups.setdefault(geom._orbit_key(q), []).append(q)
     out = []
     for members in groups.values():
@@ -82,12 +87,6 @@ def block_of(params, n, member):
         if member in b.members:
             return b
     raise ValueError("%r is not a one-column multipartition of %d" % (member, n))
-
-
-def _compositions(n, l):
-    from .geometry import compositions
-
-    return compositions(n, l)
 
 
 @dataclass
@@ -135,7 +134,17 @@ class DecompositionMatrix:
         }
 
 
-def decomposition_matrix(params, block, budget=2 ** 20):
+def _standard_dims(params, block):
+    """Graded path counts between all members of the block, keyed by
+    (lam, mu): the graded standard dimensions."""
+    return {
+        (lam, mu): graded_path_count(params, lam, mu)
+        for mu in block.members
+        for lam in block.members
+    }
+
+
+def decomposition_matrix(params, block):
     """Graded decomposition data of a regular block via the wall-crossing
     recursions, cross-checked against graded path counts.
     """
@@ -143,16 +152,16 @@ def decomposition_matrix(params, block, budget=2 ** 20):
     regs = block.regular_members()
     if not regs:
         raise NoRegularMember("block %r has no regular member" % (block.members,))
+    dims = _standard_dims(params, block)
     entries = {}
     characters = {}
-    dims = {}
     for mu in regs:
         series = alcove_series(params, distinguished_path(params, mu))
         m_fn, n_fn, e_fn, target = run_all(params, series)
         if target != geom.alcove_of(mu):
             raise InternalMismatch("gallery did not end at the alcove of mu")
         for lam in block.members:
-            counted = graded_path_count(params, lam, mu, budget)
+            counted = dims[(lam, mu)]
             if geom.is_regular(lam):
                 key = geom.alcove_of(lam)
                 if m_fn.value(key) != counted:
@@ -166,15 +175,10 @@ def decomposition_matrix(params, block, budget=2 ** 20):
                 raise InternalMismatch(
                     "singular weight %r reached by paths from %r" % (lam, mu)
                 )
-            dims[(lam, mu)] = counted
-    for mu in block.members:
-        if mu not in regs:
-            for lam in block.members:
-                dims[(lam, mu)] = graded_path_count(params, lam, mu, budget)
     return DecompositionMatrix(block, entries, characters, dims)
 
 
-def kn_oracle(params, block, budget=2 ** 20):
+def kn_oracle(params, block):
     """The same decomposition data from path counting alone.
 
     For lam != mu with paths from mu to lam, the graded path count minus
@@ -187,10 +191,7 @@ def kn_oracle(params, block, budget=2 ** 20):
     regs = block.regular_members()
     if not regs:
         raise NoRegularMember("block %r has no regular member" % (block.members,))
-    counts = {}
-    for mu in regs:
-        for lam in block.members:
-            counts[(lam, mu)] = graded_path_count(params, lam, mu, budget)
+    counts = _standard_dims(params, block)
     memo = {}
 
     def sep(lam, mu):
@@ -231,19 +232,11 @@ def kn_oracle(params, block, budget=2 ** 20):
     )
     entries = {}
     characters = {}
-    dims = {}
     for lam, mu in pairs:
         char, dec = solve(lam, mu)
         entries[(lam, mu)] = dec if lam != mu else ONE
         characters[(lam, mu)] = char
-    for mu in regs:
-        for lam in block.members:
-            dims[(lam, mu)] = counts[(lam, mu)]
-    for mu in block.members:
-        if mu not in regs:
-            for lam in block.members:
-                dims[(lam, mu)] = graded_path_count(params, lam, mu, budget)
-    return DecompositionMatrix(block, entries, characters, dims)
+    return DecompositionMatrix(block, entries, characters, counts)
 
 
 def matrices_equal(a, b):
@@ -260,7 +253,7 @@ def matrices_equal(a, b):
     )
 
 
-def stability_check(params, block, i, budget=2 ** 20):
+def stability_check(params, block, i):
     """Adding i boxes to every column preserves the decomposition data.
 
     The shifted block lives in TL_{n + i*l}(kappa); entries are compared
@@ -271,11 +264,11 @@ def stability_check(params, block, i, budget=2 ** 20):
     def moved(p):
         return tuple(c + i for c in p)
 
-    base = decomposition_matrix(params, block, budget)
+    base = decomposition_matrix(params, block)
     big = block_of(params, block.n + i * params.l, moved(block.members[0]))
     if set(moved(m) for m in block.members) - set(big.members):
         return False
-    shifted = decomposition_matrix(params, big, budget)
+    shifted = decomposition_matrix(params, big)
     for (lam, mu), poly in base.entries.items():
         if shifted.d(moved(lam), moved(mu)) != poly:
             return False

@@ -11,12 +11,21 @@ The central objects are the distinguished path of a one-column
 multipartition (read off from its sorted loading), the closure of a path
 under tail reflections at wall contacts, and the resulting graded path
 counts, which compute graded dimensions of standard modules.
+
+Closure paths correspond to semistandard tableaux by a degree-preserving
+bijection (``tableaux.component_word``).  Graded path counts are therefore
+taken from ``tableaux.graded_tableau_counts``, one dynamic-programming pass
+per column mu that serves every lam at once, instead of enumerating the
+closure, which has 2^length(mu) paths.  The closure is enumerated only
+where the paths themselves are wanted (``paths_between``, the ``paths``
+and ``svg`` commands) and as the test oracle for the counts.
 """
 
 from __future__ import annotations
 
 from .geometry import Hyperplane, NotAGalleryCrossing, geometry_for
-from .laurent import Laurent
+from .laurent import ZERO
+from .tableaux import graded_tableau_counts
 
 
 class NotOnHyperplane(ValueError):
@@ -187,10 +196,17 @@ def _closure_cached(params, mu, budget):
     return got
 
 
-def graded_path_count(params, lam, mu, budget=2 ** 20):
+def graded_path_count(params, lam, mu):
     """The graded count of paths from the distinguished path of mu to lam:
-    sum of t^(degree) over paths_between(lam, mu)."""
-    return Laurent((d, 1) for _, d in paths_between(params, lam, mu, budget))
+    sum of t^(degree) over paths_between(lam, mu), read from the tableau
+    counts of mu, which are computed once per mu."""
+    geom = geometry_for(params)
+    cache = geom.caches.setdefault("path_counts", {})
+    mu = tuple(mu)
+    table = cache.get(mu)
+    if table is None:
+        table = cache[mu] = graded_tableau_counts(params, mu)
+    return table.get(tuple(lam), ZERO)
 
 
 def alcove_series(params, path):

@@ -10,6 +10,10 @@ lambda with the loading values of mu, respecting residues and the column
 growth conditions.  Reading the entries in increasing order gives the
 component word, which is exactly an alcove path; this bijection matches
 the tableau degree with the path degree statistic.
+
+``graded_tableau_counts`` counts those tableaux by degree for every shape
+at once, with one dynamic-programming pass over the loading values of the
+weight; this is how graded path counts are computed.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .paths import PathWord
+from .laurent import Laurent
 
 
 def node_loading(params, r, m):
@@ -138,23 +142,68 @@ def semistandard_tableaux(params, lam, mu):
     return results
 
 
+def placement_degree(params, heights, m):
+    """Degree increment of the placement that made the bottom node of
+    component m, given the column heights just after it: the number of
+    addable nodes of that node's residue strictly to its right minus the
+    number of removable ones."""
+    r = heights[m - 1]
+    res = node_residue(params, r, m)
+    x_here = node_loading(params, r, m)
+    addable, removable = addable_removable(params, heights, res)
+    return sum(
+        1 for c in addable if node_loading(params, heights[c - 1] + 1, c) > x_here
+    ) - sum(1 for c in removable if node_loading(params, heights[c - 1], c) > x_here)
+
+
 def tableau_degree(params, tab):
-    """Degree of a semistandard tableau: entries are placed in increasing
-    order, and each placement at node (r, m) with residue A adds the number
-    of A-addable nodes strictly to its right minus the number of A-removable
-    nodes strictly to its right, in the shape just after the placement."""
+    """Degree of a semistandard tableau: the sum of ``placement_degree``
+    over its entries, placed in increasing order."""
     heights = [0] * params.l
     total = 0
-    for value, r, m in tab.entries_in_order():
+    for _, _, m in tab.entries_in_order():
         heights[m - 1] += 1
-        res = node_residue(params, r, m)
-        x_here = node_loading(params, r, m)
-        addable, removable = addable_removable(params, tuple(heights), res)
-        total += sum(1 for c in addable if node_loading(params, heights[c - 1] + 1, c) > x_here)
-        total -= sum(1 for c in removable if node_loading(params, heights[c - 1], c) > x_here)
+        total += placement_degree(params, tuple(heights), m)
     return total
+
+
+def graded_tableau_counts(params, mu):
+    """Graded counts of the semistandard tableaux of weight mu, by shape:
+    ``{lam: sum of t^degree over semistandard_tableaux(lam, mu)}`` for every
+    shape lam that has one.
+
+    The loading values of mu are placed in increasing order, as in
+    ``semistandard_tableaux``, and partial tableaux with the same column
+    heights are merged: the heights fix the residues and degree increments
+    of every later placement.  The column rules need no state, because a
+    placement of the right residue always satisfies them.  Let v < x be
+    consecutive entries of a component, so res(x) = res(v) - 1.  If
+    x - v < l, then x and v are nodes of mu in components c' > c of the same
+    row, or c' < c of consecutive rows; these give kappa_c = kappa_c' + 1
+    and kappa_c = kappa_c' respectively, both excluded by Params.  Likewise
+    a first entry x < m - 1 of component m would be a first-row node of a
+    component c < m with kappa_c = kappa_m.
+    """
+    l = params.l
+    states = {(0,) * l: {0: 1}}
+    for _, res, _ in loading(params, mu):
+        grown = {}
+        for heights, poly in states.items():
+            for m in range(l):
+                if node_residue(params, heights[m] + 1, m + 1) != res:
+                    continue
+                hs = heights[:m] + (heights[m] + 1,) + heights[m + 1 :]
+                deg = placement_degree(params, hs, m + 1)
+                acc = grown.setdefault(hs, {})
+                for d, c in poly.items():
+                    acc[d + deg] = acc.get(d + deg, 0) + c
+        states = grown
+    return {lam: Laurent(poly) for lam, poly in states.items()}
 
 
 def component_word(params, tab):
     """The component word of a tableau, as a path."""
+    # imported here: paths imports this module for its graded counts
+    from .paths import PathWord
+
     return PathWord(params.l, tuple(m for _, _, m in tab.entries_in_order()))

@@ -219,6 +219,10 @@ class TestCriterion6CrossOracle:
             for lam in block.members:
                 # (a) standard dimensions equal graded path counts
                 assert dm.standard_dim(lam, mu) == graded_path_count(params, lam, mu)
+                # (g) the counts equal the graded closure paths
+                assert graded_path_count(params, lam, mu) == Laurent(
+                    (d, 1) for _, d in paths_between(params, lam, mu)
+                )
                 # (c) degree-preserving bijection tableaux -> paths
                 got = sorted(
                     (component_word(params, t).steps, tableau_degree(params, t))

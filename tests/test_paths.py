@@ -2,7 +2,9 @@
 
 import pytest
 
+from quivertl.decomposition import block_of, blocks
 from quivertl.geometry import Hyperplane, geometry_for
+from quivertl.laurent import Laurent, ONE
 from quivertl.params import Params
 from quivertl.paths import (
     ClosureBudgetExceeded,
@@ -110,6 +112,39 @@ class TestClosure:
         assert str(graded_path_count(P_INTRO, (5, 6, 2), gamma)) == "1 + t^2"
         assert str(graded_path_count(P_INTRO, (5, 8, 0), gamma)) == "t"
         assert str(graded_path_count(P_INTRO, gamma, gamma)) == "1"
+
+
+class TestCountsAgainstClosure:
+    """graded_path_count comes from a tableau-placement count; the closure
+    it replaces stays the oracle."""
+
+    @pytest.mark.parametrize("n, longest", [(30, 7), (40, 10)])
+    def test_matches_closure_on_long_galleries(self, n, longest):
+        # the longest column's closure has 2^longest paths: 128 and 1024
+        g = geometry_for(P_RANK1)
+        block = block_of(P_RANK1, n, (n // 2, n - n // 2))
+        assert max(g.length(g.alcove_of(mu)) for mu in block.members) == longest
+        for mu in block.members:
+            for lam in block.members:
+                want = Laurent((d, 1) for _, d in paths_between(P_RANK1, lam, mu))
+                assert graded_path_count(P_RANK1, lam, mu) == want
+
+    def test_column_totals_beyond_closure_sizes(self):
+        # at t = 1 a column counts its 2^length closure paths, and the
+        # distinguished path is the only one that stays at mu
+        columns = 0
+        for params, n in [(P_RANK1, 60), (P_INTRO, 45)]:
+            g = geometry_for(params)
+            for block in blocks(params, n):
+                for mu in block.regular_members():
+                    total = sum(
+                        sum(graded_path_count(params, lam, mu).terms.values())
+                        for lam in block.members
+                    )
+                    assert total == 2 ** g.length(g.alcove_of(mu))
+                    assert graded_path_count(params, mu, mu) == ONE
+                    columns += 1
+        assert columns > 700
 
 
 class TestAdmissibility:

@@ -1,13 +1,17 @@
 """Loadings, residues, dominance, semistandard tableaux and degrees."""
 
-from quivertl.geometry import geometry_for
+from quivertl.geometry import compositions, geometry_for
+from quivertl.laurent import Laurent, ZERO
 from quivertl.params import Params
 from quivertl.paths import paths_between
 from quivertl.tableaux import (
     addable_removable,
     component_word,
     dominance_leq,
+    graded_tableau_counts,
     loading,
+    node_loading,
+    node_residue,
     residue_multiset,
     semistandard_tableaux,
     tableau_degree,
@@ -99,3 +103,49 @@ class TestBijectionWithPaths:
                 )
                 want = sorted((p.steps, d) for p, d in found)
                 assert got == want
+
+
+class TestGradedCounts:
+    PARAMS = [
+        (Params(2, 4, (0, 2)), 14),
+        (Params(3, 8, (0, 4, 6)), 12),
+        (Params(4, 8, (0, 2, 4, 6)), 9),
+        (Params(4, 10, (0, 3, 5, 8)), 9),
+    ]
+
+    def test_matches_enumerated_tableaux(self):
+        for params, n in self.PARAMS:
+            by_residues = {}
+            for q in compositions(n, params.l):
+                key = tuple(sorted(residue_multiset(params, q).items()))
+                by_residues.setdefault(key, []).append(q)
+            for members in by_residues.values():
+                for mu in members:
+                    counts = graded_tableau_counts(params, mu)
+                    assert set(counts) <= set(members)
+                    for lam in members:
+                        want = Laurent(
+                            (tableau_degree(params, t), 1)
+                            for t in semistandard_tableaux(params, lam, mu)
+                        )
+                        assert counts.get(lam, ZERO) == want
+
+    def test_column_rules_follow_from_residues(self):
+        # the counts keep no column state: an entry of the next residue of
+        # a component never comes less than l after its predecessor there,
+        # and an entry of residue kappa_m is never below the offset m - 1
+        for params, _ in self.PARAMS:
+            l, e = params.l, params.e
+            nodes = [
+                (node_loading(params, r, c), node_residue(params, r, c))
+                for c in range(1, l + 1)
+                for r in range(1, e + 2)
+            ]
+            for v, res_v in nodes:
+                for x, res_x in nodes:
+                    if v < x < v + l:
+                        assert res_x != (res_v - 1) % e
+            for m in range(1, l + 1):
+                for x, res_x in nodes:
+                    if x < m - 1:
+                        assert res_x != node_residue(params, 1, m)
