@@ -42,9 +42,6 @@ from .soergel import (
     InternalMismatch,
     evaluate_at_points,
     run_all,
-    run_e,
-    run_m,
-    run_n,
     verify_factorization,
 )
 from .tableaux import (

@@ -10,15 +10,19 @@ one containing the origin.
 
 An alcove is identified by its floor vector: for each positive root
 e_i - e_j (i < j) the integer part of <x + rho, e_i - e_j> / e.  Each
-alcove also carries the affine group element mapping the fundamental
-alcove onto it, which is what the wall-crossing ("star") operation and
-minimal galleries are computed from.
+alcove also carries the affine group element w mapping the fundamental
+alcove onto it.  All geometry is integer data read off w: the floor
+vector of w . fundamental follows from the fundamental alcove's floors
+and w's permutation and translation (a multiple of e), and the walls of
+w . fundamental are w applied to the l walls of the fundamental alcove.
+Minimal galleries are built by crossing, one at a time, a wall that
+separates the current alcove from the target; the wall-crossing ("star")
+operation is b -> v (w^-1 s_h w) . fundamental.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class SingularPoint(ValueError):
@@ -129,10 +133,25 @@ class Geometry:
         self.fund_floors = tuple(
             (self.rho[i] - self.rho[j]) // self.e for (i, j) in self.roots
         )
+        self._root_index = {root: r for r, root in enumerate(self.roots)}
+        # _fund_table[p][q]: floor of the fundamental alcove at e_p - e_q,
+        # for p > q too (the alcove is open, so floor(-v) = -floor(v) - 1)
+        self._fund_table = [[0] * self.l for _ in range(self.l)]
+        for (i, j), f in zip(self.roots, self.fund_floors):
+            self._fund_table[i][j] = f
+            self._fund_table[j][i] = -f - 1
         self._keys = {}
-        self._base = self._interior_point(0)
         self.fundamental = AlcoveKey(self.fund_floors, AffineElement.identity(self.l))
         self._keys[self.fund_floors] = self.fundamental
+        # walls of the fundamental alcove as (i, j, level, reflection): the
+        # candidate hyperplanes whose reflection changes exactly one floor
+        self._walls = []
+        for r, (i, j) in enumerate(self.roots):
+            for m in (self.fund_floors[r], self.fund_floors[r] + 1):
+                s = reflection_element(self.l, self.e, Hyperplane(i + 1, j + 1, m))
+                moved = self._elem_floors(s)
+                if sum(f != f0 for f, f0 in zip(moved, self.fund_floors)) == 1:
+                    self._walls.append((i, j, m, s))
         # scratch caches for other layers (alcove functions, path closures)
         self.caches = {}
 
@@ -172,83 +191,55 @@ class Geometry:
             out.append(v // self.e)
         return tuple(out)
 
-    def _fraction_floors(self, x):
-        out = []
-        for (i, j) in self.roots:
-            v = (x[i] + self.rho[i]) - (x[j] + self.rho[j])
-            out.append(int(v // self.e))
-        return tuple(out)
+    def _elem_floors(self, elem):
+        """Floor vector of the alcove elem . fundamental, in integers.
 
-    # -- interior base points and segment walking ---------------------
-
-    def _interior_point(self, attempt):
-        """A generic rational point inside the fundamental alcove."""
-        if attempt == 0:
-            k = 4 * self.l + 1
-            return tuple(Fraction(i + 1, k) for i in range(self.l))
-        prime = 10007
-        base = 31 + attempt
-        k = (4 * self.l + 1) * prime
+        Every translation part is a multiple of e, and
+        (w y)_a = y_{sigma^-1 a} + tau_a, so the floor at root (a, b) is
+        the fundamental alcove's floor at (sigma^-1 a, sigma^-1 b) plus
+        (tau_a - tau_b) / e.
+        """
+        inv = [0] * self.l
+        for i, p in enumerate(elem.perm):
+            inv[p] = i
+        t = elem.trans
+        table = self._fund_table
         return tuple(
-            Fraction(pow(base, i + 1, prime) + 1, k) for i in range(self.l)
+            table[inv[a]][inv[b]] + (t[a] - t[b]) // self.e for (a, b) in self.roots
         )
 
-    def _segment_crossings(self, x0, x1):
-        """Hyperplane crossings of the open segment x0 -> x1, in order.
+    def _gallery_to(self, target):
+        """Cross walls from the fundamental alcove towards the floor vector
+        ``target``, returning (crossings, final AlcoveKey).
 
-        Returns (time, root_index, level) triples; raises ValueError("tie")
-        when two crossings coincide, which callers resolve by perturbing x0.
+        The walls of w . fundamental are the images under w of the walls of
+        the fundamental alcove.  Each step crosses the first of them that
+        separates the current alcove from the target, which lowers the
+        separating count by exactly 1, so the gallery is minimal
+        (Humphreys, Reflection Groups and Coxeter Groups, 4.5).
         """
-        events = []
-        for r, (i, j) in enumerate(self.roots):
-            a = (x0[i] + self.rho[i]) - (x0[j] + self.rho[j])
-            b = (x1[i] + self.rho[i]) - (x1[j] + self.rho[j])
-            if a == b:
-                continue
-            lo, hi = (a, b) if a < b else (b, a)
-            m = int(lo // self.e) + 1
-            while m * self.e < hi:
-                if m * self.e > lo:
-                    s = Fraction(m * self.e - a, b - a)
-                    if 0 < s < 1:
-                        events.append((s, r, m))
-                m += 1
-        events.sort()
-        for k in range(1, len(events)):
-            if events[k][0] == events[k - 1][0]:
-                raise ValueError("tie")
-        return events
-
-    def _walk(self, end_from_elem=None, end_point=None):
-        """Cross hyperplanes along a straight segment from the fundamental
-        alcove, returning (crossings, final AlcoveKey).  The endpoint is
-        either a concrete point or the image of the base point under an
-        affine element.
-        """
-        for attempt in range(12):
-            x0 = self._base if attempt == 0 else self._interior_point(attempt)
-            if end_from_elem is not None:
-                x1 = end_from_elem.shifted(x0, self.rho)
+        crossings = []
+        cur = self.fundamental
+        while cur.floors != target:
+            sigma, tau = cur.elem.perm, cur.elem.trans
+            for p, q, m, s in self._walls:
+                a, b = sigma[p], sigma[q]
+                m += (tau[a] - tau[b]) // self.e
+                if a > b:
+                    a, b, m = b, a, -m
+                r = self._root_index[a, b]
+                step = 1 if m > cur.floors[r] else -1
+                if (target[r] - cur.floors[r]) * step > 0:
+                    break
             else:
-                x1 = tuple(Fraction(c) for c in end_point)
-            try:
-                events = self._segment_crossings(x0, x1)
-            except ValueError:
-                continue
-            crossings = []
-            floors = list(self.fund_floors)
-            elem = AffineElement.identity(self.l)
-            cur = self.fundamental
-            for s, r, m in events:
-                i, j = self.roots[r]
-                h = Hyperplane(i + 1, j + 1, m)
-                crossings.append((cur, h))
-                going_up = floors[r] == m - 1
-                floors[r] = m if going_up else m - 1
-                elem = reflection_element(self.l, self.e, h).compose(elem)
-                cur = self._intern(tuple(floors), elem)
-            return crossings, cur
-        raise RuntimeError("could not find a generic segment for gallery walk")
+                raise RuntimeError(
+                    "no wall separates %r from %r" % (cur.floors, target)
+                )
+            crossings.append((cur, Hyperplane(a + 1, b + 1, m)))
+            floors = list(cur.floors)
+            floors[r] += step
+            cur = self._intern(tuple(floors), cur.elem.compose(s))
+        return crossings, cur
 
     def _intern(self, floors, elem):
         key = self._keys.get(floors)
@@ -264,10 +255,7 @@ class Geometry:
         key = self._keys.get(floors)
         if key is not None:
             return key
-        crossings, key = self._walk(end_point=p)
-        if key.floors != floors:
-            raise RuntimeError("gallery walk ended in the wrong alcove")
-        return key
+        return self._gallery_to(floors)[1]
 
     def length(self, key):
         return sum(abs(f - f0) for f, f0 in zip(key.floors, self.fund_floors))
@@ -297,12 +285,7 @@ class Geometry:
         """A minimal gallery from the fundamental alcove to ``target`` as
         (alcove, wall crossed) pairs; the target itself is not included.
         """
-        if target.floors == self.fund_floors:
-            return []
-        crossings, final = self._walk(end_from_elem=target.elem)
-        if final.floors != target.floors:
-            raise RuntimeError("gallery walk ended in the wrong alcove")
-        return crossings
+        return self._gallery_to(target.floors)[0]
 
     def star(self, b, crossing):
         """Reflect alcove b in its own wall of the same type as the wall
@@ -313,20 +296,18 @@ class Geometry:
         """
         a, h = crossing
         s = reflection_element(self.l, self.e, h)
-        ref_floors = self._fraction_floors(
-            s.shifted(a.elem.shifted(self._base, self.rho), self.rho)
-        )
+        ref_floors = self._elem_floors(s.compose(a.elem))
         diffs = [
             r for r in range(len(self.roots)) if ref_floors[r] != a.floors[r]
         ]
-        root_index = self.roots.index((h.i - 1, h.j - 1))
+        root_index = self._root_index[h.i - 1, h.j - 1]
         if diffs != [root_index] or abs(ref_floors[root_index] - a.floors[root_index]) != 1:
             raise NotAGalleryCrossing(
                 "hyperplane %r does not bound alcove %r" % (h, a.floors)
             )
         t = a.elem.inverse().compose(s).compose(a.elem)
         elem = b.elem.compose(t)
-        floors = self._fraction_floors(elem.shifted(self._base, self.rho))
+        floors = self._elem_floors(elem)
         result = self._intern(floors, elem)
         if abs(self.length(result) - self.length(b)) != 1:
             raise RuntimeError("wall crossing changed length by more than 1")

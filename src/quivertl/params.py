@@ -22,8 +22,8 @@ class Params:
     """Algebra parameters: l components, quantum characteristic e, multicharge.
 
     ``kappa`` is normalised into [0, e).  Derived data: ``rho`` is the shift
-    vector rho_i = e - kappa_i in [1, e], ``theta`` the loading offsets
-    (0, 1, ..., l-1) and ``g`` the loading gap l.
+    vector rho_i = e - kappa_i in [1, e].  ``n``, when given, is validated
+    and written into ``to_json`` (the ``params`` of every CLI report).
     """
 
     l: int
@@ -60,14 +60,6 @@ class Params:
     @property
     def rho(self):
         return tuple(self.e - k for k in self.kappa)
-
-    @property
-    def theta(self):
-        return tuple(range(self.l))
-
-    @property
-    def g(self):
-        return self.l
 
     def to_json(self):
         data = {"l": self.l, "e": self.e, "kappa": list(self.kappa)}

@@ -170,24 +170,6 @@ def run_all(params, gallery):
     return AlcoveFunction(m_fn), AlcoveFunction(n_fn), AlcoveFunction(e_fn), cur
 
 
-def run_m(params, gallery):
-    geom = geometry_for(params)
-    m_fn, _, _, _ = _run(geom, _normalize_gallery(gallery), with_e=False)
-    return AlcoveFunction(m_fn)
-
-
-def run_n(params, gallery):
-    geom = geometry_for(params)
-    _, n_fn, _, _ = _run(geom, _normalize_gallery(gallery), with_m=False, with_e=False)
-    return AlcoveFunction(n_fn)
-
-
-def run_e(params, gallery):
-    geom = geometry_for(params)
-    _, _, e_fn, _ = _run(geom, _normalize_gallery(gallery), with_m=False)
-    return AlcoveFunction(e_fn)
-
-
 def evaluate_at_points(params, fn, points):
     """Evaluate an alcove function at regular weights (zero off support)."""
     geom = geometry_for(params)

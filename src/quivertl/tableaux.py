@@ -131,7 +131,7 @@ def semistandard_tableaux(params, lam, mu):
             if h == 0:
                 if x < m - 1:
                     continue
-            elif x < col[-1] + params.g:
+            elif x < col[-1] + params.l:
                 continue
             col.append(x)
             place(idx + 1)

@@ -64,6 +64,13 @@ class TestOutputs:
         assert report["cross_checked"] is True
         assert [4, 6, 3] in report["block"]["members"]
 
+    def test_decompose_json_level_four(self, capsys):
+        code, out = run(capsys, ["decompose", "--l", "4", "--e", "8",
+                                 "--kappa", "0,2,4,6", "--n", "13",
+                                 "--mu", "3,3,3,4", "--format", "json"])
+        assert code == EXIT_OK
+        assert json.loads(out)["cross_checked"] is True
+
     def test_decompose_table(self, capsys):
         code, out = run(capsys, ["decompose"] + RANK1 + ["--mu", "0,11"])
         assert code == EXIT_OK

@@ -93,6 +93,23 @@ class TestDecompositionMatrix:
                 decomposition_matrix(params, b), kn_oracle(params, b)
             )
 
+    def test_oracle_agreement_at_higher_level(self):
+        # l >= 4 has alcoves whose element is a product of reflections in
+        # orthogonal walls; every block with a regular member must still
+        # decompose and cross-check
+        cases = [(Params(4, 8, (0, 2, 4, 6)), n) for n in range(11, 15)]
+        cases.append((Params(5, 10, (0, 2, 4, 6, 8)), 12))
+        checked = 0
+        for params, n in cases:
+            for block in blocks(params, n):
+                if not any(block.regular):
+                    continue
+                assert matrices_equal(
+                    decomposition_matrix(params, block), kn_oracle(params, block)
+                ), (params, block.members)
+                checked += 1
+        assert checked == 60
+
     def test_singular_block_rejected(self):
         sing = next(b for b in blocks(P_INTRO, 13) if not any(b.regular))
         with pytest.raises(NoRegularMember):

@@ -21,14 +21,22 @@ from quivertl.params import Params, ParamsError
 
 P_INTRO = Params(3, 8, (0, 4, 6))
 P_RANK1 = Params(2, 4, (0, 2))
+P_L4 = Params(4, 10, (0, 3, 5, 7))
+P_L5 = Params(5, 10, (0, 2, 4, 6, 8))
+
+# a point of the alcove s_{(1,2),1} s_{(3,4),1} . fundamental, of length 6,
+# whose element is a product of reflections in orthogonal walls
+ORTHOGONAL_PAIR = (
+    reflection_element(4, 10, Hyperplane(1, 2, 1))
+    .compose(reflection_element(4, 10, Hyperplane(3, 4, 1)))
+    .shifted((0, 0, 0, 0), P_L4.rho)
+)
 
 
 class TestParams:
     def test_rho(self):
         assert P_INTRO.rho == (8, 4, 2)
         assert P_RANK1.rho == (4, 2)
-        assert P_INTRO.theta == (0, 1, 2)
-        assert P_INTRO.g == 3
 
     def test_kappa_normalised(self):
         assert Params(2, 4, (4, 6)).kappa == (0, 2)
@@ -112,8 +120,16 @@ class TestAlcoves:
 
 class TestGalleries:
     def test_minimal_gallery_shape(self):
-        g = geometry_for(P_INTRO)
-        for p in [(4, 6, 3), (5, 6, 2), (4, 9, 0), (13, 0, 0), (2, 0, 11)]:
+        assert geometry_for(P_L4).point_length(ORTHOGONAL_PAIR) == 6
+        for params, p in [
+            (P_INTRO, (4, 6, 3)), (P_INTRO, (5, 6, 2)), (P_INTRO, (4, 9, 0)),
+            (P_INTRO, (13, 0, 0)), (P_INTRO, (2, 0, 11)),
+            (P_L4, (0, 0, 8, 8)), (P_L4, (0, 7, 3, 6)), (P_L4, (0, 0, 0, 16)),
+            (P_L4, (3, 0, 0, 27)), (P_L4, ORTHOGONAL_PAIR),
+            (P_L5, (0, 3, 0, 3, 7)), (P_L5, (0, 3, 1, 5, 4)),
+            (P_L5, (0, 0, 0, 0, 13)), (P_L5, (0, 5, 0, 0, 19)),
+        ]:
+            g = geometry_for(params)
             target = g.alcove_of(p)
             gallery = g.minimal_gallery(target)
             assert len(gallery) == g.length(target)
@@ -144,13 +160,17 @@ class TestGalleries:
 
     def test_separating_count_against_reflection_oracle(self):
         # oracle: breadth-first search through single wall crossings
-        g = geometry_for(P_RANK1)
-        pts = [(5, 6), (4, 7), (8, 3), (1, 10), (9, 2), (0, 11)]
-        keys = [g.alcove_of(p) for p in pts]
-        for a in keys:
-            dist = _bfs_distances(g, a, keys)
-            for b in keys:
-                assert g.separating_count(a, b) == dist[b.floors]
+        for params, pts in [
+            (P_RANK1, [(5, 6), (4, 7), (8, 3), (1, 10), (9, 2), (0, 11)]),
+            (P_L4, [(0, 0, 8, 8), (0, 7, 3, 6), (1, 5, 3, 7), (0, 0, 6, 10),
+                    (0, 1, 6, 9)]),
+        ]:
+            g = geometry_for(params)
+            keys = [g.alcove_of(p) for p in pts]
+            for a in keys:
+                dist = _bfs_distances(g, a, keys)
+                for b in keys:
+                    assert g.separating_count(a, b) == dist[b.floors]
 
 
 def _bfs_distances(geom, start, interesting):

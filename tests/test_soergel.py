@@ -9,9 +9,6 @@ from quivertl.soergel import (
     evaluate_at_points,
     n_function,
     run_all,
-    run_e,
-    run_m,
-    run_n,
     verify_factorization,
 )
 
@@ -32,7 +29,8 @@ class TestRankOneWorkedExample:
         return alcove_series(P_RANK1, distinguished_path(P_RANK1, (0, 11)))
 
     def test_final_m_row(self):
-        m = by_floors(run_m(P_RANK1, self.series()))
+        m, _, _, _ = run_all(P_RANK1, self.series())
+        m = by_floors(m)
         assert m == {
             (-3,): ONE,
             (-2,): T,
@@ -43,7 +41,8 @@ class TestRankOneWorkedExample:
         }
 
     def test_final_n_row(self):
-        n = by_floors(run_n(P_RANK1, self.series()))
+        _, n, _, _ = run_all(P_RANK1, self.series())
+        n = by_floors(n)
         assert n == {
             (-3,): ONE,
             (-2,): T,
@@ -54,7 +53,8 @@ class TestRankOneWorkedExample:
         }
 
     def test_final_e_row(self):
-        e = by_floors(run_e(P_RANK1, self.series()))
+        _, _, e, _ = run_all(P_RANK1, self.series())
+        e = by_floors(e)
         assert e == {(-3,): ONE, (-1,): ONE}
 
     def test_evaluate_at_points(self):
@@ -111,7 +111,7 @@ class TestCrossChecks:
         g = geometry_for(P_INTRO)
         for mu in [(5, 6, 2), (4, 9, 0), (13, 0, 0), (10, 1, 2)]:
             series = alcove_series(P_INTRO, distinguished_path(P_INTRO, mu))
-            m = run_m(P_INTRO, series)
+            m, _, _, _ = run_all(P_INTRO, series)
             for lam in g.orbit_points(mu, 13):
                 if g.is_regular(lam):
                     assert m.value(g.alcove_of(lam)) == graded_path_count(
@@ -124,8 +124,9 @@ class TestCrossChecks:
         g = geometry_for(P_INTRO)
         for mu in [(4, 9, 0), (13, 0, 0), (2, 0, 11)]:
             series = alcove_series(P_INTRO, distinguished_path(P_INTRO, mu))
-            n_via_series = run_n(P_INTRO, series)
-            n_via_gallery = run_n(P_INTRO, g.minimal_gallery(g.alcove_of(mu)))
+            _, n_via_series, _, _ = run_all(P_INTRO, series)
+            gallery = g.minimal_gallery(g.alcove_of(mu))
+            _, n_via_gallery, _, _ = run_all(P_INTRO, gallery)
             assert n_via_series == n_via_gallery
 
     def test_target_values_are_one(self):
