@@ -29,8 +29,8 @@ from .decomposition import (
     block_of,
     blocks,
     decomposition_matrix,
+    first_difference,
     kn_oracle,
-    matrices_equal,
 )
 from .params import Params, ParamsError
 from .paths import ClosureBudgetExceeded, paths_between
@@ -142,11 +142,12 @@ def cmd_decompose(args):
     try:
         matrix = decomposition_matrix(params, block)
         if args.oracle == "on":
-            oracle = kn_oracle(params, block)
-            if not matrices_equal(matrix, oracle):
+            diff = first_difference(matrix, kn_oracle(params, block))
+            if diff:
                 raise _CliError(
                     EXIT_MISMATCH,
-                    "recursion route and path-counting oracle disagree",
+                    "recursion route and path-counting oracle disagree on %s "
+                    "at lambda=%s, mu=%s" % (diff[0], list(diff[1]), list(diff[2])),
                 )
     except InternalMismatch as ex:
         raise _CliError(EXIT_MISMATCH, str(ex))

@@ -3,10 +3,11 @@ Blocks and graded decomposition matrices.
 
 A block of TL_n(kappa) is an orbit of the shifted affine Weyl group
 action on one-column multipartitions of n.  For a block of regular
-weights the graded decomposition numbers d, the graded simple characters
-and the graded standard-module dimensions are computed by running the
-wall-crossing recursions along the alcove series of each column's
-distinguished path.  Two independent cross-checks are built in:
+weights the graded decomposition numbers d and the graded standard-module
+dimensions are computed by running the wall-crossing recursions along the
+alcove series of each column's distinguished path, and the graded simple
+characters by solving m = sum e(nu) * n_nu.  Two independent cross-checks
+are built in:
 
 * graded dimensions from the recursion must equal graded path counts,
 * the whole matrix must equal the output of the path-counting oracle
@@ -160,21 +161,15 @@ def decomposition_matrix(params, block):
         m_fn, n_fn, e_fn, target = run_all(params, series)
         if target != geom.alcove_of(mu):
             raise InternalMismatch("gallery did not end at the alcove of mu")
-        for lam in block.members:
-            counted = dims[(lam, mu)]
-            if geom.is_regular(lam):
-                key = geom.alcove_of(lam)
-                if m_fn.value(key) != counted:
-                    raise InternalMismatch(
-                        "graded dimension mismatch at %r, %r: %s vs %s"
-                        % (lam, mu, m_fn.value(key), counted)
-                    )
-                entries[(lam, mu)] = n_fn.value(key)
-                characters[(lam, mu)] = e_fn.value(key)
-            elif counted:
+        for lam in regs:
+            key = geom.alcove_of(lam)
+            if m_fn.value(key) != dims[(lam, mu)]:
                 raise InternalMismatch(
-                    "singular weight %r reached by paths from %r" % (lam, mu)
+                    "graded dimension mismatch at %r, %r: %s vs %s"
+                    % (lam, mu, m_fn.value(key), dims[(lam, mu)])
                 )
+            entries[(lam, mu)] = n_fn.value(key)
+            characters[(lam, mu)] = e_fn.value(key)
     return DecompositionMatrix(block, entries, characters, dims)
 
 
@@ -192,13 +187,9 @@ def kn_oracle(params, block):
     if not regs:
         raise NoRegularMember("block %r has no regular member" % (block.members,))
     counts = _standard_dims(params, block)
+    alcove = {lam: geom.alcove_of(lam) for lam in regs}
+    length = {lam: geom.length(key) for lam, key in alcove.items()}
     memo = {}
-
-    def sep(lam, mu):
-        return geom.separating_count(geom.alcove_of(lam), geom.alcove_of(mu))
-
-    def length(lam):
-        return geom.length(geom.alcove_of(lam))
 
     def solve(lam, mu):
         got = memo.get((lam, mu))
@@ -217,7 +208,7 @@ def kn_oracle(params, block):
                     continue
                 # paths out of nu only reach strictly shorter alcoves, so
                 # the recursion descends in the length gap
-                if not (length(lam) < length(nu) < length(mu)):
+                if not (length[lam] < length[nu] < length[mu]):
                     raise InternalMismatch(
                         "path-count recursion does not shrink the length gap"
                     )
@@ -227,8 +218,8 @@ def kn_oracle(params, block):
         return got
 
     pairs = sorted(
-        ((lam, mu) for mu in regs for lam in block.members if geom.is_regular(lam)),
-        key=lambda p: (sep(*p), p),
+        ((lam, mu) for mu in regs for lam in regs),
+        key=lambda p: (geom.separating_count(alcove[p[0]], alcove[p[1]]), p),
     )
     entries = {}
     characters = {}
@@ -239,18 +230,24 @@ def kn_oracle(params, block):
     return DecompositionMatrix(block, entries, characters, counts)
 
 
+def first_difference(a, b):
+    """Where two DecompositionMatrix objects first differ, as (table name,
+    lam, mu) with the smallest differing (lam, mu) of the first differing
+    table, or None when they agree."""
+    for name, x, y in [
+        ("decomposition numbers", a.entries, b.entries),
+        ("characters", a.characters, b.characters),
+        ("standard dimensions", a.standard_dims, b.standard_dims),
+    ]:
+        bad = [k for k in set(x) | set(y) if x.get(k, ZERO) != y.get(k, ZERO)]
+        if bad:
+            return (name,) + min(bad)
+    return None
+
+
 def matrices_equal(a, b):
     """Entrywise comparison of two DecompositionMatrix objects."""
-    keys = set(a.entries) | set(b.entries)
-    if any(a.entries.get(k, ZERO) != b.entries.get(k, ZERO) for k in keys):
-        return False
-    keys = set(a.characters) | set(b.characters)
-    if any(a.characters.get(k, ZERO) != b.characters.get(k, ZERO) for k in keys):
-        return False
-    keys = set(a.standard_dims) | set(b.standard_dims)
-    return all(
-        a.standard_dims.get(k, ZERO) == b.standard_dims.get(k, ZERO) for k in keys
-    )
+    return first_difference(a, b) is None
 
 
 def stability_check(params, block, i):

@@ -185,7 +185,6 @@ ZERO = Laurent()
 ONE = Laurent.term(0)
 T = Laurent.term(1)
 T_INV = Laurent.term(-1)
-T_PLUS_TINV = T + T_INV
 
 
 def split_symmetric(f):

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from quivertl.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main
+from quivertl import cli
+from quivertl.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, main
+from quivertl.laurent import Laurent
 
 INTRO = ["--l", "3", "--e", "8", "--kappa", "0,4,6", "--n", "13"]
 RANK1 = ["--l", "2", "--e", "4", "--kappa", "0,2", "--n", "11"]
@@ -57,12 +59,17 @@ class TestOutputs:
         assert sorted(p["degree"] for p in report["paths"]) == [1, 3]
 
     def test_decompose_json(self, capsys):
-        code, out = run(capsys, ["decompose"] + INTRO +
-                        ["--mu", "4,9,0", "--format", "json"])
-        assert code == EXIT_OK
-        report = json.loads(out)
-        assert report["cross_checked"] is True
-        assert [4, 6, 3] in report["block"]["members"]
+        # (0, 19) at n = 19 has a gallery of length 5
+        for argv, member in [
+            (INTRO + ["--mu", "4,9,0"], [4, 6, 3]),
+            (["--l", "2", "--e", "4", "--kappa", "0,2", "--n", "19",
+              "--mu", "0,19"], [0, 19]),
+        ]:
+            code, out = run(capsys, ["decompose"] + argv + ["--format", "json"])
+            assert code == EXIT_OK
+            report = json.loads(out)
+            assert report["cross_checked"] is True
+            assert member in report["block"]["members"]
 
     def test_decompose_json_level_four(self, capsys):
         code, out = run(capsys, ["decompose", "--l", "4", "--e", "8",
@@ -70,6 +77,20 @@ class TestOutputs:
                                  "--mu", "3,3,3,4", "--format", "json"])
         assert code == EXIT_OK
         assert json.loads(out)["cross_checked"] is True
+
+    def test_mismatch_names_table_and_pair(self, capsys, monkeypatch):
+        real = cli.kn_oracle
+
+        def tampered(params, block):
+            matrix = real(params, block)
+            matrix.characters[((4, 6, 3), (4, 9, 0))] = Laurent.term(0, 2)
+            return matrix
+
+        monkeypatch.setattr(cli, "kn_oracle", tampered)
+        code = main(["decompose"] + INTRO + ["--mu", "4,9,0"])
+        err = capsys.readouterr().err
+        assert code == EXIT_MISMATCH
+        assert "characters at lambda=[4, 6, 3], mu=[4, 9, 0]" in err
 
     def test_decompose_table(self, capsys):
         code, out = run(capsys, ["decompose"] + RANK1 + ["--mu", "0,11"])

@@ -110,6 +110,31 @@ class TestDecompositionMatrix:
                 checked += 1
         assert checked == 60
 
+    def test_oracle_agreement_on_long_galleries(self):
+        # every block whose longest regular member lies 5 to 8 walls from
+        # the fundamental alcove: galleries longer than the n <= 14 grid of
+        # the acceptance suite reaches at l = 2
+        cases = [
+            (Params(2, 4, (0, 2)), range(10, 28)),
+            (Params(2, 5, (0, 2)), range(12, 32)),
+            (Params(3, 6, (0, 2, 4)), range(15, 24)),
+        ]
+        checked = 0
+        for params, ns in cases:
+            g = geometry_for(params)
+            for n in ns:
+                for block in blocks(params, n):
+                    regs = block.regular_members()
+                    if not regs or not 5 <= max(
+                        g.length(g.alcove_of(m)) for m in regs
+                    ) <= 8:
+                        continue
+                    assert matrices_equal(
+                        decomposition_matrix(params, block), kn_oracle(params, block)
+                    ), (params, block.members)
+                    checked += 1
+        assert checked == 60
+
     def test_singular_block_rejected(self):
         sing = next(b for b in blocks(P_INTRO, 13) if not any(b.regular))
         with pytest.raises(NoRegularMember):

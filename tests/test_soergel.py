@@ -138,6 +138,12 @@ class TestCrossChecks:
             assert e.value(target) == ONE
 
     def test_factorization_holds_broadly(self):
-        for mu in [(5, 6, 2), (4, 9, 0), (13, 0, 0), (10, 1, 2), (2, 0, 11)]:
-            series = alcove_series(P_INTRO, distinguished_path(P_INTRO, mu))
-            assert verify_factorization(P_INTRO, series)
+        # (0, 19) at l = 2 has a gallery of length 5
+        cases = [
+            (P_INTRO, mu)
+            for mu in [(5, 6, 2), (4, 9, 0), (13, 0, 0), (10, 1, 2), (2, 0, 11)]
+        ]
+        cases.append((P_RANK1, (0, 19)))
+        for params, mu in cases:
+            series = alcove_series(params, distinguished_path(params, mu))
+            assert verify_factorization(params, series)
