@@ -61,33 +61,33 @@ class Block:
         }
 
 
+def _block(geom, params, n, members):
+    members.sort(key=lambda q: (geom.point_length(q), q))
+    return Block(
+        params, n, tuple(members), tuple(geom.is_regular(q) for q in members)
+    )
+
+
 def blocks(params, n):
     """All blocks of TL_n(kappa), sorted by their first member."""
     geom = geometry_for(params)
     groups = {}
     for q in compositions(n, params.l):
         groups.setdefault(geom._orbit_key(q), []).append(q)
-    out = []
-    for members in groups.values():
-        members.sort(key=lambda q: (geom.point_length(q), q))
-        out.append(
-            Block(
-                params,
-                n,
-                tuple(members),
-                tuple(geom.is_regular(q) for q in members),
-            )
-        )
+    out = [_block(geom, params, n, members) for members in groups.values()]
     out.sort(key=lambda b: b.members[0])
     return out
 
 
 def block_of(params, n, member):
+    """The block of TL_n(kappa) containing ``member``; only its own orbit
+    is built."""
     member = tuple(member)
-    for b in blocks(params, n):
-        if member in b.members:
-            return b
-    raise ValueError("%r is not a one-column multipartition of %d" % (member, n))
+    geom = geometry_for(params)
+    members = geom.orbit_points(member, n) if len(member) == params.l else []
+    if member not in members:
+        raise ValueError("%r is not a one-column multipartition of %d" % (member, n))
+    return _block(geom, params, n, members)
 
 
 @dataclass
@@ -154,15 +154,16 @@ def decomposition_matrix(params, block):
     if not regs:
         raise NoRegularMember("block %r has no regular member" % (block.members,))
     dims = _standard_dims(params, block)
+    alcove = {lam: geom.alcove_of(lam) for lam in regs}
     entries = {}
     characters = {}
     for mu in regs:
         series = alcove_series(params, distinguished_path(params, mu))
         m_fn, n_fn, e_fn, target = run_all(params, series)
-        if target != geom.alcove_of(mu):
+        if target != alcove[mu]:
             raise InternalMismatch("gallery did not end at the alcove of mu")
         for lam in regs:
-            key = geom.alcove_of(lam)
+            key = alcove[lam]
             if m_fn.value(key) != dims[(lam, mu)]:
                 raise InternalMismatch(
                     "graded dimension mismatch at %r, %r: %s vs %s"

@@ -18,6 +18,13 @@ w . fundamental are w applied to the l walls of the fundamental alcove.
 Minimal galleries are built by crossing, one at a time, a wall that
 separates the current alcove from the target; the wall-crossing ("star")
 operation is b -> v (w^-1 s_h w) . fundamental.
+
+``Geometry.star`` is memoised in ``geom.caches["stars"]`` under
+``(b, crossing)``.  The key is safe because the result depends on nothing
+else: an alcove's element is fixed by its floor vector (W_e acts simply
+transitively on alcoves), so b, a and h determine v, w and s_h.  Blocks at
+n and n + l are shifted copies with the same alcoves and crossings, so
+most calls within a process are repeats.
 """
 
 from __future__ import annotations
@@ -292,8 +299,16 @@ class Geometry:
         ``crossing = (a, h)`` crossed from gallery alcove a.
 
         With a = w . fundamental and b = v . fundamental the result is
-        v (w^-1 s_h w) . fundamental.
+        v (w^-1 s_h w) . fundamental.  Memoised in ``caches["stars"]``;
+        a call that raises stores nothing.
         """
+        memo = self.caches.setdefault("stars", {})
+        got = memo.get((b, crossing))
+        if got is None:
+            got = memo[b, crossing] = self._star(b, crossing)
+        return got
+
+    def _star(self, b, crossing):
         a, h = crossing
         s = reflection_element(self.l, self.e, h)
         ref_floors = self._elem_floors(s.compose(a.elem))

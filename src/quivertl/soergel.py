@@ -18,6 +18,13 @@ are checked to be 1 at the new gallery alcove.
 The graded simple characters e are not propagated: they are solved from
 the factorisation m = sum over alcoves nu of e(nu) * n_nu (W. Soergel,
 Represent. Theory 1 (1997)), and each solved value must be bar-symmetric.
+
+Two memos in ``geom.caches`` hold the results.  ``n_functions`` is keyed
+by the target alcove's floors, since n depends only on the end of the
+gallery.  ``runs`` keeps each ``run_all`` result under the whole
+normalised gallery, not its end: m is defined by the gallery, and e is
+solved from m.  Blocks at n and n + l are shifted copies with the same
+distinguished galleries, so most runs within a process are repeats.
 """
 
 from __future__ import annotations
@@ -175,13 +182,21 @@ def _solve_characters(geom, m_fn):
 def run_all(params, gallery):
     """Run the m and n recursions along ``gallery`` (a minimal gallery or
     an alcove series) and solve m = sum e(nu) * n_nu for the characters e.
-    Returns (m, n, e) as AlcoveFunctions plus the final alcove."""
+    Returns (m, n, e) as AlcoveFunctions plus the final alcove, memoised
+    per gallery; callers must not modify them."""
     geom = geometry_for(params)
-    m_fn, n_fn, cur = _run(geom, _normalize_gallery(gallery))
-    # n does not depend on the gallery, so it serves as the target's n_nu
-    geom.caches.setdefault("n_functions", {}).setdefault(cur.floors, n_fn)
-    e_fn = _solve_characters(geom, m_fn)
-    return AlcoveFunction(m_fn), AlcoveFunction(n_fn), AlcoveFunction(e_fn), cur
+    crossings = tuple(_normalize_gallery(gallery))
+    memo = geom.caches.setdefault("runs", {})
+    got = memo.get(crossings)
+    if got is None:
+        m_fn, n_fn, cur = _run(geom, crossings)
+        # n does not depend on the gallery, so it serves as the target's n_nu
+        geom.caches.setdefault("n_functions", {}).setdefault(cur.floors, n_fn)
+        e_fn = _solve_characters(geom, m_fn)
+        got = memo[crossings] = (
+            AlcoveFunction(m_fn), AlcoveFunction(n_fn), AlcoveFunction(e_fn), cur
+        )
+    return got
 
 
 def evaluate_at_points(params, fn, points):

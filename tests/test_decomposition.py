@@ -1,6 +1,8 @@
 """Blocks, decomposition matrices, the path-counting oracle, stability
 and the level-two closed forms."""
 
+import json
+
 import pytest
 
 from quivertl.geometry import geometry_for
@@ -54,6 +56,21 @@ class TestBlocks:
         b = block_of(P_INTRO, 13, (4, 6, 3))
         for m in [(5, 6, 2), (5, 8, 0), (4, 9, 0), (13, 0, 0)]:
             assert m in b.members
+
+    def test_block_of_matches_blocks(self):
+        # block_of builds only the orbit of its member; blocks builds all
+        for params, ns in [
+            (P_RANK1, range(21)),
+            (P_INTRO, range(14)),
+            (Params(4, 8, (0, 2, 4, 6)), range(11)),
+        ]:
+            for n in ns:
+                for b in blocks(params, n):
+                    for m in b.members:
+                        assert block_of(params, n, m) == b, (params, n, m)
+        for member in [(4, 6), (4, 6, 3, 0), (4, 6, 2), (-1, 8, 6)]:
+            with pytest.raises(ValueError):
+                block_of(P_INTRO, 13, member)
 
 
 class TestDecompositionMatrix:
@@ -134,6 +151,36 @@ class TestDecompositionMatrix:
                     ), (params, block.members)
                     checked += 1
         assert checked == 60
+
+    def test_memos_do_not_change_outputs(self):
+        # blocks at n and n + l share alcoves and galleries, so the star,
+        # run and n-function memos serve one block from another's entries;
+        # both routes must give the same report whatever the order
+        cases = [
+            (Params(2, 4, (0, 2)), range(20, 28)),
+            (Params(3, 6, (0, 2, 4)), range(18, 21)),
+            (Params(4, 8, (0, 2, 4, 6)), range(11, 13)),
+        ]
+        work = [
+            (params, block)
+            for params, ns in cases
+            for n in ns
+            for block in blocks(params, n)
+            if any(block.regular)
+        ]
+
+        def reports(order):
+            for params, _ in cases:
+                geometry_for(params).caches.clear()
+            return {
+                (params, block.members): (
+                    json.dumps(decomposition_matrix(params, block).to_json()),
+                    json.dumps(kn_oracle(params, block).to_json()),
+                )
+                for params, block in order
+            }
+
+        assert reports(work) == reports(work[::-1])
 
     def test_singular_block_rejected(self):
         sing = next(b for b in blocks(P_INTRO, 13) if not any(b.regular))
