@@ -42,7 +42,6 @@ from .soergel import (
     InternalMismatch,
     evaluate_at_points,
     run_all,
-    verify_factorization,
 )
 from .tableaux import (
     Tableau,

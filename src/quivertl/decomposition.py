@@ -11,8 +11,9 @@ are built in:
 
 * graded dimensions from the recursion must equal graded path counts,
 * the whole matrix must equal the output of the path-counting oracle
-  (``kn_oracle``), which uses nothing but graded path counts and the
-  symmetric-plus-positive splitting of Laurent polynomials.
+  (``kn_oracle``), which uses nothing but graded path counts, alcove
+  lengths and the symmetric-plus-positive splitting of Laurent
+  polynomials, solving the counts' factorisation as a triangular system.
 
 Both routes read the graded path counts, which are also the graded
 standard dimensions, from one table per block (``_standard_dims``).  Each
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .geometry import compositions, geometry_for
-from .laurent import Laurent, ONE, ZERO, split_symmetric
+from .laurent import Laurent, ONE, ZERO, SplitImpossible, split_symmetric
 from .paths import alcove_series, distinguished_path, graded_path_count
 from .soergel import InternalMismatch, run_all
 
@@ -177,57 +178,53 @@ def decomposition_matrix(params, block):
 def kn_oracle(params, block):
     """The same decomposition data from path counting alone.
 
-    For lam != mu with paths from mu to lam, the graded path count minus
-    the already-known contributions of intermediate weights splits
+    The counts factor as M = D*C with D unitriangular, its off-diagonal
+    entries the decomposition numbers in tZ[t], and C the bar-symmetric
+    characters.  Columns mu are solved by increasing alcove length, and
+    within a column the rows lam by decreasing length: the count minus
+    the sum of d(lam, nu) * c(nu, mu) over the intermediate nu then splits
     uniquely into a bar-symmetric part (the character value) plus a
-    positively graded part (the decomposition number).  Pairs are
-    resolved recursively on decreasing wall distance.
+    positively graded part (the decomposition number).
     """
     geom = geometry_for(params)
     regs = block.regular_members()
     if not regs:
         raise NoRegularMember("block %r has no regular member" % (block.members,))
     counts = _standard_dims(params, block)
-    alcove = {lam: geom.alcove_of(lam) for lam in regs}
-    length = {lam: geom.length(key) for lam, key in alcove.items()}
-    memo = {}
-
-    def solve(lam, mu):
-        got = memo.get((lam, mu))
-        if got is not None:
-            return got
-        if lam == mu:
-            got = (ONE, ONE)
-        elif not counts[(lam, mu)]:
-            got = (ZERO, ZERO)
-        else:
-            f = counts[(lam, mu)]
-            for nu in regs:
-                if nu in (lam, mu):
-                    continue
-                if not counts.get((nu, mu)) or not counts.get((lam, nu)):
-                    continue
-                # paths out of nu only reach strictly shorter alcoves, so
-                # the recursion descends in the length gap
-                if not (length[lam] < length[nu] < length[mu]):
-                    raise InternalMismatch(
-                        "path-count recursion does not shrink the length gap"
-                    )
-                f = f - solve(lam, nu)[1] * solve(nu, mu)[0]
-            got = split_symmetric(f)
-        memo[(lam, mu)] = got
-        return got
-
-    pairs = sorted(
-        ((lam, mu) for mu in regs for lam in regs),
-        key=lambda p: (geom.separating_count(alcove[p[0]], alcove[p[1]]), p),
-    )
+    length = {lam: geom.length(geom.alcove_of(lam)) for lam in regs}
+    rows = sorted(regs, key=lambda q: (-length[q], q))
     entries = {}
     characters = {}
-    for lam, mu in pairs:
-        char, dec = solve(lam, mu)
-        entries[(lam, mu)] = dec if lam != mu else ONE
-        characters[(lam, mu)] = char
+    for mu in sorted(regs, key=lambda q: (length[q], q)):
+        reached = [nu for nu in regs if nu != mu and counts[(nu, mu)]]
+        for lam in rows:
+            if lam == mu:
+                char = dec = ONE
+            elif not counts[(lam, mu)]:
+                char = dec = ZERO
+            else:
+                f = counts[(lam, mu)]
+                for nu in reached:
+                    if nu == lam or not counts[(lam, nu)]:
+                        continue
+                    # paths out of nu only reach strictly shorter alcoves,
+                    # so both factors were solved before this pair
+                    if not length[lam] < length[nu] < length[mu]:
+                        raise InternalMismatch(
+                            "path-counting oracle: intermediate weight %s is "
+                            "outside the length gap at lambda=%s, mu=%s"
+                            % (list(nu), list(lam), list(mu))
+                        )
+                    f = f - entries[(lam, nu)] * characters[(nu, mu)]
+                try:
+                    char, dec = split_symmetric(f)
+                except SplitImpossible as exc:
+                    raise InternalMismatch(
+                        "path-counting oracle: %s at lambda=%s, mu=%s"
+                        % (exc, list(lam), list(mu))
+                    ) from exc
+            entries[(lam, mu)] = dec
+            characters[(lam, mu)] = char
     return DecompositionMatrix(block, entries, characters, counts)
 
 

@@ -69,9 +69,6 @@ class Laurent:
     def constant_term(self):
         return self.terms.get(0, 0)
 
-    def min_exp(self):
-        return min(self.terms) if self.terms else 0
-
     def max_exp(self):
         return max(self.terms) if self.terms else 0
 

@@ -203,14 +203,3 @@ def evaluate_at_points(params, fn, points):
     """Evaluate an alcove function at regular weights (zero off support)."""
     geom = geometry_for(params)
     return {tuple(p): fn.value(geom.alcove_of(p)) for p in points}
-
-
-def verify_factorization(params, gallery):
-    """Check m = sum over alcoves nu of n_nu * e(nu) along ``gallery``."""
-    geom = geometry_for(params)
-    m_fn, _, e_fn, _ = run_all(params, gallery)
-    total = {}
-    for nu_key, e_poly in e_fn.values.items():
-        for b_key, poly in n_function(geom, nu_key).items():
-            total[b_key] = total.get(b_key, ZERO) + poly * e_poly
-    return AlcoveFunction(total) == m_fn

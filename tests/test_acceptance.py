@@ -18,7 +18,7 @@ from quivertl.paths import (
     paths_between,
     reflection_closure,
 )
-from quivertl.soergel import n_function, run_all, verify_factorization
+from quivertl.soergel import n_function, run_all
 from quivertl.decomposition import (
     block_of,
     blocks,
@@ -35,6 +35,8 @@ from quivertl.tableaux import (
     semistandard_tableaux,
     tableau_degree,
 )
+
+from helpers import verify_factorization
 
 
 def canonical_multicharges(l, e):

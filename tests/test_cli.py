@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from quivertl import cli
+from quivertl import cli, decomposition
 from quivertl.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, main
 from quivertl.laurent import Laurent
 
@@ -91,6 +91,37 @@ class TestOutputs:
         err = capsys.readouterr().err
         assert code == EXIT_MISMATCH
         assert "characters at lambda=[4, 6, 3], mu=[4, 9, 0]" in err
+
+    def test_oracle_failure_names_route_and_pair(self, capsys, monkeypatch):
+        # route 1 reads the true counts; only the oracle sees the tampered one
+        real_dims = decomposition._standard_dims
+        real_oracle = cli.kn_oracle
+        for pair, poly, expected in [
+            # no bar-symmetric plus positive split exists
+            (((4, 6, 3), (4, 9, 0)), Laurent.term(-3, 7),
+             "decomposition of 7*t^-3 - t at lambda=[4, 6, 3], mu=[4, 9, 0]"),
+            # (5, 6, 2) now reaches (2, 8, 3), whose alcove is as long,
+            # and (4, 6, 3) is reached from both
+            (((2, 8, 3), (5, 6, 2)), Laurent.term(1),
+             "[2, 8, 3] is outside the length gap at lambda=[4, 6, 3], "
+             "mu=[5, 6, 2]"),
+        ]:
+            def dims(params, block):
+                counts = real_dims(params, block)
+                counts[pair] = poly
+                return counts
+
+            def oracle(params, block):
+                with monkeypatch.context() as m:
+                    m.setattr(decomposition, "_standard_dims", dims)
+                    return real_oracle(params, block)
+
+            monkeypatch.setattr(cli, "kn_oracle", oracle)
+            code = main(["decompose"] + INTRO + ["--mu", "4,9,0"])
+            err = capsys.readouterr().err
+            assert code == EXIT_MISMATCH
+            assert "path-counting oracle" in err
+            assert expected in err
 
     def test_decompose_table(self, capsys):
         code, out = run(capsys, ["decompose"] + RANK1 + ["--mu", "0,11"])

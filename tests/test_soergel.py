@@ -5,12 +5,9 @@ from quivertl.geometry import geometry_for
 from quivertl.laurent import Laurent, ONE, T, T_INV, ZERO
 from quivertl.params import Params
 from quivertl.paths import alcove_series, distinguished_path, graded_path_count
-from quivertl.soergel import (
-    evaluate_at_points,
-    n_function,
-    run_all,
-    verify_factorization,
-)
+from quivertl.soergel import evaluate_at_points, n_function, run_all
+
+from helpers import verify_factorization
 
 P_RANK1 = Params(2, 4, (0, 2))
 P_INTRO = Params(3, 8, (0, 4, 6))
