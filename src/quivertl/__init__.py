@@ -10,13 +10,14 @@ counting, and a purely arithmetic oracle built on the symmetric-plus-
 positive splitting of Laurent polynomials.
 """
 
-from .laurent import Laurent, SplitImpossible, is_in_plus_semiring, split_symmetric
+from .laurent import Laurent, SplitImpossible, split_symmetric
 from .params import Params, ParamsError
 from .geometry import (
     AffineElement,
     AlcoveKey,
     Geometry,
     Hyperplane,
+    InternalMismatch,
     NotAGalleryCrossing,
     SingularPoint,
     geometry_for,
@@ -37,22 +38,8 @@ from .paths import (
     reflection_closure,
     step_degree,
 )
-from .soergel import (
-    AlcoveFunction,
-    InternalMismatch,
-    evaluate_at_points,
-    run_all,
-)
-from .tableaux import (
-    Tableau,
-    addable_removable,
-    component_word,
-    dominance_leq,
-    loading,
-    residue_multiset,
-    semistandard_tableaux,
-    tableau_degree,
-)
+from .soergel import run_all
+from .tableaux import addable_removable, loading
 from .decomposition import (
     Block,
     DecompositionMatrix,
@@ -63,10 +50,8 @@ from .decomposition import (
     decomposition_matrix,
     kn_oracle,
     level2_closed_form,
-    level2_hom_dim,
     level2_label,
     matrices_equal,
-    stability_check,
 )
 
 __version__ = "0.1.0"

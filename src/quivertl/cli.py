@@ -32,9 +32,9 @@ from .decomposition import (
     first_difference,
     kn_oracle,
 )
+from .geometry import InternalMismatch
 from .params import Params, ParamsError
 from .paths import ClosureBudgetExceeded, paths_between
-from .soergel import InternalMismatch
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import compositions, geometry_for
+from .geometry import InternalMismatch, compositions, geometry_for
 from .laurent import Laurent, ONE, ZERO, SplitImpossible, split_symmetric
 from .paths import alcove_series, distinguished_path, graded_path_count
-from .soergel import InternalMismatch, run_all
+from .soergel import run_all
 
 
 class NoRegularMember(ValueError):
@@ -165,13 +165,14 @@ def decomposition_matrix(params, block):
             raise InternalMismatch("gallery did not end at the alcove of mu")
         for lam in regs:
             key = alcove[lam]
-            if m_fn.value(key) != dims[(lam, mu)]:
+            m = m_fn.get(key, ZERO)
+            if m != dims[(lam, mu)]:
                 raise InternalMismatch(
                     "graded dimension mismatch at %r, %r: %s vs %s"
-                    % (lam, mu, m_fn.value(key), dims[(lam, mu)])
+                    % (lam, mu, m, dims[(lam, mu)])
                 )
-            entries[(lam, mu)] = n_fn.value(key)
-            characters[(lam, mu)] = e_fn.value(key)
+            entries[(lam, mu)] = n_fn.get(key, ZERO)
+            characters[(lam, mu)] = e_fn.get(key, ZERO)
     return DecompositionMatrix(block, entries, characters, dims)
 
 
@@ -248,31 +249,6 @@ def matrices_equal(a, b):
     return first_difference(a, b) is None
 
 
-def stability_check(params, block, i):
-    """Adding i boxes to every column preserves the decomposition data.
-
-    The shifted block lives in TL_{n + i*l}(kappa); entries are compared
-    through the member bijection lam -> lam + (i, ..., i).
-    """
-    shift = tuple(i for _ in range(params.l))
-
-    def moved(p):
-        return tuple(c + i for c in p)
-
-    base = decomposition_matrix(params, block)
-    big = block_of(params, block.n + i * params.l, moved(block.members[0]))
-    if set(moved(m) for m in block.members) - set(big.members):
-        return False
-    shifted = decomposition_matrix(params, big)
-    for (lam, mu), poly in base.entries.items():
-        if shifted.d(moved(lam), moved(mu)) != poly:
-            return False
-    for (lam, mu), poly in base.characters.items():
-        if shifted.character(moved(lam), moved(mu)) != poly:
-            return False
-    return True
-
-
 def _parse_level2_label(label):
     if isinstance(label, tuple):
         return int(label[0]), bool(label[1])
@@ -308,14 +284,3 @@ def level2_closed_form(params, i, j):
         return ONE
     return ZERO
 
-
-def level2_hom_dim(params, i, j):
-    """Graded hom space dimension between level-two standard modules:
-    t^(j - i) for strictly increasing lengths, 0 otherwise."""
-    if params.l != 2:
-        raise NotLevelTwo("hom dimensions need l = 2")
-    li, _ = _parse_level2_label(i)
-    lj, _ = _parse_level2_label(j)
-    if li < lj:
-        return Laurent.term(lj - li)
-    return ZERO

@@ -32,6 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+class InternalMismatch(RuntimeError):
+    """A result failed one of the program's own consistency checks, or two
+    independent computation routes disagreed."""
+
+
 class SingularPoint(ValueError):
     """A weight on a hyperplane was passed where a regular one is required."""
 
@@ -48,9 +53,6 @@ class Hyperplane:
     j: int
     m: int
 
-    def to_json(self):
-        return {"i": self.i, "j": self.j, "m": self.m}
-
 
 @dataclass(frozen=True)
 class AffineElement:
@@ -65,13 +67,6 @@ class AffineElement:
     @classmethod
     def identity(cls, l):
         return cls(tuple(range(l)), (0,) * l)
-
-    def apply(self, x):
-        l = len(self.perm)
-        y = [0] * l
-        for i in range(l):
-            y[self.perm[i]] = x[i] + self.trans[self.perm[i]]
-        return tuple(y)
 
     def compose(self, other):
         """self after other: (self.compose(other))(x) = self(other(x))."""
@@ -90,11 +85,6 @@ class AffineElement:
         # inverse(x) = sigma^-1(x - trans), and (sigma^-1 y)_i = y[perm[i]]
         trans = tuple(-self.trans[self.perm[i]] for i in range(l))
         return AffineElement(tuple(inv_perm), trans)
-
-    def shifted(self, p, rho):
-        """The rho-shifted action w.p = w(p + rho) - rho."""
-        moved = self.apply(tuple(p[i] + rho[i] for i in range(len(p))))
-        return tuple(moved[i] - rho[i] for i in range(len(p)))
 
 
 def reflection_element(l, e, h):
@@ -123,9 +113,6 @@ class AlcoveKey:
 
     def __hash__(self):
         return hash(self.floors)
-
-    def to_json(self, roots):
-        return [[i + 1, j + 1, f] for (i, j), f in zip(roots, self.floors)]
 
 
 class Geometry:
@@ -180,15 +167,6 @@ class Geometry:
     def is_regular(self, p):
         return not self.classify(p)
 
-    def reflect_point(self, h, p):
-        """The rho-shifted reflection of p in h."""
-        i, j = h.i - 1, h.j - 1
-        v = self.value(p, (i, j)) - h.m * self.e
-        q = list(p)
-        q[i] -= v
-        q[j] += v
-        return tuple(q)
-
     def floors_of(self, p):
         out = []
         for root in self.roots:
@@ -239,8 +217,8 @@ class Geometry:
                 if (target[r] - cur.floors[r]) * step > 0:
                     break
             else:
-                raise RuntimeError(
-                    "no wall separates %r from %r" % (cur.floors, target)
+                raise InternalMismatch(
+                    "no wall separates alcove %r from %r" % (cur.floors, target)
                 )
             crossings.append((cur, Hyperplane(a + 1, b + 1, m)))
             floors = list(cur.floors)
@@ -267,25 +245,20 @@ class Geometry:
     def length(self, key):
         return sum(abs(f - f0) for f, f0 in zip(key.floors, self.fund_floors))
 
-    def separating_count(self, a, b):
-        return sum(abs(fa - fb) for fa, fb in zip(a.floors, b.floors))
-
     def point_length(self, p):
         """Hyperplanes strictly separating p from the fundamental alcove.
 
         Defined for singular points too (walls through p do not count),
-        which is what the deterministic block-member order needs.
+        which is what the deterministic block-member order needs.  Per root
+        this is the number of multiples of e strictly between the values
+        of p and of the origin.
         """
         total = 0
         for root in self.roots:
             v = self.value(p, root)
             v0 = self.rho[root[0]] - self.rho[root[1]]
             lo, hi = (v, v0) if v < v0 else (v0, v)
-            m = lo // self.e + 1
-            while m * self.e < hi:
-                if m * self.e > lo:
-                    total += 1
-                m += 1
+            total += max(0, (hi - 1) // self.e - lo // self.e)
         return total
 
     def minimal_gallery(self, target):
@@ -325,7 +298,10 @@ class Geometry:
         floors = self._elem_floors(elem)
         result = self._intern(floors, elem)
         if abs(self.length(result) - self.length(b)) != 1:
-            raise RuntimeError("wall crossing changed length by more than 1")
+            raise InternalMismatch(
+                "wall crossing from alcove %r to %r changed length by more than 1"
+                % (b.floors, floors)
+            )
         return result
 
     # -- orbits -------------------------------------------------------

@@ -6,19 +6,14 @@ simple characters) lives in the ring Z[t, t^-1].  Polynomials are stored
 sparsely as a map from exponent to nonzero integer coefficient, so every
 operation is exact.
 
-Two operations beyond ring arithmetic matter here:
-
-* ``split_symmetric`` writes a polynomial with nonnegative coefficients
-  uniquely as (bar-symmetric part) + (part supported in strictly positive
-  degrees).  This is the arithmetic engine of the path-counting oracle: a
-  graded dimension splits into a simple character plus t times a polynomial.
-* ``is_in_plus_semiring`` decides membership in N[t + t^-1], the semiring
-  in which simple characters are expected to land.
+Beyond ring arithmetic, ``split_symmetric`` writes a polynomial with
+nonnegative coefficients uniquely as (bar-symmetric part) + (part supported
+in strictly positive degrees).  This is the arithmetic engine of the
+path-counting oracle: a graded dimension splits into a simple character
+plus t times a polynomial.
 """
 
 from __future__ import annotations
-
-from math import comb
 
 
 class SplitImpossible(ValueError):
@@ -53,38 +48,10 @@ class Laurent:
     def term(cls, exp, coeff=1):
         return cls({exp: coeff})
 
-    @classmethod
-    def from_pairs(cls, pairs):
-        """Build from [exponent, coefficient] pairs (the JSON encoding)."""
-        return cls((int(e), int(c)) for e, c in pairs)
-
-    # -- predicates and accessors ------------------------------------
-
-    def is_zero(self):
-        return not self.terms
-
-    def coefficient(self, exp):
-        return self.terms.get(exp, 0)
+    # -- accessors ----------------------------------------------------
 
     def constant_term(self):
         return self.terms.get(0, 0)
-
-    def max_exp(self):
-        return max(self.terms) if self.terms else 0
-
-    def degrees(self):
-        """Exponents in increasing order, each repeated by its coefficient.
-
-        Only meaningful when all coefficients are nonnegative; used to
-        compare graded path counts against degree multisets.
-        """
-        out = []
-        for exp in sorted(self.terms):
-            coeff = self.terms[exp]
-            if coeff < 0:
-                raise ValueError("degree multiset needs nonnegative coefficients")
-            out.extend([exp] * coeff)
-        return out
 
     # -- ring structure ----------------------------------------------
 
@@ -205,25 +172,3 @@ def split_symmetric(f):
         raise SplitImpossible("no symmetric + positive decomposition of %s" % f)
     return e_part, n_part
 
-
-def _symmetric_power(k):
-    """(t + t^-1)^k as a Laurent polynomial."""
-    return Laurent({k - 2 * j: comb(k, j) for j in range(k + 1)})
-
-
-def is_in_plus_semiring(f):
-    """Membership in N[t + t^-1], decided by greedy top-term peeling.
-
-    Repeatedly subtract c * (t + t^-1)^k where t^k is the current leading
-    term with coefficient c; the input lies in the semiring exactly when
-    this never meets a negative leading coefficient or a negative leading
-    exponent and terminates at zero.
-    """
-    rem = f
-    while rem.terms:
-        k = rem.max_exp()
-        c = rem.terms[k]
-        if k < 0 or c < 0:
-            return False
-        rem = rem - _symmetric_power(k) * c
-    return True

@@ -13,7 +13,8 @@ under tail reflections at wall contacts, and the resulting graded path
 counts, which compute graded dimensions of standard modules.
 
 Closure paths correspond to semistandard tableaux by a degree-preserving
-bijection (``tableaux.component_word``).  Graded path counts are therefore
+bijection: a tableau's entries, read in increasing order, spell the path's
+component word.  Graded path counts are therefore
 taken from ``tableaux.graded_tableau_counts``, one dynamic-programming pass
 per column mu that serves every lam at once, instead of enumerating the
 closure, which has 2^length(mu) paths.  The closure is enumerated only

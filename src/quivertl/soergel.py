@@ -29,38 +29,8 @@ distinguished galleries, so most runs within a process are repeats.
 
 from __future__ import annotations
 
-from .geometry import geometry_for
+from .geometry import InternalMismatch, geometry_for
 from .laurent import ONE, ZERO
-
-
-class InternalMismatch(RuntimeError):
-    """Two independent computation routes disagreed."""
-
-
-class AlcoveFunction:
-    """A finitely supported map from alcoves to Laurent polynomials."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values=None):
-        self.values = {}
-        if values:
-            for key, poly in values.items():
-                if poly:
-                    self.values[key] = poly
-
-    def value(self, key):
-        return self.values.get(key, ZERO)
-
-    def __eq__(self, other):
-        return isinstance(other, AlcoveFunction) and self.values == other.values
-
-    def to_json(self, roots):
-        items = sorted(self.values.items(), key=lambda kv: kv[0].floors)
-        return [
-            {"alcove": key.to_json(roots), "poly": poly.to_pairs()}
-            for key, poly in items
-        ]
 
 
 def _normalize_gallery(gallery):
@@ -119,7 +89,7 @@ def _run(geom, crossings):
                 continue
             aux = n_function(geom, d_key)
             for b_key, poly in aux.items():
-                _put(n_fn, b_key, n_fn.get(b_key, ZERO) - poly * ct, replace=True)
+                n_fn[b_key] = n_fn.get(b_key, ZERO) - poly * ct
         n_fn = {k: v for k, v in n_fn.items() if v}
         m_fn = {k: v for k, v in new_m.items() if v}
         if m_fn.get(succ) != ONE:
@@ -130,11 +100,10 @@ def _run(geom, crossings):
     return m_fn, n_fn, cur
 
 
-def _put(table, key, poly, replace=False):
-    if replace or key not in table:
-        table[key] = poly
-    else:
+def _put(table, key, poly):
+    if key in table:
         raise InternalMismatch("alcove hit twice within one crossing")
+    table[key] = poly
 
 
 def n_function(geom, target):
@@ -182,8 +151,9 @@ def _solve_characters(geom, m_fn):
 def run_all(params, gallery):
     """Run the m and n recursions along ``gallery`` (a minimal gallery or
     an alcove series) and solve m = sum e(nu) * n_nu for the characters e.
-    Returns (m, n, e) as AlcoveFunctions plus the final alcove, memoised
-    per gallery; callers must not modify them."""
+    Returns (m, n, e) as dicts from alcove to nonzero Laurent polynomial,
+    plus the final alcove, memoised per gallery; callers must not modify
+    them."""
     geom = geometry_for(params)
     crossings = tuple(_normalize_gallery(gallery))
     memo = geom.caches.setdefault("runs", {})
@@ -193,13 +163,6 @@ def run_all(params, gallery):
         # n does not depend on the gallery, so it serves as the target's n_nu
         geom.caches.setdefault("n_functions", {}).setdefault(cur.floors, n_fn)
         e_fn = _solve_characters(geom, m_fn)
-        got = memo[crossings] = (
-            AlcoveFunction(m_fn), AlcoveFunction(n_fn), AlcoveFunction(e_fn), cur
-        )
+        got = memo[crossings] = (m_fn, n_fn, e_fn, cur)
     return got
 
-
-def evaluate_at_points(params, fn, points):
-    """Evaluate an alcove function at regular weights (zero off support)."""
-    geom = geometry_for(params)
-    return {tuple(p): fn.value(geom.alcove_of(p)) for p in points}

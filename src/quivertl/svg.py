@@ -22,6 +22,8 @@ class RankTooHigh(ValueError):
 
 _SQRT3_2 = 0.8660254037844386
 
+_SCALE = 24.0  # pixels per unit of the projected lattice
+
 _COLORS = ("#1b6ca8", "#c0392b", "#1e8449", "#8e44ad", "#b7950b", "#555555")
 
 
@@ -38,7 +40,7 @@ def _project(l, p):
     return (x, y)
 
 
-def render(params, lam, mu, budget=2 ** 20, scale=24.0):
+def render(params, lam, mu, budget=2 ** 20):
     """An SVG document showing all paths from the distinguished path of mu
     to lam, over the projected hyperplane arrangement."""
     if params.l not in (2, 3):
@@ -54,11 +56,11 @@ def render(params, lam, mu, budget=2 ** 20, scale=24.0):
     pad = 1.5
     x0, x1 = min(xs) - pad, max(xs) + pad
     y0, y1 = min(ys) - pad, max(ys) + pad
-    width = (x1 - x0) * scale
-    height = (y1 - y0) * scale
+    width = (x1 - x0) * _SCALE
+    height = (y1 - y0) * _SCALE
 
     def to_px(q):
-        return ((q[0] - x0) * scale, (q[1] - y0) * scale)
+        return ((q[0] - x0) * _SCALE, (q[1] - y0) * _SCALE)
 
     lines = []
     lines.append(
@@ -150,15 +152,8 @@ def _wall_line(geom, root, m, box):
     direction[j] = 1.0
     direction[other] = -2.0
     p0 = _project(3, tuple(base))
-    d = _project_vector(direction)
+    d = _project(3, direction)
     return _clip_line(p0, d, box)
-
-
-def _project_vector(v):
-    units = ((0.5, _SQRT3_2), (-0.5, _SQRT3_2), (0.0, -2 * _SQRT3_2))
-    x = sum(v[i] * units[i][0] for i in range(3))
-    y = -sum(v[i] * units[i][1] for i in range(3))
-    return (x, y)
 
 
 def _clip_line(p0, d, box):

@@ -1,6 +1,6 @@
 """
-One-column multipartition combinatorics: loadings, residues, semistandard
-tableaux and their degrees.
+One-column multipartition combinatorics: loadings, residues and graded
+counts of semistandard tableaux.
 
 A one-column multipartition with l components is a tuple of column
 lengths.  The node in row r of component m sits at loading value
@@ -13,13 +13,12 @@ the tableau degree with the path degree statistic.
 
 ``graded_tableau_counts`` counts those tableaux by degree for every shape
 at once, with one dynamic-programming pass over the loading values of the
-weight; this is how graded path counts are computed.
+weight; this is how graded path counts are computed.  No tableau is ever
+built: the degree of a placement depends only on the column heights after
+it (``placement_degree``).
 """
 
 from __future__ import annotations
-
-from collections import Counter
-from dataclasses import dataclass
 
 from .laurent import Laurent
 
@@ -43,28 +42,6 @@ def loading(params, lam):
     return out
 
 
-def residue_multiset(params, lam):
-    return Counter(res for _, res, _ in loading(params, lam))
-
-
-def dominance_leq(params, mu, lam):
-    """Loading dominance mu <= lam: for every residue and every threshold,
-    lam has at least as many nodes of that residue strictly below it.
-
-    It suffices to test thresholds just above each occurring loading value.
-    """
-    lam_load = loading(params, lam)
-    mu_load = loading(params, mu)
-    thresholds = sorted({x + 1 for x, _, _ in lam_load + mu_load})
-    for a in thresholds:
-        lam_counts = Counter(res for x, res, _ in lam_load if x < a)
-        mu_counts = Counter(res for x, res, _ in mu_load if x < a)
-        for res, cnt in mu_counts.items():
-            if lam_counts.get(res, 0) < cnt:
-                return False
-    return True
-
-
 def addable_removable(params, lam, res):
     """Components with an addable / removable node of the given residue."""
     addable = []
@@ -76,70 +53,6 @@ def addable_removable(params, lam, res):
         if h >= 1 and (params.kappa[m - 1] + 1 - h) % params.e == res:
             removable.append(m)
     return addable, removable
-
-
-@dataclass(frozen=True)
-class Tableau:
-    """A filling of a one-column multipartition: ``columns[m-1]`` lists the
-    entry values of component m from top to bottom.  Entries are loading
-    values of the weight."""
-
-    shape: tuple
-    weight: tuple
-    columns: tuple
-
-    def entries_in_order(self):
-        """(value, row, component) triples sorted by entry value."""
-        out = []
-        for m, col in enumerate(self.columns, start=1):
-            for r, value in enumerate(col, start=1):
-                out.append((value, r, m))
-        out.sort()
-        return out
-
-
-def semistandard_tableaux(params, lam, mu):
-    """All semistandard tableaux of shape lam and weight mu.
-
-    The loading values of mu are placed in increasing order; a value may
-    extend any component whose next empty node matches its residue.  The
-    column conditions (first entry at least the component offset, each
-    later entry at least the previous plus l) are strict inequalities on
-    the infinitesimally perturbed loadings, which on the integer values
-    reduce to these weak ones.
-    """
-    lam = tuple(lam)
-    mu = tuple(mu)
-    entries = loading(params, mu)
-    results = []
-    columns = [[] for _ in range(params.l)]
-
-    def place(idx):
-        if idx == len(entries):
-            results.append(
-                Tableau(lam, mu, tuple(tuple(col) for col in columns))
-            )
-            return
-        x, res, _ = entries[idx]
-        for m in range(1, params.l + 1):
-            col = columns[m - 1]
-            h = len(col)
-            if h >= lam[m - 1]:
-                continue
-            if node_residue(params, h + 1, m) != res:
-                continue
-            if h == 0:
-                if x < m - 1:
-                    continue
-            elif x < col[-1] + params.l:
-                continue
-            col.append(x)
-            place(idx + 1)
-            col.pop()
-
-    place(0)
-    results.sort(key=lambda t: t.columns)
-    return results
 
 
 def placement_degree(params, heights, m):
@@ -156,26 +69,17 @@ def placement_degree(params, heights, m):
     ) - sum(1 for c in removable if node_loading(params, heights[c - 1], c) > x_here)
 
 
-def tableau_degree(params, tab):
-    """Degree of a semistandard tableau: the sum of ``placement_degree``
-    over its entries, placed in increasing order."""
-    heights = [0] * params.l
-    total = 0
-    for _, _, m in tab.entries_in_order():
-        heights[m - 1] += 1
-        total += placement_degree(params, tuple(heights), m)
-    return total
-
-
 def graded_tableau_counts(params, mu):
     """Graded counts of the semistandard tableaux of weight mu, by shape:
-    ``{lam: sum of t^degree over semistandard_tableaux(lam, mu)}`` for every
-    shape lam that has one.
+    ``{lam: sum of t^degree over the tableaux of shape lam and weight mu}``
+    for every shape lam that has one.
 
-    The loading values of mu are placed in increasing order, as in
-    ``semistandard_tableaux``, and partial tableaux with the same column
-    heights are merged: the heights fix the residues and degree increments
-    of every later placement.  The column rules need no state, because a
+    The loading values of mu are placed in increasing order, each extending
+    a component whose next empty node has its residue, and partial
+    tableaux with the same column heights are merged: the heights fix the
+    residues and degree increments of every later placement.  The column
+    rules (first entry of component m at least m - 1, each later entry at
+    least the previous plus l) need no state, because a
     placement of the right residue always satisfies them.  Let v < x be
     consecutive entries of a component, so res(x) = res(v) - 1.  If
     x - v < l, then x and v are nodes of mu in components c' > c of the same
@@ -200,10 +104,3 @@ def graded_tableau_counts(params, mu):
         states = grown
     return {lam: Laurent(poly) for lam, poly in states.items()}
 
-
-def component_word(params, tab):
-    """The component word of a tableau, as a path."""
-    # imported here: paths imports this module for its graded counts
-    from .paths import PathWord
-
-    return PathWord(params.l, tuple(m for _, _, m in tab.entries_in_order()))

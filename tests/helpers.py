@@ -1,8 +1,22 @@
-"""Test-only checks that recompute a result apart from the code under test."""
+"""Test-only reference code: checks that recompute a result apart from the
+code under test, and the enumerations and closed forms the tests compare
+the package's results with."""
 
+from collections import Counter
+from dataclasses import dataclass
+from math import comb
+
+from quivertl.decomposition import (
+    NotLevelTwo,
+    _parse_level2_label,
+    block_of,
+    decomposition_matrix,
+)
 from quivertl.geometry import geometry_for
-from quivertl.laurent import ZERO
-from quivertl.soergel import AlcoveFunction, _run, run_all
+from quivertl.laurent import Laurent, ZERO
+from quivertl.paths import PathWord
+from quivertl.soergel import _run, run_all
+from quivertl.tableaux import loading, node_residue, placement_degree
 
 
 def verify_factorization(params, gallery):
@@ -15,8 +29,216 @@ def verify_factorization(params, gallery):
     geom = geometry_for(params)
     m_fn, _, e_fn, _ = run_all(params, gallery)
     total = {}
-    for nu, e in e_fn.values.items():
+    for nu, e in e_fn.items():
         _, n_nu, _ = _run(geom, geom.minimal_gallery(nu))
         for key, poly in n_nu.items():
             total[key] = total.get(key, ZERO) + e * poly
-    return AlcoveFunction(total) == m_fn
+    return {k: v for k, v in total.items() if v} == m_fn
+
+
+# -- Laurent polynomials -----------------------------------------------
+
+
+def _symmetric_power(k):
+    """(t + t^-1)^k as a Laurent polynomial."""
+    return Laurent({k - 2 * j: comb(k, j) for j in range(k + 1)})
+
+
+def is_in_plus_semiring(f):
+    """Membership in N[t + t^-1], decided by greedy top-term peeling.
+
+    Repeatedly subtract c * (t + t^-1)^k where t^k is the current leading
+    term with coefficient c; the input lies in the semiring exactly when
+    this never meets a negative leading coefficient or a negative leading
+    exponent and terminates at zero.
+    """
+    rem = f
+    while rem.terms:
+        k = max(rem.terms)
+        c = rem.terms[k]
+        if k < 0 or c < 0:
+            return False
+        rem = rem - _symmetric_power(k) * c
+    return True
+
+
+# -- alcove geometry ---------------------------------------------------
+
+
+def apply(elem, x):
+    """The AffineElement ``elem`` applied to the point x."""
+    l = len(elem.perm)
+    y = [0] * l
+    for i in range(l):
+        y[elem.perm[i]] = x[i] + elem.trans[elem.perm[i]]
+    return tuple(y)
+
+
+def shifted(elem, p, rho):
+    """The rho-shifted action w.p = w(p + rho) - rho."""
+    moved = apply(elem, tuple(p[i] + rho[i] for i in range(len(p))))
+    return tuple(moved[i] - rho[i] for i in range(len(p)))
+
+
+def reflect_point(geom, h, p):
+    """The rho-shifted reflection of p in the hyperplane h."""
+    i, j = h.i - 1, h.j - 1
+    v = geom.value(p, (i, j)) - h.m * geom.e
+    q = list(p)
+    q[i] -= v
+    q[j] += v
+    return tuple(q)
+
+
+def separating_count(a, b):
+    """Hyperplanes separating the alcoves a and b."""
+    return sum(abs(fa - fb) for fa, fb in zip(a.floors, b.floors))
+
+
+def evaluate_at_points(params, fn, points):
+    """Evaluate an alcove function at regular weights (zero off support)."""
+    geom = geometry_for(params)
+    return {tuple(p): fn.get(geom.alcove_of(p), ZERO) for p in points}
+
+
+# -- tableaux ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Tableau:
+    """A filling of a one-column multipartition: ``columns[m-1]`` lists the
+    entry values of component m from top to bottom.  Entries are loading
+    values of the weight."""
+
+    shape: tuple
+    weight: tuple
+    columns: tuple
+
+
+def entries_in_order(tab):
+    """(value, row, component) triples of a tableau sorted by entry value."""
+    out = []
+    for m, col in enumerate(tab.columns, start=1):
+        for r, value in enumerate(col, start=1):
+            out.append((value, r, m))
+    out.sort()
+    return out
+
+
+def semistandard_tableaux(params, lam, mu):
+    """All semistandard tableaux of shape lam and weight mu.
+
+    The loading values of mu are placed in increasing order; a value may
+    extend any component whose next empty node matches its residue.  The
+    column conditions (first entry at least the component offset, each
+    later entry at least the previous plus l) are strict inequalities on
+    the infinitesimally perturbed loadings, which on the integer values
+    reduce to these weak ones.
+    """
+    lam = tuple(lam)
+    mu = tuple(mu)
+    entries = loading(params, mu)
+    results = []
+    columns = [[] for _ in range(params.l)]
+
+    def place(idx):
+        if idx == len(entries):
+            results.append(Tableau(lam, mu, tuple(tuple(col) for col in columns)))
+            return
+        x, res, _ = entries[idx]
+        for m in range(1, params.l + 1):
+            col = columns[m - 1]
+            h = len(col)
+            if h >= lam[m - 1]:
+                continue
+            if node_residue(params, h + 1, m) != res:
+                continue
+            if h == 0:
+                if x < m - 1:
+                    continue
+            elif x < col[-1] + params.l:
+                continue
+            col.append(x)
+            place(idx + 1)
+            col.pop()
+
+    place(0)
+    results.sort(key=lambda t: t.columns)
+    return results
+
+
+def tableau_degree(params, tab):
+    """Degree of a semistandard tableau: the sum of ``placement_degree``
+    over its entries, placed in increasing order."""
+    heights = [0] * params.l
+    total = 0
+    for _, _, m in entries_in_order(tab):
+        heights[m - 1] += 1
+        total += placement_degree(params, tuple(heights), m)
+    return total
+
+
+def component_word(params, tab):
+    """The component word of a tableau, as a path."""
+    return PathWord(params.l, tuple(m for _, _, m in entries_in_order(tab)))
+
+
+def residue_multiset(params, lam):
+    return Counter(res for _, res, _ in loading(params, lam))
+
+
+def dominance_leq(params, mu, lam):
+    """Loading dominance mu <= lam: for every residue and every threshold,
+    lam has at least as many nodes of that residue strictly below it.
+
+    It suffices to test thresholds just above each occurring loading value.
+    """
+    lam_load = loading(params, lam)
+    mu_load = loading(params, mu)
+    thresholds = sorted({x + 1 for x, _, _ in lam_load + mu_load})
+    for a in thresholds:
+        lam_counts = Counter(res for x, res, _ in lam_load if x < a)
+        mu_counts = Counter(res for x, res, _ in mu_load if x < a)
+        for res, cnt in mu_counts.items():
+            if lam_counts.get(res, 0) < cnt:
+                return False
+    return True
+
+
+# -- decomposition data ------------------------------------------------
+
+
+def stability_check(params, block, i):
+    """Adding i boxes to every column preserves the decomposition data.
+
+    The shifted block lives in TL_{n + i*l}(kappa); entries are compared
+    through the member bijection lam -> lam + (i, ..., i).
+    """
+
+    def moved(p):
+        return tuple(c + i for c in p)
+
+    base = decomposition_matrix(params, block)
+    big = block_of(params, block.n + i * params.l, moved(block.members[0]))
+    if set(moved(m) for m in block.members) - set(big.members):
+        return False
+    shifted_dm = decomposition_matrix(params, big)
+    for (lam, mu), poly in base.entries.items():
+        if shifted_dm.d(moved(lam), moved(mu)) != poly:
+            return False
+    for (lam, mu), poly in base.characters.items():
+        if shifted_dm.character(moved(lam), moved(mu)) != poly:
+            return False
+    return True
+
+
+def level2_hom_dim(params, i, j):
+    """Graded hom space dimension between level-two standard modules:
+    t^(j - i) for strictly increasing lengths, 0 otherwise."""
+    if params.l != 2:
+        raise NotLevelTwo("hom dimensions need l = 2")
+    li, _ = _parse_level2_label(i)
+    lj, _ = _parse_level2_label(j)
+    if li < lj:
+        return Laurent.term(lj - li)
+    return ZERO

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from quivertl import cli, decomposition
+from quivertl import cli, decomposition, geometry
 from quivertl.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, main
 from quivertl.laurent import Laurent
+from quivertl.params import Params
 
 INTRO = ["--l", "3", "--e", "8", "--kappa", "0,4,6", "--n", "13"]
 RANK1 = ["--l", "2", "--e", "4", "--kappa", "0,2", "--n", "11"]
@@ -122,6 +123,27 @@ class TestOutputs:
             assert code == EXIT_MISMATCH
             assert "path-counting oracle" in err
             assert expected in err
+
+    def test_geometry_check_failure_is_a_mismatch(self, capsys, monkeypatch):
+        # each input breaks one geometry check on a fresh Geometry (the
+        # CLI's Params carry n); both checks fail first at the fundamental
+        # alcove
+        for attr, check in [
+            ("_walls", "no wall separates alcove"),
+            ("length", "changed length by more than 1"),
+        ]:
+            with monkeypatch.context() as m:
+                m.setattr(geometry, "_GEOMETRIES", {})
+                g = geometry.geometry_for(Params(3, 8, (0, 4, 6), 13))
+                if attr == "_walls":
+                    m.setattr(g, "_walls", [])
+                else:
+                    m.setattr(g, "length", lambda key: 0)
+                code = main(["decompose"] + INTRO + ["--mu", "4,9,0"])
+            err = capsys.readouterr().err
+            assert code == EXIT_MISMATCH
+            assert check in err
+            assert "alcove %r" % (g.fundamental.floors,) in err
 
     def test_decompose_table(self, capsys):
         code, out = run(capsys, ["decompose"] + RANK1 + ["--mu", "0,11"])

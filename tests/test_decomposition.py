@@ -6,7 +6,7 @@ import json
 import pytest
 
 from quivertl.geometry import geometry_for
-from quivertl.laurent import Laurent, ONE, ZERO, is_in_plus_semiring
+from quivertl.laurent import Laurent, ONE, ZERO
 from quivertl.params import Params
 from quivertl.decomposition import (
     NoRegularMember,
@@ -16,12 +16,16 @@ from quivertl.decomposition import (
     decomposition_matrix,
     kn_oracle,
     level2_closed_form,
-    level2_hom_dim,
     level2_label,
     matrices_equal,
+)
+
+from helpers import (
+    is_in_plus_semiring,
+    level2_hom_dim,
+    residue_multiset,
     stability_check,
 )
-from quivertl.tableaux import residue_multiset
 
 P_INTRO = Params(3, 8, (0, 4, 6))
 P_RANK1 = Params(2, 4, (0, 2))
@@ -113,9 +117,15 @@ class TestDecompositionMatrix:
     def test_oracle_agreement_at_higher_level(self):
         # l >= 4 has alcoves whose element is a product of reflections in
         # orthogonal walls; every block with a regular member must still
-        # decompose and cross-check
+        # decompose and cross-check.  The later cases reach l = 6, an
+        # unsorted multicharge and long l = 2 galleries at n = 60
         cases = [(Params(4, 8, (0, 2, 4, 6)), n) for n in range(11, 15)]
         cases.append((Params(5, 10, (0, 2, 4, 6, 8)), 12))
+        cases.append((Params(6, 12, (0, 2, 4, 6, 8, 10)), 12))
+        cases.append((Params(5, 11, (0, 2, 4, 6, 8)), 13))
+        cases.append((Params(4, 9, (0, 2, 4, 6)), 17))
+        cases += [(Params(3, 9, (5, 0, 2)), n) for n in (24, 25)]
+        cases += [(Params(2, 9, (0, 4)), n) for n in range(58, 61)]
         checked = 0
         for params, n in cases:
             for block in blocks(params, n):
@@ -125,7 +135,7 @@ class TestDecompositionMatrix:
                     decomposition_matrix(params, block), kn_oracle(params, block)
                 ), (params, block.members)
                 checked += 1
-        assert checked == 60
+        assert checked == 223
 
     def test_oracle_agreement_on_long_galleries(self):
         # every block whose longest regular member lies 5 to 8 walls from

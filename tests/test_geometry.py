@@ -18,6 +18,8 @@ from quivertl.geometry import (
 )
 from quivertl.params import Params, ParamsError
 
+from helpers import apply, reflect_point, separating_count, shifted
+
 
 P_INTRO = Params(3, 8, (0, 4, 6))
 P_RANK1 = Params(2, 4, (0, 2))
@@ -26,10 +28,12 @@ P_L5 = Params(5, 10, (0, 2, 4, 6, 8))
 
 # a point of the alcove s_{(1,2),1} s_{(3,4),1} . fundamental, of length 6,
 # whose element is a product of reflections in orthogonal walls
-ORTHOGONAL_PAIR = (
-    reflection_element(4, 10, Hyperplane(1, 2, 1))
-    .compose(reflection_element(4, 10, Hyperplane(3, 4, 1)))
-    .shifted((0, 0, 0, 0), P_L4.rho)
+ORTHOGONAL_PAIR = shifted(
+    reflection_element(4, 10, Hyperplane(1, 2, 1)).compose(
+        reflection_element(4, 10, Hyperplane(3, 4, 1))
+    ),
+    (0, 0, 0, 0),
+    P_L4.rho,
 )
 
 
@@ -64,10 +68,10 @@ class TestClassify:
 
     def test_reflect_point(self):
         g = geometry_for(P_INTRO)
-        assert g.reflect_point(Hyperplane(1, 3, 1), (5, 6, 2)) == (4, 6, 3)
+        assert reflect_point(g, Hyperplane(1, 3, 1), (5, 6, 2)) == (4, 6, 3)
         # reflection is an involution fixing the wall
-        assert g.reflect_point(Hyperplane(1, 3, 1), (4, 6, 3)) == (5, 6, 2)
-        assert g.reflect_point(Hyperplane(1, 3, 1), (4, 7, 2)) == (4, 7, 2)
+        assert reflect_point(g, Hyperplane(1, 3, 1), (4, 6, 3)) == (5, 6, 2)
+        assert reflect_point(g, Hyperplane(1, 3, 1), (4, 7, 2)) == (4, 7, 2)
 
 
 class TestAffineElement:
@@ -77,17 +81,17 @@ class TestAffineElement:
     def test_compose_and_inverse(self, p1, t1, p2, t2, x):
         u = AffineElement(tuple(p1), t1)
         v = AffineElement(tuple(p2), t2)
-        assert u.compose(v).apply(x) == u.apply(v.apply(x))
-        assert u.inverse().apply(u.apply(x)) == x
+        assert apply(u.compose(v), x) == apply(u, apply(v, x))
+        assert apply(u.inverse(), apply(u, x)) == x
         ident = AffineElement.identity(3)
-        assert ident.apply(x) == x
+        assert apply(ident, x) == x
 
     def test_reflection_matches_reflect_point(self):
         g = geometry_for(P_INTRO)
         h = Hyperplane(1, 3, 1)
         s = reflection_element(3, 8, h)
         for p in [(5, 6, 2), (0, 0, 0), (4, 9, 0)]:
-            assert s.shifted(p, g.rho) == g.reflect_point(h, p)
+            assert shifted(s, p, g.rho) == reflect_point(g, h, p)
 
 
 class TestAlcoves:
@@ -112,7 +116,7 @@ class TestAlcoves:
         g = geometry_for(P_INTRO)
         for p in [(5, 6, 2), (4, 9, 0), (13, 0, 0), (2, 0, 11)]:
             key = g.alcove_of(p)
-            image = key.elem.shifted((0, 0, 0), g.rho)
+            image = shifted(key.elem, (0, 0, 0), g.rho)
             # the origin's image lies in the same alcove (it may be singular
             # only if the origin were, which it is not)
             assert g.floors_of(image) == key.floors
@@ -172,7 +176,7 @@ class TestGalleries:
             for a in keys:
                 dist = _bfs_distances(g, a, keys)
                 for b in keys:
-                    assert g.separating_count(a, b) == dist[b.floors]
+                    assert separating_count(a, b) == dist[b.floors]
 
 
 def _bfs_distances(geom, start, interesting):
@@ -229,9 +233,7 @@ def _reflection_orbit_oracle(geom, p, n):
         for (i, j) in geom.roots:
             v = geom.value(cur, (i, j))
             for m in range(-4, 5):
-                q = geom.reflect_point(
-                    Hyperplane(i + 1, j + 1, m), cur
-                )
+                q = reflect_point(geom, Hyperplane(i + 1, j + 1, m), cur)
                 if q != cur and q not in seen and all(c >= -slack for c in q):
                     seen.add(q)
                     work.append(q)

@@ -10,9 +10,10 @@ from quivertl.laurent import (
     T,
     T_INV,
     ZERO,
-    is_in_plus_semiring,
     split_symmetric,
 )
+
+from helpers import is_in_plus_semiring
 
 
 def L(*pairs):
@@ -30,7 +31,7 @@ nonneg_polys = st.dictionaries(
 
 class TestArithmetic:
     def test_zero_and_one(self):
-        assert ZERO.is_zero()
+        assert not ZERO
         assert ONE.constant_term() == 1
         assert str(ZERO) == "0"
 
@@ -57,7 +58,7 @@ class TestArithmetic:
 
     def test_json_pairs_round_trip(self):
         p = L((-2, 3), (0, 1), (5, -4))
-        assert Laurent.from_pairs(p.to_pairs()) == p
+        assert Laurent(p.to_pairs()) == p
         assert p.to_pairs() == [[-2, 3], [0, 1], [5, -4]]
 
     @given(small_polys, small_polys, small_polys)

@@ -6,12 +6,15 @@ from quivertl.params import Params
 from quivertl.paths import paths_between
 from quivertl.tableaux import (
     addable_removable,
-    component_word,
-    dominance_leq,
     graded_tableau_counts,
     loading,
     node_loading,
     node_residue,
+)
+
+from helpers import (
+    component_word,
+    dominance_leq,
     residue_multiset,
     semistandard_tableaux,
     tableau_degree,
