@@ -14,11 +14,9 @@ from .laurent import Laurent, SplitImpossible, split_symmetric
 from .params import Params, ParamsError
 from .geometry import (
     AffineElement,
-    AlcoveKey,
     Geometry,
     Hyperplane,
     InternalMismatch,
-    NotAGalleryCrossing,
     SingularPoint,
     geometry_for,
 )

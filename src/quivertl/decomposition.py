@@ -267,7 +267,7 @@ def level2_label(params, p):
         raise NotLevelTwo("level-two labels need l = 2")
     geom = geometry_for(params)
     key = geom.alcove_of(p)
-    return geom.length(key), key.floors[0] < geom.fund_floors[0]
+    return geom.length(key), key[0] < geom.fundamental[0]
 
 
 def level2_closed_form(params, i, j):

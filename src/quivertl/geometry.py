@@ -8,23 +8,23 @@ rho_i = e - kappa_i.  Alcoves are the connected components of the
 complement of the hyperplane arrangement; the fundamental alcove is the
 one containing the origin.
 
-An alcove is identified by its floor vector: for each positive root
-e_i - e_j (i < j) the integer part of <x + rho, e_i - e_j> / e.  Each
-alcove also carries the affine group element w mapping the fundamental
-alcove onto it.  All geometry is integer data read off w: the floor
-vector of w . fundamental follows from the fundamental alcove's floors
-and w's permutation and translation (a multiple of e), and the walls of
-w . fundamental are w applied to the l walls of the fundamental alcove.
-Minimal galleries are built by crossing, one at a time, a wall that
-separates the current alcove from the target; the wall-crossing ("star")
-operation is b -> v (w^-1 s_h w) . fundamental.
+An alcove is its floor vector: for each positive root e_i - e_j (i < j)
+the integer part of <x + rho, e_i - e_j> / e.  ``Geometry._elems`` maps
+each alcove met so far to the affine group element w carrying the
+fundamental alcove onto it.  All geometry is integer data read off w: the
+floor vector of w . fundamental follows from the fundamental alcove's
+floors and w's permutation and translation (a multiple of e), and the
+walls of w . fundamental are w applied to the l walls of the fundamental
+alcove.  The index t of a wall of the fundamental alcove in
+``Geometry._walls`` is the type of each of its images, and a gallery from
+the fundamental alcove is the word of the wall types it crosses.  Minimal
+galleries are built by crossing, one at a time, a wall that separates the
+current alcove from the target; the wall-crossing ("star") operation takes
+b = v . fundamental to v s_t . fundamental.
 
-``Geometry.star`` is memoised in ``geom.caches["stars"]`` under
-``(b, crossing)``.  The key is safe because the result depends on nothing
-else: an alcove's element is fixed by its floor vector (W_e acts simply
-transitively on alcoves), so b, a and h determine v, w and s_h.  Blocks at
-n and n + l are shifted copies with the same alcoves and crossings, so
-most calls within a process are repeats.
+``Geometry.star`` is memoised in ``geom.caches["stars"]`` under ``(b, t)``.
+Blocks at n and n + l are shifted copies with the same alcoves and
+crossings, so most calls within a process are repeats.
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ class InternalMismatch(RuntimeError):
 
 class SingularPoint(ValueError):
     """A weight on a hyperplane was passed where a regular one is required."""
-
-
-class NotAGalleryCrossing(ValueError):
-    """The hyperplane of a crossing does not bound the crossing's alcove."""
 
 
 @dataclass(frozen=True)
@@ -77,15 +73,6 @@ class AffineElement:
         trans = tuple(sigma_tau[i] + self.trans[i] for i in range(len(self.perm)))
         return AffineElement(perm, trans)
 
-    def inverse(self):
-        l = len(self.perm)
-        inv_perm = [0] * l
-        for i in range(l):
-            inv_perm[self.perm[i]] = i
-        # inverse(x) = sigma^-1(x - trans), and (sigma^-1 y)_i = y[perm[i]]
-        trans = tuple(-self.trans[self.perm[i]] for i in range(l))
-        return AffineElement(tuple(inv_perm), trans)
-
 
 def reflection_element(l, e, h):
     """The reflection in ``h`` as an (unshifted) AffineElement."""
@@ -98,54 +85,36 @@ def reflection_element(l, e, h):
     return AffineElement(tuple(perm), tuple(trans))
 
 
-@dataclass(frozen=True, eq=False)
-class AlcoveKey:
-    """An alcove: floor vector over the positive roots plus the affine
-    element carrying the fundamental alcove onto it.  Identity is the
-    floor vector alone.
-    """
-
-    floors: tuple
-    elem: AffineElement
-
-    def __eq__(self, other):
-        return isinstance(other, AlcoveKey) and self.floors == other.floors
-
-    def __hash__(self):
-        return hash(self.floors)
-
-
 class Geometry:
     """Alcove-geometry context for one parameter set, with memoised alcoves."""
 
     def __init__(self, params):
-        self.params = params
         self.l = params.l
         self.e = params.e
         self.rho = params.rho
         self.roots = [(i, j) for i in range(self.l) for j in range(i + 1, self.l)]
-        self.fund_floors = tuple(
+        self.fundamental = tuple(
             (self.rho[i] - self.rho[j]) // self.e for (i, j) in self.roots
         )
         self._root_index = {root: r for r, root in enumerate(self.roots)}
         # _fund_table[p][q]: floor of the fundamental alcove at e_p - e_q,
         # for p > q too (the alcove is open, so floor(-v) = -floor(v) - 1)
         self._fund_table = [[0] * self.l for _ in range(self.l)]
-        for (i, j), f in zip(self.roots, self.fund_floors):
+        for (i, j), f in zip(self.roots, self.fundamental):
             self._fund_table[i][j] = f
             self._fund_table[j][i] = -f - 1
-        self._keys = {}
-        self.fundamental = AlcoveKey(self.fund_floors, AffineElement.identity(self.l))
-        self._keys[self.fund_floors] = self.fundamental
+        self._elems = {self.fundamental: AffineElement.identity(self.l)}
         # walls of the fundamental alcove as (i, j, level, reflection): the
-        # candidate hyperplanes whose reflection changes exactly one floor
+        # candidate hyperplanes whose reflection changes exactly one floor;
+        # a wall's index here is its type
         self._walls = []
         for r, (i, j) in enumerate(self.roots):
-            for m in (self.fund_floors[r], self.fund_floors[r] + 1):
+            for m in (self.fundamental[r], self.fundamental[r] + 1):
                 s = reflection_element(self.l, self.e, Hyperplane(i + 1, j + 1, m))
                 moved = self._elem_floors(s)
-                if sum(f != f0 for f, f0 in zip(moved, self.fund_floors)) == 1:
+                if sum(f != f0 for f, f0 in zip(moved, self.fundamental)) == 1:
                     self._walls.append((i, j, m, s))
+        self._wall_types = {w[:3]: t for t, w in enumerate(self._walls)}
         # scratch caches for other layers (alcove functions, path closures)
         self.caches = {}
 
@@ -195,7 +164,7 @@ class Geometry:
 
     def _gallery_to(self, target):
         """Cross walls from the fundamental alcove towards the floor vector
-        ``target``, returning (crossings, final AlcoveKey).
+        ``target``, returning (word of wall types, target).
 
         The walls of w . fundamental are the images under w of the walls of
         the fundamental alcove.  Each step crosses the first of them that
@@ -203,47 +172,59 @@ class Geometry:
         separating count by exactly 1, so the gallery is minimal
         (Humphreys, Reflection Groups and Coxeter Groups, 4.5).
         """
-        crossings = []
+        word = []
         cur = self.fundamental
-        while cur.floors != target:
-            sigma, tau = cur.elem.perm, cur.elem.trans
-            for p, q, m, s in self._walls:
-                a, b = sigma[p], sigma[q]
-                m += (tau[a] - tau[b]) // self.e
-                if a > b:
-                    a, b, m = b, a, -m
-                r = self._root_index[a, b]
-                step = 1 if m > cur.floors[r] else -1
-                if (target[r] - cur.floors[r]) * step > 0:
+        while cur != target:
+            for t in range(len(self._walls)):
+                h = self.wall(cur, t)
+                r = self._root_index[h.i - 1, h.j - 1]
+                step = 1 if h.m > cur[r] else -1
+                if (target[r] - cur[r]) * step > 0:
                     break
             else:
                 raise InternalMismatch(
-                    "no wall separates alcove %r from %r" % (cur.floors, target)
+                    "no wall separates alcove %r from %r" % (cur, target)
                 )
-            crossings.append((cur, Hyperplane(a + 1, b + 1, m)))
-            floors = list(cur.floors)
+            word.append(t)
+            floors = list(cur)
             floors[r] += step
-            cur = self._intern(tuple(floors), cur.elem.compose(s))
-        return crossings, cur
+            nxt = tuple(floors)
+            self._elems.setdefault(nxt, self._elems[cur].compose(self._walls[t][3]))
+            cur = nxt
+        return tuple(word), cur
 
-    def _intern(self, floors, elem):
-        key = self._keys.get(floors)
-        if key is None:
-            key = AlcoveKey(floors, elem)
-            self._keys[floors] = key
-        return key
+    def wall(self, a, t):
+        """The wall of type t of alcove a: the image under a's element of
+        the fundamental alcove's wall t."""
+        p, q, m, _ = self._walls[t]
+        w = self._elems[a]
+        i, j = w.perm[p], w.perm[q]
+        m += (w.trans[i] - w.trans[j]) // self.e
+        if i > j:
+            i, j, m = j, i, -m
+        return Hyperplane(i + 1, j + 1, m)
+
+    def wall_type(self, a, h):
+        """The type t with ``wall(a, t) == h``, or None when h does not
+        bound the alcove a."""
+        w = self._elems[a]
+        i, j = h.i - 1, h.j - 1
+        p, q = w.perm.index(i), w.perm.index(j)
+        m = h.m - (w.trans[i] - w.trans[j]) // self.e
+        if p > q:
+            p, q, m = q, p, -m
+        return self._wall_types.get((p, q, m))
 
     # -- alcoves ------------------------------------------------------
 
     def alcove_of(self, p):
         floors = self.floors_of(p)
-        key = self._keys.get(floors)
-        if key is not None:
-            return key
-        return self._gallery_to(floors)[1]
+        if floors not in self._elems:
+            self._gallery_to(floors)
+        return floors
 
-    def length(self, key):
-        return sum(abs(f - f0) for f, f0 in zip(key.floors, self.fund_floors))
+    def length(self, a):
+        return sum(abs(f - f0) for f, f0 in zip(a, self.fundamental))
 
     def point_length(self, p):
         """Hyperplanes strictly separating p from the fundamental alcove.
@@ -262,47 +243,31 @@ class Geometry:
         return total
 
     def minimal_gallery(self, target):
-        """A minimal gallery from the fundamental alcove to ``target`` as
-        (alcove, wall crossed) pairs; the target itself is not included.
-        """
-        return self._gallery_to(target.floors)[0]
+        """A minimal gallery from the fundamental alcove to the alcove
+        ``target``, as the word of the wall types it crosses."""
+        return self._gallery_to(target)[0]
 
-    def star(self, b, crossing):
-        """Reflect alcove b in its own wall of the same type as the wall
-        ``crossing = (a, h)`` crossed from gallery alcove a.
-
-        With a = w . fundamental and b = v . fundamental the result is
-        v (w^-1 s_h w) . fundamental.  Memoised in ``caches["stars"]``;
-        a call that raises stores nothing.
+    def star(self, b, t):
+        """Reflect alcove b = v . fundamental in its own wall of type t,
+        giving v s_t . fundamental.  Memoised in ``caches["stars"]``; a call
+        that raises stores nothing.
         """
         memo = self.caches.setdefault("stars", {})
-        got = memo.get((b, crossing))
+        got = memo.get((b, t))
         if got is None:
-            got = memo[b, crossing] = self._star(b, crossing)
+            got = memo[b, t] = self._star(b, t)
         return got
 
-    def _star(self, b, crossing):
-        a, h = crossing
-        s = reflection_element(self.l, self.e, h)
-        ref_floors = self._elem_floors(s.compose(a.elem))
-        diffs = [
-            r for r in range(len(self.roots)) if ref_floors[r] != a.floors[r]
-        ]
-        root_index = self._root_index[h.i - 1, h.j - 1]
-        if diffs != [root_index] or abs(ref_floors[root_index] - a.floors[root_index]) != 1:
-            raise NotAGalleryCrossing(
-                "hyperplane %r does not bound alcove %r" % (h, a.floors)
-            )
-        t = a.elem.inverse().compose(s).compose(a.elem)
-        elem = b.elem.compose(t)
+    def _star(self, b, t):
+        elem = self._elems[b].compose(self._walls[t][3])
         floors = self._elem_floors(elem)
-        result = self._intern(floors, elem)
-        if abs(self.length(result) - self.length(b)) != 1:
+        self._elems.setdefault(floors, elem)
+        if abs(self.length(floors) - self.length(b)) != 1:
             raise InternalMismatch(
                 "wall crossing from alcove %r to %r changed length by more than 1"
-                % (b.floors, floors)
+                % (b, floors)
             )
-        return result
+        return floors
 
     # -- orbits -------------------------------------------------------
 
@@ -336,8 +301,9 @@ _GEOMETRIES = {}
 
 
 def geometry_for(params):
-    geom = _GEOMETRIES.get(params)
+    """The shared Geometry of (l, e, kappa); n plays no part in it."""
+    key = (params.l, params.e, params.kappa)
+    geom = _GEOMETRIES.get(key)
     if geom is None:
-        geom = Geometry(params)
-        _GEOMETRIES[params] = geom
+        geom = _GEOMETRIES[key] = Geometry(params)
     return geom

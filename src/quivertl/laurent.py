@@ -110,9 +110,9 @@ class Laurent:
 
     __rmul__ = __mul__
 
-    def shift(self, k, c=1):
-        """Multiply by c * t^k."""
-        return Laurent({e + k: coeff * c for e, coeff in self.terms.items()})
+    def shift(self, k):
+        """Multiply by t^k."""
+        return Laurent({e + k: coeff for e, coeff in self.terms.items()})
 
     def bar(self):
         """The involution t -> t^-1."""

@@ -24,7 +24,7 @@ and ``svg`` commands) and as the test oracle for the counts.
 
 from __future__ import annotations
 
-from .geometry import Hyperplane, NotAGalleryCrossing, geometry_for
+from .geometry import geometry_for
 from .laurent import ZERO
 from .tableaux import graded_tableau_counts
 
@@ -194,6 +194,9 @@ def _closure_cached(params, mu, budget):
         closure = reflection_closure(params, distinguished_path(params, mu), budget)
         got = [(p, path_degree(params, p)) for p in closure]
         cache[mu] = got
+    elif len(got) > budget:
+        # a cached closure over this call's budget fails as it would uncached
+        raise ClosureBudgetExceeded("reflection closure exceeded budget %d" % budget)
     return got
 
 
@@ -212,8 +215,8 @@ def graded_path_count(params, lam, mu):
 
 def alcove_series(params, path):
     """The gallery traced by an admissible path: starting at the fundamental
-    alcove, every step onto a new wall crosses that wall.  Returned as
-    (alcove, wall crossed) pairs with the final alcove carrying None.
+    alcove, every step onto a new wall crosses that wall.  Returned as the
+    word of the wall types crossed.
 
     When a step leaves one wall and lands on an orthogonal one, the regular
     prefix points skip an alcove; the crossed walls still determine the
@@ -223,7 +226,7 @@ def alcove_series(params, path):
     geom = geometry_for(params)
     if not is_admissible(params, path):
         raise NotAdmissible("path %r is not admissible" % (path.steps,))
-    series = []
+    word = []
     cur = geom.fundamental
     for k in range(1, len(path) + 1):
         onto = [
@@ -232,18 +235,17 @@ def alcove_series(params, path):
             if geom.value(path.points[k - 1], (h.i - 1, h.j - 1)) != h.m * geom.e
         ]
         for h in sorted(onto, key=lambda h: (h.i, h.j)):
-            try:
-                nxt = geom.star(cur, (cur, h))
-            except NotAGalleryCrossing as ex:
-                raise NotAGallery(str(ex))
+            t = geom.wall_type(cur, h)
+            if t is None:
+                raise NotAGallery("hyperplane %r does not bound alcove %r" % (h, cur))
+            nxt = geom.star(cur, t)
             if geom.length(nxt) != geom.length(cur) + 1:
                 raise NotAGallery(
                     "crossing %r does not move away from the origin" % (h,)
                 )
-            series.append((cur, h))
+            word.append(t)
             cur = nxt
     end = path.endpoint()
     if geom.is_regular(end) and cur != geom.alcove_of(end):
         raise NotAGallery("gallery does not end at the endpoint's alcove")
-    series.append((cur, None))
-    return series
+    return tuple(word)

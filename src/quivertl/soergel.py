@@ -10,21 +10,22 @@ two functions are propagated crossing by crossing:
   lower-alcove constant terms subtracted off via recursively computed
   auxiliary n-functions.
 
-At each crossing every alcove is paired with the image under reflection
-in its own wall of the same type as the wall just crossed; the recursion
-only mixes values within such a pair.  After each crossing both functions
-are checked to be 1 at the new gallery alcove.
+A gallery is the word of the wall types it crosses (``geometry``).  At a
+crossing of type t every alcove b is paired with ``geom.star(b, t)``, its
+image under reflection in its own wall of type t; the recursion only
+mixes values within such a pair.  After each crossing both functions are
+checked to be 1 at the new gallery alcove.
 
 The graded simple characters e are not propagated: they are solved from
 the factorisation m = sum over alcoves nu of e(nu) * n_nu (W. Soergel,
 Represent. Theory 1 (1997)), and each solved value must be bar-symmetric.
 
 Two memos in ``geom.caches`` hold the results.  ``n_functions`` is keyed
-by the target alcove's floors, since n depends only on the end of the
-gallery.  ``runs`` keeps each ``run_all`` result under the whole
-normalised gallery, not its end: m is defined by the gallery, and e is
-solved from m.  Blocks at n and n + l are shifted copies with the same
-distinguished galleries, so most runs within a process are repeats.
+by the target alcove, since n depends only on the end of the gallery.
+``runs`` keeps each ``run_all`` result under the gallery's whole word,
+not its end: m is defined by the gallery, and e is solved from m.  Blocks
+at n and n + l are shifted copies with the same distinguished galleries,
+and share one ``Geometry``, so most runs within a process are repeats.
 """
 
 from __future__ import annotations
@@ -33,23 +34,17 @@ from .geometry import InternalMismatch, geometry_for
 from .laurent import ONE, ZERO
 
 
-def _normalize_gallery(gallery):
-    """Accept either a minimal gallery (alcove, wall) crossing list or an
-    alcove series whose last entry carries None."""
-    return [(a, h) for a, h in gallery if h is not None]
-
-
-def _pairs(geom, support, crossing):
-    """Pair each relevant alcove with its star partner for this crossing,
-    each unordered pair once, lower length first."""
+def _pairs(geom, support, t):
+    """Pair each relevant alcove with its star partner across its wall of
+    type t, each unordered pair once, lower length first."""
     done = set()
     out = []
     for key in list(support):
-        if key.floors in done:
+        if key in done:
             continue
-        partner = geom.star(key, crossing)
-        done.add(key.floors)
-        done.add(partner.floors)
+        partner = geom.star(key, t)
+        done.add(key)
+        done.add(partner)
         if geom.length(key) < geom.length(partner):
             out.append((key, partner))
         else:
@@ -57,23 +52,22 @@ def _pairs(geom, support, crossing):
     return out
 
 
-def _run(geom, crossings):
-    """Propagate the m and n alcove functions along ``crossings``.
+def _run(geom, word):
+    """Propagate the m and n alcove functions along the gallery ``word``.
 
     Returns (m, n, final alcove).
     """
-    fund = geom.fundamental
-    m_fn = {fund: ONE}
-    n_fn = {fund: ONE}
-    cur = fund
-    for a, h in crossings:
-        succ = geom.star(a, (a, h))
+    cur = geom.fundamental
+    m_fn = {cur: ONE}
+    n_fn = {cur: ONE}
+    for t in word:
+        succ = geom.star(cur, t)
         succ_len = geom.length(succ)
-        if succ_len != geom.length(a) + 1:
+        if succ_len != geom.length(cur) + 1:
             raise InternalMismatch("gallery crossing does not increase length")
         new_m = {}
         n_prime = {}
-        for low, high in _pairs(geom, set(m_fn) | set(n_fn), (a, h)):
+        for low, high in _pairs(geom, set(m_fn) | set(n_fn), t):
             ml, mh = m_fn.get(low, ZERO), m_fn.get(high, ZERO)
             _put(new_m, high, ml + mh.shift(-1))
             _put(new_m, low, mh + ml.shift(1))
@@ -81,7 +75,7 @@ def _run(geom, crossings):
             _put(n_prime, high, nl + nh.shift(-1))
             _put(n_prime, low, nh + nl.shift(1))
         n_fn = dict(n_prime)
-        for d_key in sorted(n_prime, key=lambda k: k.floors):
+        for d_key in sorted(n_prime):
             if d_key == succ or geom.length(d_key) >= succ_len:
                 continue
             ct = n_prime[d_key].constant_term()
@@ -111,10 +105,10 @@ def n_function(geom, target):
     and memoised; used both as the auxiliary ingredient of the subtraction
     step and for solving and checking the factorisation."""
     memo = geom.caches.setdefault("n_functions", {})
-    got = memo.get(target.floors)
+    got = memo.get(target)
     if got is None:
         _, got, _ = _run(geom, geom.minimal_gallery(target))
-        memo[target.floors] = got
+        memo[target] = got
     return got
 
 
@@ -127,13 +121,13 @@ def _solve_characters(geom, m_fn):
     """
     rest = dict(m_fn)
     e_fn = {}
-    for key in sorted(m_fn, key=lambda k: (geom.length(k), k.floors), reverse=True):
+    for key in sorted(m_fn, key=lambda k: (geom.length(k), k), reverse=True):
         e = rest.pop(key)
         if not e:
             continue
         if e.bar() != e:
             raise InternalMismatch(
-                "character at alcove %r is not bar-symmetric: %s" % (key.floors, e)
+                "character at alcove %r is not bar-symmetric: %s" % (key, e)
             )
         e_fn[key] = e
         for b_key, poly in n_function(geom, key).items():
@@ -142,27 +136,26 @@ def _solve_characters(geom, m_fn):
             if b_key not in rest:
                 raise InternalMismatch(
                     "n of alcove %r reaches %r outside the unsolved support of m"
-                    % (key.floors, b_key.floors)
+                    % (key, b_key)
                 )
             rest[b_key] = rest[b_key] - poly * e
     return e_fn
 
 
-def run_all(params, gallery):
-    """Run the m and n recursions along ``gallery`` (a minimal gallery or
-    an alcove series) and solve m = sum e(nu) * n_nu for the characters e.
-    Returns (m, n, e) as dicts from alcove to nonzero Laurent polynomial,
-    plus the final alcove, memoised per gallery; callers must not modify
-    them."""
+def run_all(params, word):
+    """Run the m and n recursions along the gallery ``word`` (a tuple of
+    wall types, as from ``minimal_gallery`` or ``alcove_series``) and
+    solve m = sum e(nu) * n_nu for the characters e.  Returns (m, n, e) as
+    dicts from alcove to nonzero Laurent polynomial, plus the final alcove,
+    memoised per word; callers must not modify them."""
     geom = geometry_for(params)
-    crossings = tuple(_normalize_gallery(gallery))
     memo = geom.caches.setdefault("runs", {})
-    got = memo.get(crossings)
+    got = memo.get(word)
     if got is None:
-        m_fn, n_fn, cur = _run(geom, crossings)
+        m_fn, n_fn, cur = _run(geom, word)
         # n does not depend on the gallery, so it serves as the target's n_nu
-        geom.caches.setdefault("n_functions", {}).setdefault(cur.floors, n_fn)
+        geom.caches.setdefault("n_functions", {}).setdefault(cur, n_fn)
         e_fn = _solve_characters(geom, m_fn)
-        got = memo[crossings] = (m_fn, n_fn, e_fn, cur)
+        got = memo[word] = (m_fn, n_fn, e_fn, cur)
     return got
 

@@ -12,7 +12,7 @@ from quivertl.decomposition import (
     block_of,
     decomposition_matrix,
 )
-from quivertl.geometry import geometry_for
+from quivertl.geometry import AffineElement, geometry_for, reflection_element
 from quivertl.laurent import Laurent, ZERO
 from quivertl.paths import PathWord
 from quivertl.soergel import _run, run_all
@@ -92,7 +92,36 @@ def reflect_point(geom, h, p):
 
 def separating_count(a, b):
     """Hyperplanes separating the alcoves a and b."""
-    return sum(abs(fa - fb) for fa, fb in zip(a.floors, b.floors))
+    return sum(abs(fa - fb) for fa, fb in zip(a, b))
+
+
+def gallery_alcoves(geom, word):
+    """The alcoves of the gallery ``word`` from the fundamental alcove,
+    the final one included."""
+    alcoves = [geom.fundamental]
+    for t in word:
+        alcoves.append(geom.star(alcoves[-1], t))
+    return alcoves
+
+
+def inverse(elem):
+    """The inverse of the AffineElement ``elem``."""
+    l = len(elem.perm)
+    inv_perm = [0] * l
+    for i in range(l):
+        inv_perm[elem.perm[i]] = i
+    # inverse(x) = sigma^-1(x - trans), and (sigma^-1 y)_i = y[perm[i]]
+    trans = tuple(-elem.trans[elem.perm[i]] for i in range(l))
+    return AffineElement(tuple(inv_perm), trans)
+
+
+def star_by_conjugation(geom, b, a, h):
+    """Reflect alcove b in its own wall of the same type as the wall h of
+    alcove a: with a = w . fundamental and b = v . fundamental, the alcove
+    v (w^-1 s_h w) . fundamental."""
+    w = geom._elems[a]
+    s = reflection_element(geom.l, geom.e, h)
+    return geom._elem_floors(geom._elems[b].compose(inverse(w).compose(s).compose(w)))
 
 
 def evaluate_at_points(params, fn, points):

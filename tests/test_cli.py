@@ -44,6 +44,14 @@ class TestExitCodes:
                       ["--lambda", "4,6,3", "--mu", "4,9,0", "--budget", "4"])
         assert code == EXIT_BUDGET
 
+    def test_budget_holds_with_a_cached_closure(self, capsys, monkeypatch):
+        # the first run caches the whole closure; the budget of the second
+        # must still stop it
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        argv = ["paths"] + INTRO + ["--lambda", "4,6,3", "--mu", "4,9,0"]
+        assert run(capsys, argv)[0] == EXIT_OK
+        assert run(capsys, argv + ["--budget", "4"])[0] == EXIT_BUDGET
+
     def test_singular_block_is_config_error(self, capsys):
         # (4,7,2) lies on a wall, so its block has no regular member
         code, _ = run(capsys, ["decompose"] + INTRO + ["--mu", "4,7,2"])
@@ -125,9 +133,8 @@ class TestOutputs:
             assert expected in err
 
     def test_geometry_check_failure_is_a_mismatch(self, capsys, monkeypatch):
-        # each input breaks one geometry check on a fresh Geometry (the
-        # CLI's Params carry n); both checks fail first at the fundamental
-        # alcove
+        # each input breaks one geometry check on a fresh Geometry; both
+        # checks fail first at the fundamental alcove
         for attr, check in [
             ("_walls", "no wall separates alcove"),
             ("length", "changed length by more than 1"),
@@ -143,7 +150,16 @@ class TestOutputs:
             err = capsys.readouterr().err
             assert code == EXIT_MISMATCH
             assert check in err
-            assert "alcove %r" % (g.fundamental.floors,) in err
+            assert "alcove %r" % (g.fundamental,) in err
+
+    def test_one_geometry_across_n(self, capsys, monkeypatch):
+        # blocks at n and n + 1 share the memos of one (l, e, kappa)
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        base = ["decompose", "--l", "3", "--e", "8", "--kappa", "0,4,6"]
+        for n, mu in [("13", "4,9,0"), ("14", "4,10,0")]:
+            code, _ = run(capsys, base + ["--n", n, "--mu", mu])
+            assert code == EXIT_OK
+        assert len(geometry._GEOMETRIES) == 1
 
     def test_decompose_table(self, capsys):
         code, out = run(capsys, ["decompose"] + RANK1 + ["--mu", "0,11"])

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from quivertl.geometry import (
     AffineElement,
     Hyperplane,
-    NotAGalleryCrossing,
     SingularPoint,
     compositions,
     geometry_for,
@@ -18,7 +17,15 @@ from quivertl.geometry import (
 )
 from quivertl.params import Params, ParamsError
 
-from helpers import apply, reflect_point, separating_count, shifted
+from helpers import (
+    apply,
+    gallery_alcoves,
+    inverse,
+    reflect_point,
+    separating_count,
+    shifted,
+    star_by_conjugation,
+)
 
 
 P_INTRO = Params(3, 8, (0, 4, 6))
@@ -82,7 +89,7 @@ class TestAffineElement:
         u = AffineElement(tuple(p1), t1)
         v = AffineElement(tuple(p2), t2)
         assert apply(u.compose(v), x) == apply(u, apply(v, x))
-        assert apply(u.inverse(), apply(u, x)) == x
+        assert apply(inverse(u), apply(u, x)) == x
         ident = AffineElement.identity(3)
         assert apply(ident, x) == x
 
@@ -97,14 +104,14 @@ class TestAffineElement:
 class TestAlcoves:
     def test_floors_and_length(self):
         g = geometry_for(P_INTRO)
-        assert g.floors_of((4, 6, 3)) == g.fund_floors
+        assert g.floors_of((4, 6, 3)) == g.fundamental
         assert g.length(g.alcove_of((4, 6, 3))) == 0
         assert g.length(g.alcove_of((5, 6, 2))) == 1
         assert g.length(g.alcove_of((4, 9, 0))) == 3
 
     def test_rank1_alcoves(self):
         g = geometry_for(P_RANK1)
-        assert g.floors_of((5, 6)) == g.fund_floors
+        assert g.floors_of((5, 6)) == g.fundamental
         assert g.floors_of((4, 7)) == (-1,)
         assert g.floors_of((0, 11)) == (-3,)
 
@@ -116,53 +123,73 @@ class TestAlcoves:
         g = geometry_for(P_INTRO)
         for p in [(5, 6, 2), (4, 9, 0), (13, 0, 0), (2, 0, 11)]:
             key = g.alcove_of(p)
-            image = shifted(key.elem, (0, 0, 0), g.rho)
+            image = shifted(g._elems[key], (0, 0, 0), g.rho)
             # the origin's image lies in the same alcove (it may be singular
             # only if the origin were, which it is not)
-            assert g.floors_of(image) == key.floors
+            assert g.floors_of(image) == key
+
+
+# targets of galleries at l = 3, 4 and 5, an orthogonal pair among them
+GALLERY_TARGETS = [
+    (P_INTRO, (4, 6, 3)), (P_INTRO, (5, 6, 2)), (P_INTRO, (4, 9, 0)),
+    (P_INTRO, (13, 0, 0)), (P_INTRO, (2, 0, 11)),
+    (P_L4, (0, 0, 8, 8)), (P_L4, (0, 7, 3, 6)), (P_L4, (0, 0, 0, 16)),
+    (P_L4, (3, 0, 0, 27)), (P_L4, ORTHOGONAL_PAIR),
+    (P_L5, (0, 3, 0, 3, 7)), (P_L5, (0, 3, 1, 5, 4)),
+    (P_L5, (0, 0, 0, 0, 13)), (P_L5, (0, 5, 0, 0, 19)),
+]
 
 
 class TestGalleries:
     def test_minimal_gallery_shape(self):
         assert geometry_for(P_L4).point_length(ORTHOGONAL_PAIR) == 6
-        for params, p in [
-            (P_INTRO, (4, 6, 3)), (P_INTRO, (5, 6, 2)), (P_INTRO, (4, 9, 0)),
-            (P_INTRO, (13, 0, 0)), (P_INTRO, (2, 0, 11)),
-            (P_L4, (0, 0, 8, 8)), (P_L4, (0, 7, 3, 6)), (P_L4, (0, 0, 0, 16)),
-            (P_L4, (3, 0, 0, 27)), (P_L4, ORTHOGONAL_PAIR),
-            (P_L5, (0, 3, 0, 3, 7)), (P_L5, (0, 3, 1, 5, 4)),
-            (P_L5, (0, 0, 0, 0, 13)), (P_L5, (0, 5, 0, 0, 19)),
-        ]:
+        for params, p in GALLERY_TARGETS:
             g = geometry_for(params)
             target = g.alcove_of(p)
-            gallery = g.minimal_gallery(target)
-            assert len(gallery) == g.length(target)
+            word = g.minimal_gallery(target)
+            assert len(word) == g.length(target)
             cur = g.fundamental
-            for idx, (alcove, wall) in enumerate(gallery):
-                assert alcove == cur
-                assert g.length(alcove) == idx
-                cur = g.star(cur, (cur, wall))
+            for idx, t in enumerate(word):
+                assert g.length(cur) == idx
+                cur = g.star(cur, t)
             assert cur == target
 
     def test_star_is_involution_on_pairs(self):
         g = geometry_for(P_RANK1)
         target = g.alcove_of((0, 11))
-        gallery = g.minimal_gallery(target)
+        word = g.minimal_gallery(target)
         support = [g.alcove_of(p) for p in [(5, 6), (4, 7), (8, 3), (0, 11)]]
-        for crossing in gallery:
+        for t in word:
             for b in support:
-                image = g.star(b, crossing)
-                assert g.star(image, crossing) == b
+                image = g.star(b, t)
+                assert g.star(image, t) == b
                 assert abs(g.length(image) - g.length(b)) == 1
 
-    def test_star_rejects_non_bounding_wall(self):
+    def test_star_matches_conjugation(self):
+        # star(b, t) is v s_t . fundamental; the reference conjugates the
+        # reflection in the wall of type t of a gallery alcove a back to
+        # the fundamental alcove
+        for params, p in GALLERY_TARGETS:
+            g = geometry_for(params)
+            alcoves = gallery_alcoves(g, g.minimal_gallery(g.alcove_of(p)))
+            for a in alcoves:
+                for t in range(len(g._walls)):
+                    h = g.wall(a, t)
+                    for b in alcoves:
+                        assert g.star(b, t) == star_by_conjugation(g, b, a, h)
+
+    def test_wall_type_inverts_wall(self):
+        for params, p in GALLERY_TARGETS:
+            g = geometry_for(params)
+            assert len(g._walls) == params.l
+            for a in gallery_alcoves(g, g.minimal_gallery(g.alcove_of(p))):
+                for t in range(len(g._walls)):
+                    assert g.wall_type(a, g.wall(a, t)) == t
+
+    def test_wall_type_of_non_bounding_wall(self):
         g = geometry_for(P_RANK1)
-        fund = g.fundamental
-        # the wall at level 2 does not bound the fundamental alcove; the
-        # second call shows that the star memo kept no failed check
-        for _ in range(2):
-            with pytest.raises(NotAGalleryCrossing):
-                g.star(fund, (fund, Hyperplane(1, 2, 2)))
+        # the wall at level 2 does not bound the fundamental alcove
+        assert g.wall_type(g.fundamental, Hyperplane(1, 2, 2)) is None
 
     def test_separating_count_against_reflection_oracle(self):
         # oracle: breadth-first search through single wall crossings
@@ -176,7 +203,7 @@ class TestGalleries:
             for a in keys:
                 dist = _bfs_distances(g, a, keys)
                 for b in keys:
-                    assert separating_count(a, b) == dist[b.floors]
+                    assert separating_count(a, b) == dist[b]
 
 
 def _bfs_distances(geom, start, interesting):
@@ -184,20 +211,16 @@ def _bfs_distances(geom, start, interesting):
     at a time; distances are numbers of wall crossings."""
     from collections import deque
 
-    want = {k.floors for k in interesting}
-    dist = {start.floors: 0}
+    want = set(interesting)
+    dist = {start: 0}
     queue = deque([start])
     while queue and not want <= set(dist):
         cur = queue.popleft()
-        for r, (i, j) in enumerate(geom.roots):
-            for m in (cur.floors[r], cur.floors[r] + 1):
-                try:
-                    nxt = geom.star(cur, (cur, Hyperplane(i + 1, j + 1, m)))
-                except NotAGalleryCrossing:
-                    continue
-                if nxt.floors not in dist:
-                    dist[nxt.floors] = dist[cur.floors] + 1
-                    queue.append(nxt)
+        for t in range(len(geom._walls)):
+            nxt = geom.star(cur, t)
+            if nxt not in dist:
+                dist[nxt] = dist[cur] + 1
+                queue.append(nxt)
     return dist
 
 

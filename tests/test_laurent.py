@@ -45,7 +45,6 @@ class TestArithmetic:
 
     def test_shift(self):
         assert L((0, 1), (2, 1)).shift(-1) == L((-1, 1), (1, 1))
-        assert ONE.shift(3, 5) == L((3, 5))
 
     def test_bar(self):
         assert L((2, 1), (-1, 3)).bar() == L((-2, 1), (1, 3))

@@ -21,6 +21,9 @@ from quivertl.paths import (
     reflection_closure,
     step_degree,
 )
+from quivertl.soergel import run_all
+
+from helpers import gallery_alcoves
 
 P_INTRO = Params(3, 8, (0, 4, 6))
 P_RANK1 = Params(2, 4, (0, 2))
@@ -161,24 +164,27 @@ class TestAdmissibility:
 class TestAlcoveSeries:
     def test_intro_series(self):
         g = geometry_for(P_INTRO)
-        series = alcove_series(P_INTRO, distinguished_path(P_INTRO, (4, 9, 0)))
-        assert [g.length(a) for a, _ in series] == [0, 1, 2, 3]
-        assert [h for _, h in series] == [
-            Hyperplane(1, 3, 1), Hyperplane(2, 3, 1), Hyperplane(1, 2, 0), None,
+        word = alcove_series(P_INTRO, distinguished_path(P_INTRO, (4, 9, 0)))
+        alcoves = gallery_alcoves(g, word)
+        assert [g.length(a) for a in alcoves] == [0, 1, 2, 3]
+        assert [g.wall(a, t) for a, t in zip(alcoves, word)] == [
+            Hyperplane(1, 3, 1), Hyperplane(2, 3, 1), Hyperplane(1, 2, 0),
         ]
 
     def test_series_skipping_an_alcove(self):
         # the (10,1,2) path leaves one wall and lands on an orthogonal one
         # in a single step; the gallery still inserts the skipped alcove
         g = geometry_for(P_INTRO)
-        series = alcove_series(P_INTRO, distinguished_path(P_INTRO, (10, 1, 2)))
-        assert [g.length(a) for a, _ in series] == [0, 1, 2]
-        assert series[-1][0] == g.alcove_of((10, 1, 2))
+        word = alcove_series(P_INTRO, distinguished_path(P_INTRO, (10, 1, 2)))
+        alcoves = gallery_alcoves(g, word)
+        assert [g.length(a) for a in alcoves] == [0, 1, 2]
+        assert alcoves[-1] == g.alcove_of((10, 1, 2))
 
     def test_zero_length(self):
         g = geometry_for(P_RANK1)
-        series = alcove_series(P_RANK1, distinguished_path(P_RANK1, (5, 6)))
-        assert series == [(g.fundamental, None)]
+        word = alcove_series(P_RANK1, distinguished_path(P_RANK1, (5, 6)))
+        assert word == ()
+        assert run_all(P_RANK1, word)[3] == g.fundamental
 
     def test_non_admissible_rejected(self):
         # crossing a wall and coming straight back has prefix degree 1
