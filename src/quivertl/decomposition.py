@@ -18,7 +18,9 @@ are built in:
 Both routes read the graded path counts, which are also the graded
 standard dimensions, from one table per block (``_standard_dims``).  Each
 column of it comes from the tableau-placement count of ``paths``; no
-reflection closure is enumerated here.
+reflection closure is enumerated here.  The per-column memo behind it
+keeps the block being computed only, which is all that the second route
+reads again.
 """
 
 from __future__ import annotations
@@ -27,7 +29,13 @@ from dataclasses import dataclass
 
 from .geometry import InternalMismatch, compositions, geometry_for
 from .laurent import Laurent, ONE, ZERO, SplitImpossible, split_symmetric
-from .paths import alcove_series, distinguished_path, graded_path_count
+from .paths import (
+    NotAdmissible,
+    NotAGallery,
+    alcove_series,
+    distinguished_path,
+    graded_path_count,
+)
 from .soergel import run_all
 
 
@@ -138,7 +146,11 @@ class DecompositionMatrix:
 
 def _standard_dims(params, block):
     """Graded path counts between all members of the block, keyed by
-    (lam, mu): the graded standard dimensions."""
+    (lam, mu): the graded standard dimensions.  The count tables of
+    columns outside the block are dropped from the memo first."""
+    memo = geometry_for(params).caches.setdefault("path_counts", {})
+    for mu in set(memo).difference(block.members):
+        del memo[mu]
     return {
         (lam, mu): graded_path_count(params, lam, mu)
         for mu in block.members
@@ -159,7 +171,12 @@ def decomposition_matrix(params, block):
     entries = {}
     characters = {}
     for mu in regs:
-        series = alcove_series(params, distinguished_path(params, mu))
+        try:
+            series = alcove_series(params, distinguished_path(params, mu))
+        except (NotAdmissible, NotAGallery) as exc:
+            raise InternalMismatch(
+                "distinguished path of mu=%s: %s" % (list(mu), exc)
+            ) from exc
         m_fn, n_fn, e_fn, target = run_all(params, series)
         if target != alcove[mu]:
             raise InternalMismatch("gallery did not end at the alcove of mu")

@@ -20,6 +20,11 @@ per column mu that serves every lam at once, instead of enumerating the
 closure, which has 2^length(mu) paths.  The closure is enumerated only
 where the paths themselves are wanted (``paths_between``, the ``paths``
 and ``svg`` commands) and as the test oracle for the counts.
+
+The count tables are memoised per column in ``geom.caches["path_counts"]``.
+The decomposition routes read them one block at a time, and
+``decomposition._standard_dims`` drops the tables of other blocks before
+it reads, so the memo holds the columns of one block.
 """
 
 from __future__ import annotations
@@ -203,7 +208,8 @@ def _closure_cached(params, mu, budget):
 def graded_path_count(params, lam, mu):
     """The graded count of paths from the distinguished path of mu to lam:
     sum of t^(degree) over paths_between(lam, mu), read from the tableau
-    counts of mu, which are computed once per mu."""
+    counts of mu, which are kept in ``caches["path_counts"]`` until
+    ``decomposition._standard_dims`` moves on to another block."""
     geom = geometry_for(params)
     cache = geom.caches.setdefault("path_counts", {})
     mu = tuple(mu)

@@ -15,11 +15,16 @@ the tableau degree with the path degree statistic.
 at once, with one dynamic-programming pass over the loading values of the
 weight; this is how graded path counts are computed.  No tableau is ever
 built: the degree of a placement depends only on the column heights after
-it (``placement_degree``).
+it (``placement_degree``).  The moves of a step therefore depend only on
+the column heights before it and the residue placed, so they are kept in
+``geom.caches["transitions"]``, a table from ``(heights, residue)`` to the
+list of ``(next heights, degree increment)``.  It is filled on first use
+and shared by every weight of every n with the same (l, e, kappa).
 """
 
 from __future__ import annotations
 
+from .geometry import geometry_for
 from .laurent import Laurent
 
 
@@ -88,19 +93,30 @@ def graded_tableau_counts(params, mu):
     a first entry x < m - 1 of component m would be a first-row node of a
     component c < m with kappa_c = kappa_m.
     """
-    l = params.l
-    states = {(0,) * l: {0: 1}}
+    transitions = geometry_for(params).caches.setdefault("transitions", {})
+    states = {(0,) * params.l: {0: 1}}
     for _, res, _ in loading(params, mu):
         grown = {}
         for heights, poly in states.items():
-            for m in range(l):
-                if node_residue(params, heights[m] + 1, m + 1) != res:
-                    continue
-                hs = heights[:m] + (heights[m] + 1,) + heights[m + 1 :]
-                deg = placement_degree(params, hs, m + 1)
+            moves = transitions.get((heights, res))
+            if moves is None:
+                moves = transitions[heights, res] = _moves(params, heights, res)
+            for hs, deg in moves:
                 acc = grown.setdefault(hs, {})
                 for d, c in poly.items():
                     acc[d + deg] = acc.get(d + deg, 0) + c
         states = grown
     return {lam: Laurent(poly) for lam, poly in states.items()}
+
+
+def _moves(params, heights, res):
+    """The placements of residue res onto the column heights ``heights``:
+    ``(next heights, degree increment)`` for each component whose next
+    empty node has that residue."""
+    out = []
+    for m in range(params.l):
+        if node_residue(params, heights[m] + 1, m + 1) == res:
+            hs = heights[:m] + (heights[m] + 1,) + heights[m + 1 :]
+            out.append((hs, placement_degree(params, hs, m + 1)))
+    return out
 

@@ -10,7 +10,9 @@ import types
 from pathlib import Path
 
 from quivertl import cli, decomposition, paths, soergel
+from quivertl.decomposition import block_of, decomposition_matrix, kn_oracle
 from quivertl.geometry import Geometry
+from quivertl.params import Params
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -40,3 +42,24 @@ def test_every_traced_name_is_bound():
         if OWNERS[mod].__dict__.get(attr) is None
     ]
     assert unbound == []
+
+
+def test_every_count_passes_the_counting_hook(monkeypatch):
+    # the ``paths.graded_path_count`` span and the ``paths_counted`` counter
+    # wrap ``decomposition.graded_path_count``; however the counts are
+    # memoised, both routes must read every (lam, mu) entry through it
+    params = Params(3, 8, (0, 4, 6))
+    block = block_of(params, 13, (4, 9, 0))
+    seen = []
+    real = decomposition.graded_path_count
+
+    def counted(params, lam, mu):
+        seen.append((lam, mu))
+        return real(params, lam, mu)
+
+    monkeypatch.setattr(decomposition, "graded_path_count", counted)
+    matrix = decomposition_matrix(params, block)
+    assert seen == list(matrix.standard_dims)
+    oracle = kn_oracle(params, block)
+    assert seen == 2 * list(oracle.standard_dims)
+    assert len(matrix.standard_dims) == len(block.members) ** 2

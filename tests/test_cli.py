@@ -152,6 +152,20 @@ class TestOutputs:
             assert check in err
             assert "alcove %r" % (g.fundamental,) in err
 
+    def test_gallery_failure_is_a_mismatch(self, capsys, monkeypatch):
+        # a distinguished path whose gallery check fails is the program's
+        # fault, not the caller's: exit 3 naming mu, not exit 2
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        g = geometry.geometry_for(Params(3, 8, (0, 4, 6)))
+        monkeypatch.setattr(g, "wall_type", lambda a, h: None)
+        code = main(["decompose"] + INTRO + ["--mu", "4,9,0"])
+        err = capsys.readouterr().err
+        assert code == EXIT_MISMATCH
+        assert (
+            "distinguished path of mu=[2, 8, 3]: hyperplane "
+            "Hyperplane(i=1, j=2, m=0) does not bound alcove (0, 0, 0)"
+        ) in err
+
     def test_one_geometry_across_n(self, capsys, monkeypatch):
         # blocks at n and n + 1 share the memos of one (l, e, kappa)
         monkeypatch.setattr(geometry, "_GEOMETRIES", {})

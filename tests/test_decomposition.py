@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from quivertl import geometry, paths
 from quivertl.geometry import geometry_for
 from quivertl.laurent import Laurent, ONE, ZERO
 from quivertl.params import Params
@@ -191,6 +192,27 @@ class TestDecompositionMatrix:
             }
 
         assert reports(work) == reports(work[::-1])
+
+    def test_path_counts_hold_one_block(self, monkeypatch):
+        # the count memo keeps the block being computed, which is all that
+        # the second route reads again: one DP run per column
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        runs = []
+        real = paths.graded_tableau_counts
+
+        def counted(params, mu):
+            runs.append(mu)
+            return real(params, mu)
+
+        monkeypatch.setattr(paths, "graded_tableau_counts", counted)
+        first = block_of(P_INTRO, 13, (4, 9, 0))
+        second = block_of(P_INTRO, 14, (4, 10, 0))
+        for block in (first, second):
+            decomposition_matrix(P_INTRO, block)
+            kn_oracle(P_INTRO, block)
+        assert runs == list(first.members) + list(second.members)
+        memo = geometry_for(P_INTRO).caches["path_counts"]
+        assert set(memo) == set(second.members)
 
     def test_singular_block_rejected(self):
         sing = next(b for b in blocks(P_INTRO, 13) if not any(b.regular))

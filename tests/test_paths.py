@@ -2,6 +2,7 @@
 
 import pytest
 
+from quivertl import geometry
 from quivertl.decomposition import block_of, blocks
 from quivertl.geometry import Hyperplane, geometry_for
 from quivertl.laurent import Laurent, ONE
@@ -194,3 +195,23 @@ class TestAlcoveSeries:
         assert not is_admissible(P_RANK1, word)
         with pytest.raises(NotAdmissible):
             alcove_series(P_RANK1, word)
+
+    # each case breaks one gallery check on a fresh Geometry; the (4,9,0)
+    # path first lands on (1,3,1), from the fundamental alcove, and its
+    # endpoint is regular
+    @pytest.mark.parametrize("attr, broken, message", [
+        ("wall_type", lambda g: lambda a, h: None,
+         "hyperplane Hyperplane(i=1, j=3, m=1) does not bound alcove (0, 0, 0)"),
+        ("length", lambda g: lambda a, real=g.length: -real(a),
+         "crossing Hyperplane(i=1, j=3, m=1) does not move away from the origin"),
+        ("alcove_of", lambda g: lambda p: g.fundamental,
+         "gallery does not end at the endpoint's alcove"),
+    ])
+    def test_broken_geometry_is_not_a_gallery(self, monkeypatch, attr, broken, message):
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        g = geometry_for(P_INTRO)
+        assert g.fundamental == (0, 0, 0)
+        monkeypatch.setattr(g, attr, broken(g))
+        with pytest.raises(NotAGallery) as info:
+            alcove_series(P_INTRO, distinguished_path(P_INTRO, (4, 9, 0)))
+        assert str(info.value) == message

@@ -1,5 +1,6 @@
 """Loadings, residues, dominance, semistandard tableaux and degrees."""
 
+from quivertl import geometry
 from quivertl.geometry import compositions, geometry_for
 from quivertl.laurent import Laurent, ZERO
 from quivertl.params import Params
@@ -10,6 +11,7 @@ from quivertl.tableaux import (
     loading,
     node_loading,
     node_residue,
+    placement_degree,
 )
 
 from helpers import (
@@ -152,3 +154,31 @@ class TestGradedCounts:
                 for x, res_x in nodes:
                     if x < m - 1:
                         assert res_x != node_residue(params, 1, m)
+
+    def test_shared_transitions_match_a_cold_table(self, monkeypatch):
+        # every weight of one (l, e, kappa) reads the same transitions
+        # table; counts from the warm table must equal counts from a fresh
+        # Geometry, and every stored degree must be placement_degree's,
+        # also for the unsorted multicharge (5, 0, 2)
+        cases = [(params, [n]) for params, n in self.PARAMS] + [
+            (Params(3, 9, (5, 0, 2)), range(13)),
+            (Params(5, 11, (0, 2, 4, 6, 8)), range(10)),
+        ]
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        for params, ns in cases:
+            weights = [mu for n in ns for mu in compositions(n, params.l)]
+            warm = [graded_tableau_counts(params, mu) for mu in weights]
+            table = geometry_for(params).caches["transitions"]
+            for mu, counts in zip(weights, warm):
+                with monkeypatch.context() as m:
+                    m.setattr(geometry, "_GEOMETRIES", {})
+                    assert graded_tableau_counts(params, mu) == counts, (params, mu)
+            for (heights, res), moves in table.items():
+                want = []
+                for c in range(1, params.l + 1):
+                    if node_residue(params, heights[c - 1] + 1, c) == res:
+                        hs = list(heights)
+                        hs[c - 1] += 1
+                        hs = tuple(hs)
+                        want.append((hs, placement_degree(params, hs, c)))
+                assert moves == want, (params, heights, res)
