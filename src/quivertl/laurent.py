@@ -71,12 +71,13 @@ class Laurent:
     def __neg__(self):
         return Laurent({e: -c for e, c in self.terms.items()})
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        """self + sign * other, for sign 1 or -1."""
         if isinstance(other, int):
             other = Laurent.term(0, other)
         acc = dict(self.terms)
         for e, c in other.terms.items():
-            total = acc.get(e, 0) + c
+            total = acc.get(e, 0) + sign * c
             if total:
                 acc[e] = total
             else:
@@ -85,12 +86,13 @@ class Laurent:
         out.terms = acc
         return out
 
+    def __add__(self, other):
+        return self._plus(other, 1)
+
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = Laurent.term(0, other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, int):

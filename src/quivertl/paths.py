@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from .geometry import geometry_for
 from .laurent import ZERO
-from .tableaux import graded_tableau_counts
+from .tableaux import graded_tableau_counts, loading
 
 
 class NotOnHyperplane(ValueError):
@@ -132,16 +132,10 @@ def reflect_tail(params, path, k, h):
 
 
 def distinguished_path(params, mu):
-    """The distinguished path of a one-column multipartition mu: its
-    loading values (m-1) + l*(r-1) sorted increasingly, reading off the
-    component of each.
+    """The distinguished path of a one-column multipartition mu: the
+    component of each of its loading values, in increasing order.
     """
-    entries = []
-    for m in range(1, params.l + 1):
-        for r in range(1, mu[m - 1] + 1):
-            entries.append(((m - 1) + params.l * (r - 1), m))
-    entries.sort()
-    return PathWord(params.l, tuple(m for _, m in entries))
+    return PathWord(params.l, [m for _, _, m in loading(params, mu)])
 
 
 def is_admissible(params, path):

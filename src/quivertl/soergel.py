@@ -1,31 +1,33 @@
 """
 Wall-crossing recursions on alcove functions.
 
-An alcove function assigns a Laurent polynomial to each alcove.  Running
-along a minimal gallery from the fundamental alcove to a target alcove,
-two functions are propagated crossing by crossing:
+An alcove function assigns a Laurent polynomial to each alcove.  Two of
+them are built by the same two-term crossing (``_cross``):
 
-* m: graded dimensions of standard modules (a plain two-term recursion),
-* n: graded decomposition numbers, obtained from the same recursion with
-  lower-alcove constant terms subtracted off via recursively computed
-  auxiliary n-functions.
+* m: graded dimensions of standard modules, propagated crossing by
+  crossing along a gallery from the fundamental alcove,
+* n: graded decomposition numbers, a function of its alcove alone
+  (``n_function``).  The n of an alcove a is the crossing of the n of a
+  shorter neighbour b = star(a, t), with the constant terms at alcoves
+  shorter than a subtracted off through their own n (W. Soergel,
+  Represent. Theory 1 (1997)).
 
 A gallery is the word of the wall types it crosses (``geometry``).  At a
 crossing of type t every alcove b is paired with ``geom.star(b, t)``, its
 image under reflection in its own wall of type t; the recursion only
-mixes values within such a pair.  After each crossing both functions are
-checked to be 1 at the new gallery alcove.
+mixes values within such a pair.  m is checked to be 1 at each gallery
+alcove, and n to be 1 at each alcove it is computed for.
 
 The graded simple characters e are not propagated: they are solved from
-the factorisation m = sum over alcoves nu of e(nu) * n_nu (W. Soergel,
-Represent. Theory 1 (1997)), and each solved value must be bar-symmetric.
+the factorisation m = sum over alcoves nu of e(nu) * n_nu, and each
+solved value must be bar-symmetric.
 
 Two memos in ``geom.caches`` hold the results.  ``n_functions`` is keyed
-by the target alcove, since n depends only on the end of the gallery.
-``runs`` keeps each ``run_all`` result under the gallery's whole word,
-not its end: m is defined by the gallery, and e is solved from m.  Blocks
-at n and n + l are shifted copies with the same distinguished galleries,
-and share one ``Geometry``, so most runs within a process are repeats.
+by alcove and is read and written by ``n_function`` only.  ``runs`` keeps
+each ``run_all`` result under the gallery's whole word, not its end: m is
+defined by the gallery, and e is solved from m.  Blocks at n and n + l
+are shifted copies with the same distinguished galleries, and share one
+``Geometry``, so most runs within a process are repeats.
 """
 
 from __future__ import annotations
@@ -34,81 +36,63 @@ from .geometry import InternalMismatch, geometry_for
 from .laurent import ONE, ZERO
 
 
-def _pairs(geom, support, t):
-    """Pair each relevant alcove with its star partner across its wall of
-    type t, each unordered pair once, lower length first."""
-    done = set()
-    out = []
-    for key in list(support):
-        if key in done:
+def _cross(geom, fn, t):
+    """The alcove function ``fn`` crossed over walls of type t.
+
+    Each alcove of the support is paired with its star partner across its
+    wall of type t; of a pair (low, high), high gets fn(low) + t^-1 fn(high)
+    and low gets fn(high) + t fn(low).  Zero values are dropped.
+    """
+    out = {}
+    for key in fn:
+        if key in out:
             continue
         partner = geom.star(key, t)
-        done.add(key)
-        done.add(partner)
-        if geom.length(key) < geom.length(partner):
-            out.append((key, partner))
-        else:
-            out.append((partner, key))
-    return out
+        if partner in out:
+            raise InternalMismatch("alcove hit twice within one crossing")
+        low, high = sorted((key, partner), key=geom.length)
+        fl, fh = fn.get(low, ZERO), fn.get(high, ZERO)
+        out[high] = fl + fh.shift(-1)
+        out[low] = fh + fl.shift(1)
+    return {k: v for k, v in out.items() if v}
 
 
-def _run(geom, word):
-    """Propagate the m and n alcove functions along the gallery ``word``.
+def n_function(geom, a):
+    """The n alcove function of the alcove ``a``, memoised.
 
-    Returns (m, n, final alcove).
+    The fundamental alcove has n = 1 there.  Any other alcove a has a wall
+    type t whose crossing b = star(a, t) is shorter; n_a is the crossing of
+    n_b, minus ct * n_d for each alcove d shorter than a, where ct is the
+    constant term at d of the crossed function.
     """
-    cur = geom.fundamental
-    m_fn = {cur: ONE}
-    n_fn = {cur: ONE}
-    for t in word:
-        succ = geom.star(cur, t)
-        succ_len = geom.length(succ)
-        if succ_len != geom.length(cur) + 1:
-            raise InternalMismatch("gallery crossing does not increase length")
-        new_m = {}
-        n_prime = {}
-        for low, high in _pairs(geom, set(m_fn) | set(n_fn), t):
-            ml, mh = m_fn.get(low, ZERO), m_fn.get(high, ZERO)
-            _put(new_m, high, ml + mh.shift(-1))
-            _put(new_m, low, mh + ml.shift(1))
-            nl, nh = n_fn.get(low, ZERO), n_fn.get(high, ZERO)
-            _put(n_prime, high, nl + nh.shift(-1))
-            _put(n_prime, low, nh + nl.shift(1))
-        n_fn = dict(n_prime)
-        for d_key in sorted(n_prime):
-            if d_key == succ or geom.length(d_key) >= succ_len:
-                continue
-            ct = n_prime[d_key].constant_term()
-            if ct == 0:
-                continue
-            aux = n_function(geom, d_key)
-            for b_key, poly in aux.items():
-                n_fn[b_key] = n_fn.get(b_key, ZERO) - poly * ct
-        n_fn = {k: v for k, v in n_fn.items() if v}
-        m_fn = {k: v for k, v in new_m.items() if v}
-        if m_fn.get(succ) != ONE:
-            raise InternalMismatch("m is not 1 at the new gallery alcove")
-        if n_fn.get(succ) != ONE:
-            raise InternalMismatch("n is not 1 at the new gallery alcove")
-        cur = succ
-    return m_fn, n_fn, cur
-
-
-def _put(table, key, poly):
-    if key in table:
-        raise InternalMismatch("alcove hit twice within one crossing")
-    table[key] = poly
-
-
-def n_function(geom, target):
-    """The n alcove function of ``target``, computed over a minimal gallery
-    and memoised; used both as the auxiliary ingredient of the subtraction
-    step and for solving and checking the factorisation."""
     memo = geom.caches.setdefault("n_functions", {})
-    got = memo.get(target)
-    if got is None:
-        _, got, _ = _run(geom, geom.minimal_gallery(target))
-        memo[target] = got
+    got = memo.get(a)
+    if got is not None:
+        return got
+    if a == geom.fundamental:
+        got = memo[a] = {a: ONE}
+        return got
+    size = geom.length(a)
+    for t in range(geom.l):
+        b = geom.star(a, t)
+        if geom.length(b) < size:
+            break
+    else:
+        raise InternalMismatch("no wall of alcove %r lowers its length" % (a,))
+    crossed = _cross(geom, n_function(geom, b), t)
+    got = dict(crossed)
+    for d in sorted(crossed):
+        if d == a or geom.length(d) >= size:
+            continue
+        ct = crossed[d].constant_term()
+        if ct == 0:
+            continue
+        for key, poly in n_function(geom, d).items():
+            got[key] = got.get(key, ZERO) - poly * ct
+    got = {k: v for k, v in got.items() if v}
+    if got.get(a) != ONE:
+        raise InternalMismatch("n is not 1 at alcove %r" % (a,))
+    memo[a] = got
     return got
 
 
@@ -143,19 +127,26 @@ def _solve_characters(geom, m_fn):
 
 
 def run_all(params, word):
-    """Run the m and n recursions along the gallery ``word`` (a tuple of
-    wall types, as from ``minimal_gallery`` or ``alcove_series``) and
-    solve m = sum e(nu) * n_nu for the characters e.  Returns (m, n, e) as
-    dicts from alcove to nonzero Laurent polynomial, plus the final alcove,
-    memoised per word; callers must not modify them."""
+    """Run the m recursion along the gallery ``word`` (a tuple of wall
+    types, as from ``minimal_gallery`` or ``alcove_series``), take n of
+    its final alcove, and solve m = sum e(nu) * n_nu for the characters e.
+    Returns (m, n, e) as dicts from alcove to nonzero Laurent polynomial,
+    plus the final alcove, memoised per word; callers must not modify
+    them."""
     geom = geometry_for(params)
     memo = geom.caches.setdefault("runs", {})
     got = memo.get(word)
     if got is None:
-        m_fn, n_fn, cur = _run(geom, word)
-        # n does not depend on the gallery, so it serves as the target's n_nu
-        geom.caches.setdefault("n_functions", {}).setdefault(cur, n_fn)
-        e_fn = _solve_characters(geom, m_fn)
-        got = memo[word] = (m_fn, n_fn, e_fn, cur)
+        cur = geom.fundamental
+        m_fn = {cur: ONE}
+        for t in word:
+            succ = geom.star(cur, t)
+            if geom.length(succ) != geom.length(cur) + 1:
+                raise InternalMismatch("gallery crossing does not increase length")
+            m_fn = _cross(geom, m_fn, t)
+            if m_fn.get(succ) != ONE:
+                raise InternalMismatch("m is not 1 at the new gallery alcove")
+            cur = succ
+        n_fn = n_function(geom, cur)
+        got = memo[word] = (m_fn, n_fn, _solve_characters(geom, m_fn), cur)
     return got
-

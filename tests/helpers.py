@@ -13,24 +13,63 @@ from quivertl.decomposition import (
     decomposition_matrix,
 )
 from quivertl.geometry import AffineElement, geometry_for, reflection_element
-from quivertl.laurent import Laurent, ZERO
+from quivertl.laurent import Laurent, ONE, ZERO
 from quivertl.paths import PathWord
-from quivertl.soergel import _run, run_all
+from quivertl.soergel import n_function, run_all
 from quivertl.tableaux import loading, node_residue, placement_degree
+
+
+def gallery_n(geom, word, memo):
+    """The n alcove function propagated crossing by crossing along the
+    gallery ``word`` from the fundamental alcove: the reference that
+    ``n_function``, which steps down from its alcove, is checked against.
+
+    At each crossing every value moves to its alcove and its star partner;
+    then, at each alcove d shorter than the new gallery alcove, the
+    constant term ct is cancelled by subtracting ct * n_d, where n_d is
+    propagated the same way along a minimal gallery and kept in ``memo``.
+    """
+    cur = geom.fundamental
+    n_fn = {cur: ONE}
+    for t in word:
+        cur = geom.star(cur, t)
+        crossed = {}
+        for b, v in n_fn.items():
+            p = geom.star(b, t)
+            if geom.length(p) > geom.length(b):
+                parts = ((p, v), (b, v.shift(1)))
+            else:
+                parts = ((b, v.shift(-1)), (p, v))
+            for key, poly in parts:
+                crossed[key] = crossed.get(key, ZERO) + poly
+        n_fn = dict(crossed)
+        for d, poly in crossed.items():
+            ct = poly.constant_term()
+            if d == cur or geom.length(d) >= geom.length(cur) or ct == 0:
+                continue
+            if d not in memo:
+                memo[d] = gallery_n(geom, geom.minimal_gallery(d), memo)
+            for key, aux in memo[d].items():
+                n_fn[key] = n_fn.get(key, ZERO) - aux * ct
+        n_fn = {k: v for k, v in n_fn.items() if v}
+    return n_fn
 
 
 def verify_factorization(params, gallery):
     """Check m = sum over alcoves nu of e(nu) * n_nu along ``gallery``.
 
-    Each n_nu is run afresh along a minimal gallery to nu rather than read
-    from the memo that ``run_all`` solved e with, and the sum is formed
+    Each n_nu is propagated afresh along a minimal gallery to nu
+    (``gallery_n``) and must equal ``n_function``'s, and the sum is formed
     here, so a character solve that drifted from m would show.
     """
     geom = geometry_for(params)
     m_fn, _, e_fn, _ = run_all(params, gallery)
+    memo = {}
     total = {}
     for nu, e in e_fn.items():
-        _, n_nu, _ = _run(geom, geom.minimal_gallery(nu))
+        n_nu = gallery_n(geom, geom.minimal_gallery(nu), memo)
+        if n_nu != n_function(geom, nu):
+            return False
         for key, poly in n_nu.items():
             total[key] = total.get(key, ZERO) + e * poly
     return {k: v for k, v in total.items() if v} == m_fn

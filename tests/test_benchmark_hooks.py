@@ -9,10 +9,12 @@ and executed here, never imported, so no bytecode is written next to it.
 import types
 from pathlib import Path
 
-from quivertl import cli, decomposition, paths, soergel
+from quivertl import cli, decomposition, geometry, paths, soergel
 from quivertl.decomposition import block_of, decomposition_matrix, kn_oracle
-from quivertl.geometry import Geometry
+from quivertl.geometry import Geometry, geometry_for
 from quivertl.params import Params
+from quivertl.paths import alcove_series, distinguished_path
+from quivertl.soergel import run_all
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -63,3 +65,35 @@ def test_every_count_passes_the_counting_hook(monkeypatch):
     oracle = kn_oracle(params, block)
     assert seen == 2 * list(oracle.standard_dims)
     assert len(matrix.standard_dims) == len(block.members) ** 2
+
+
+def test_every_n_function_passes_the_n_function_hook(monkeypatch):
+    # the ``soergel.n_function`` span wraps the module global; the recursion
+    # must look it up there, so that every alcove whose n is stored was
+    # computed through the hook.  ``decomposition_matrix`` walks the
+    # members by increasing length and on INTRO finds each neighbour's n
+    # already stored; the lone long gallery makes the recursion descend.
+    intro = Params(3, 8, (0, 4, 6))
+    rank1 = Params(2, 4, (0, 2))
+
+    def matrix():
+        decomposition_matrix(intro, block_of(intro, 13, (4, 9, 0)))
+
+    def long_gallery():
+        run_all(rank1, alcove_series(rank1, distinguished_path(rank1, (0, 40))))
+
+    for params, run in [(intro, matrix), (rank1, long_gallery)]:
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        seen = set()
+        real = soergel.n_function
+
+        def counted(geom, a):
+            seen.add(a)
+            return real(geom, a)
+
+        with monkeypatch.context() as m:
+            m.setattr(soergel, "n_function", counted)
+            run()
+        stored = geometry_for(params).caches["n_functions"]
+        assert len(stored) > 1
+        assert set(stored) <= seen

@@ -1,17 +1,45 @@
 """Wall-crossing recursions: worked low-rank values, factorisation,
 path independence, and agreement with graded path counting."""
 
-from quivertl.geometry import geometry_for
+import pytest
+
+from quivertl import geometry
+from quivertl.cli import EXIT_MISMATCH, main
+from quivertl.decomposition import blocks
+from quivertl.geometry import InternalMismatch, geometry_for
 from quivertl.laurent import Laurent, ONE, T, T_INV, ZERO
 from quivertl.params import Params
 from quivertl.paths import alcove_series, distinguished_path, graded_path_count
 from quivertl.soergel import n_function, run_all
 
-from helpers import evaluate_at_points, verify_factorization
+from helpers import evaluate_at_points, gallery_n, verify_factorization
 
 P_RANK1 = Params(2, 4, (0, 2))
 P_INTRO = Params(3, 8, (0, 4, 6))
 P_NEG = Params(3, 6, (0, 2, 4))
+
+# (params, n): every regular member of these is checked along both its
+# distinguished series and a minimal gallery
+WIDE = [
+    (P_INTRO, 13),
+    (P_RANK1, 40),
+    (Params(4, 8, (0, 2, 4, 6)), 14),
+]
+
+
+def both_galleries(monkeypatch):
+    """(params, alcove, word) for the distinguished series and a minimal
+    gallery of every regular member of WIDE, each parameter set on a
+    Geometry with empty memos.  Members come longest first, so that n is
+    computed by descending through alcoves whose n is not yet stored."""
+    monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+    for params, n in WIDE:
+        g = geometry_for(params)
+        for block in blocks(params, n):
+            for mu in reversed(block.regular_members()):
+                a = g.alcove_of(mu)
+                yield params, a, alcove_series(params, distinguished_path(params, mu))
+                yield params, a, g.minimal_gallery(a)
 
 
 class TestRankOneWorkedExample:
@@ -108,16 +136,15 @@ class TestCrossChecks:
                         P_INTRO, lam, mu
                     )
 
-    def test_n_is_path_independent(self):
-        # the same target reached through the distinguished path's gallery
-        # and through an independently chosen minimal gallery
-        g = geometry_for(P_INTRO)
-        for mu in [(4, 9, 0), (13, 0, 0), (2, 0, 11)]:
-            series = alcove_series(P_INTRO, distinguished_path(P_INTRO, mu))
-            _, n_via_series, _, _ = run_all(P_INTRO, series)
-            gallery = g.minimal_gallery(g.alcove_of(mu))
-            _, n_via_gallery, _, _ = run_all(P_INTRO, gallery)
-            assert n_via_series == n_via_gallery
+    def test_n_is_path_independent(self, monkeypatch):
+        # n_function steps down from its alcove through shorter neighbours;
+        # propagating n up along either gallery must give the same function
+        memo = {}
+        for params, a, word in both_galleries(monkeypatch):
+            g = geometry_for(params)
+            assert gallery_n(g, word, memo) == n_function(g, a)
+            _, n, _, end = run_all(params, word)
+            assert end == a and n is n_function(g, a)
 
     def test_target_values_are_one(self):
         for mu in [(5, 6, 2), (4, 9, 0), (13, 0, 0)]:
@@ -127,13 +154,69 @@ class TestCrossChecks:
             assert n.get(target, ZERO) == ONE
             assert e.get(target, ZERO) == ONE
 
-    def test_factorization_holds_broadly(self):
+    def test_factorization_holds_broadly(self, monkeypatch):
         # (0, 19) at l = 2 has a gallery of length 5
-        cases = [
-            (P_INTRO, mu)
-            for mu in [(5, 6, 2), (4, 9, 0), (13, 0, 0), (10, 1, 2), (2, 0, 11)]
-        ]
-        cases.append((P_RANK1, (0, 19)))
-        for params, mu in cases:
-            series = alcove_series(params, distinguished_path(params, mu))
-            assert verify_factorization(params, series)
+        series = alcove_series(P_RANK1, distinguished_path(P_RANK1, (0, 19)))
+        assert verify_factorization(P_RANK1, series)
+        for params, _, word in both_galleries(monkeypatch):
+            assert verify_factorization(params, word)
+
+
+class TestConsistencyChecks:
+    """Each check of the recursions fails on the input it guards against.
+    Apart from a word that is not a gallery, such inputs need a tampered
+    memo, which goes on a fresh Geometry so that nothing leaks into other
+    tests."""
+
+    def fresh(self, monkeypatch, params):
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        return geometry_for(params)
+
+    def test_word_that_is_not_a_gallery(self):
+        # the second crossing of wall type 0 returns to the fundamental alcove
+        with pytest.raises(InternalMismatch, match="does not increase length"):
+            run_all(P_INTRO, (0, 0))
+
+    def test_n_not_one_at_its_alcove(self, monkeypatch):
+        g = self.fresh(monkeypatch, P_INTRO)
+        g.caches["n_functions"] = {g.fundamental: {g.fundamental: Laurent.term(0, 2)}}
+        a = g.star(g.fundamental, 0)
+        with pytest.raises(InternalMismatch) as exc:
+            n_function(g, a)
+        assert str(exc.value) == "n is not 1 at alcove %r" % (a,)
+
+    def test_no_wall_lowers_the_length(self, monkeypatch):
+        g = self.fresh(monkeypatch, P_INTRO)
+        a = g.star(g.fundamental, 0)
+        longer = g.star(a, 1)
+        for t in range(g.l):
+            g.caches["stars"][a, t] = longer
+        with pytest.raises(InternalMismatch, match="no wall of alcove"):
+            n_function(g, a)
+
+    @pytest.mark.parametrize(
+        "key, poly, check",
+        [
+            ((9,), ONE, "outside the unsolved support"),
+            ((-1,), T * T + T, "is not bar-symmetric"),
+        ],
+        ids=["support", "bar"],
+    )
+    def test_character_solve(self, monkeypatch, key, poly, check):
+        # the rank-one run's n of its final alcove (-3,), with one value
+        # changed before the characters are solved from m
+        g = self.fresh(monkeypatch, P_RANK1)
+        series = alcove_series(P_RANK1, distinguished_path(P_RANK1, (0, 11)))
+        tampered = dict(n_function(g, (-3,)))
+        tampered[key] = poly
+        g.caches["n_functions"][(-3,)] = tampered
+        with pytest.raises(InternalMismatch, match=check):
+            run_all(P_RANK1, series)
+
+    def test_decompose_exits_on_a_failed_check(self, monkeypatch, capsys):
+        g = self.fresh(monkeypatch, P_INTRO)
+        g.caches["n_functions"] = {g.fundamental: {g.fundamental: Laurent.term(0, 2)}}
+        code = main(["decompose", "--l", "3", "--e", "8", "--kappa", "0,4,6",
+                     "--n", "13", "--mu", "4,9,0"])
+        assert code == EXIT_MISMATCH
+        assert "n is not 1 at alcove" in capsys.readouterr().err
