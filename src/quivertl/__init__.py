@@ -29,15 +29,13 @@ from .paths import (
     alcove_series,
     distinguished_path,
     graded_path_count,
-    is_admissible,
     path_degree,
     paths_between,
     reflect_tail,
     reflection_closure,
-    step_degree,
 )
 from .soergel import run_all
-from .tableaux import addable_removable, loading
+from .tableaux import loading
 from .decomposition import (
     Block,
     DecompositionMatrix,

@@ -22,6 +22,9 @@ galleries are built by crossing, one at a time, a wall that separates the
 current alcove from the target; the wall-crossing ("star") operation takes
 b = v . fundamental to v s_t . fundamental.
 
+``Geometry.step_degree``, the degree of a unit step of a path, is the one
+step degree of the package; the path-count DP caches it per move.
+
 ``Geometry.star`` is memoised in ``geom.caches["stars"]`` under ``(b, t)``.
 Blocks at n and n + l are shifted copies with the same alcoves and
 crossings, so most calls within a process are repeats.
@@ -135,6 +138,23 @@ class Geometry:
 
     def is_regular(self, p):
         return not self.classify(p)
+
+    def step_degree(self, p, q):
+        """Degree of the unit step from p to q, summed over positive roots:
+        stepping onto a wall from the far side costs -1, stepping off a
+        wall towards the origin side gains +1, and every other step 0."""
+        total = 0
+        for root in self.roots:
+            v0, v1 = self.value(p, root), self.value(q, root)
+            on0 = v0 % self.e == 0
+            if on0 == (v1 % self.e == 0):
+                continue
+            origin = self.rho[root[0]] - self.rho[root[1]]
+            if on0:
+                total += (v1 - v0 > 0) == (origin - v0 > 0)
+            else:
+                total -= (v0 - v1 > 0) != (origin - v1 > 0)
+        return total
 
     def floors_of(self, p):
         out = []

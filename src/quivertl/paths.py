@@ -2,10 +2,9 @@
 Lattice paths with the wall-crossing degree statistic.
 
 A path of length n is a word in the component letters 1..l; step k moves
-the current weight by the unit vector of its letter.  Each step picks up
-a degree contribution per positive root: stepping onto a hyperplane from
-the far side costs -1, stepping off towards the origin side gains +1, and
-every other configuration contributes 0.
+the current weight by the unit vector of its letter.  A path's degree is
+the sum of its step degrees, ``Geometry.step_degree``, which the
+path-count DP caches per move.
 
 The central objects are the distinguished path of a one-column
 multipartition (read off from its sorted loading), the closure of a path
@@ -14,12 +13,12 @@ counts, which compute graded dimensions of standard modules.
 
 Closure paths correspond to semistandard tableaux by a degree-preserving
 bijection: a tableau's entries, read in increasing order, spell the path's
-component word.  Graded path counts are therefore
-taken from ``tableaux.graded_tableau_counts``, one dynamic-programming pass
-per column mu that serves every lam at once, instead of enumerating the
-closure, which has 2^length(mu) paths.  The closure is enumerated only
-where the paths themselves are wanted (``paths_between``, the ``paths``
-and ``svg`` commands) and as the test oracle for the counts.
+component word.  Graded path counts are therefore taken from
+``tableaux.graded_tableau_counts``, one dynamic-programming pass per column
+mu that serves every lam at once, instead of enumerating the closure,
+which has 2^length(mu) paths.  The closure is enumerated only where the
+paths themselves are wanted (``paths_between``, the ``paths`` and ``svg``
+commands) and as the test oracle for the counts.
 
 The count tables are memoised per column in ``geom.caches["path_counts"]``.
 The decomposition routes read them one block at a time, and
@@ -87,33 +86,9 @@ class PathWord:
         return self.points[-1]
 
 
-def step_degree(params, path, k):
-    """Degree contribution of step k (1-based), summed over positive roots."""
-    geom = geometry_for(params)
-    p_prev = path.points[k - 1]
-    p_next = path.points[k]
-    total = 0
-    for root in geom.roots:
-        v0 = geom.value(p_prev, root)
-        v1 = geom.value(p_next, root)
-        on0 = v0 % geom.e == 0
-        on1 = v1 % geom.e == 0
-        if on0 == on1:
-            continue
-        origin_side = geom.value((0,) * geom.l, root)
-        if on1:
-            # stepping onto the wall at level v1: -1 from the far side
-            if (v0 - v1 > 0) != (origin_side - v1 > 0):
-                total -= 1
-        else:
-            # stepping off the wall at level v0: +1 towards the origin side
-            if (v1 - v0 > 0) == (origin_side - v0 > 0):
-                total += 1
-    return total
-
-
 def path_degree(params, path):
-    return sum(step_degree(params, path, k) for k in range(1, len(path) + 1))
+    geom = geometry_for(params)
+    return sum(geom.step_degree(p, q) for p, q in zip(path.points, path.points[1:]))
 
 
 def reflect_tail(params, path, k, h):
@@ -136,24 +111,6 @@ def distinguished_path(params, mu):
     component of each of its loading values, in increasing order.
     """
     return PathWord(params.l, [m for _, _, m in loading(params, mu)])
-
-
-def is_admissible(params, path):
-    """Every proper prefix has degree 0 and any two walls through a common
-    prefix point touch disjoint coordinate pairs."""
-    geom = geometry_for(params)
-    running = 0
-    for k in range(1, len(path) + 1):
-        running += step_degree(params, path, k)
-        if k < len(path) and running != 0:
-            return False
-    for point in path.points:
-        walls = geom.classify(point)
-        for a in range(len(walls)):
-            for b in range(a + 1, len(walls)):
-                if {walls[a].i, walls[a].j} & {walls[b].i, walls[b].j}:
-                    return False
-    return True
 
 
 def reflection_closure(params, path, budget=2 ** 20):
@@ -218,34 +175,35 @@ def alcove_series(params, path):
     alcove, every step onto a new wall crosses that wall.  Returned as the
     word of the wall types crossed.
 
-    When a step leaves one wall and lands on an orthogonal one, the regular
-    prefix points skip an alcove; the crossed walls still determine the
-    gallery, with simultaneous contacts ordered by root.  Validated to be
-    a minimal gallery with lengths 0, 1, ..., k.
+    Admissible means that every proper prefix has degree 0 and that any
+    two walls through a common point touch disjoint coordinate pairs; one
+    walk over the points checks this and collects the walls each step
+    lands on (in root order) before any is crossed.  A step that leaves
+    one wall for an orthogonal one skips an alcove, which the crossings
+    still insert.  Validated to be a minimal gallery of lengths 0, 1, ..., k.
     """
     geom = geometry_for(params)
-    if not is_admissible(params, path):
-        raise NotAdmissible("path %r is not admissible" % (path.steps,))
+    landed = []
+    running = 0
+    walls = []  # the origin is regular: Params keeps the residues distinct
+    for k in range(1, len(path) + 1):
+        prev, walls = walls, geom.classify(path.points[k])
+        pairs = [c for h in walls for c in (h.i, h.j)]
+        running += geom.step_degree(path.points[k - 1], path.points[k])
+        landed += [h for h in walls if h not in prev]
+        if len(set(pairs)) < len(pairs) or (running and k < len(path)):
+            raise NotAdmissible("path %r is not admissible" % (path.steps,))
     word = []
     cur = geom.fundamental
-    for k in range(1, len(path) + 1):
-        onto = [
-            h
-            for h in geom.classify(path.points[k])
-            if geom.value(path.points[k - 1], (h.i - 1, h.j - 1)) != h.m * geom.e
-        ]
-        for h in sorted(onto, key=lambda h: (h.i, h.j)):
-            t = geom.wall_type(cur, h)
-            if t is None:
-                raise NotAGallery("hyperplane %r does not bound alcove %r" % (h, cur))
-            nxt = geom.star(cur, t)
-            if geom.length(nxt) != geom.length(cur) + 1:
-                raise NotAGallery(
-                    "crossing %r does not move away from the origin" % (h,)
-                )
-            word.append(t)
-            cur = nxt
-    end = path.endpoint()
-    if geom.is_regular(end) and cur != geom.alcove_of(end):
+    for h in landed:
+        t = geom.wall_type(cur, h)
+        if t is None:
+            raise NotAGallery("hyperplane %r does not bound alcove %r" % (h, cur))
+        nxt = geom.star(cur, t)
+        if geom.length(nxt) != geom.length(cur) + 1:
+            raise NotAGallery("crossing %r does not move away from the origin" % (h,))
+        word.append(t)
+        cur = nxt
+    if not walls and cur != geom.alcove_of(path.endpoint()):
         raise NotAGallery("gallery does not end at the endpoint's alcove")
     return tuple(word)

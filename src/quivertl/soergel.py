@@ -63,7 +63,8 @@ def n_function(geom, a):
     The fundamental alcove has n = 1 there.  Any other alcove a has a wall
     type t whose crossing b = star(a, t) is shorter; n_a is the crossing of
     n_b, minus ct * n_d for each alcove d shorter than a, where ct is the
-    constant term at d of the crossed function.
+    constant term at d of the crossed function.  The chain of such b is
+    walked down to a stored n and filled in bottom up, to keep it shallow.
     """
     memo = geom.caches.setdefault("n_functions", {})
     got = memo.get(a)
@@ -73,13 +74,13 @@ def n_function(geom, a):
         got = memo[a] = {a: ONE}
         return got
     size = geom.length(a)
-    for t in range(geom.l):
-        b = geom.star(a, t)
-        if geom.length(b) < size:
-            break
-    else:
-        raise InternalMismatch("no wall of alcove %r lowers its length" % (a,))
-    crossed = _cross(geom, n_function(geom, b), t)
+    b, t = _lower(geom, a)
+    chain = [b]
+    while chain[-1] not in memo and chain[-1] != geom.fundamental:
+        chain.append(_lower(geom, chain[-1])[0])
+    for c in reversed(chain):
+        n_function(geom, c)
+    crossed = _cross(geom, memo[b], t)
     got = dict(crossed)
     for d in sorted(crossed):
         if d == a or geom.length(d) >= size:
@@ -94,6 +95,15 @@ def n_function(geom, a):
         raise InternalMismatch("n is not 1 at alcove %r" % (a,))
     memo[a] = got
     return got
+
+
+def _lower(geom, a):
+    """(b, t) for the first wall type t of alcove a whose b is shorter."""
+    for t in range(geom.l):
+        b = geom.star(a, t)
+        if geom.length(b) < geom.length(a):
+            return b, t
+    raise InternalMismatch("no wall of alcove %r lowers its length" % (a,))
 
 
 def _solve_characters(geom, m_fn):

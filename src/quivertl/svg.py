@@ -13,7 +13,7 @@ annotated.  Output is deterministic byte-for-byte.
 from __future__ import annotations
 
 from .geometry import geometry_for
-from .paths import paths_between, step_degree
+from .paths import paths_between
 
 
 class RankTooHigh(ValueError):
@@ -88,7 +88,7 @@ def render(params, lam, mu, budget=2 ** 20):
             'opacity="0.85"/>' % (pts, color)
         )
         for k in range(1, len(path) + 1):
-            d = step_degree(params, path, k)
+            d = geom.step_degree(path.points[k - 1], path.points[k])
             if d:
                 px, py = to_px(_project(params.l, path.points[k]))
                 lines.append(

@@ -14,12 +14,13 @@ the tableau degree with the path degree statistic.
 ``graded_tableau_counts`` counts those tableaux by degree for every shape
 at once, with one dynamic-programming pass over the loading values of the
 weight; this is how graded path counts are computed.  No tableau is ever
-built: the degree of a placement depends only on the column heights after
-it (``placement_degree``).  The moves of a step therefore depend only on
-the column heights before it and the residue placed, so they are kept in
-``geom.caches["transitions"]``, a table from ``(heights, residue)`` to the
-list of ``(next heights, degree increment)``.  It is filled on first use
-and shared by every weight of every n with the same (l, e, kappa).
+built: the column heights are the path's current point, so a placement's
+degree is ``Geometry.step_degree`` from the heights before it to those
+after.  The moves of a step depend only on the heights before it and the
+residue placed, so they are kept in ``geom.caches["transitions"]``, a
+table from ``(heights, residue)`` to the list of ``(next heights, degree
+increment)``, filled on first use and shared by every weight of every n
+with the same (l, e, kappa).
 """
 
 from __future__ import annotations
@@ -47,33 +48,6 @@ def loading(params, lam):
     return out
 
 
-def addable_removable(params, lam, res):
-    """Components with an addable / removable node of the given residue."""
-    addable = []
-    removable = []
-    for m in range(1, params.l + 1):
-        h = lam[m - 1]
-        if (params.kappa[m - 1] - h) % params.e == res:
-            addable.append(m)
-        if h >= 1 and (params.kappa[m - 1] + 1 - h) % params.e == res:
-            removable.append(m)
-    return addable, removable
-
-
-def placement_degree(params, heights, m):
-    """Degree increment of the placement that made the bottom node of
-    component m, given the column heights just after it: the number of
-    addable nodes of that node's residue strictly to its right minus the
-    number of removable ones."""
-    r = heights[m - 1]
-    res = node_residue(params, r, m)
-    x_here = node_loading(params, r, m)
-    addable, removable = addable_removable(params, heights, res)
-    return sum(
-        1 for c in addable if node_loading(params, heights[c - 1] + 1, c) > x_here
-    ) - sum(1 for c in removable if node_loading(params, heights[c - 1], c) > x_here)
-
-
 def graded_tableau_counts(params, mu):
     """Graded counts of the semistandard tableaux of weight mu, by shape:
     ``{lam: sum of t^degree over the tableaux of shape lam and weight mu}``
@@ -93,14 +67,15 @@ def graded_tableau_counts(params, mu):
     a first entry x < m - 1 of component m would be a first-row node of a
     component c < m with kappa_c = kappa_m.
     """
-    transitions = geometry_for(params).caches.setdefault("transitions", {})
+    geom = geometry_for(params)
+    transitions = geom.caches.setdefault("transitions", {})
     states = {(0,) * params.l: {0: 1}}
     for _, res, _ in loading(params, mu):
         grown = {}
         for heights, poly in states.items():
             moves = transitions.get((heights, res))
             if moves is None:
-                moves = transitions[heights, res] = _moves(params, heights, res)
+                moves = transitions[heights, res] = _moves(geom, params, heights, res)
             for hs, deg in moves:
                 acc = grown.setdefault(hs, {})
                 for d, c in poly.items():
@@ -109,7 +84,7 @@ def graded_tableau_counts(params, mu):
     return {lam: Laurent(poly) for lam, poly in states.items()}
 
 
-def _moves(params, heights, res):
+def _moves(geom, params, heights, res):
     """The placements of residue res onto the column heights ``heights``:
     ``(next heights, degree increment)`` for each component whose next
     empty node has that residue."""
@@ -117,6 +92,6 @@ def _moves(params, heights, res):
     for m in range(params.l):
         if node_residue(params, heights[m] + 1, m + 1) == res:
             hs = heights[:m] + (heights[m] + 1,) + heights[m + 1 :]
-            out.append((hs, placement_degree(params, hs, m + 1)))
+            out.append((hs, geom.step_degree(heights, hs)))
     return out
 

@@ -16,7 +16,7 @@ from quivertl.geometry import AffineElement, geometry_for, reflection_element
 from quivertl.laurent import Laurent, ONE, ZERO
 from quivertl.paths import PathWord
 from quivertl.soergel import n_function, run_all
-from quivertl.tableaux import loading, node_residue, placement_degree
+from quivertl.tableaux import loading, node_loading, node_residue
 
 
 def gallery_n(geom, word, memo):
@@ -235,6 +235,33 @@ def semistandard_tableaux(params, lam, mu):
     return results
 
 
+def addable_removable(params, lam, res):
+    """Components with an addable / removable node of the given residue."""
+    addable = []
+    removable = []
+    for m in range(1, params.l + 1):
+        h = lam[m - 1]
+        if (params.kappa[m - 1] - h) % params.e == res:
+            addable.append(m)
+        if h >= 1 and (params.kappa[m - 1] + 1 - h) % params.e == res:
+            removable.append(m)
+    return addable, removable
+
+
+def placement_degree(params, heights, m):
+    """Degree increment of the placement that made the bottom node of
+    component m, given the column heights just after it: the number of
+    addable nodes of that node's residue strictly to its right minus the
+    number of removable ones."""
+    r = heights[m - 1]
+    res = node_residue(params, r, m)
+    x_here = node_loading(params, r, m)
+    addable, removable = addable_removable(params, heights, res)
+    return sum(
+        1 for c in addable if node_loading(params, heights[c - 1] + 1, c) > x_here
+    ) - sum(1 for c in removable if node_loading(params, heights[c - 1], c) > x_here)
+
+
 def tableau_degree(params, tab):
     """Degree of a semistandard tableau: the sum of ``placement_degree``
     over its entries, placed in increasing order."""
@@ -249,6 +276,31 @@ def tableau_degree(params, tab):
 def component_word(params, tab):
     """The component word of a tableau, as a path."""
     return PathWord(params.l, tuple(m for _, _, m in entries_in_order(tab)))
+
+
+def is_admissible(params, path):
+    """Every proper prefix has degree 0 and any two walls through a common
+    prefix point touch disjoint coordinate pairs.  The reference for
+    ``alcove_series``: step degrees are ``placement_degree``'s, and the
+    walls through a point are read off rho here."""
+    running = 0
+    for k in range(1, len(path)):
+        running += placement_degree(params, path.points[k], path.steps[k - 1])
+        if running != 0:
+            return False
+    rho, l = params.rho, params.l
+    for p in path.points:
+        walls = [
+            {i, j}
+            for i in range(l)
+            for j in range(i + 1, l)
+            if (p[i] + rho[i] - p[j] - rho[j]) % params.e == 0
+        ]
+        for a in range(len(walls)):
+            for b in range(a + 1, len(walls)):
+                if walls[a] & walls[b]:
+                    return False
+    return True
 
 
 def residue_multiset(params, lam):

@@ -1,5 +1,7 @@
 """Path words, the degree statistic, closures and alcove series."""
 
+import itertools
+
 import pytest
 
 from quivertl import geometry
@@ -10,21 +12,20 @@ from quivertl.params import Params
 from quivertl.paths import (
     ClosureBudgetExceeded,
     NotAGallery,
+    NotAdmissible,
     NotOnHyperplane,
     PathWord,
     alcove_series,
     distinguished_path,
     graded_path_count,
-    is_admissible,
     path_degree,
     paths_between,
     reflect_tail,
     reflection_closure,
-    step_degree,
 )
 from quivertl.soergel import run_all
 
-from helpers import gallery_alcoves
+from helpers import gallery_alcoves, is_admissible
 
 P_INTRO = Params(3, 8, (0, 4, 6))
 P_RANK1 = Params(2, 4, (0, 2))
@@ -71,7 +72,7 @@ class TestDegrees:
         assert refl.endpoint() == (4, 6, 3)
         assert path_degree(P_INTRO, refl) == 1
         # the +1 arises at the step off the wall
-        assert step_degree(P_INTRO, refl, 11) == 1
+        assert geometry_for(P_INTRO).step_degree(refl.points[10], refl.points[11]) == 1
 
     def test_rank1_degree_steps(self):
         # the two paths to (4,7): degrees 2 and 0
@@ -161,6 +162,35 @@ class TestAdmissibility:
         refl = reflect_tail(P_INTRO, w, 10, Hyperplane(1, 3, 1))
         assert not is_admissible(P_INTRO, refl)
 
+    def test_series_rejects_exactly_the_non_admissible_paths(self):
+        # the walk decides admissibility itself, and the reference shares
+        # no code with it.  Closure paths fail on prefix degrees only; some
+        # words of length 6 at l=3 e=6 fail only on meeting three walls at
+        # a point.  An admissible path that leaves the gallery only at its
+        # last step raises NotAGallery instead
+        cases = [(P_INTRO, (4, 9, 0)), (P_INTRO, (5, 6, 2)), (P_RANK1, (0, 11))]
+        paths = [
+            (params, path)
+            for params, mu in cases
+            for path in reflection_closure(params, distinguished_path(params, mu))
+        ]
+        p_three = Params(3, 6, (0, 2, 4))
+        paths += [
+            (p_three, PathWord(3, word))
+            for word in itertools.product((1, 2, 3), repeat=6)
+        ]
+        outcomes = set()
+        for params, path in paths:
+            admissible = is_admissible(params, path)
+            try:
+                alcove_series(params, path)
+            except NotAdmissible:
+                assert not admissible, path
+            except NotAGallery:
+                assert admissible, path
+            outcomes.add(admissible)
+        assert outcomes == {False, True}
+
 
 class TestAlcoveSeries:
     def test_intro_series(self):
@@ -189,8 +219,6 @@ class TestAlcoveSeries:
 
     def test_non_admissible_rejected(self):
         # crossing a wall and coming straight back has prefix degree 1
-        from quivertl.paths import NotAdmissible
-
         word = PathWord(2, (2, 2, 1, 1))
         assert not is_admissible(P_RANK1, word)
         with pytest.raises(NotAdmissible):

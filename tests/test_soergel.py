@@ -1,8 +1,14 @@
 """Wall-crossing recursions: worked low-rank values, factorisation,
 path independence, and agreement with graded path counting."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import quivertl
 from quivertl import geometry
 from quivertl.cli import EXIT_MISMATCH, main
 from quivertl.decomposition import blocks
@@ -160,6 +166,34 @@ class TestCrossChecks:
         assert verify_factorization(P_RANK1, series)
         for params, _, word in both_galleries(monkeypatch):
             assert verify_factorization(params, word)
+
+
+class TestDepth:
+    def test_cold_n_function_of_a_long_alcove(self):
+        # n of an alcove of length 250 on an empty memo descends to the
+        # fundamental alcove; under a recursion limit of 150 this passes
+        # only if the depth does not grow with the length.  A fresh
+        # interpreter keeps the limit and the cold memo to this test.
+        code = "\n".join([
+            "import sys",
+            "sys.setrecursionlimit(150)",
+            "from quivertl.geometry import geometry_for",
+            "from quivertl.laurent import ONE",
+            "from quivertl.params import Params",
+            "from quivertl.soergel import n_function",
+            "g = geometry_for(Params(2, 4, (0, 2)))",
+            "a = g.alcove_of((0, 1000))",
+            "assert g.length(a) == 250",
+            "assert n_function(g, a)[a] == ONE",
+        ])
+        src = str(Path(quivertl.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestConsistencyChecks:

@@ -1,22 +1,26 @@
 """Loadings, residues, dominance, semistandard tableaux and degrees."""
 
+import itertools
+
+import pytest
+
 from quivertl import geometry
 from quivertl.geometry import compositions, geometry_for
 from quivertl.laurent import Laurent, ZERO
 from quivertl.params import Params
 from quivertl.paths import paths_between
 from quivertl.tableaux import (
-    addable_removable,
     graded_tableau_counts,
     loading,
     node_loading,
     node_residue,
-    placement_degree,
 )
 
 from helpers import (
+    addable_removable,
     component_word,
     dominance_leq,
+    placement_degree,
     residue_multiset,
     semistandard_tableaux,
     tableau_degree,
@@ -108,6 +112,32 @@ class TestBijectionWithPaths:
                 )
                 want = sorted((p.steps, d) for p, d in found)
                 assert got == want
+
+
+class TestStepDegree:
+    # (params, side): every point of the box [0, side)^l and every letter
+    @pytest.mark.parametrize("params, side", [
+        (Params(1, 2, (0,)), 24),
+        (Params(2, 7, (3, 5)), 30),
+        (Params(3, 6, (4, 0, 2)), 14),
+        (Params(4, 10, (7, 0, 4, 2)), 8),
+        (Params(5, 11, (0, 2, 4, 6, 8)), 5),
+        (Params(6, 12, (0, 2, 4, 6, 8, 10)), 4),
+    ])
+    def test_step_degree_is_placement_degree(self, params, side):
+        # the path-side step degree, from wall contacts, equals the
+        # tableau-side one, addable minus removable nodes, on all moves and
+        # not only on those the DP stores
+        g = geometry_for(params)
+        seen = set()
+        for p in itertools.product(range(side), repeat=params.l):
+            for m in range(1, params.l + 1):
+                q = p[: m - 1] + (p[m - 1] + 1,) + p[m:]
+                d = g.step_degree(p, q)
+                assert d == placement_degree(params, q, m), (params, p, m)
+                seen.add(d)
+        if params.l > 1:
+            assert {-1, 0, 1} <= seen
 
 
 class TestGradedCounts:
