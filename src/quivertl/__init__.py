@@ -13,7 +13,6 @@ positive splitting of Laurent polynomials.
 from .laurent import Laurent, SplitImpossible, split_symmetric
 from .params import Params, ParamsError
 from .geometry import (
-    AffineElement,
     Geometry,
     Hyperplane,
     InternalMismatch,

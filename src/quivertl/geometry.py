@@ -9,18 +9,20 @@ complement of the hyperplane arrangement; the fundamental alcove is the
 one containing the origin.
 
 An alcove is its floor vector: for each positive root e_i - e_j (i < j)
-the integer part of <x + rho, e_i - e_j> / e.  ``Geometry._elems`` maps
-each alcove met so far to the affine group element w carrying the
-fundamental alcove onto it.  All geometry is integer data read off w: the
-floor vector of w . fundamental follows from the fundamental alcove's
-floors and w's permutation and translation (a multiple of e), and the
-walls of w . fundamental are w applied to the l walls of the fundamental
-alcove.  The index t of a wall of the fundamental alcove in
-``Geometry._walls`` is the type of each of its images, and a gallery from
-the fundamental alcove is the word of the wall types it crosses.  Minimal
-galleries are built by crossing, one at a time, a wall that separates the
-current alcove from the target; the wall-crossing ("star") operation takes
-b = v . fundamental to v s_t . fundamental.
+the integer part of <x + rho, e_i - e_j> / e.  Each alcove met so far also
+carries its l walls by type in ``Geometry._alcove_walls``, as 0-based
+triples (i, j, m) for the hyperplane <x + rho, e_i - e_j> = m * e.  The
+walls of the fundamental alcove, ``Geometry._walls``, are the candidate
+hyperplanes whose reflection of the origin changes exactly one floor; the
+index t of a wall there is its type, and a gallery from the fundamental
+alcove is the word of the wall types it crosses.
+
+The wall-crossing ("star") operation takes b = v . fundamental to
+v s_t . fundamental, the reflection of b in its wall h of type t: the
+floor of h's root moves to the other side of h (m - 1 <-> m), and since
+s_h = v s_t v^-1 the walls of the new alcove are b's walls reflected in h,
+type by type.  Minimal galleries are built by crossing, the same way, the
+first wall of the current alcove on the side of the target.
 
 ``Geometry.step_degree``, the degree of a unit step of a path, is the one
 step degree of the package; the path-count DP caches it per move.
@@ -53,41 +55,6 @@ class Hyperplane:
     m: int
 
 
-@dataclass(frozen=True)
-class AffineElement:
-    """An affine transformation x -> sigma(x) + trans with sigma a
-    coordinate permutation.  ``perm[i]`` is the position coordinate i is
-    sent to, so (w x)_{perm[i]} = x_i + trans[perm[i]].
-    """
-
-    perm: tuple
-    trans: tuple
-
-    @classmethod
-    def identity(cls, l):
-        return cls(tuple(range(l)), (0,) * l)
-
-    def compose(self, other):
-        """self after other: (self.compose(other))(x) = self(other(x))."""
-        perm = tuple(self.perm[other.perm[i]] for i in range(len(self.perm)))
-        sigma_tau = [0] * len(self.perm)
-        for i in range(len(self.perm)):
-            sigma_tau[self.perm[i]] = other.trans[i]
-        trans = tuple(sigma_tau[i] + self.trans[i] for i in range(len(self.perm)))
-        return AffineElement(perm, trans)
-
-
-def reflection_element(l, e, h):
-    """The reflection in ``h`` as an (unshifted) AffineElement."""
-    i, j = h.i - 1, h.j - 1
-    perm = list(range(l))
-    perm[i], perm[j] = j, i
-    trans = [0] * l
-    trans[i] = h.m * e
-    trans[j] = -h.m * e
-    return AffineElement(tuple(perm), tuple(trans))
-
-
 class Geometry:
     """Alcove-geometry context for one parameter set, with memoised alcoves."""
 
@@ -100,24 +67,21 @@ class Geometry:
             (self.rho[i] - self.rho[j]) // self.e for (i, j) in self.roots
         )
         self._root_index = {root: r for r, root in enumerate(self.roots)}
-        # _fund_table[p][q]: floor of the fundamental alcove at e_p - e_q,
-        # for p > q too (the alcove is open, so floor(-v) = -floor(v) - 1)
-        self._fund_table = [[0] * self.l for _ in range(self.l)]
-        for (i, j), f in zip(self.roots, self.fundamental):
-            self._fund_table[i][j] = f
-            self._fund_table[j][i] = -f - 1
-        self._elems = {self.fundamental: AffineElement.identity(self.l)}
-        # walls of the fundamental alcove as (i, j, level, reflection): the
-        # candidate hyperplanes whose reflection changes exactly one floor;
-        # a wall's index here is its type
+        # walls of the fundamental alcove as 0-based (i, j, level): the
+        # candidate hyperplanes whose reflection of the origin changes
+        # exactly one floor; a wall's index here is its type
         self._walls = []
         for r, (i, j) in enumerate(self.roots):
             for m in (self.fundamental[r], self.fundamental[r] + 1):
-                s = reflection_element(self.l, self.e, Hyperplane(i + 1, j + 1, m))
-                moved = self._elem_floors(s)
+                # the origin reflected in the hyperplane (i, j, m)
+                v = self.rho[i] - self.rho[j] - m * self.e
+                image = [0] * self.l
+                image[i], image[j] = -v, v
+                moved = self.floors_of(image)
                 if sum(f != f0 for f, f0 in zip(moved, self.fundamental)) == 1:
-                    self._walls.append((i, j, m, s))
-        self._wall_types = {w[:3]: t for t, w in enumerate(self._walls)}
+                    self._walls.append((i, j, m))
+        # the walls of every alcove met so far, by type
+        self._alcove_walls = {self.fundamental: tuple(self._walls)}
         # scratch caches for other layers (alcove functions, path closures)
         self.caches = {}
 
@@ -165,81 +129,47 @@ class Geometry:
             out.append(v // self.e)
         return tuple(out)
 
-    def _elem_floors(self, elem):
-        """Floor vector of the alcove elem . fundamental, in integers.
-
-        Every translation part is a multiple of e, and
-        (w y)_a = y_{sigma^-1 a} + tau_a, so the floor at root (a, b) is
-        the fundamental alcove's floor at (sigma^-1 a, sigma^-1 b) plus
-        (tau_a - tau_b) / e.
-        """
-        inv = [0] * self.l
-        for i, p in enumerate(elem.perm):
-            inv[p] = i
-        t = elem.trans
-        table = self._fund_table
-        return tuple(
-            table[inv[a]][inv[b]] + (t[a] - t[b]) // self.e for (a, b) in self.roots
-        )
-
     def _gallery_to(self, target):
-        """Cross walls from the fundamental alcove towards the floor vector
-        ``target``, returning (word of wall types, target).
+        """Cross walls from the fundamental alcove to the floor vector
+        ``target``, returning the word of wall types crossed.
 
-        The walls of w . fundamental are the images under w of the walls of
-        the fundamental alcove.  Each step crosses the first of them that
-        separates the current alcove from the target, which lowers the
-        separating count by exactly 1, so the gallery is minimal
-        (Humphreys, Reflection Groups and Coxeter Groups, 4.5).
+        Each step crosses the first wall of the current alcove on the side
+        of the target, which lowers the floor distance to the target by
+        exactly 1, so the gallery is minimal (Humphreys, Reflection Groups
+        and Coxeter Groups, 4.5).  The crossing is ``star``'s, unmemoised:
+        whether a gallery is walked at all depends on which alcoves earlier
+        calls met, and the counted ``star`` calls must not.
         """
         word = []
         cur = self.fundamental
         while cur != target:
+            walls = self._alcove_walls[cur]
             for t in range(len(self._walls)):
-                h = self.wall(cur, t)
-                r = self._root_index[h.i - 1, h.j - 1]
-                step = 1 if h.m > cur[r] else -1
-                if (target[r] - cur[r]) * step > 0:
+                i, j, m = walls[t]
+                r = self._root_index[i, j]
+                d = target[r] - cur[r]
+                if d and (d > 0) == (m > cur[r]):
                     break
             else:
                 raise InternalMismatch(
                     "no wall separates alcove %r from %r" % (cur, target)
                 )
             word.append(t)
-            floors = list(cur)
-            floors[r] += step
-            nxt = tuple(floors)
-            self._elems.setdefault(nxt, self._elems[cur].compose(self._walls[t][3]))
-            cur = nxt
-        return tuple(word), cur
-
-    def wall(self, a, t):
-        """The wall of type t of alcove a: the image under a's element of
-        the fundamental alcove's wall t."""
-        p, q, m, _ = self._walls[t]
-        w = self._elems[a]
-        i, j = w.perm[p], w.perm[q]
-        m += (w.trans[i] - w.trans[j]) // self.e
-        if i > j:
-            i, j, m = j, i, -m
-        return Hyperplane(i + 1, j + 1, m)
+            cur = self._star(cur, t)
+        return tuple(word)
 
     def wall_type(self, a, h):
-        """The type t with ``wall(a, t) == h``, or None when h does not
-        bound the alcove a."""
-        w = self._elems[a]
-        i, j = h.i - 1, h.j - 1
-        p, q = w.perm.index(i), w.perm.index(j)
-        m = h.m - (w.trans[i] - w.trans[j]) // self.e
-        if p > q:
-            p, q, m = q, p, -m
-        return self._wall_types.get((p, q, m))
+        """The type of h among the walls of alcove a, or None when h does
+        not bound a."""
+        walls = self._alcove_walls[a]
+        wall = (h.i - 1, h.j - 1, h.m)
+        return walls.index(wall) if wall in walls else None
 
     # -- alcoves ------------------------------------------------------
 
     def alcove_of(self, p):
         floors = self.floors_of(p)
-        if floors not in self._elems:
+        if floors not in self._alcove_walls:
             self._gallery_to(floors)
         return floors
 
@@ -264,13 +194,14 @@ class Geometry:
 
     def minimal_gallery(self, target):
         """A minimal gallery from the fundamental alcove to the alcove
-        ``target``, as the word of the wall types it crosses."""
-        return self._gallery_to(target)[0]
+        ``target``, as the word of the wall types it crosses; see
+        ``_gallery_to``."""
+        return self._gallery_to(target)
 
     def star(self, b, t):
         """Reflect alcove b = v . fundamental in its own wall of type t,
-        giving v s_t . fundamental.  Memoised in ``caches["stars"]``; a call
-        that raises stores nothing.
+        giving v s_t . fundamental, whose walls it stores.  Memoised in
+        ``caches["stars"]``; a call that raises stores nothing.
         """
         memo = self.caches.setdefault("stars", {})
         got = memo.get((b, t))
@@ -279,13 +210,22 @@ class Geometry:
         return got
 
     def _star(self, b, t):
-        elem = self._elems[b].compose(self._walls[t][3])
-        floors = self._elem_floors(elem)
-        self._elems.setdefault(floors, elem)
+        walls = self._alcove_walls[b]
+        i, j, m = walls[t]
+        r = self._root_index[i, j]
+        if m not in (b[r], b[r] + 1):
+            raise InternalMismatch(
+                "wall %r of type %d does not bound alcove %r" % (walls[t], t, b)
+            )
+        floors = b[:r] + (2 * m - 1 - b[r],) + b[r + 1:]
         if abs(self.length(floors) - self.length(b)) != 1:
             raise InternalMismatch(
                 "wall crossing from alcove %r to %r changed length by more than 1"
                 % (b, floors)
+            )
+        if floors not in self._alcove_walls:
+            self._alcove_walls[floors] = tuple(
+                _reflect_wall(w, i, j, m) for w in walls
             )
         return floors
 
@@ -305,6 +245,18 @@ class Geometry:
             if self._orbit_key(q) == want:
                 out.append(q)
         return out
+
+
+def _reflect_wall(wall, i, j, m):
+    """The image of the wall (p, q, k) under the reflection in the wall
+    (i, j, m): swap i and j, and shift the level by the reflection's
+    translation, +m * e at i and -m * e at j."""
+    p, q, k = wall
+    swap = {i: j, j: i}
+    shift = {i: m, j: -m}
+    k -= shift.get(p, 0) - shift.get(q, 0)
+    p, q = swap.get(p, p), swap.get(q, q)
+    return (p, q, k) if p < q else (q, p, -k)
 
 
 def compositions(n, l):

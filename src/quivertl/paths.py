@@ -114,7 +114,10 @@ def distinguished_path(params, mu):
 
 
 def reflection_closure(params, path, budget=2 ** 20):
-    """Closure of ``path`` under all tail reflections at wall contacts."""
+    """Closure of ``path`` under all tail reflections at wall contacts,
+    of at most ``budget`` paths."""
+    if budget < 1:
+        raise ClosureBudgetExceeded("reflection closure exceeded budget %d" % budget)
     geom = geometry_for(params)
     seen = {path.steps: path}
     work = [path]

@@ -12,7 +12,7 @@ from quivertl.decomposition import (
     block_of,
     decomposition_matrix,
 )
-from quivertl.geometry import AffineElement, geometry_for, reflection_element
+from quivertl.geometry import Hyperplane, geometry_for
 from quivertl.laurent import Laurent, ONE, ZERO
 from quivertl.paths import PathWord
 from quivertl.soergel import n_function, run_all
@@ -104,6 +104,70 @@ def is_in_plus_semiring(f):
 # -- alcove geometry ---------------------------------------------------
 
 
+@dataclass(frozen=True)
+class AffineElement:
+    """An affine transformation x -> sigma(x) + trans with sigma a
+    coordinate permutation.  ``perm[i]`` is the position coordinate i is
+    sent to, so (w x)_{perm[i]} = x_i + trans[perm[i]].
+    """
+
+    perm: tuple
+    trans: tuple
+
+    @classmethod
+    def identity(cls, l):
+        return cls(tuple(range(l)), (0,) * l)
+
+    def compose(self, other):
+        """self after other: (self.compose(other))(x) = self(other(x))."""
+        perm = tuple(self.perm[other.perm[i]] for i in range(len(self.perm)))
+        sigma_tau = [0] * len(self.perm)
+        for i in range(len(self.perm)):
+            sigma_tau[self.perm[i]] = other.trans[i]
+        trans = tuple(sigma_tau[i] + self.trans[i] for i in range(len(self.perm)))
+        return AffineElement(perm, trans)
+
+
+def reflection_element(l, e, h):
+    """The reflection in ``h`` as an (unshifted) AffineElement."""
+    i, j = h.i - 1, h.j - 1
+    perm = list(range(l))
+    perm[i], perm[j] = j, i
+    trans = [0] * l
+    trans[i] = h.m * e
+    trans[j] = -h.m * e
+    return AffineElement(tuple(perm), tuple(trans))
+
+
+def element_along(geom, word):
+    """The group element w of the gallery ``word`` from the fundamental
+    alcove: the product of the reflections in the fundamental alcove's
+    walls of the types in ``word``, so that w . fundamental is the
+    gallery's last alcove."""
+    w = AffineElement.identity(geom.l)
+    for t in word:
+        i, j, m = geom._walls[t]
+        s = reflection_element(geom.l, geom.e, Hyperplane(i + 1, j + 1, m))
+        w = w.compose(s)
+    return w
+
+
+def element_wall(geom, w, t):
+    """The image under w of the fundamental alcove's wall of type t."""
+    p, q, m = geom._walls[t]
+    i, j = w.perm[p], w.perm[q]
+    m += (w.trans[i] - w.trans[j]) // geom.e
+    if i > j:
+        i, j, m = j, i, -m
+    return Hyperplane(i + 1, j + 1, m)
+
+
+def wall(geom, a, t):
+    """The wall of type t of alcove a, read off the element of a minimal
+    gallery to a."""
+    return element_wall(geom, element_along(geom, geom.minimal_gallery(a)), t)
+
+
 def apply(elem, x):
     """The AffineElement ``elem`` applied to the point x."""
     l = len(elem.perm)
@@ -158,9 +222,11 @@ def star_by_conjugation(geom, b, a, h):
     """Reflect alcove b in its own wall of the same type as the wall h of
     alcove a: with a = w . fundamental and b = v . fundamental, the alcove
     v (w^-1 s_h w) . fundamental."""
-    w = geom._elems[a]
+    w = element_along(geom, geom.minimal_gallery(a))
+    v = element_along(geom, geom.minimal_gallery(b))
     s = reflection_element(geom.l, geom.e, h)
-    return geom._elem_floors(geom._elems[b].compose(inverse(w).compose(s).compose(w)))
+    conjugated = v.compose(inverse(w).compose(s).compose(w))
+    return geom.floors_of(shifted(conjugated, (0,) * geom.l, geom.rho))
 
 
 def evaluate_at_points(params, fn, points):

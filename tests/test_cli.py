@@ -45,12 +45,22 @@ class TestExitCodes:
         assert code == EXIT_BUDGET
 
     def test_budget_holds_with_a_cached_closure(self, capsys, monkeypatch):
-        # the first run caches the whole closure; the budget of the second
-        # must still stop it
-        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
-        argv = ["paths"] + INTRO + ["--lambda", "4,6,3", "--mu", "4,9,0"]
-        assert run(capsys, argv)[0] == EXIT_OK
-        assert run(capsys, argv + ["--budget", "4"])[0] == EXIT_BUDGET
+        # for each input the budget stops the closure uncached; then a run
+        # without it caches the whole closure, and the budget must still
+        # stop it.  The l = 2, n = 2 closure of mu = (1, 1) is one path.
+        one_path = ["--l", "2", "--e", "4", "--kappa", "0,2", "--n", "2",
+                    "--lambda", "1,1", "--mu", "1,1"]
+        for argv, budget in [
+            (INTRO + ["--lambda", "4,6,3", "--mu", "4,9,0"], "4"),
+            (one_path, "0"),
+            (one_path, "-3"),
+        ]:
+            with monkeypatch.context() as m:
+                m.setattr(geometry, "_GEOMETRIES", {})
+                argv = ["paths"] + argv
+                assert run(capsys, argv + ["--budget", budget])[0] == EXIT_BUDGET
+                assert run(capsys, argv)[0] == EXIT_OK
+                assert run(capsys, argv + ["--budget", budget])[0] == EXIT_BUDGET
 
     def test_singular_block_is_config_error(self, capsys):
         # (4,7,2) lies on a wall, so its block has no regular member
@@ -133,24 +143,32 @@ class TestOutputs:
             assert expected in err
 
     def test_geometry_check_failure_is_a_mismatch(self, capsys, monkeypatch):
-        # each input breaks one geometry check on a fresh Geometry; both
-        # checks fail first at the fundamental alcove
+        # each input breaks one geometry check on a fresh Geometry; every
+        # check fails first at the fundamental alcove, (0, 0, 0), whose
+        # wall of type 0 is (0, 1, 0)
         for attr, check in [
             ("_walls", "no wall separates alcove"),
             ("length", "changed length by more than 1"),
+            ("_alcove_walls", "wall (0, 1, -1) of type 0 does not bound alcove"),
         ]:
             with monkeypatch.context() as m:
                 m.setattr(geometry, "_GEOMETRIES", {})
                 g = geometry.geometry_for(Params(3, 8, (0, 4, 6), 13))
                 if attr == "_walls":
                     m.setattr(g, "_walls", [])
-                else:
+                elif attr == "length":
                     m.setattr(g, "length", lambda key: 0)
+                else:
+                    # the wall of type 0 one level below its true one
+                    walls = list(g._walls)
+                    walls[0] = (0, 1, -1)
+                    m.setitem(g._alcove_walls, g.fundamental, tuple(walls))
                 code = main(["decompose"] + INTRO + ["--mu", "4,9,0"])
             err = capsys.readouterr().err
             assert code == EXIT_MISMATCH
             assert check in err
             assert "alcove %r" % (g.fundamental,) in err
+            assert "Traceback" not in err
 
     def test_gallery_failure_is_a_mismatch(self, capsys, monkeypatch):
         # a distinguished path whose gallery check fails is the program's

@@ -8,23 +8,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivertl.geometry import (
-    AffineElement,
+    Geometry,
     Hyperplane,
     SingularPoint,
     compositions,
     geometry_for,
-    reflection_element,
 )
 from quivertl.params import Params, ParamsError
 
 from helpers import (
+    AffineElement,
     apply,
+    element_along,
+    element_wall,
     gallery_alcoves,
     inverse,
     reflect_point,
+    reflection_element,
     separating_count,
     shifted,
     star_by_conjugation,
+    wall,
 )
 
 
@@ -123,7 +127,8 @@ class TestAlcoves:
         g = geometry_for(P_INTRO)
         for p in [(5, 6, 2), (4, 9, 0), (13, 0, 0), (2, 0, 11)]:
             key = g.alcove_of(p)
-            image = shifted(g._elems[key], (0, 0, 0), g.rho)
+            elem = element_along(g, g.minimal_gallery(key))
+            image = shifted(elem, (0, 0, 0), g.rho)
             # the origin's image lies in the same alcove (it may be singular
             # only if the origin were, which it is not)
             assert g.floors_of(image) == key
@@ -174,7 +179,7 @@ class TestGalleries:
             alcoves = gallery_alcoves(g, g.minimal_gallery(g.alcove_of(p)))
             for a in alcoves:
                 for t in range(len(g._walls)):
-                    h = g.wall(a, t)
+                    h = wall(g, a, t)
                     for b in alcoves:
                         assert g.star(b, t) == star_by_conjugation(g, b, a, h)
 
@@ -184,12 +189,51 @@ class TestGalleries:
             assert len(g._walls) == params.l
             for a in gallery_alcoves(g, g.minimal_gallery(g.alcove_of(p))):
                 for t in range(len(g._walls)):
-                    assert g.wall_type(a, g.wall(a, t)) == t
+                    assert g.wall_type(a, wall(g, a, t)) == t
 
     def test_wall_type_of_non_bounding_wall(self):
         g = geometry_for(P_RANK1)
         # the wall at level 2 does not bound the fundamental alcove
         assert g.wall_type(g.fundamental, Hyperplane(1, 2, 2)) is None
+
+    # the parameter sets of the step-degree test, l = 1 to 6
+    @pytest.mark.parametrize("params", [
+        Params(1, 2, (0,)),
+        Params(2, 7, (3, 5)),
+        Params(3, 6, (4, 0, 2)),
+        Params(4, 10, (7, 0, 4, 2)),
+        Params(5, 11, (0, 2, 4, 6, 8)),
+        Params(6, 12, (0, 2, 4, 6, 8, 10)),
+    ])
+    def test_carried_walls_match_reference(self, params):
+        # every alcove within 4 crossings of the fundamental one, found
+        # breadth-first by star: its stored walls are the images of the
+        # fundamental walls under the element of a minimal gallery to it,
+        # and under the element of every gallery of the search reaching it
+        g = Geometry(params)
+        types = range(len(g._walls))
+
+        def stored(a):
+            return [Hyperplane(i + 1, j + 1, m) for i, j, m in g._alcove_walls[a]]
+
+        def images(word):
+            w = element_along(g, word)
+            return [element_wall(g, w, t) for t in types]
+
+        words = {g.fundamental: ()}
+        layer = [g.fundamental]
+        for _ in range(4):
+            found = []
+            for b in layer:
+                for t in types:
+                    a = g.star(b, t)
+                    assert stored(a) == images(words[b] + (t,))
+                    if a not in words:
+                        words[a] = words[b] + (t,)
+                        found.append(a)
+            layer = found
+        for a in words:
+            assert stored(a) == images(g.minimal_gallery(a))
 
     def test_separating_count_against_reflection_oracle(self):
         # oracle: breadth-first search through single wall crossings

@@ -25,7 +25,7 @@ from quivertl.paths import (
 )
 from quivertl.soergel import run_all
 
-from helpers import gallery_alcoves, is_admissible
+from helpers import gallery_alcoves, is_admissible, wall
 
 P_INTRO = Params(3, 8, (0, 4, 6))
 P_RANK1 = Params(2, 4, (0, 2))
@@ -198,7 +198,7 @@ class TestAlcoveSeries:
         word = alcove_series(P_INTRO, distinguished_path(P_INTRO, (4, 9, 0)))
         alcoves = gallery_alcoves(g, word)
         assert [g.length(a) for a in alcoves] == [0, 1, 2, 3]
-        assert [g.wall(a, t) for a, t in zip(alcoves, word)] == [
+        assert [wall(g, a, t) for a, t in zip(alcoves, word)] == [
             Hyperplane(1, 3, 1), Hyperplane(2, 3, 1), Hyperplane(1, 2, 0),
         ]
 
