@@ -14,7 +14,9 @@ enumerate reflection closures and take ``--budget``, a cap on their size.
 
 Exit codes: 0 success, 2 configuration error, 3 cross-check mismatch,
 4 path-closure budget exceeded (``paths`` and ``svg`` only).  Reports are
-byte-deterministic.
+byte-deterministic.  JSON reports are ``json.dumps(report, indent=2)``;
+the ``decompose`` one is rendered directly as text, to the same bytes,
+since its tables run to thousands of entries.
 """
 
 from __future__ import annotations
@@ -154,12 +156,52 @@ def cmd_decompose(args):
     except NoRegularMember as ex:
         raise _CliError(EXIT_CONFIG, str(ex))
     if args.format == "json":
-        report = matrix.to_json()
-        report["cross_checked"] = args.oracle == "on"
-        _emit(_json_dumps(report), args.out)
+        _emit(_render_matrix_json(matrix, args.oracle == "on"), args.out)
         return EXIT_OK
     _emit(_render_matrix_table(matrix), args.out)
     return EXIT_OK
+
+
+def _indented(data, depth):
+    """``json.dumps(data, indent=2)`` as it appears ``depth`` levels deep
+    in an indent-2 document."""
+    return json.dumps(data, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _render_matrix_json(matrix, cross_checked):
+    """The ``decompose`` report, ``matrix.to_json()`` with ``cross_checked``
+    appended, as the same bytes as ``_json_dumps`` of it.  Each member's
+    coordinates and each distinct polynomial are rendered once, and the
+    entries are joined as text without building their dicts."""
+    order = sorted(matrix.block.members)
+    coords = {m: _indented(list(m), 3) for m in order}
+    polys = {}
+
+    def table(data):
+        # every key is a pair of members, so this is sorted(data) order
+        rows = []
+        for lam in order:
+            lam_text = '    {\n      "lambda": ' + coords[lam] + ',\n      "mu": '
+            for mu in order:
+                poly = data.get((lam, mu))
+                if not poly:
+                    continue
+                text = polys.get(poly)
+                if text is None:
+                    text = polys[poly] = _indented(poly.to_pairs(), 3)
+                rows.append("".join((
+                    lam_text, coords[mu], ',\n      "poly": ', text, "\n    }"
+                )))
+        return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+
+    return "".join((
+        '{\n  "block": ', _indented(matrix.block.to_json(), 1),
+        ',\n  "decomposition_numbers": ', table(matrix.entries),
+        ',\n  "characters": ', table(matrix.characters),
+        ',\n  "standard_dims": ', table(matrix.standard_dims),
+        ',\n  "cross_checked": ', json.dumps(cross_checked),
+        "\n}\n",
+    ))
 
 
 def _render_matrix_table(matrix):

@@ -203,6 +203,14 @@ def kn_oracle(params, block):
     the sum of d(lam, nu) * c(nu, mu) over the intermediate nu then splits
     uniquely into a bar-symmetric part (the character value) plus a
     positively graded part (the decomposition number).
+
+    Most characters are zero, so the sum runs only over the nu of the
+    column already solved with c(nu, mu) != 0, and multiplies only where
+    d(lam, nu) != 0.  That is exact because each column first checks that
+    every other weight nu its count reaches, count(nu, mu) != 0, lies in a
+    strictly shorter alcove than mu: a nonzero d(lam, nu) * c(nu, mu) then
+    needs length(lam) < length(nu) < length(mu), so both of its factors are
+    solved before the pair (lam, mu).
     """
     geom = geometry_for(params)
     regs = block.regular_members()
@@ -213,8 +221,11 @@ def kn_oracle(params, block):
     rows = sorted(regs, key=lambda q: (-length[q], q))
     entries = {}
     characters = {}
+    # the nonzero off-diagonal decomposition numbers of each row, by column
+    row_dec = {lam: {} for lam in regs}
     for mu in sorted(regs, key=lambda q: (length[q], q)):
-        reached = [nu for nu in regs if nu != mu and counts[(nu, mu)]]
+        _check_column_lengths(counts, length, regs, rows, mu)
+        support = []  # (nu, c(nu, mu)) for the solved nu != mu with c != 0
         for lam in rows:
             if lam == mu:
                 char = dec = ONE
@@ -222,18 +233,11 @@ def kn_oracle(params, block):
                 char = dec = ZERO
             else:
                 f = counts[(lam, mu)]
-                for nu in reached:
-                    if nu == lam or not counts[(lam, nu)]:
-                        continue
-                    # paths out of nu only reach strictly shorter alcoves,
-                    # so both factors were solved before this pair
-                    if not length[lam] < length[nu] < length[mu]:
-                        raise InternalMismatch(
-                            "path-counting oracle: intermediate weight %s is "
-                            "outside the length gap at lambda=%s, mu=%s"
-                            % (list(nu), list(lam), list(mu))
-                        )
-                    f = f - entries[(lam, nu)] * characters[(nu, mu)]
+                decs = row_dec[lam]
+                for nu, c in support:
+                    d = decs.get(nu)
+                    if d is not None:
+                        f = f - d * c
                 try:
                     char, dec = split_symmetric(f)
                 except SplitImpossible as exc:
@@ -241,9 +245,40 @@ def kn_oracle(params, block):
                         "path-counting oracle: %s at lambda=%s, mu=%s"
                         % (exc, list(lam), list(mu))
                     ) from exc
+                if dec:
+                    decs[mu] = dec
+                if char:
+                    support.append((lam, char))
             entries[(lam, mu)] = dec
             characters[(lam, mu)] = char
     return DecompositionMatrix(block, entries, characters, counts)
+
+
+def _check_column_lengths(counts, length, regs, rows, mu):
+    """Raise InternalMismatch unless every regular nu != mu with
+    count(nu, mu) != 0 lies in a strictly shorter alcove than mu (paths
+    out of mu only reach shorter alcoves).  When some row lam is reached
+    from both nu and mu, the message names the first such lam in ``rows``."""
+    bad = [
+        nu for nu in regs
+        if nu != mu and counts[(nu, mu)] and length[nu] >= length[mu]
+    ]
+    if not bad:
+        return
+    for lam in rows:
+        if lam == mu or not counts[(lam, mu)]:
+            continue
+        for nu in bad:
+            if nu != lam and counts[(lam, nu)]:
+                raise InternalMismatch(
+                    "path-counting oracle: intermediate weight %s is "
+                    "outside the length gap at lambda=%s, mu=%s"
+                    % (list(nu), list(lam), list(mu))
+                )
+    raise InternalMismatch(
+        "path-counting oracle: weight %s is reached from mu=%s but its "
+        "alcove is not shorter" % (list(bad[0]), list(mu))
+    )
 
 
 def first_difference(a, b):
@@ -255,6 +290,8 @@ def first_difference(a, b):
         ("characters", a.characters, b.characters),
         ("standard dimensions", a.standard_dims, b.standard_dims),
     ]:
+        if x == y:
+            continue
         bad = [k for k in set(x) | set(y) if x.get(k, ZERO) != y.get(k, ZERO)]
         if bad:
             return (name,) + min(bad)

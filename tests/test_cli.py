@@ -1,11 +1,13 @@
 """Command line interface: exit codes, determinism, output formats."""
 
+import hashlib
 import json
 
 import pytest
 
 from quivertl import cli, decomposition, geometry
 from quivertl.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, main
+from quivertl.decomposition import DecompositionMatrix, block_of, decomposition_matrix
 from quivertl.laurent import Laurent
 from quivertl.params import Params
 
@@ -96,6 +98,54 @@ class TestOutputs:
                                  "--mu", "3,3,3,4", "--format", "json"])
         assert code == EXIT_OK
         assert json.loads(out)["cross_checked"] is True
+
+    def test_decompose_json_is_indent_2_dumps(self, capsys):
+        # the report is rendered as text: its bytes must be those of
+        # json.dumps(matrix.to_json() plus cross_checked, indent=2)
+        for l, e, kappa, n, mu, oracle in [
+            (3, 8, (0, 4, 6), 13, (4, 9, 0), "on"),
+            (2, 4, (0, 2), 11, (0, 11), "on"),
+            (4, 8, (0, 2, 4, 6), 13, (3, 3, 3, 4), "on"),
+            # the largest block of the wide-l3 benchmark workload
+            (3, 6, (0, 2, 4), 22, (7, 7, 8), "on"),
+            (3, 8, (0, 4, 6), 13, (4, 9, 0), "off"),
+            # one member: no off-diagonal entries
+            (3, 8, (0, 4, 6), 1, (0, 0, 1), "on"),
+        ]:
+            code, out = run(capsys, [
+                "decompose", "--l", str(l), "--e", str(e),
+                "--kappa", ",".join(map(str, kappa)), "--n", str(n),
+                "--mu", ",".join(map(str, mu)), "--oracle", oracle,
+                "--format", "json",
+            ])
+            assert code == EXIT_OK
+            params = Params(l, e, kappa, n)
+            report = decomposition_matrix(params, block_of(params, n, mu)).to_json()
+            report["cross_checked"] = oracle == "on"
+            assert out == json.dumps(report, indent=2) + "\n"
+        # tables with no entry at all render as []
+        block = block_of(Params(3, 8, (0, 4, 6), 1), 1, (0, 0, 1))
+        empty = DecompositionMatrix(block, {}, {}, {})
+        report = empty.to_json() | {"cross_checked": False}
+        assert cli._render_matrix_json(empty, False) == json.dumps(report, indent=2) + "\n"
+
+    def test_decompose_table_bytes(self, capsys):
+        # the table reports of four blocks, pinned by their sha256
+        for argv, digest in [
+            (INTRO + ["--mu", "4,9,0"],
+             "e01d30ba44fd4165626540bb443db5794c9dcc4a07d108b77a89f5f4221abc93"),
+            (RANK1 + ["--mu", "0,11"],
+             "943945446faede194c7d6f33e74c1844f488b38448aa54cb0aad6ff5c0141036"),
+            (["--l", "4", "--e", "8", "--kappa", "0,2,4,6", "--n", "13",
+              "--mu", "3,3,3,4"],
+             "e49352eda79c4f050468035cda13a26610c52b2046470c25b280574e32c53e52"),
+            (["--l", "3", "--e", "8", "--kappa", "0,4,6", "--n", "1",
+              "--mu", "0,0,1"],
+             "e19b8af1fe33f3ffb0dcd140f70d3e39e450319577b22316ca7852cf8d01585e"),
+        ]:
+            code, out = run(capsys, ["decompose"] + argv + ["--format", "table"])
+            assert code == EXIT_OK
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_mismatch_names_table_and_pair(self, capsys, monkeypatch):
         real = cli.kn_oracle

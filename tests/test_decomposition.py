@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from quivertl import geometry, paths
-from quivertl.geometry import geometry_for
+from quivertl import decomposition, geometry, paths
+from quivertl.geometry import InternalMismatch, geometry_for
 from quivertl.laurent import Laurent, ONE, ZERO
 from quivertl.params import Params
 from quivertl.decomposition import (
@@ -220,6 +220,64 @@ class TestDecompositionMatrix:
             decomposition_matrix(P_INTRO, sing)
         with pytest.raises(NoRegularMember):
             kn_oracle(P_INTRO, sing)
+
+    def test_oracle_rejects_a_count_to_a_weight_as_long(self, monkeypatch):
+        # tamper count(nu, mu0) != 0, with mu0 in the fundamental alcove
+        # and nu the longest member.  Untampered, column mu0 reaches no
+        # other row and no other column reaches row nu, so no triple of
+        # three distinct weights holds the tampered pair; yet nu is not
+        # shorter than mu0, and the counts cannot factor as D * C
+        real = decomposition._standard_dims
+        block = block_of(P_INTRO, 13, (4, 9, 0))
+        mu0, nu = block.members[0], block.members[-1]
+        assert nu == (13, 0, 0)
+        g = geometry_for(P_INTRO)
+        assert g.length(g.alcove_of(mu0)) == 0
+
+        def dims(params, b):
+            counts = real(params, b)
+            counts[(nu, mu0)] = Laurent.term(1)
+            return counts
+
+        monkeypatch.setattr(decomposition, "_standard_dims", dims)
+        with pytest.raises(InternalMismatch) as info:
+            kn_oracle(P_INTRO, block)
+        message = str(info.value)
+        assert "path-counting oracle" in message
+        assert "weight %s" % list(nu) in message
+        assert "mu=%s" % list(mu0) in message
+
+    def test_oracle_multiplies_only_over_the_support(self, monkeypatch):
+        # one multiply-subtract per triple (lam, nu, mu) with a nonzero
+        # count(lam, mu), d(lam, nu) and c(nu, mu); a loop over every nu
+        # that mu reaches would make more
+        real_mul = Laurent.__mul__
+        for n, member in [(13, (4, 9, 0)), (24, (8, 8, 8))]:
+            block = block_of(P_INTRO, n, member)
+            decomposition_matrix(P_INTRO, block)  # fills the count memo
+            products = []
+
+            def counted(self, other):
+                products.append(1)
+                return real_mul(self, other)
+
+            with monkeypatch.context() as m:
+                m.setattr(Laurent, "__mul__", counted)
+                result = kn_oracle(P_INTRO, block)
+            counts, d, c = result.standard_dims, result.entries, result.characters
+            regs = block.regular_members()
+            support = reached = 0
+            for mu in regs:
+                for lam in regs:
+                    if lam == mu or not counts[(lam, mu)]:
+                        continue
+                    for nu in regs:
+                        if nu in (lam, mu):
+                            continue
+                        support += bool(d[(lam, nu)] and c[(nu, mu)])
+                        reached += bool(counts[(lam, nu)] and counts[(nu, mu)])
+            assert len(products) == support
+            assert 0 < support < reached
 
     def test_multicharge_shift_invariance(self):
         # adding a constant to the multicharge leaves everything unchanged
