@@ -14,7 +14,6 @@ from .laurent import Laurent, SplitImpossible, split_symmetric
 from .params import Params, ParamsError
 from .geometry import (
     Geometry,
-    Hyperplane,
     InternalMismatch,
     SingularPoint,
     geometry_for,

@@ -12,11 +12,12 @@ Subcommands:
 ``decompose`` counts paths without enumerating them; ``paths`` and ``svg``
 enumerate reflection closures and take ``--budget``, a cap on their size.
 
-Exit codes: 0 success, 2 configuration error, 3 cross-check mismatch,
-4 path-closure budget exceeded (``paths`` and ``svg`` only).  Reports are
-byte-deterministic.  JSON reports are ``json.dumps(report, indent=2)``;
-the ``decompose`` one is rendered directly as text, to the same bytes,
-since its tables run to thousands of entries.
+Exit codes: 0 success, 2 configuration error (an unwritable ``--out``
+among them), 3 cross-check mismatch, 4 path-closure budget exceeded
+(``paths`` and ``svg`` only).  Reports are byte-deterministic.  JSON
+reports are ``json.dumps(report, indent=2)``; the ``decompose`` one is
+rendered directly as text, to the same bytes, since its tables run to
+thousands of entries.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .decomposition import (
 )
 from .geometry import InternalMismatch
 from .params import Params, ParamsError
-from .paths import ClosureBudgetExceeded, paths_between
+from .paths import CLOSURE_BUDGET, ClosureBudgetExceeded, paths_between
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,8 +76,11 @@ def _params(args):
 
 def _emit(text, out):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as ex:
+            raise _CliError(EXIT_CONFIG, "cannot write %s: %s" % (out, ex.strerror))
     else:
         sys.stdout.write(text)
 
@@ -255,7 +259,7 @@ def _add_common(sub, with_budget=True):
         sub.add_argument(
             "--budget",
             type=int,
-            default=2 ** 20,
+            default=CLOSURE_BUDGET,
             help="cap on the size of path reflection closures",
         )
 

@@ -73,7 +73,7 @@ class Block:
 def _block(geom, params, n, members):
     members.sort(key=lambda q: (geom.point_length(q), q))
     return Block(
-        params, n, tuple(members), tuple(geom.is_regular(q) for q in members)
+        params, n, tuple(members), tuple(not geom.classify(q) for q in members)
     )
 
 
@@ -303,16 +303,6 @@ def matrices_equal(a, b):
     return first_difference(a, b) is None
 
 
-def _parse_level2_label(label):
-    if isinstance(label, tuple):
-        return int(label[0]), bool(label[1])
-    text = str(label).strip()
-    primed = text.endswith("'")
-    if primed:
-        text = text[:-1]
-    return int(text), primed
-
-
 def level2_label(params, p):
     """The alcove label of a regular 2-component weight: its length, primed
     when the weight sits on the far side of the dominant wall from the
@@ -325,16 +315,15 @@ def level2_label(params, p):
 
 
 def level2_closed_form(params, i, j):
-    """Closed-form graded decomposition number for l = 2 alcove labels:
+    """Closed-form graded decomposition number for the l = 2 alcove labels
+    i and j, ``(length, primed)`` pairs as ``level2_label`` returns them:
     t^(j - i) when the lengths strictly increase, 1 on the diagonal for
     identical labels, 0 otherwise."""
     if params.l != 2:
         raise NotLevelTwo("closed form needs l = 2")
-    li, pi = _parse_level2_label(i)
-    lj, pj = _parse_level2_label(j)
-    if li < lj:
-        return Laurent.term(lj - li)
-    if (li, pi) == (lj, pj):
+    if i[0] < j[0]:
+        return Laurent.term(j[0] - i[0])
+    if i == j:
         return ONE
     return ZERO
 

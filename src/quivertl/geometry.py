@@ -11,11 +11,13 @@ one containing the origin.
 An alcove is its floor vector: for each positive root e_i - e_j (i < j)
 the integer part of <x + rho, e_i - e_j> / e.  Each alcove met so far also
 carries its l walls by type in ``Geometry._alcove_walls``, as 0-based
-triples (i, j, m) for the hyperplane <x + rho, e_i - e_j> = m * e.  The
-walls of the fundamental alcove, ``Geometry._walls``, are the candidate
-hyperplanes whose reflection of the origin changes exactly one floor; the
-index t of a wall there is its type, and a gallery from the fundamental
-alcove is the word of the wall types it crosses.
+triples (i, j, m) for the hyperplane <x + rho, e_i - e_j> = m * e.  That
+triple is the package's one model of a wall: ``Geometry.classify`` returns
+the walls through a point as the same triples.  The walls of the
+fundamental alcove, ``Geometry._walls``, are the candidate hyperplanes
+whose reflection of the origin changes exactly one floor; the index t of a
+wall there is its type, and a gallery from the fundamental alcove is the
+word of the wall types it crosses.
 
 The wall-crossing ("star") operation takes b = v . fundamental to
 v s_t . fundamental, the reflection of b in its wall h of type t: the
@@ -34,8 +36,6 @@ crossings, so most calls within a process are repeats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class InternalMismatch(RuntimeError):
     """A result failed one of the program's own consistency checks, or two
@@ -44,15 +44,6 @@ class InternalMismatch(RuntimeError):
 
 class SingularPoint(ValueError):
     """A weight on a hyperplane was passed where a regular one is required."""
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """The wall <x + rho, e_i - e_j> = m * e, with 1-based i < j."""
-
-    i: int
-    j: int
-    m: int
 
 
 class Geometry:
@@ -92,16 +83,14 @@ class Geometry:
         return (p[i] + self.rho[i]) - (p[j] + self.rho[j])
 
     def classify(self, p):
-        """Hyperplanes through p (empty list exactly when p is regular)."""
+        """The walls through p in root order, as the (i, j, m) triples that
+        alcoves carry (empty exactly when p is regular)."""
         out = []
         for (i, j) in self.roots:
             v = self.value(p, (i, j))
             if v % self.e == 0:
-                out.append(Hyperplane(i + 1, j + 1, v // self.e))
+                out.append((i, j, v // self.e))
         return out
-
-    def is_regular(self, p):
-        return not self.classify(p)
 
     def step_degree(self, p, q):
         """Degree of the unit step from p to q, summed over positive roots:
@@ -162,8 +151,7 @@ class Geometry:
         """The type of h among the walls of alcove a, or None when h does
         not bound a."""
         walls = self._alcove_walls[a]
-        wall = (h.i - 1, h.j - 1, h.m)
-        return walls.index(wall) if wall in walls else None
+        return walls.index(h) if h in walls else None
 
     # -- alcoves ------------------------------------------------------
 

@@ -33,6 +33,10 @@ from .laurent import ZERO
 from .tableaux import graded_tableau_counts, loading
 
 
+# the default cap on the size of a reflection closure
+CLOSURE_BUDGET = 2 ** 20
+
+
 class NotOnHyperplane(ValueError):
     """Tail reflection requested at a point not on the given wall."""
 
@@ -94,14 +98,16 @@ def path_degree(params, path):
 def reflect_tail(params, path, k, h):
     """Reflect the tail of ``path`` after position k in the wall h.
 
+    h is a wall as the 0-based (i, j, m) triple of ``Geometry.classify``.
     Requires the k-th prefix point to lie on h; in type A the reflection
-    swaps the letters h.i and h.j in the tail.
+    swaps the 1-based letters i + 1 and j + 1 in the tail.
     """
     geom = geometry_for(params)
     point = path.points[k]
-    if geom.value(point, (h.i - 1, h.j - 1)) != h.m * geom.e:
+    i, j, m = h
+    if geom.value(point, (i, j)) != m * geom.e:
         raise NotOnHyperplane("point %r is not on %r" % (point, h))
-    swap = {h.i: h.j, h.j: h.i}
+    swap = {i + 1: j + 1, j + 1: i + 1}
     tail = tuple(swap.get(s, s) for s in path.steps[k:])
     return PathWord(path.l, path.steps[:k] + tail)
 
@@ -113,7 +119,7 @@ def distinguished_path(params, mu):
     return PathWord(params.l, [m for _, _, m in loading(params, mu)])
 
 
-def reflection_closure(params, path, budget=2 ** 20):
+def reflection_closure(params, path, budget=CLOSURE_BUDGET):
     """Closure of ``path`` under all tail reflections at wall contacts,
     of at most ``budget`` paths."""
     if budget < 1:
@@ -136,7 +142,7 @@ def reflection_closure(params, path, budget=2 ** 20):
     return sorted(seen.values(), key=lambda p: p.steps)
 
 
-def paths_between(params, lam, mu, budget=2 ** 20):
+def paths_between(params, lam, mu, budget=CLOSURE_BUDGET):
     """All closure paths of the distinguished path of mu ending at lam,
     lexicographically sorted, each with its degree."""
     lam = tuple(lam)
@@ -191,7 +197,7 @@ def alcove_series(params, path):
     walls = []  # the origin is regular: Params keeps the residues distinct
     for k in range(1, len(path) + 1):
         prev, walls = walls, geom.classify(path.points[k])
-        pairs = [c for h in walls for c in (h.i, h.j)]
+        pairs = [c for i, j, _ in walls for c in (i, j)]
         running += geom.step_degree(path.points[k - 1], path.points[k])
         landed += [h for h in walls if h not in prev]
         if len(set(pairs)) < len(pairs) or (running and k < len(path)):

@@ -13,7 +13,7 @@ annotated.  Output is deterministic byte-for-byte.
 from __future__ import annotations
 
 from .geometry import geometry_for
-from .paths import paths_between
+from .paths import CLOSURE_BUDGET, paths_between
 
 
 class RankTooHigh(ValueError):
@@ -40,7 +40,7 @@ def _project(l, p):
     return (x, y)
 
 
-def render(params, lam, mu, budget=2 ** 20):
+def render(params, lam, mu, budget=CLOSURE_BUDGET):
     """An SVG document showing all paths from the distinguished path of mu
     to lam, over the projected hyperplane arrangement."""
     if params.l not in (2, 3):

@@ -6,13 +6,8 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from quivertl.decomposition import (
-    NotLevelTwo,
-    _parse_level2_label,
-    block_of,
-    decomposition_matrix,
-)
-from quivertl.geometry import Hyperplane, geometry_for
+from quivertl.decomposition import NotLevelTwo, block_of, decomposition_matrix
+from quivertl.geometry import geometry_for
 from quivertl.laurent import Laurent, ONE, ZERO
 from quivertl.paths import PathWord
 from quivertl.soergel import n_function, run_all
@@ -129,13 +124,14 @@ class AffineElement:
 
 
 def reflection_element(l, e, h):
-    """The reflection in ``h`` as an (unshifted) AffineElement."""
-    i, j = h.i - 1, h.j - 1
+    """The reflection in the wall h = (i, j, m) as an (unshifted)
+    AffineElement."""
+    i, j, m = h
     perm = list(range(l))
     perm[i], perm[j] = j, i
     trans = [0] * l
-    trans[i] = h.m * e
-    trans[j] = -h.m * e
+    trans[i] = m * e
+    trans[j] = -m * e
     return AffineElement(tuple(perm), tuple(trans))
 
 
@@ -146,9 +142,7 @@ def element_along(geom, word):
     gallery's last alcove."""
     w = AffineElement.identity(geom.l)
     for t in word:
-        i, j, m = geom._walls[t]
-        s = reflection_element(geom.l, geom.e, Hyperplane(i + 1, j + 1, m))
-        w = w.compose(s)
+        w = w.compose(reflection_element(geom.l, geom.e, geom._walls[t]))
     return w
 
 
@@ -159,13 +153,7 @@ def element_wall(geom, w, t):
     m += (w.trans[i] - w.trans[j]) // geom.e
     if i > j:
         i, j, m = j, i, -m
-    return Hyperplane(i + 1, j + 1, m)
-
-
-def wall(geom, a, t):
-    """The wall of type t of alcove a, read off the element of a minimal
-    gallery to a."""
-    return element_wall(geom, element_along(geom, geom.minimal_gallery(a)), t)
+    return (i, j, m)
 
 
 def apply(elem, x):
@@ -184,9 +172,9 @@ def shifted(elem, p, rho):
 
 
 def reflect_point(geom, h, p):
-    """The rho-shifted reflection of p in the hyperplane h."""
-    i, j = h.i - 1, h.j - 1
-    v = geom.value(p, (i, j)) - h.m * geom.e
+    """The rho-shifted reflection of p in the wall h = (i, j, m)."""
+    i, j, m = h
+    v = geom.value(p, (i, j)) - m * geom.e
     q = list(p)
     q[i] -= v
     q[j] += v
@@ -419,12 +407,12 @@ def stability_check(params, block, i):
 
 
 def level2_hom_dim(params, i, j):
-    """Graded hom space dimension between level-two standard modules:
-    t^(j - i) for strictly increasing lengths, 0 otherwise."""
+    """Graded hom space dimension between level-two standard modules of
+    the ``(length, primed)`` labels i and j: t^(j - i) for strictly
+    increasing lengths, 0 otherwise."""
     if params.l != 2:
         raise NotLevelTwo("hom dimensions need l = 2")
-    li, _ = _parse_level2_label(i)
-    lj, _ = _parse_level2_label(j)
+    (li, _), (lj, _) = i, j
     if li < lj:
         return Laurent.term(lj - li)
     return ZERO

@@ -231,7 +231,7 @@ class TestOutputs:
         assert code == EXIT_MISMATCH
         assert (
             "distinguished path of mu=[2, 8, 3]: hyperplane "
-            "Hyperplane(i=1, j=2, m=0) does not bound alcove (0, 0, 0)"
+            "(0, 1, 0) does not bound alcove (0, 0, 0)"
         ) in err
 
     def test_one_geometry_across_n(self, capsys, monkeypatch):
@@ -264,6 +264,17 @@ class TestOutputs:
         assert code == EXIT_OK
         assert out == ""
         json.loads(target.read_text())
+
+    @pytest.mark.parametrize("where", ["missing/report.json", "."])
+    def test_unwritable_out_file(self, capsys, tmp_path, where):
+        # a missing parent directory and a directory itself
+        target = tmp_path / where
+        code = main(["blocks"] + RANK1 + ["--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write %s: " % target)
+        assert "Traceback" not in captured.err
 
 
 class TestDeterminism:

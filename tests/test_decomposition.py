@@ -318,21 +318,21 @@ class TestLevelTwo:
         assert level2_label(P_RANK1, (8, 3)) == (1, False)
 
     def test_closed_form(self):
-        assert level2_closed_form(P_RANK1, "0", "2'") == Laurent.term(2)
-        assert level2_closed_form(P_RANK1, "1'", "3'") == Laurent.term(2)
-        assert level2_closed_form(P_RANK1, "2", "1'") == ZERO
-        assert level2_closed_form(P_RANK1, "2'", "2'") == ONE
-        assert level2_closed_form(P_RANK1, "2", "2'") == ZERO
+        assert level2_closed_form(P_RANK1, (0, False), (2, True)) == Laurent.term(2)
+        assert level2_closed_form(P_RANK1, (1, True), (3, True)) == Laurent.term(2)
+        assert level2_closed_form(P_RANK1, (2, False), (1, True)) == ZERO
+        assert level2_closed_form(P_RANK1, (2, True), (2, True)) == ONE
+        assert level2_closed_form(P_RANK1, (2, False), (2, True)) == ZERO
 
     def test_hom_dim(self):
-        assert level2_hom_dim(P_RANK1, "1", "3'") == Laurent.term(2)
-        assert level2_hom_dim(P_RANK1, "0", "1") == Laurent.term(1)
-        assert level2_hom_dim(P_RANK1, "2", "1") == ZERO
-        assert level2_hom_dim(P_RANK1, "2", "2") == ZERO
+        assert level2_hom_dim(P_RANK1, (1, False), (3, True)) == Laurent.term(2)
+        assert level2_hom_dim(P_RANK1, (0, False), (1, False)) == Laurent.term(1)
+        assert level2_hom_dim(P_RANK1, (2, False), (1, False)) == ZERO
+        assert level2_hom_dim(P_RANK1, (2, False), (2, False)) == ZERO
 
     def test_rejects_higher_rank(self):
         with pytest.raises(NotLevelTwo):
-            level2_closed_form(P_INTRO, "0", "1")
+            level2_closed_form(P_INTRO, (0, False), (1, False))
         with pytest.raises(NotLevelTwo):
             level2_label(P_INTRO, (4, 6, 3))
 

@@ -7,13 +7,7 @@ independent brute-force oracles built from single reflections only.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivertl.geometry import (
-    Geometry,
-    Hyperplane,
-    SingularPoint,
-    compositions,
-    geometry_for,
-)
+from quivertl.geometry import Geometry, SingularPoint, compositions, geometry_for
 from quivertl.params import Params, ParamsError
 
 from helpers import (
@@ -28,7 +22,6 @@ from helpers import (
     separating_count,
     shifted,
     star_by_conjugation,
-    wall,
 )
 
 
@@ -40,8 +33,8 @@ P_L5 = Params(5, 10, (0, 2, 4, 6, 8))
 # a point of the alcove s_{(1,2),1} s_{(3,4),1} . fundamental, of length 6,
 # whose element is a product of reflections in orthogonal walls
 ORTHOGONAL_PAIR = shifted(
-    reflection_element(4, 10, Hyperplane(1, 2, 1)).compose(
-        reflection_element(4, 10, Hyperplane(3, 4, 1))
+    reflection_element(4, 10, (0, 1, 1)).compose(
+        reflection_element(4, 10, (2, 3, 1))
     ),
     (0, 0, 0, 0),
     P_L4.rho,
@@ -75,14 +68,25 @@ class TestClassify:
 
     def test_singular_point(self):
         # (4+8) - (2+2) = 8, one wall between components 1 and 3
-        assert geometry_for(P_INTRO).classify((4, 7, 2)) == [Hyperplane(1, 3, 1)]
+        g = geometry_for(P_INTRO)
+        assert g.classify((4, 7, 2)) == [(0, 2, 1)]
+        # it is the very triple that the alcove of (5, 6, 2) and the
+        # fundamental alcove carry, of type 1 in both, and crossing it
+        # leads from one to the other
+        h = (0, 2, 1)
+        a = g.alcove_of((5, 6, 2))
+        assert a == (0, 1, 0)
+        assert g._alcove_walls[a][1] == h
+        assert g._alcove_walls[g.fundamental][1] == h
+        assert g.wall_type(a, h) == g.wall_type(g.fundamental, h) == 1
+        assert g.star(a, 1) == g.fundamental
 
     def test_reflect_point(self):
         g = geometry_for(P_INTRO)
-        assert reflect_point(g, Hyperplane(1, 3, 1), (5, 6, 2)) == (4, 6, 3)
+        assert reflect_point(g, (0, 2, 1), (5, 6, 2)) == (4, 6, 3)
         # reflection is an involution fixing the wall
-        assert reflect_point(g, Hyperplane(1, 3, 1), (4, 6, 3)) == (5, 6, 2)
-        assert reflect_point(g, Hyperplane(1, 3, 1), (4, 7, 2)) == (4, 7, 2)
+        assert reflect_point(g, (0, 2, 1), (4, 6, 3)) == (5, 6, 2)
+        assert reflect_point(g, (0, 2, 1), (4, 7, 2)) == (4, 7, 2)
 
 
 class TestAffineElement:
@@ -99,7 +103,7 @@ class TestAffineElement:
 
     def test_reflection_matches_reflect_point(self):
         g = geometry_for(P_INTRO)
-        h = Hyperplane(1, 3, 1)
+        h = (0, 2, 1)
         s = reflection_element(3, 8, h)
         for p in [(5, 6, 2), (0, 0, 0), (4, 9, 0)]:
             assert shifted(s, p, g.rho) == reflect_point(g, h, p)
@@ -178,8 +182,9 @@ class TestGalleries:
             g = geometry_for(params)
             alcoves = gallery_alcoves(g, g.minimal_gallery(g.alcove_of(p)))
             for a in alcoves:
+                w = element_along(g, g.minimal_gallery(a))
                 for t in range(len(g._walls)):
-                    h = wall(g, a, t)
+                    h = element_wall(g, w, t)
                     for b in alcoves:
                         assert g.star(b, t) == star_by_conjugation(g, b, a, h)
 
@@ -188,13 +193,14 @@ class TestGalleries:
             g = geometry_for(params)
             assert len(g._walls) == params.l
             for a in gallery_alcoves(g, g.minimal_gallery(g.alcove_of(p))):
+                w = element_along(g, g.minimal_gallery(a))
                 for t in range(len(g._walls)):
-                    assert g.wall_type(a, wall(g, a, t)) == t
+                    assert g.wall_type(a, element_wall(g, w, t)) == t
 
     def test_wall_type_of_non_bounding_wall(self):
         g = geometry_for(P_RANK1)
         # the wall at level 2 does not bound the fundamental alcove
-        assert g.wall_type(g.fundamental, Hyperplane(1, 2, 2)) is None
+        assert g.wall_type(g.fundamental, (0, 1, 2)) is None
 
     # the parameter sets of the step-degree test, l = 1 to 6
     @pytest.mark.parametrize("params", [
@@ -214,7 +220,7 @@ class TestGalleries:
         types = range(len(g._walls))
 
         def stored(a):
-            return [Hyperplane(i + 1, j + 1, m) for i, j, m in g._alcove_walls[a]]
+            return list(g._alcove_walls[a])
 
         def images(word):
             w = element_along(g, word)
@@ -300,7 +306,7 @@ def _reflection_orbit_oracle(geom, p, n):
         for (i, j) in geom.roots:
             v = geom.value(cur, (i, j))
             for m in range(-4, 5):
-                q = reflect_point(geom, Hyperplane(i + 1, j + 1, m), cur)
+                q = reflect_point(geom, (i, j, m), cur)
                 if q != cur and q not in seen and all(c >= -slack for c in q):
                     seen.add(q)
                     work.append(q)
