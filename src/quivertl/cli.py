@@ -23,7 +23,10 @@ thousands of entries.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
+import stat
 import sys
 
 from . import svg as svg_mod
@@ -72,6 +75,22 @@ def _params(args):
         return Params(args.l, args.e, kappa, args.n)
     except ParamsError as ex:
         raise _CliError(EXIT_CONFIG, str(ex))
+
+
+def _check_out(out):
+    """Reject an ``--out`` that is a directory, or whose directory is
+    missing or not a directory, before anything is computed, with the
+    reason ``open`` would give; ``_emit`` still reports any other failure
+    to open it."""
+    if out is None:
+        return
+    try:
+        if os.path.isdir(out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not stat.S_ISDIR(os.stat(os.path.dirname(out) or ".").st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+    except OSError as ex:
+        raise _CliError(EXIT_CONFIG, "cannot write %s: %s" % (out, ex.strerror))
 
 
 def _emit(text, out):
@@ -303,6 +322,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except _CliError as ex:
         print("error: %s" % ex, file=sys.stderr)

@@ -8,33 +8,41 @@ rho_i = e - kappa_i.  Alcoves are the connected components of the
 complement of the hyperplane arrangement; the fundamental alcove is the
 one containing the origin.
 
-An alcove is its floor vector: for each positive root e_i - e_j (i < j)
-the integer part of <x + rho, e_i - e_j> / e.  Each alcove met so far also
-carries its l walls by type in ``Geometry._alcove_walls``, as 0-based
-triples (i, j, m) for the hyperplane <x + rho, e_i - e_j> = m * e.  That
-triple is the package's one model of a wall: ``Geometry.classify`` returns
-the walls through a point as the same triples.  The walls of the
-fundamental alcove, ``Geometry._walls``, are the candidate hyperplanes
-whose reflection of the origin changes exactly one floor; the index t of a
-wall there is its type, and a gallery from the fundamental alcove is the
-word of the wall types it crosses.
+An alcove is its floor vector a: for each positive root e_i - e_j (i < j)
+the integer part of <x + rho, e_i - e_j> / e.  A wall is the 0-based
+triple (i, j, m), i < j, of the hyperplane <x + rho, e_i - e_j> = m * e;
+``Geometry.classify`` returns the walls through a point as such triples.
+
+The floors fix the walls (J.-Y. Shi, Alcoves corresponding to an affine
+Weyl group, J. London Math. Soc. 1987).  With y = (x + rho) / e, let
+fl(i, j) be the integer part of y_i - y_j: a[r(i, j)] for i < j and
+-a[r(j, i)] - 1 for i > j.  Put F_0 = 0 and F_j = fl(j, 0).  Ordering
+the indices by decreasing fractional part of y_j - y_0, k comes before j
+exactly when fl(k, j) == F_k - F_j, and 0 comes last; call the order
+s(1), ..., s(l).  For k = 1 .. l-1 the wall opposite vertex k is the root
+(s(k), s(k+1)) at level F_s(k) - F_s(k+1), and the wall opposite vertex 0
+is (s(1), s(l)) at level F_s(1) - F_s(l) + 1; a root (i, j) with i > j is
+written (j, i) at the negated level.  Vertex k has colour (sum F + k)
+mod l, and walls opposite vertices of one colour have one type, fixed on
+the fundamental alcove: there a wall's type is its index in sorted triple
+order, ``Geometry._walls``.  For l = 1 there are no walls.
+``Geometry.walls`` memoises the walls of each alcove it is asked for.  A
+gallery from the fundamental alcove is the word of the wall types it
+crosses.
 
 The wall-crossing ("star") operation takes b = v . fundamental to
 v s_t . fundamental, the reflection of b in its wall h of type t: the
-floor of h's root moves to the other side of h (m - 1 <-> m), and since
-s_h = v s_t v^-1 the walls of the new alcove are b's walls reflected in h,
-type by type.  Minimal galleries are built by crossing, the same way, the
-first wall of the current alcove on the side of the target.
+floor of h's root moves to the other side of h (m - 1 <-> m).  Minimal
+galleries are built by crossing, the same way, the first wall of the
+current alcove on the side of the target.
 
 ``Geometry.step_degree``, the degree of a unit step of a path, is the one
 step degree of the package; the path-count DP caches it per move.
-
-``Geometry.star`` is memoised in ``geom.caches["stars"]`` under ``(b, t)``.
-Blocks at n and n + l are shifted copies with the same alcoves and
-crossings, so most calls within a process are repeats.
 """
 
 from __future__ import annotations
+
+from operator import sub
 
 
 class InternalMismatch(RuntimeError):
@@ -47,7 +55,7 @@ class SingularPoint(ValueError):
 
 
 class Geometry:
-    """Alcove-geometry context for one parameter set, with memoised alcoves."""
+    """Alcove-geometry context for one parameter set."""
 
     def __init__(self, params):
         self.l = params.l
@@ -58,21 +66,13 @@ class Geometry:
             (self.rho[i] - self.rho[j]) // self.e for (i, j) in self.roots
         )
         self._root_index = {root: r for r, root in enumerate(self.roots)}
-        # walls of the fundamental alcove as 0-based (i, j, level): the
-        # candidate hyperplanes whose reflection of the origin changes
-        # exactly one floor; a wall's index here is its type
-        self._walls = []
-        for r, (i, j) in enumerate(self.roots):
-            for m in (self.fundamental[r], self.fundamental[r] + 1):
-                # the origin reflected in the hyperplane (i, j, m)
-                v = self.rho[i] - self.rho[j] - m * self.e
-                image = [0] * self.l
-                image[i], image[j] = -v, v
-                moved = self.floors_of(image)
-                if sum(f != f0 for f, f0 in zip(moved, self.fundamental)) == 1:
-                    self._walls.append((i, j, m))
-        # the walls of every alcove met so far, by type
-        self._alcove_walls = {self.fundamental: tuple(self._walls)}
+        # the fundamental walls in sorted order, a wall's index being its
+        # type, and the type of each vertex colour
+        coloured = sorted(self._coloured_walls(self.fundamental))
+        self._walls = [wall for wall, _ in coloured]
+        self._colour_type = {colour: t for t, (_, colour) in enumerate(coloured)}
+        # the walls of every alcove asked for, by type
+        self._wall_memo = {self.fundamental: tuple(self._walls)}
         # scratch caches for other layers (alcove functions, path closures)
         self.caches = {}
 
@@ -83,8 +83,8 @@ class Geometry:
         return (p[i] + self.rho[i]) - (p[j] + self.rho[j])
 
     def classify(self, p):
-        """The walls through p in root order, as the (i, j, m) triples that
-        alcoves carry (empty exactly when p is regular)."""
+        """The walls through p in root order, as the (i, j, m) triples of
+        ``walls`` (empty exactly when p is regular)."""
         out = []
         for (i, j) in self.roots:
             v = self.value(p, (i, j))
@@ -109,7 +109,52 @@ class Geometry:
                 total -= (v0 - v1 > 0) != (origin - v1 > 0)
         return total
 
-    def floors_of(self, p):
+    # -- walls --------------------------------------------------------
+
+    def _coloured_walls(self, a):
+        """The walls of alcove a as (wall, colour of the opposite vertex)
+        pairs, by the formula of the module docstring."""
+        l, index = self.l, self._root_index
+        if l == 1:
+            return []
+
+        def fl(i, j):
+            return a[index[i, j]] if i < j else -a[index[j, i]] - 1
+
+        floors = [0] + [fl(j, 0) for j in range(1, l)]
+        order = [0] * l
+        for k in range(l):
+            # k's place in the order is the number of indices before it
+            place = sum(fl(j, k) == floors[j] - floors[k] for j in range(l) if j != k)
+            order[place] = k
+        out = []
+        total = sum(floors)
+        for k in range(l):
+            # k = 0 wraps round: (s(l), s(1)) at F_s(l) - F_s(1) - 1
+            i, j = order[k - 1], order[k]
+            m = floors[i] - floors[j] - (k == 0)
+            out.append(((i, j, m) if i < j else (j, i, -m), (total + k) % l))
+        return out
+
+    def walls(self, a):
+        """The walls of alcove a by type, memoised per alcove."""
+        got = self._wall_memo.get(a)
+        if got is None:
+            got = [None] * len(self._walls)
+            for wall, colour in self._coloured_walls(a):
+                got[self._colour_type[colour]] = wall
+            got = self._wall_memo[a] = tuple(got)
+        return got
+
+    def wall_type(self, a, h):
+        """The type of h among the walls of alcove a, or None when h does
+        not bound a."""
+        walls = self.walls(a)
+        return walls.index(h) if h in walls else None
+
+    # -- alcoves ------------------------------------------------------
+
+    def alcove_of(self, p):
         out = []
         for root in self.roots:
             v = self.value(p, root)
@@ -118,51 +163,8 @@ class Geometry:
             out.append(v // self.e)
         return tuple(out)
 
-    def _gallery_to(self, target):
-        """Cross walls from the fundamental alcove to the floor vector
-        ``target``, returning the word of wall types crossed.
-
-        Each step crosses the first wall of the current alcove on the side
-        of the target, which lowers the floor distance to the target by
-        exactly 1, so the gallery is minimal (Humphreys, Reflection Groups
-        and Coxeter Groups, 4.5).  The crossing is ``star``'s, unmemoised:
-        whether a gallery is walked at all depends on which alcoves earlier
-        calls met, and the counted ``star`` calls must not.
-        """
-        word = []
-        cur = self.fundamental
-        while cur != target:
-            walls = self._alcove_walls[cur]
-            for t in range(len(self._walls)):
-                i, j, m = walls[t]
-                r = self._root_index[i, j]
-                d = target[r] - cur[r]
-                if d and (d > 0) == (m > cur[r]):
-                    break
-            else:
-                raise InternalMismatch(
-                    "no wall separates alcove %r from %r" % (cur, target)
-                )
-            word.append(t)
-            cur = self._star(cur, t)
-        return tuple(word)
-
-    def wall_type(self, a, h):
-        """The type of h among the walls of alcove a, or None when h does
-        not bound a."""
-        walls = self._alcove_walls[a]
-        return walls.index(h) if h in walls else None
-
-    # -- alcoves ------------------------------------------------------
-
-    def alcove_of(self, p):
-        floors = self.floors_of(p)
-        if floors not in self._alcove_walls:
-            self._gallery_to(floors)
-        return floors
-
     def length(self, a):
-        return sum(abs(f - f0) for f, f0 in zip(a, self.fundamental))
+        return sum(map(abs, map(sub, a, self.fundamental)))
 
     def point_length(self, p):
         """Hyperplanes strictly separating p from the fundamental alcove.
@@ -182,23 +184,35 @@ class Geometry:
 
     def minimal_gallery(self, target):
         """A minimal gallery from the fundamental alcove to the alcove
-        ``target``, as the word of the wall types it crosses; see
-        ``_gallery_to``."""
-        return self._gallery_to(target)
+        ``target``, as the word of the wall types it crosses.
+
+        Each step crosses the first wall of the current alcove on the side
+        of the target, which lowers the floor distance to the target by
+        exactly 1, so the gallery is minimal (Humphreys, Reflection Groups
+        and Coxeter Groups, 4.5).
+        """
+        word = []
+        cur = self.fundamental
+        while cur != target:
+            walls = self.walls(cur)
+            for t in range(len(self._walls)):
+                i, j, m = walls[t]
+                r = self._root_index[i, j]
+                d = target[r] - cur[r]
+                if d and (d > 0) == (m > cur[r]):
+                    break
+            else:
+                raise InternalMismatch(
+                    "no wall separates alcove %r from %r" % (cur, target)
+                )
+            word.append(t)
+            cur = self.star(cur, t)
+        return tuple(word)
 
     def star(self, b, t):
         """Reflect alcove b = v . fundamental in its own wall of type t,
-        giving v s_t . fundamental, whose walls it stores.  Memoised in
-        ``caches["stars"]``; a call that raises stores nothing.
-        """
-        memo = self.caches.setdefault("stars", {})
-        got = memo.get((b, t))
-        if got is None:
-            got = memo[b, t] = self._star(b, t)
-        return got
-
-    def _star(self, b, t):
-        walls = self._alcove_walls[b]
+        giving v s_t . fundamental."""
+        walls = self.walls(b)
         i, j, m = walls[t]
         r = self._root_index[i, j]
         if m not in (b[r], b[r] + 1):
@@ -210,10 +224,6 @@ class Geometry:
             raise InternalMismatch(
                 "wall crossing from alcove %r to %r changed length by more than 1"
                 % (b, floors)
-            )
-        if floors not in self._alcove_walls:
-            self._alcove_walls[floors] = tuple(
-                _reflect_wall(w, i, j, m) for w in walls
             )
         return floors
 
@@ -233,18 +243,6 @@ class Geometry:
             if self._orbit_key(q) == want:
                 out.append(q)
         return out
-
-
-def _reflect_wall(wall, i, j, m):
-    """The image of the wall (p, q, k) under the reflection in the wall
-    (i, j, m): swap i and j, and shift the level by the reflection's
-    translation, +m * e at i and -m * e at j."""
-    p, q, k = wall
-    swap = {i: j, j: i}
-    shift = {i: m, j: -m}
-    k -= shift.get(p, 0) - shift.get(q, 0)
-    p, q = swap.get(p, p), swap.get(q, q)
-    return (p, q, k) if p < q else (q, p, -k)
 
 
 def compositions(n, l):

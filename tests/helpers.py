@@ -214,7 +214,7 @@ def star_by_conjugation(geom, b, a, h):
     v = element_along(geom, geom.minimal_gallery(b))
     s = reflection_element(geom.l, geom.e, h)
     conjugated = v.compose(inverse(w).compose(s).compose(w))
-    return geom.floors_of(shifted(conjugated, (0,) * geom.l, geom.rho))
+    return geom.alcove_of(shifted(conjugated, (0,) * geom.l, geom.rho))
 
 
 def evaluate_at_points(params, fn, points):

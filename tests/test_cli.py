@@ -193,26 +193,27 @@ class TestOutputs:
             assert expected in err
 
     def test_geometry_check_failure_is_a_mismatch(self, capsys, monkeypatch):
-        # each input breaks one geometry check on a fresh Geometry; every
-        # check fails first at the fundamental alcove, (0, 0, 0), whose
-        # wall of type 0 is (0, 1, 0)
+        # each input breaks one check of Geometry.star on a fresh Geometry;
+        # every check fails first at the fundamental alcove, (0, 0, 0),
+        # whose wall of type 0 is (0, 1, 0)
+        params = Params(3, 8, (0, 4, 6), 13)
         for attr, check in [
-            ("_walls", "no wall separates alcove"),
             ("length", "changed length by more than 1"),
-            ("_alcove_walls", "wall (0, 1, -1) of type 0 does not bound alcove"),
+            ("walls", "wall (0, 1, -1) of type 0 does not bound alcove"),
         ]:
             with monkeypatch.context() as m:
                 m.setattr(geometry, "_GEOMETRIES", {})
-                g = geometry.geometry_for(Params(3, 8, (0, 4, 6), 13))
-                if attr == "_walls":
-                    m.setattr(g, "_walls", [])
-                elif attr == "length":
+                g = geometry.geometry_for(params)
+                if attr == "length":
                     m.setattr(g, "length", lambda key: 0)
                 else:
-                    # the wall of type 0 one level below its true one
+                    # the wall of type 0 one level below its true one; the
+                    # gallery check of alcove_series would see it first, so
+                    # it reads the wall types of an untouched Geometry
+                    m.setattr(g, "wall_type", geometry.Geometry(params).wall_type)
                     walls = list(g._walls)
                     walls[0] = (0, 1, -1)
-                    m.setitem(g._alcove_walls, g.fundamental, tuple(walls))
+                    m.setitem(g._wall_memo, g.fundamental, tuple(walls))
                 code = main(["decompose"] + INTRO + ["--mu", "4,9,0"])
             err = capsys.readouterr().err
             assert code == EXIT_MISMATCH
@@ -265,9 +266,11 @@ class TestOutputs:
         assert out == ""
         json.loads(target.read_text())
 
-    @pytest.mark.parametrize("where", ["missing/report.json", "."])
+    @pytest.mark.parametrize("where", ["missing/report.json", ".", "file/report.json"])
     def test_unwritable_out_file(self, capsys, tmp_path, where):
-        # a missing parent directory and a directory itself
+        # a missing parent directory, a directory itself and a parent that
+        # is a file
+        (tmp_path / "file").write_text("")
         target = tmp_path / where
         code = main(["blocks"] + RANK1 + ["--out", str(target)])
         captured = capsys.readouterr()
@@ -275,6 +278,22 @@ class TestOutputs:
         assert captured.out == ""
         assert captured.err.startswith("error: cannot write %s: " % target)
         assert "Traceback" not in captured.err
+
+    def test_unwritable_out_file_is_rejected_first(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # the --out check comes before the block is computed
+        def never(params, block):
+            raise AssertionError("decomposition_matrix was called")
+
+        monkeypatch.setattr(cli, "decomposition_matrix", never)
+        target = tmp_path / "missing" / "out.json"
+        code = main(["decompose"] + INTRO + ["--mu", "4,9,0", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err == (
+            "error: cannot write %s: No such file or directory\n" % target
+        )
 
 
 class TestDeterminism:

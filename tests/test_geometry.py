@@ -7,7 +7,13 @@ independent brute-force oracles built from single reflections only.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivertl.geometry import Geometry, SingularPoint, compositions, geometry_for
+from quivertl.geometry import (
+    Geometry,
+    InternalMismatch,
+    SingularPoint,
+    compositions,
+    geometry_for,
+)
 from quivertl.params import Params, ParamsError
 
 from helpers import (
@@ -70,14 +76,14 @@ class TestClassify:
         # (4+8) - (2+2) = 8, one wall between components 1 and 3
         g = geometry_for(P_INTRO)
         assert g.classify((4, 7, 2)) == [(0, 2, 1)]
-        # it is the very triple that the alcove of (5, 6, 2) and the
-        # fundamental alcove carry, of type 1 in both, and crossing it
+        # it is the very triple that bounds the alcove of (5, 6, 2) and the
+        # fundamental alcove, of type 1 in both, and crossing it
         # leads from one to the other
         h = (0, 2, 1)
         a = g.alcove_of((5, 6, 2))
         assert a == (0, 1, 0)
-        assert g._alcove_walls[a][1] == h
-        assert g._alcove_walls[g.fundamental][1] == h
+        assert g.walls(a)[1] == h
+        assert g.walls(g.fundamental)[1] == h
         assert g.wall_type(a, h) == g.wall_type(g.fundamental, h) == 1
         assert g.star(a, 1) == g.fundamental
 
@@ -112,16 +118,16 @@ class TestAffineElement:
 class TestAlcoves:
     def test_floors_and_length(self):
         g = geometry_for(P_INTRO)
-        assert g.floors_of((4, 6, 3)) == g.fundamental
+        assert g.alcove_of((4, 6, 3)) == g.fundamental
         assert g.length(g.alcove_of((4, 6, 3))) == 0
         assert g.length(g.alcove_of((5, 6, 2))) == 1
         assert g.length(g.alcove_of((4, 9, 0))) == 3
 
     def test_rank1_alcoves(self):
         g = geometry_for(P_RANK1)
-        assert g.floors_of((5, 6)) == g.fundamental
-        assert g.floors_of((4, 7)) == (-1,)
-        assert g.floors_of((0, 11)) == (-3,)
+        assert g.alcove_of((5, 6)) == g.fundamental
+        assert g.alcove_of((4, 7)) == (-1,)
+        assert g.alcove_of((0, 11)) == (-3,)
 
     def test_singular_has_no_alcove(self):
         with pytest.raises(SingularPoint):
@@ -135,7 +141,7 @@ class TestAlcoves:
             image = shifted(elem, (0, 0, 0), g.rho)
             # the origin's image lies in the same alcove (it may be singular
             # only if the origin were, which it is not)
-            assert g.floors_of(image) == key
+            assert g.alcove_of(image) == key
 
 
 # targets of galleries at l = 3, 4 and 5, an orthogonal pair among them
@@ -213,14 +219,15 @@ class TestGalleries:
     ])
     def test_carried_walls_match_reference(self, params):
         # every alcove within 4 crossings of the fundamental one, found
-        # breadth-first by star: its stored walls are the images of the
-        # fundamental walls under the element of a minimal gallery to it,
-        # and under the element of every gallery of the search reaching it
+        # breadth-first by star: its walls, computed from its floors, are
+        # the images of the fundamental walls under the element of a
+        # minimal gallery to it, and under the element of every gallery of
+        # the search reaching it
         g = Geometry(params)
         types = range(len(g._walls))
 
-        def stored(a):
-            return list(g._alcove_walls[a])
+        def computed(a):
+            return list(g.walls(a))
 
         def images(word):
             w = element_along(g, word)
@@ -233,13 +240,56 @@ class TestGalleries:
             for b in layer:
                 for t in types:
                     a = g.star(b, t)
-                    assert stored(a) == images(words[b] + (t,))
+                    assert computed(a) == images(words[b] + (t,))
                     if a not in words:
                         words[a] = words[b] + (t,)
                         found.append(a)
             layer = found
         for a in words:
-            assert stored(a) == images(g.minimal_gallery(a))
+            assert computed(a) == images(g.minimal_gallery(a))
+
+    @pytest.mark.parametrize("params", [
+        Params(2, 5, (3, 0)),
+        Params(3, 8, (0, 4, 6)),
+        Params(3, 9, (5, 1, 7)),
+        Params(4, 12, (6, 3, 0, 8)),
+        Params(5, 11, (4, 0, 8, 2, 6)),
+    ])
+    def test_walls_properties(self, params):
+        # reference-free: on every alcove within 6 crossings of the
+        # fundamental one, found breadth-first, crossing a wall of type t
+        # is an involution that keeps the wall, moves the length by 1, and
+        # every wall bounds its alcove with its type as its index
+        g = Geometry(params)
+        seen = {g.fundamental}
+        layer = [g.fundamental]
+        for _ in range(6):
+            found = []
+            for b in layer:
+                walls = g.walls(b)
+                assert len(walls) == params.l
+                for t, (i, j, m) in enumerate(walls):
+                    r = g.roots.index((i, j))
+                    assert m in (b[r], b[r] + 1)
+                    assert g.wall_type(b, walls[t]) == t
+                    a = g.star(b, t)
+                    assert abs(g.length(a) - g.length(b)) == 1
+                    assert g.star(a, t) == b
+                    assert g.walls(a)[t] == walls[t]
+                    if a not in seen:
+                        seen.add(a)
+                        found.append(a)
+            layer = found
+
+    def test_minimal_gallery_without_a_separating_wall(self):
+        g = Geometry(P_INTRO)
+        target = g.alcove_of((4, 9, 0))
+        g._walls = []
+        with pytest.raises(InternalMismatch) as info:
+            g.minimal_gallery(target)
+        assert str(info.value) == "no wall separates alcove %r from %r" % (
+            g.fundamental, target,
+        )
 
     def test_separating_count_against_reflection_oracle(self):
         # oracle: breadth-first search through single wall crossings

@@ -198,7 +198,7 @@ class TestAlcoveSeries:
         word = alcove_series(P_INTRO, distinguished_path(P_INTRO, (4, 9, 0)))
         alcoves = gallery_alcoves(g, word)
         assert [g.length(a) for a in alcoves] == [0, 1, 2, 3]
-        assert [g._alcove_walls[a][t] for a, t in zip(alcoves, word)] == [
+        assert [g.walls(a)[t] for a, t in zip(alcoves, word)] == [
             (0, 2, 1), (1, 2, 1), (0, 1, 0),
         ]
 
