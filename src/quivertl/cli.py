@@ -12,8 +12,8 @@ Subcommands:
 ``decompose`` counts paths without enumerating them; ``paths`` and ``svg``
 enumerate reflection closures and take ``--budget``, a cap on their size.
 
-Exit codes: 0 success, 2 configuration error (an unwritable ``--out``
-among them), 3 cross-check mismatch, 4 path-closure budget exceeded
+Exit codes: 0 success, 2 configuration error (an empty or unwritable
+``--out`` among them), 3 cross-check mismatch, 4 path-closure budget exceeded
 (``paths`` and ``svg`` only).  Reports are byte-deterministic.  JSON
 reports are ``json.dumps(report, indent=2)``; the ``decompose`` one is
 rendered directly as text, to the same bytes, since its tables run to
@@ -78,13 +78,15 @@ def _params(args):
 
 
 def _check_out(out):
-    """Reject an ``--out`` that is a directory, or whose directory is
-    missing or not a directory, before anything is computed, with the
+    """Reject an ``--out`` that is empty or a directory, or whose directory
+    is missing or not a directory, before anything is computed, with the
     reason ``open`` would give; ``_emit`` still reports any other failure
     to open it."""
     if out is None:
         return
     try:
+        if not out:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
         if os.path.isdir(out):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         if not stat.S_ISDIR(os.stat(os.path.dirname(out) or ".").st_mode):
@@ -94,7 +96,7 @@ def _check_out(out):
 
 
 def _emit(text, out):
-    if out:
+    if out is not None:
         try:
             with open(out, "w") as fh:
                 fh.write(text)

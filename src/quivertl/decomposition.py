@@ -177,16 +177,14 @@ def decomposition_matrix(params, block):
             raise InternalMismatch(
                 "distinguished path of mu=%s: %s" % (list(mu), exc)
             ) from exc
-        m_fn, n_fn, e_fn, target = run_all(params, series)
-        if target != alcove[mu]:
-            raise InternalMismatch("gallery did not end at the alcove of mu")
+        m_fn, n_fn, e_fn, _ = run_all(params, series)
         for lam in regs:
             key = alcove[lam]
             m = m_fn.get(key, ZERO)
             if m != dims[(lam, mu)]:
                 raise InternalMismatch(
-                    "graded dimension mismatch at %r, %r: %s vs %s"
-                    % (lam, mu, m, dims[(lam, mu)])
+                    "recursion route: graded dimension mismatch at lambda=%s, "
+                    "mu=%s: %s vs %s" % (list(lam), list(mu), m, dims[(lam, mu)])
                 )
             entries[(lam, mu)] = n_fn.get(key, ZERO)
             characters[(lam, mu)] = e_fn.get(key, ZERO)
@@ -206,11 +204,11 @@ def kn_oracle(params, block):
 
     Most characters are zero, so the sum runs only over the nu of the
     column already solved with c(nu, mu) != 0, and multiplies only where
-    d(lam, nu) != 0.  That is exact because each column first checks that
-    every other weight nu its count reaches, count(nu, mu) != 0, lies in a
-    strictly shorter alcove than mu: a nonzero d(lam, nu) * c(nu, mu) then
-    needs length(lam) < length(nu) < length(mu), so both of its factors are
-    solved before the pair (lam, mu).
+    d(lam, nu) != 0.  That is exact because each row checks, before it is
+    split, that it is shorter than mu (paths out of mu only reach shorter
+    alcoves): a nonzero d(lam, nu) * c(nu, mu) then needs length(lam) <
+    length(nu) < length(mu), so both of its factors are solved before the
+    pair (lam, mu).
     """
     geom = geometry_for(params)
     regs = block.regular_members()
@@ -224,13 +222,17 @@ def kn_oracle(params, block):
     # the nonzero off-diagonal decomposition numbers of each row, by column
     row_dec = {lam: {} for lam in regs}
     for mu in sorted(regs, key=lambda q: (length[q], q)):
-        _check_column_lengths(counts, length, regs, rows, mu)
         support = []  # (nu, c(nu, mu)) for the solved nu != mu with c != 0
         for lam in rows:
             if lam == mu:
                 char = dec = ONE
             elif not counts[(lam, mu)]:
                 char = dec = ZERO
+            elif length[lam] >= length[mu]:
+                raise InternalMismatch(
+                    "path-counting oracle: weight %s is reached from mu=%s but "
+                    "its alcove is not shorter" % (list(lam), list(mu))
+                )
             else:
                 f = counts[(lam, mu)]
                 decs = row_dec[lam]
@@ -252,33 +254,6 @@ def kn_oracle(params, block):
             entries[(lam, mu)] = dec
             characters[(lam, mu)] = char
     return DecompositionMatrix(block, entries, characters, counts)
-
-
-def _check_column_lengths(counts, length, regs, rows, mu):
-    """Raise InternalMismatch unless every regular nu != mu with
-    count(nu, mu) != 0 lies in a strictly shorter alcove than mu (paths
-    out of mu only reach shorter alcoves).  When some row lam is reached
-    from both nu and mu, the message names the first such lam in ``rows``."""
-    bad = [
-        nu for nu in regs
-        if nu != mu and counts[(nu, mu)] and length[nu] >= length[mu]
-    ]
-    if not bad:
-        return
-    for lam in rows:
-        if lam == mu or not counts[(lam, mu)]:
-            continue
-        for nu in bad:
-            if nu != lam and counts[(lam, nu)]:
-                raise InternalMismatch(
-                    "path-counting oracle: intermediate weight %s is "
-                    "outside the length gap at lambda=%s, mu=%s"
-                    % (list(nu), list(lam), list(mu))
-                )
-    raise InternalMismatch(
-        "path-counting oracle: weight %s is reached from mu=%s but its "
-        "alcove is not shorter" % (list(bad[0]), list(mu))
-    )
 
 
 def first_difference(a, b):

@@ -219,13 +219,7 @@ class Geometry:
             raise InternalMismatch(
                 "wall %r of type %d does not bound alcove %r" % (walls[t], t, b)
             )
-        floors = b[:r] + (2 * m - 1 - b[r],) + b[r + 1:]
-        if abs(self.length(floors) - self.length(b)) != 1:
-            raise InternalMismatch(
-                "wall crossing from alcove %r to %r changed length by more than 1"
-                % (b, floors)
-            )
-        return floors
+        return b[:r] + (2 * m - 1 - b[r],) + b[r + 1:]
 
     # -- orbits -------------------------------------------------------
 

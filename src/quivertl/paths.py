@@ -73,19 +73,6 @@ class PathWord:
     def __len__(self):
         return len(self.steps)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PathWord)
-            and self.l == other.l
-            and self.steps == other.steps
-        )
-
-    def __hash__(self):
-        return hash((self.l, self.steps))
-
-    def __repr__(self):
-        return "PathWord(l=%d, steps=%r)" % (self.l, self.steps)
-
     def endpoint(self):
         return self.points[-1]
 

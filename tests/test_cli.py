@@ -27,19 +27,43 @@ class TestExitCodes:
         assert code == EXIT_OK
 
     def test_bad_multicharge(self, capsys):
-        code, _ = run(capsys, ["blocks", "--l", "2", "--e", "4",
-                               "--kappa", "0,1", "--n", "5"])
-        assert code == EXIT_CONFIG
+        # adjacent residues, and a residue that is not an integer
+        for kappa in ["0,1", "0,x"]:
+            code, _ = run(capsys, ["blocks", "--l", "2", "--e", "4",
+                                   "--kappa", kappa, "--n", "5"])
+            assert code == EXIT_CONFIG
 
     def test_bad_multipartition(self, capsys):
-        code, _ = run(capsys, ["paths"] + RANK1 +
-                      ["--lambda", "0,x", "--mu", "0,11"])
-        assert code == EXIT_CONFIG
+        # a part that is not an integer, the wrong number of parts and a
+        # negative part (given as --mu=..., or argparse takes it for an
+        # option)
+        for argv, message in [
+            (["paths"] + RANK1 + ["--lambda", "0,x", "--mu", "0,11"],
+             "bad multipartition '0,x'"),
+            (["decompose"] + RANK1 + ["--mu", "0,11,0"],
+             "'0,11,0' needs 2 nonnegative parts"),
+            (["decompose"] + RANK1 + ["--mu=-1,12"],
+             "'-1,12' needs 2 nonnegative parts"),
+            (["svg"] + RANK1 + ["--mu=12,-1"], "'12,-1' needs 2 nonnegative parts"),
+        ]:
+            assert main(argv) == EXIT_CONFIG
+            assert message in capsys.readouterr().err
 
     def test_wrong_box_count(self, capsys):
-        code, _ = run(capsys, ["paths"] + RANK1 +
-                      ["--lambda", "0,10", "--mu", "0,11"])
+        for argv in [
+            ["paths"] + RANK1 + ["--lambda", "0,10", "--mu", "0,11"],
+            ["decompose"] + RANK1 + ["--mu", "0,10"],
+            ["svg"] + RANK1 + ["--mu", "0,10"],
+            ["svg"] + RANK1 + ["--lambda", "4,6", "--mu", "0,11"],
+        ]:
+            code, _ = run(capsys, argv)
+            assert code == EXIT_CONFIG
+
+    def test_svg_rank_too_high(self, capsys):
+        code, out = run(capsys, ["svg", "--l", "4", "--e", "8", "--kappa",
+                                 "0,2,4,6", "--n", "13", "--mu", "3,3,3,4"])
         assert code == EXIT_CONFIG
+        assert out == ""
 
     def test_budget_exceeded(self, capsys):
         code, _ = run(capsys, ["paths"] + INTRO +
@@ -169,11 +193,10 @@ class TestOutputs:
             # no bar-symmetric plus positive split exists
             (((4, 6, 3), (4, 9, 0)), Laurent.term(-3, 7),
              "decomposition of 7*t^-3 - t at lambda=[4, 6, 3], mu=[4, 9, 0]"),
-            # (5, 6, 2) now reaches (2, 8, 3), whose alcove is as long,
-            # and (4, 6, 3) is reached from both
+            # (5, 6, 2) now reaches (2, 8, 3), whose alcove is as long
             (((2, 8, 3), (5, 6, 2)), Laurent.term(1),
-             "[2, 8, 3] is outside the length gap at lambda=[4, 6, 3], "
-             "mu=[5, 6, 2]"),
+             "weight [2, 8, 3] is reached from mu=[5, 6, 2] but its alcove "
+             "is not shorter"),
         ]:
             def dims(params, block):
                 counts = real_dims(params, block)
@@ -193,33 +216,46 @@ class TestOutputs:
             assert expected in err
 
     def test_geometry_check_failure_is_a_mismatch(self, capsys, monkeypatch):
-        # each input breaks one check of Geometry.star on a fresh Geometry;
-        # every check fails first at the fundamental alcove, (0, 0, 0),
-        # whose wall of type 0 is (0, 1, 0)
+        # the level check of Geometry.star fails at the fundamental alcove,
+        # (0, 0, 0), of a fresh Geometry whose wall of type 0 is one level
+        # below its true (0, 1, 0); the gallery check of alcove_series would
+        # see it first, so it reads the wall types of an untouched Geometry
         params = Params(3, 8, (0, 4, 6), 13)
-        for attr, check in [
-            ("length", "changed length by more than 1"),
-            ("walls", "wall (0, 1, -1) of type 0 does not bound alcove"),
-        ]:
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        g = geometry.geometry_for(params)
+        monkeypatch.setattr(g, "wall_type", geometry.Geometry(params).wall_type)
+        walls = list(g._walls)
+        walls[0] = (0, 1, -1)
+        monkeypatch.setitem(g._wall_memo, g.fundamental, tuple(walls))
+        code = main(["decompose"] + INTRO + ["--mu", "4,9,0"])
+        err = capsys.readouterr().err
+        assert code == EXIT_MISMATCH
+        assert "wall (0, 1, -1) of type 0 does not bound alcove (0, 0, 0)" in err
+        assert "Traceback" not in err
+
+    def test_recursion_failure_names_route_and_pair(self, capsys, monkeypatch):
+        # the oracle reads the true counts; only route 1 sees the tampered one
+        real_dims = decomposition._standard_dims
+        real_matrix = cli.decomposition_matrix
+
+        def dims(params, block):
+            counts = real_dims(params, block)
+            counts[((4, 6, 3), (4, 9, 0))] = Laurent.term(0, 5)
+            return counts
+
+        def matrix(params, block):
             with monkeypatch.context() as m:
-                m.setattr(geometry, "_GEOMETRIES", {})
-                g = geometry.geometry_for(params)
-                if attr == "length":
-                    m.setattr(g, "length", lambda key: 0)
-                else:
-                    # the wall of type 0 one level below its true one; the
-                    # gallery check of alcove_series would see it first, so
-                    # it reads the wall types of an untouched Geometry
-                    m.setattr(g, "wall_type", geometry.Geometry(params).wall_type)
-                    walls = list(g._walls)
-                    walls[0] = (0, 1, -1)
-                    m.setitem(g._wall_memo, g.fundamental, tuple(walls))
-                code = main(["decompose"] + INTRO + ["--mu", "4,9,0"])
-            err = capsys.readouterr().err
-            assert code == EXIT_MISMATCH
-            assert check in err
-            assert "alcove %r" % (g.fundamental,) in err
-            assert "Traceback" not in err
+                m.setattr(decomposition, "_standard_dims", dims)
+                return real_matrix(params, block)
+
+        monkeypatch.setattr(cli, "decomposition_matrix", matrix)
+        code = main(["decompose"] + INTRO + ["--mu", "4,9,0"])
+        err = capsys.readouterr().err
+        assert code == EXIT_MISMATCH
+        assert err == (
+            "error: recursion route: graded dimension mismatch at "
+            "lambda=[4, 6, 3], mu=[4, 9, 0]: t + t^3 vs 5\n"
+        )
 
     def test_gallery_failure_is_a_mismatch(self, capsys, monkeypatch):
         # a distinguished path whose gallery check fails is the program's
@@ -257,6 +293,12 @@ class TestOutputs:
         assert code == EXIT_OK
         assert out.startswith("<svg")
         assert out.rstrip().endswith("</svg>")
+        # the two paths from (0, 11) to (4, 7) at l = 2, pinned by sha256
+        code, out = run(capsys, ["svg"] + RANK1 + ["--lambda", "4,7", "--mu", "0,11"])
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "af1ce25381defb8a078ece4fc8746c19998c160d70ac6a9a317d65341b3b3ded"
+        )
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -282,18 +324,20 @@ class TestOutputs:
     def test_unwritable_out_file_is_rejected_first(
         self, capsys, monkeypatch, tmp_path
     ):
-        # the --out check comes before the block is computed
+        # the --out check comes before the block is computed; an empty
+        # --out fails as open("") would, not by falling back to stdout
         def never(params, block):
             raise AssertionError("decomposition_matrix was called")
 
         monkeypatch.setattr(cli, "decomposition_matrix", never)
-        target = tmp_path / "missing" / "out.json"
-        code = main(["decompose"] + INTRO + ["--mu", "4,9,0", "--out", str(target)])
-        captured = capsys.readouterr()
-        assert code == EXIT_CONFIG
-        assert captured.err == (
-            "error: cannot write %s: No such file or directory\n" % target
-        )
+        for target in [str(tmp_path / "missing" / "out.json"), ""]:
+            code = main(["decompose"] + INTRO + ["--mu", "4,9,0", "--out", target])
+            captured = capsys.readouterr()
+            assert code == EXIT_CONFIG
+            assert captured.out == ""
+            assert captured.err == (
+                "error: cannot write %s: No such file or directory\n" % target
+            )
 
 
 class TestDeterminism:

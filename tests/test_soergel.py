@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import quivertl
-from quivertl import geometry
+from quivertl import geometry, soergel
 from quivertl.cli import EXIT_MISMATCH, main
 from quivertl.decomposition import blocks
 from quivertl.geometry import InternalMismatch, geometry_for
@@ -210,6 +210,14 @@ class TestConsistencyChecks:
         # the second crossing of wall type 0 returns to the fundamental alcove
         with pytest.raises(InternalMismatch, match="does not increase length"):
             run_all(P_INTRO, (0, 0))
+
+    def test_m_not_one_at_the_new_gallery_alcove(self, monkeypatch):
+        # a crossing that leaves m as it was keeps it on the fundamental
+        # alcove
+        self.fresh(monkeypatch, P_INTRO)
+        monkeypatch.setattr(soergel, "_cross", lambda geom, fn, t: fn)
+        with pytest.raises(InternalMismatch, match="m is not 1 at the new gallery"):
+            run_all(P_INTRO, (0,))
 
     def test_n_not_one_at_its_alcove(self, monkeypatch):
         g = self.fresh(monkeypatch, P_INTRO)
