@@ -315,7 +315,6 @@ def build_parser():
     _add_common(p_svg)
     p_svg.add_argument("--lambda", dest="lam", default=None)
     p_svg.add_argument("--mu", required=True)
-    p_svg.add_argument("--format", choices=("svg",), default="svg")
     p_svg.set_defaults(func=cmd_svg)
     return parser
 

@@ -149,16 +149,15 @@ class Laurent:
 
 ZERO = Laurent()
 ONE = Laurent.term(0)
-T = Laurent.term(1)
-T_INV = Laurent.term(-1)
 
 
 def split_symmetric(f):
     """Split f = e + n with e bar-symmetric and n supported in degrees >= 1.
 
     The symmetric part is forced: e(-k) = e(k) = f(-k) for k > 0 and
-    e(0) = f(0).  Raises SplitImpossible when the remainder acquires a
-    negative coefficient, i.e. when no such decomposition exists.
+    e(0) = f(0), so n = f - e vanishes in degrees <= 0.  Raises
+    SplitImpossible when n has a negative coefficient, i.e. when no such
+    decomposition exists.
     """
     sym = {}
     for e, c in f.terms.items():
@@ -170,7 +169,7 @@ def split_symmetric(f):
     e_part = Laurent()
     e_part.terms = sym
     n_part = f - e_part
-    if any(c < 0 for c in n_part.terms.values()) or any(e <= 0 for e in n_part.terms):
+    if any(c < 0 for c in n_part.terms.values()):
         raise SplitImpossible("no symmetric + positive decomposition of %s" % f)
     return e_part, n_part
 

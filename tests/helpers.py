@@ -73,6 +73,10 @@ def verify_factorization(params, gallery):
 # -- Laurent polynomials -----------------------------------------------
 
 
+T = Laurent.term(1)
+T_INV = Laurent.term(-1)
+
+
 def _symmetric_power(k):
     """(t + t^-1)^k as a Laurent polynomial."""
     return Laurent({k - 2 * j: comb(k, j) for j in range(k + 1)})

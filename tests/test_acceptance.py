@@ -9,7 +9,7 @@ shift class, since adding a constant to the multicharge changes nothing
 """
 
 from quivertl.geometry import geometry_for
-from quivertl.laurent import Laurent, ONE, T, T_INV, ZERO
+from quivertl.laurent import Laurent, ONE, ZERO
 from quivertl.params import Params, ParamsError
 from quivertl.paths import (
     alcove_series,
@@ -31,6 +31,8 @@ from quivertl.decomposition import (
 from quivertl.tableaux import loading
 
 from helpers import (
+    T,
+    T_INV,
     component_word,
     is_in_plus_semiring,
     semistandard_tableaux,

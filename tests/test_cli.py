@@ -48,6 +48,13 @@ class TestExitCodes:
         ]:
             assert main(argv) == EXIT_CONFIG
             assert message in capsys.readouterr().err
+        # with a space, argparse rejects the option before the program sees it
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose"] + RANK1 + ["--mu", "-1,12"])
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "argument --mu: expected one argument" in err
+        assert "Traceback" not in err
 
     def test_wrong_box_count(self, capsys):
         for argv in [

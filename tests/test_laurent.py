@@ -7,13 +7,11 @@ from quivertl.laurent import (
     Laurent,
     ONE,
     SplitImpossible,
-    T,
-    T_INV,
     ZERO,
     split_symmetric,
 )
 
-from helpers import is_in_plus_semiring
+from helpers import T, T_INV, is_in_plus_semiring
 
 
 def L(*pairs):

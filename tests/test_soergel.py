@@ -13,12 +13,12 @@ from quivertl import geometry, soergel
 from quivertl.cli import EXIT_MISMATCH, main
 from quivertl.decomposition import blocks
 from quivertl.geometry import InternalMismatch, geometry_for
-from quivertl.laurent import Laurent, ONE, T, T_INV, ZERO
+from quivertl.laurent import Laurent, ONE, ZERO
 from quivertl.params import Params
 from quivertl.paths import alcove_series, distinguished_path, graded_path_count
 from quivertl.soergel import n_function, run_all
 
-from helpers import evaluate_at_points, gallery_n, verify_factorization
+from helpers import T, T_INV, evaluate_at_points, gallery_n, verify_factorization
 
 P_RANK1 = Params(2, 4, (0, 2))
 P_INTRO = Params(3, 8, (0, 4, 6))
