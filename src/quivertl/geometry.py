@@ -37,7 +37,21 @@ galleries are built by crossing, the same way, the first wall of the
 current alcove on the side of the target.
 
 ``Geometry.step_degree``, the degree of a unit step of a path, is the one
-step degree of the package; the path-count DP caches it per move.
+step degree of the package; the path-count DP caches it per move.  It
+sums ``Geometry.root_step_degree``, the one per-root rule, over the
+positive roots.  A unit step in coordinate c changes only the values of
+the l - 1 roots that touch c, by +1 or -1, so ``Geometry.__init__`` keeps
+those roots per coordinate (``touches``, in root order, with their signs)
+and the root values at the origin (``origin_values``); ``alcove_series``
+walks a path by updating those values and applies the per-root rule only
+where a value lands on or leaves a multiple of e.
+
+``Geometry.orbit_points`` builds the members of an orbit with n boxes
+directly instead of scanning every composition of n: coordinate c takes
+one of the orbit's (coordinate + rho) residues mod e not yet used, its
+value runs from the least representative upward in steps of e, and the
+last coordinate takes what is left of n.  Every prefix it extends is a
+prefix of a composition, so it visits no more than a scan would.
 """
 
 from __future__ import annotations
@@ -62,9 +76,18 @@ class Geometry:
         self.e = params.e
         self.rho = params.rho
         self.roots = [(i, j) for i in range(self.l) for j in range(i + 1, self.l)]
-        self.fundamental = tuple(
-            (self.rho[i] - self.rho[j]) // self.e for (i, j) in self.roots
+        # the root values at the origin, and for each coordinate the
+        # (root index, sign, i, j) of the roots it touches, in root order
+        self.origin_values = tuple(self.rho[i] - self.rho[j] for i, j in self.roots)
+        self.touches = tuple(
+            tuple(
+                (r, 1 if c == i else -1, i, j)
+                for r, (i, j) in enumerate(self.roots)
+                if c in (i, j)
+            )
+            for c in range(self.l)
         )
+        self.fundamental = tuple(v // self.e for v in self.origin_values)
         self._root_index = {root: r for r, root in enumerate(self.roots)}
         # the fundamental walls in sorted order, a wall's index being its
         # type, and the type of each vertex colour
@@ -92,22 +115,27 @@ class Geometry:
                 out.append((i, j, v // self.e))
         return out
 
+    def root_step_degree(self, r, v0, v1):
+        """Degree of a unit step at the root of index r, whose value moves
+        from v0 to v1: stepping onto a wall from the far side of the origin
+        costs -1, stepping off a wall towards the origin side gains +1, and
+        every other step 0."""
+        e = self.e
+        on0 = v0 % e == 0
+        if on0 == (v1 % e == 0):
+            return 0
+        origin = self.origin_values[r]
+        if on0:
+            return int((v1 > v0) == (origin > v0))
+        return -((v0 > v1) != (origin > v1))
+
     def step_degree(self, p, q):
-        """Degree of the unit step from p to q, summed over positive roots:
-        stepping onto a wall from the far side costs -1, stepping off a
-        wall towards the origin side gains +1, and every other step 0."""
-        total = 0
-        for root in self.roots:
-            v0, v1 = self.value(p, root), self.value(q, root)
-            on0 = v0 % self.e == 0
-            if on0 == (v1 % self.e == 0):
-                continue
-            origin = self.rho[root[0]] - self.rho[root[1]]
-            if on0:
-                total += (v1 - v0 > 0) == (origin - v0 > 0)
-            else:
-                total -= (v0 - v1 > 0) != (origin - v1 > 0)
-        return total
+        """Degree of the unit step from p to q: ``root_step_degree``
+        summed over the positive roots."""
+        return sum(
+            self.root_step_degree(r, self.value(p, root), self.value(q, root))
+            for r, root in enumerate(self.roots)
+        )
 
     # -- walls --------------------------------------------------------
 
@@ -175,9 +203,8 @@ class Geometry:
         of p and of the origin.
         """
         total = 0
-        for root in self.roots:
+        for root, v0 in zip(self.roots, self.origin_values):
             v = self.value(p, root)
-            v0 = self.rho[root[0]] - self.rho[root[1]]
             lo, hi = (v, v0) if v < v0 else (v0, v)
             total += max(0, (hi - 1) // self.e - lo // self.e)
         return total
@@ -228,14 +255,43 @@ class Geometry:
 
     def orbit_points(self, p, n):
         """All points of the shifted W_e-orbit of p with nonnegative
-        coordinates summing to n.  Membership is the exact criterion:
-        equal multisets of (coordinate + rho) residues mod e.
+        coordinates summing to n, in lexicographic order.  Membership is
+        the exact criterion: equal multisets of (coordinate + rho) residues
+        mod e.
+
+        The points are built coordinate by coordinate: each coordinate
+        takes one of p's residues not yet used, its value runs from the
+        least representative upward in steps of e, and the last
+        coordinate takes what is left of n.
         """
-        want = self._orbit_key(p)
+        e, rho, last = self.e, self.rho, self.l - 1
+        unused = {}
+        for c in range(self.l):
+            r = (p[c] + rho[c]) % e
+            unused[r] = unused.get(r, 0) + 1
+        point = [0] * self.l
         out = []
-        for q in compositions(n, self.l):
-            if self._orbit_key(q) == want:
-                out.append(q)
+
+        def extend(c, rest):
+            if c == last:
+                if unused.get((rest + rho[c]) % e):
+                    point[c] = rest
+                    out.append(tuple(point))
+                return
+            # (least representative, residue), so that within each window
+            # of e values the values come in increasing order
+            starts = sorted(((r - rho[c]) % e, r) for r, k in unused.items() if k)
+            for base in range(0, rest + 1, e):
+                for start, r in starts:
+                    v = base + start
+                    if v > rest:
+                        break
+                    unused[r] -= 1
+                    point[c] = v
+                    extend(c + 1, rest - v)
+                    unused[r] += 1
+
+        extend(0, n)
         return out
 
 

@@ -173,33 +173,55 @@ def alcove_series(params, path):
 
     Admissible means that every proper prefix has degree 0 and that any
     two walls through a common point touch disjoint coordinate pairs; one
-    walk over the points checks this and collects the walls each step
-    lands on (in root order) before any is crossed.  A step that leaves
-    one wall for an orthogonal one skips an alcove, which the crossings
-    still insert.  Validated to be a minimal gallery of lengths 0, 1, ..., k.
+    walk over the steps checks this and collects the walls each step
+    lands on (in root order) before any is crossed.  The walk keeps the
+    root values of the current point and, per coordinate, the number of
+    walls through it that touch that coordinate; a step updates the l - 1
+    values its coordinate touches (``Geometry.touches``), and only a root
+    that lands on or leaves a wall adds to the degree or changes the
+    walls.  A step that leaves one wall for an orthogonal one skips an
+    alcove, which the crossings still insert.  Validated to be a minimal
+    gallery of lengths 0, 1, ..., k.
     """
     geom = geometry_for(params)
+    e = geom.e
+    values = list(geom.origin_values)
+    # the origin is regular: Params keeps the residues distinct
+    touching = [0] * geom.l
     landed = []
     running = 0
-    walls = []  # the origin is regular: Params keeps the residues distinct
-    for k in range(1, len(path) + 1):
-        prev, walls = walls, geom.classify(path.points[k])
-        pairs = [c for i, j, _ in walls for c in (i, j)]
-        running += geom.step_degree(path.points[k - 1], path.points[k])
-        landed += [h for h in walls if h not in prev]
-        if len(set(pairs)) < len(pairs) or (running and k < len(path)):
+    last = len(path)
+    for k, s in enumerate(path.steps, 1):
+        new = len(landed)
+        for r, sign, i, j in geom.touches[s - 1]:
+            v0 = values[r]
+            v1 = values[r] = v0 + sign
+            if v0 % e == 0:
+                running += geom.root_step_degree(r, v0, v1)
+                touching[i] -= 1
+                touching[j] -= 1
+            elif v1 % e == 0:
+                running += geom.root_step_degree(r, v0, v1)
+                touching[i] += 1
+                touching[j] += 1
+                landed.append((i, j, v1 // e))
+        # only the walls just landed on can share a coordinate with another
+        if (running and k < last) or any(
+            touching[i] > 1 or touching[j] > 1 for i, j, _ in landed[new:]
+        ):
             raise NotAdmissible("path %r is not admissible" % (path.steps,))
     word = []
     cur = geom.fundamental
+    length = 0
     for h in landed:
         t = geom.wall_type(cur, h)
         if t is None:
             raise NotAGallery("hyperplane %r does not bound alcove %r" % (h, cur))
-        nxt = geom.star(cur, t)
-        if geom.length(nxt) != geom.length(cur) + 1:
+        cur = geom.star(cur, t)
+        if geom.length(cur) != length + 1:
             raise NotAGallery("crossing %r does not move away from the origin" % (h,))
+        length += 1
         word.append(t)
-        cur = nxt
-    if not walls and cur != geom.alcove_of(path.endpoint()):
+    if not any(touching) and cur != geom.alcove_of(path.endpoint()):
         raise NotAGallery("gallery does not end at the endpoint's alcove")
     return tuple(word)

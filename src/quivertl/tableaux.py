@@ -29,22 +29,23 @@ from .geometry import geometry_for
 from .laurent import Laurent
 
 
-def node_loading(params, r, m):
-    """Loading value of the node in row r (1-based) of component m (1-based)."""
-    return (m - 1) + params.l * (r - 1)
-
-
 def node_residue(params, r, m):
     return (params.kappa[m - 1] + 1 - r) % params.e
 
 
 def loading(params, lam):
-    """The loading of lam: (x, residue, component) triples sorted by x."""
+    """The loading of lam: (x, residue, component) triples sorted by x.
+
+    x = (m-1) + l*(r-1) increases row by row and, within a row, by
+    component, which is the order the nodes are emitted in."""
+    l, e, kappa = params.l, params.e, params.kappa
     out = []
-    for m in range(1, params.l + 1):
-        for r in range(1, lam[m - 1] + 1):
-            out.append((node_loading(params, r, m), node_residue(params, r, m), m))
-    out.sort()
+    x = 0
+    for row in range(max(lam)):  # row r = row + 1
+        for c in range(l):  # component m = c + 1
+            if lam[c] > row:
+                out.append((x, (kappa[c] - row) % e, c + 1))
+            x += 1
     return out
 
 

@@ -7,11 +7,11 @@ from dataclasses import dataclass
 from math import comb
 
 from quivertl.decomposition import NotLevelTwo, block_of, decomposition_matrix
-from quivertl.geometry import geometry_for
+from quivertl.geometry import compositions, geometry_for
 from quivertl.laurent import Laurent, ONE, ZERO
-from quivertl.paths import PathWord
+from quivertl.paths import NotAdmissible, NotAGallery, PathWord
 from quivertl.soergel import n_function, run_all
-from quivertl.tableaux import loading, node_loading, node_residue
+from quivertl.tableaux import loading, node_residue
 
 
 def gallery_n(geom, word, memo):
@@ -221,6 +221,46 @@ def star_by_conjugation(geom, b, a, h):
     return geom.alcove_of(shifted(conjugated, (0,) * geom.l, geom.rho))
 
 
+def orbit_points_by_scan(geom, p, n):
+    """The points of ``Geometry.orbit_points(p, n)`` found by scanning
+    every composition of n for p's multiset of (coordinate + rho) residues
+    mod e."""
+    want = geom._orbit_key(p)
+    return [q for q in compositions(n, geom.l) if geom._orbit_key(q) == want]
+
+
+def alcove_series_by_points(params, path):
+    """``alcove_series`` walked point by point: the walls through each
+    prefix point come from ``Geometry.classify`` and the degree of each
+    step from ``Geometry.step_degree``, both recomputed from the points;
+    each crossing compares the lengths of both alcoves."""
+    geom = geometry_for(params)
+    landed = []
+    running = 0
+    walls = []
+    for k in range(1, len(path) + 1):
+        prev, walls = walls, geom.classify(path.points[k])
+        pairs = [c for i, j, _ in walls for c in (i, j)]
+        running += geom.step_degree(path.points[k - 1], path.points[k])
+        landed += [h for h in walls if h not in prev]
+        if len(set(pairs)) < len(pairs) or (running and k < len(path)):
+            raise NotAdmissible("path %r is not admissible" % (path.steps,))
+    word = []
+    cur = geom.fundamental
+    for h in landed:
+        t = geom.wall_type(cur, h)
+        if t is None:
+            raise NotAGallery("hyperplane %r does not bound alcove %r" % (h, cur))
+        nxt = geom.star(cur, t)
+        if geom.length(nxt) != geom.length(cur) + 1:
+            raise NotAGallery("crossing %r does not move away from the origin" % (h,))
+        word.append(t)
+        cur = nxt
+    if not walls and cur != geom.alcove_of(path.endpoint()):
+        raise NotAGallery("gallery does not end at the endpoint's alcove")
+    return tuple(word)
+
+
 def evaluate_at_points(params, fn, points):
     """Evaluate an alcove function at regular weights (zero off support)."""
     geom = geometry_for(params)
@@ -239,6 +279,11 @@ class Tableau:
     shape: tuple
     weight: tuple
     columns: tuple
+
+
+def node_loading(params, r, m):
+    """Loading value of the node in row r (1-based) of component m (1-based)."""
+    return (m - 1) + params.l * (r - 1)
 
 
 def entries_in_order(tab):

@@ -4,6 +4,8 @@ Derived quantities (separating counts, orbits) are checked against
 independent brute-force oracles built from single reflections only.
 """
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +25,7 @@ from helpers import (
     element_wall,
     gallery_alcoves,
     inverse,
+    orbit_points_by_scan,
     reflect_point,
     reflection_element,
     separating_count,
@@ -339,9 +342,49 @@ class TestOrbits:
             (5, 6), (4, 7), (8, 3), (1, 10), (9, 2), (0, 11),
         }
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_orbit_matches_the_composition_scan(self, data):
+        # p need not sum to n: only its residues matter
+        l = data.draw(st.integers(1, 5))
+        e = data.draw(st.integers(2 * l, 12))
+        residues = data.draw(st.sampled_from(VALID_RESIDUES[l, e]))
+        kappa = data.draw(st.permutations(residues))
+        g = Geometry(Params(l, e, tuple(kappa)))
+        p = data.draw(st.tuples(*[st.integers(0, 2 * e)] * l))
+        n = data.draw(st.integers(0, 24))
+        assert g.orbit_points(p, n) == orbit_points_by_scan(g, p, n)
+
+    def test_orbit_with_more_components_than_boxes(self):
+        g = Geometry(Params(7, 14, tuple(range(0, 14, 2))))
+        p = (5, 0, 0, 0, 0, 0, 0)
+        assert g.orbit_points(p, 5) == orbit_points_by_scan(g, p, 5) == [
+            (2, 0, 0, 0, 0, 0, 3),
+            (2, 0, 0, 0, 0, 1, 2),
+            (4, 0, 0, 0, 0, 1, 0),
+            (5, 0, 0, 0, 0, 0, 0),
+        ]
+
     def test_compositions_count(self):
         assert len(list(compositions(5, 2))) == 6
         assert len(list(compositions(4, 3))) == 15
+
+
+def _valid_residue_sets(l, e):
+    """The residue sets of the valid multicharges of (l, e): l residues
+    mod e, no two equal or adjacent (cyclically)."""
+    return [
+        rs
+        for rs in combinations(range(e), l)
+        if all((b - a) % e not in (1, e - 1) for a, b in combinations(rs, 2))
+    ]
+
+
+# the residue sets of (l, e) for l = 1..5 and 2l <= e <= 12: every valid
+# multicharge is a permutation of one of them
+VALID_RESIDUES = {
+    (l, e): _valid_residue_sets(l, e) for l in range(1, 6) for e in range(2 * l, 13)
+}
 
 
 def _reflection_orbit_oracle(geom, p, n):

@@ -1,6 +1,7 @@
 """Every function, class, method and module-level name of the package is
 used by the package itself or by the benchmark, and ``__init__`` binds
 nothing but ``__version__``: the modules are the package's API.
+``__version__`` is the version in ``pyproject.toml``.
 
 Reference code that only tests need lives in ``tests/helpers.py``.  The
 package sources (``__init__`` aside) and the non-test files of
@@ -18,10 +19,14 @@ of that name is.  ``__init__`` is checked on its syntax tree, not on
 """
 
 import ast
+import re
 from pathlib import Path
+
+import quivertl
 
 ROOT = Path(__file__).resolve().parent.parent
 INIT = ROOT / "src" / "quivertl" / "__init__.py"
+PYPROJECT = ROOT / "pyproject.toml"
 PACKAGE = sorted(p for p in INIT.parent.glob("*.py") if p != INIT)
 BENCHMARK = sorted(
     p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")
@@ -131,3 +136,10 @@ def test_every_module_level_name_is_used_by_the_package_or_the_benchmark():
 
 def test_init_binds_only_the_version():
     assert init_bindings() == ["__version__"]
+
+
+def test_version_is_the_project_version():
+    # a regex, not tomllib, which Python 3.10 lacks
+    project = PYPROJECT.read_text(encoding="utf-8").split("[project]", 1)[1]
+    version = re.search(r'^version\s*=\s*"([^"]+)"', project, re.M).group(1)
+    assert quivertl.__version__ == version

@@ -25,7 +25,7 @@ from quivertl.paths import (
 )
 from quivertl.soergel import run_all
 
-from helpers import gallery_alcoves, is_admissible
+from helpers import alcove_series_by_points, gallery_alcoves, is_admissible
 
 P_INTRO = Params(3, 8, (0, 4, 6))
 P_RANK1 = Params(2, 4, (0, 2))
@@ -223,6 +223,31 @@ class TestAlcoveSeries:
         assert not is_admissible(P_RANK1, word)
         with pytest.raises(NotAdmissible):
             alcove_series(P_RANK1, word)
+
+    # every word of each length up to k; at l=4 two walls through one
+    # point can be orthogonal
+    @pytest.mark.parametrize("params, k", [
+        (Params(2, 4, (0, 2)), 10),
+        (Params(3, 6, (0, 2, 4)), 7),
+        (Params(3, 8, (0, 4, 6)), 7),
+        (Params(4, 8, (0, 2, 4, 6)), 6),
+    ])
+    def test_walk_matches_the_point_by_point_walk(self, params, k):
+        def outcome(series, path):
+            try:
+                return "gallery", series(params, path)
+            except (NotAdmissible, NotAGallery) as exc:
+                return type(exc), str(exc)
+
+        letters = range(1, params.l + 1)
+        kinds = set()
+        for length in range(k + 1):
+            for word in itertools.product(letters, repeat=length):
+                path = PathWord(params.l, word)
+                got = outcome(alcove_series, path)
+                assert got == outcome(alcove_series_by_points, path), word
+                kinds.add(got[0])
+        assert kinds == {"gallery", NotAdmissible, NotAGallery}
 
     # each case breaks one gallery check on a fresh Geometry; the (4,9,0)
     # path first lands on (1,3,1), from the fundamental alcove, and its

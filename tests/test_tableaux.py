@@ -12,7 +12,6 @@ from quivertl.paths import paths_between
 from quivertl.tableaux import (
     graded_tableau_counts,
     loading,
-    node_loading,
     node_residue,
 )
 
@@ -20,6 +19,7 @@ from helpers import (
     addable_removable,
     component_word,
     dominance_leq,
+    node_loading,
     placement_degree,
     residue_multiset,
     semistandard_tableaux,
@@ -38,6 +38,16 @@ class TestLoading:
         assert xs((6, 1)) == [0, 1, 2, 4, 6, 8, 10]
         assert xs((3, 4)) == [0, 1, 2, 3, 4, 5, 7]
         assert xs((2, 5)) == [0, 1, 2, 3, 5, 7, 9]
+
+    def test_loading_is_the_sorted_node_list(self):
+        for params in (P7, Params(3, 8, (0, 4, 6)), Params(4, 10, (0, 3, 5, 7))):
+            for lam in compositions(9, params.l):
+                want = sorted(
+                    (node_loading(params, r, m), node_residue(params, r, m), m)
+                    for m in range(1, params.l + 1)
+                    for r in range(1, lam[m - 1] + 1)
+                )
+                assert loading(params, lam) == want, (params, lam)
 
     def test_residues(self):
         # component 1 cycles 0,3,2,1,...; component 2 cycles 2,1,0,3,...
