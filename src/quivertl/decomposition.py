@@ -215,7 +215,7 @@ def kn_oracle(params, block):
     if not regs:
         raise NoRegularMember("block %r has no regular member" % (block.members,))
     counts = _standard_dims(params, block)
-    length = {lam: geom.length(geom.alcove_of(lam)) for lam in regs}
+    length = {lam: geom.point_length(lam) for lam in regs}
     rows = sorted(regs, key=lambda q: (-length[q], q))
     entries = {}
     characters = {}

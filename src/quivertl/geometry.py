@@ -8,10 +8,13 @@ rho_i = e - kappa_i.  Alcoves are the connected components of the
 complement of the hyperplane arrangement; the fundamental alcove is the
 one containing the origin.
 
-An alcove is its floor vector a: for each positive root e_i - e_j (i < j)
-the integer part of <x + rho, e_i - e_j> / e.  A wall is the 0-based
-triple (i, j, m), i < j, of the hyperplane <x + rho, e_i - e_j> = m * e;
-``Geometry.classify`` returns the walls through a point as such triples.
+``Geometry.values(p)``, the one root-value formula, gives the value
+<p + rho, e_i - e_j> of each positive root e_i - e_j (i < j) in root
+order: its value at the origin (``origin_values``) plus p_i - p_j.  An
+alcove is its floor vector a, the integer parts of its points' root
+values over e.  A wall is the 0-based triple (i, j, m), i < j, of the
+hyperplane <x + rho, e_i - e_j> = m * e; ``Geometry.classify`` returns
+the walls through a point as such triples.
 
 The floors fix the walls (J.-Y. Shi, Alcoves corresponding to an affine
 Weyl group, J. London Math. Soc. 1987).  With y = (x + rho) / e, let
@@ -41,10 +44,10 @@ step degree of the package; the path-count DP caches it per move.  It
 sums ``Geometry.root_step_degree``, the one per-root rule, over the
 positive roots.  A unit step in coordinate c changes only the values of
 the l - 1 roots that touch c, by +1 or -1, so ``Geometry.__init__`` keeps
-those roots per coordinate (``touches``, in root order, with their signs)
-and the root values at the origin (``origin_values``); ``alcove_series``
-walks a path by updating those values and applies the per-root rule only
-where a value lands on or leaves a multiple of e.
+those roots per coordinate (``touches``, in root order, with their
+signs); ``alcove_series`` walks a path by updating the values from
+``origin_values`` on and applies the per-root rule only where a value
+lands on or leaves a multiple of e.
 
 ``Geometry.orbit_points`` builds the members of an orbit with n boxes
 directly instead of scanning every composition of n: coordinate c takes
@@ -76,9 +79,11 @@ class Geometry:
         self.e = params.e
         self.rho = params.rho
         self.roots = [(i, j) for i in range(self.l) for j in range(i + 1, self.l)]
-        # the root values at the origin, and for each coordinate the
-        # (root index, sign, i, j) of the roots it touches, in root order
-        self.origin_values = tuple(self.rho[i] - self.rho[j] for i, j in self.roots)
+        # each root's (value at the origin, i, j) and value at the origin,
+        # and for each coordinate the (root index, sign, i, j) of the roots
+        # it touches, in root order
+        self._value_terms = [(self.rho[i] - self.rho[j], i, j) for i, j in self.roots]
+        self.origin_values = tuple(v0 for v0, _, _ in self._value_terms)
         self.touches = tuple(
             tuple(
                 (r, 1 if c == i else -1, i, j)
@@ -101,19 +106,21 @@ class Geometry:
 
     # -- basic values -------------------------------------------------
 
-    def value(self, p, root):
-        i, j = root
-        return (p[i] + self.rho[i]) - (p[j] + self.rho[j])
+    def values(self, p):
+        """The value <p + rho, e_i - e_j> of every positive root, in root
+        order."""
+        # a loop: on lists this short a comprehension's call costs more
+        out = []
+        for v0, i, j in self._value_terms:
+            out.append(v0 + p[i] - p[j])
+        return out
 
     def classify(self, p):
         """The walls through p in root order, as the (i, j, m) triples of
         ``walls`` (empty exactly when p is regular)."""
-        out = []
-        for (i, j) in self.roots:
-            v = self.value(p, (i, j))
-            if v % self.e == 0:
-                out.append((i, j, v // self.e))
-        return out
+        e = self.e
+        pairs = zip(self.roots, self.values(p))
+        return [(i, j, v // e) for (i, j), v in pairs if v % e == 0]
 
     def root_step_degree(self, r, v0, v1):
         """Degree of a unit step at the root of index r, whose value moves
@@ -132,10 +139,8 @@ class Geometry:
     def step_degree(self, p, q):
         """Degree of the unit step from p to q: ``root_step_degree``
         summed over the positive roots."""
-        return sum(
-            self.root_step_degree(r, self.value(p, root), self.value(q, root))
-            for r, root in enumerate(self.roots)
-        )
+        rs = range(len(self.roots))
+        return sum(map(self.root_step_degree, rs, self.values(p), self.values(q)))
 
     # -- walls --------------------------------------------------------
 
@@ -183,12 +188,12 @@ class Geometry:
     # -- alcoves ------------------------------------------------------
 
     def alcove_of(self, p):
+        e = self.e
         out = []
-        for root in self.roots:
-            v = self.value(p, root)
-            if v % self.e == 0:
+        for v in self.values(p):
+            if v % e == 0:
                 raise SingularPoint("point %r lies on a hyperplane" % (p,))
-            out.append(v // self.e)
+            out.append(v // e)
         return tuple(out)
 
     def length(self, a):
@@ -202,11 +207,11 @@ class Geometry:
         this is the number of multiples of e strictly between the values
         of p and of the origin.
         """
+        e = self.e
         total = 0
-        for root, v0 in zip(self.roots, self.origin_values):
-            v = self.value(p, root)
+        for v, v0 in zip(self.values(p), self.origin_values):
             lo, hi = (v, v0) if v < v0 else (v0, v)
-            total += max(0, (hi - 1) // self.e - lo // self.e)
+            total += max(0, (hi - 1) // e - lo // e)
         return total
 
     def minimal_gallery(self, target):
@@ -216,7 +221,8 @@ class Geometry:
         Each step crosses the first wall of the current alcove on the side
         of the target, which lowers the floor distance to the target by
         exactly 1, so the gallery is minimal (Humphreys, Reflection Groups
-        and Coxeter Groups, 4.5).
+        and Coxeter Groups, 4.5).  Nothing in the package calls it; the tests
+        and the benchmark's tracer name it.
         """
         word = []
         cur = self.fundamental
@@ -265,10 +271,8 @@ class Geometry:
         coordinate takes what is left of n.
         """
         e, rho, last = self.e, self.rho, self.l - 1
-        unused = {}
-        for c in range(self.l):
-            r = (p[c] + rho[c]) % e
-            unused[r] = unused.get(r, 0) + 1
+        key = self._orbit_key(p)
+        unused = {r: key.count(r) for r in key}
         point = [0] * self.l
         out = []
 

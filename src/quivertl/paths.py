@@ -91,9 +91,9 @@ def reflect_tail(params, path, k, h):
     """
     geom = geometry_for(params)
     point = path.points[k]
-    i, j, m = h
-    if geom.value(point, (i, j)) != m * geom.e:
+    if h not in geom.classify(point):
         raise NotOnHyperplane("point %r is not on %r" % (point, h))
+    i, j, _ = h
     swap = {i + 1: j + 1, j + 1: i + 1}
     tail = tuple(swap.get(s, s) for s in path.steps[k:])
     return PathWord(path.l, path.steps[:k] + tail)

@@ -138,11 +138,10 @@ def _solve_characters(geom, m_fn):
 
 def run_all(params, word):
     """Run the m recursion along the gallery ``word`` (a tuple of wall
-    types, as from ``minimal_gallery`` or ``alcove_series``), take n of
-    its final alcove, and solve m = sum e(nu) * n_nu for the characters e.
-    Returns (m, n, e) as dicts from alcove to nonzero Laurent polynomial,
-    plus the final alcove, memoised per word; callers must not modify
-    them."""
+    types, as from ``alcove_series``), take n of its final alcove, and
+    solve m = sum e(nu) * n_nu for the characters e.  Returns (m, n, e) as
+    dicts from alcove to nonzero Laurent polynomial, plus the final
+    alcove, memoised per word; callers must not modify them."""
     geom = geometry_for(params)
     memo = geom.caches.setdefault("runs", {})
     got = memo.get(word)

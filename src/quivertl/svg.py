@@ -114,28 +114,23 @@ def render(params, lam, mu, budget=CLOSURE_BUDGET):
 
 def _wall_segments(geom, points, box):
     """Projected wall segments of every hyperplane met near the path."""
-    x0, x1, y0, y1 = box
-    segments = []
-    for r, (i, j) in enumerate(geom.roots):
-        values = [geom.value(p, (i, j)) for p in points]
-        lo = min(values) // geom.e
-        hi = max(values) // geom.e + 1
-        for m in range(lo, hi + 1):
-            seg = _wall_line(geom, (i, j), m, box)
+    for r, values in enumerate(zip(*map(geom.values, points))):
+        for m in range(min(values) // geom.e, max(values) // geom.e + 2):
+            seg = _wall_line(geom, r, m, box)
             if seg:
-                segments.append(seg)
-    return segments
+                yield seg
 
 
-def _wall_line(geom, root, m, box):
-    """Clip the projection of <x+rho, e_i - e_j> = m*e to the view box.
+def _wall_line(geom, r, m, box):
+    """Clip the projection of <x+rho, e_i - e_j> = m*e, for the root
+    (i, j) of index r, to the view box.
 
     The projections send each wall to a straight line; it is enough to
     find one projected point plus the direction and clip parametrically.
     """
-    i, j = root
+    i, j = geom.roots[r]
     x0, x1, y0, y1 = box
-    shift = m * geom.e - (geom.rho[i] - geom.rho[j])
+    shift = m * geom.e - geom.origin_values[r]
     if geom.l == 2:
         # horizontal coordinate p1 - p2 is constant on the wall
         x = float(shift)

@@ -175,10 +175,17 @@ def shifted(elem, p, rho):
     return tuple(moved[i] - rho[i] for i in range(len(p)))
 
 
+def root_value(rho, p, i, j):
+    """<p + rho, e_i - e_j>, read off rho: the reference for
+    ``Geometry.values``, which adds p's coordinates to the root values at
+    the origin."""
+    return (p[i] + rho[i]) - (p[j] + rho[j])
+
+
 def reflect_point(geom, h, p):
     """The rho-shifted reflection of p in the wall h = (i, j, m)."""
     i, j, m = h
-    v = geom.value(p, (i, j)) - m * geom.e
+    v = root_value(geom.rho, p, i, j) - m * geom.e
     q = list(p)
     q[i] -= v
     q[j] += v
@@ -391,13 +398,13 @@ def is_admissible(params, path):
         running += placement_degree(params, path.points[k], path.steps[k - 1])
         if running != 0:
             return False
-    rho, l = params.rho, params.l
+    l = params.l
     for p in path.points:
         walls = [
             {i, j}
             for i in range(l)
             for j in range(i + 1, l)
-            if (p[i] + rho[i] - p[j] - rho[j]) % params.e == 0
+            if root_value(params.rho, p, i, j) % params.e == 0
         ]
         for a in range(len(walls)):
             for b in range(a + 1, len(walls)):

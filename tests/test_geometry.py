@@ -28,6 +28,7 @@ from helpers import (
     orbit_points_by_scan,
     reflect_point,
     reflection_element,
+    root_value,
     separating_count,
     shifted,
     star_by_conjugation,
@@ -96,6 +97,38 @@ class TestClassify:
         # reflection is an involution fixing the wall
         assert reflect_point(g, (0, 2, 1), (4, 6, 3)) == (5, 6, 2)
         assert reflect_point(g, (0, 2, 1), (4, 7, 2)) == (4, 7, 2)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_root_values_match_the_rho_reference(self, data):
+        # every point-wise reader of root values against values read off
+        # rho; p may be singular, and its coordinates negative
+        l = data.draw(st.integers(1, 5))
+        e = data.draw(st.integers(2 * l, 12))
+        residues = data.draw(st.sampled_from(VALID_RESIDUES[l, e]))
+        g = Geometry(Params(l, e, tuple(data.draw(st.permutations(residues)))))
+        p = data.draw(st.tuples(*[st.integers(-2 * e, 3 * e)] * l))
+        values = [root_value(g.rho, p, i, j) for i, j in g.roots]
+        assert g.values(p) == values
+        try:
+            alcove = g.alcove_of(p)
+        except SingularPoint:
+            alcove = None
+        assert (g.classify(p) == []) == (alcove is not None)
+        if alcove is not None:
+            assert g.point_length(p) == g.length(alcove)
+        # on any p: the multiples of e strictly between p's and the origin's
+        origin = [root_value(g.rho, (0,) * l, i, j) for i, j in g.roots]
+        assert g.point_length(p) == sum(
+            sum(x % e == 0 for x in range(min(v, v0) + 1, max(v, v0)))
+            for v, v0 in zip(values, origin)
+        )
+        for c in range(l):
+            q = p[:c] + (p[c] + 1,) + p[c + 1:]
+            after = [root_value(g.rho, q, i, j) for i, j in g.roots]
+            assert g.step_degree(p, q) == sum(
+                map(g.root_step_degree, range(len(values)), values, after)
+            )
 
 
 class TestAffineElement:
@@ -397,7 +430,6 @@ def _reflection_orbit_oracle(geom, p, n):
     while work:
         cur = work.pop()
         for (i, j) in geom.roots:
-            v = geom.value(cur, (i, j))
             for m in range(-4, 5):
                 q = reflect_point(geom, (i, j, m), cur)
                 if q != cur and q not in seen and all(c >= -slack for c in q):
