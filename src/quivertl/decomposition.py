@@ -16,16 +16,20 @@ are built in:
   polynomials, solving the counts' factorisation as a triangular system.
 
 Both routes read the graded path counts, which are also the graded
-standard dimensions, from one table per block (``_standard_dims``).  Each
-column of it comes from the tableau-placement count of ``paths``; no
-reflection closure is enumerated here.  The per-column memo behind it
-keeps the block being computed only, which is all that the second route
-reads again.
+standard dimensions, from one table per block (``_standard_dims``), built
+once per ``Block`` and copied for each route.  Each column of it comes
+from the tableau-placement count of ``paths``; no reflection closure is
+enumerated here.  Columns that differ by a multiple of (1, ..., 1) share
+their count table and their gallery (the translation lemma of
+``tableaux``): ``paths`` memoises the tables in ``caches["count_tables"]``
+and ``decomposition_matrix`` the gallery words in ``caches["galleries"]``,
+both keyed by the class representative and kept as long as the
+``Geometry``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .geometry import InternalMismatch, compositions, geometry_for
 from .laurent import Laurent, ONE, ZERO, SplitImpossible, split_symmetric
@@ -37,6 +41,7 @@ from .paths import (
     graded_path_count,
 )
 from .soergel import run_all
+from .tableaux import translation_class
 
 
 class NoRegularMember(ValueError):
@@ -57,6 +62,8 @@ class Block:
     n: int
     members: tuple
     regular: tuple
+    # the graded path counts between members, filled by ``_standard_dims``
+    _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def regular_members(self):
         return [m for m, r in zip(self.members, self.regular) if r]
@@ -146,16 +153,38 @@ class DecompositionMatrix:
 
 def _standard_dims(params, block):
     """Graded path counts between all members of the block, keyed by
-    (lam, mu): the graded standard dimensions.  The count tables of
-    columns outside the block are dropped from the memo first."""
-    memo = geometry_for(params).caches.setdefault("path_counts", {})
-    for mu in set(memo).difference(block.members):
-        del memo[mu]
-    return {
-        (lam, mu): graded_path_count(params, lam, mu)
-        for mu in block.members
-        for lam in block.members
-    }
+    (lam, mu): the graded standard dimensions.  They are read once per
+    block into ``block._counts``; each call returns its own copy, which
+    the caller may change."""
+    if not block._counts:
+        # built whole before it is stored: a count that raises leaves no
+        # partial table behind
+        block._counts.update(
+            {
+                (lam, mu): graded_path_count(params, lam, mu)
+                for mu in block.members
+                for lam in block.members
+            }
+        )
+    return dict(block._counts)
+
+
+def _gallery(params, geom, mu):
+    """The gallery word of mu's distinguished path, walked once per
+    translation class: on the class representative, memoised under it in
+    ``caches["galleries"]``."""
+    galleries = geom.caches.setdefault("galleries", {})
+    base, _ = translation_class(mu)
+    word = galleries.get(base)
+    if word is None:
+        try:
+            word = alcove_series(params, distinguished_path(params, base))
+        except (NotAdmissible, NotAGallery) as exc:
+            raise InternalMismatch(
+                "distinguished path of mu=%s: %s" % (list(mu), exc)
+            ) from exc
+        galleries[base] = word
+    return word
 
 
 def decomposition_matrix(params, block):
@@ -171,13 +200,7 @@ def decomposition_matrix(params, block):
     entries = {}
     characters = {}
     for mu in regs:
-        try:
-            series = alcove_series(params, distinguished_path(params, mu))
-        except (NotAdmissible, NotAGallery) as exc:
-            raise InternalMismatch(
-                "distinguished path of mu=%s: %s" % (list(mu), exc)
-            ) from exc
-        m_fn, n_fn, e_fn, _ = run_all(params, series)
+        m_fn, n_fn, e_fn, _ = run_all(params, _gallery(params, geom, mu))
         for lam in regs:
             key = alcove[lam]
             m = m_fn.get(key, ZERO)

@@ -20,17 +20,19 @@ which has 2^length(mu) paths.  The closure is enumerated only where the
 paths themselves are wanted (``paths_between``, the ``paths`` and ``svg``
 commands) and as the test oracle for the counts.
 
-The count tables are memoised per column in ``geom.caches["path_counts"]``.
-The decomposition routes read them one block at a time, and
-``decomposition._standard_dims`` drops the tables of other blocks before
-it reads, so the memo holds the columns of one block.
+The count tables are memoised per translation class in
+``geom.caches["count_tables"]``: mu and mu - k*(1, ..., 1) have the same
+table up to that shift of the shapes (the translation lemma of
+``tableaux``), so the table of the class representative mu0 serves every
+n.  Like the ``transitions`` and ``runs`` memos it lives as long as the
+``Geometry``, and nothing is evicted.
 """
 
 from __future__ import annotations
 
 from .geometry import geometry_for
 from .laurent import ZERO
-from .tableaux import graded_tableau_counts, loading
+from .tableaux import graded_tableau_counts, loading, translation_class
 
 
 # the default cap on the size of a reflection closure
@@ -154,16 +156,16 @@ def _closure_cached(params, mu, budget):
 
 def graded_path_count(params, lam, mu):
     """The graded count of paths from the distinguished path of mu to lam:
-    sum of t^(degree) over paths_between(lam, mu), read from the tableau
-    counts of mu, which are kept in ``caches["path_counts"]`` until
-    ``decomposition._standard_dims`` moves on to another block."""
-    geom = geometry_for(params)
-    cache = geom.caches.setdefault("path_counts", {})
-    mu = tuple(mu)
-    table = cache.get(mu)
+    sum of t^(degree) over paths_between(lam, mu), read at lam - k*(1, ...,
+    1) from the tableau counts of the class representative mu0 = mu - k*(1,
+    ..., 1), k = min(mu), kept in ``caches["count_tables"]``.  A shape with
+    a negative coordinate is in no table, so its count is 0."""
+    tables = geometry_for(params).caches.setdefault("count_tables", {})
+    base, k = translation_class(mu)
+    table = tables.get(base)
     if table is None:
-        table = cache[mu] = graded_tableau_counts(params, mu)
-    return table.get(tuple(lam), ZERO)
+        table = tables[base] = graded_tableau_counts(params, base)
+    return table.get(tuple([x - k for x in lam]) if k else tuple(lam), ZERO)
 
 
 def alcove_series(params, path):

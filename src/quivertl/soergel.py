@@ -25,9 +25,11 @@ solved value must be bar-symmetric.
 Two memos in ``geom.caches`` hold the results.  ``n_functions`` is keyed
 by alcove and is read and written by ``n_function`` only.  ``runs`` keeps
 each ``run_all`` result under the gallery's whole word, not its end: m is
-defined by the gallery, and e is solved from m.  Blocks at n and n + l
-are shifted copies with the same distinguished galleries, and share one
-``Geometry``, so most runs within a process are repeats.
+defined by the gallery, and e is solved from m.  Columns that differ by a
+multiple of (1, ..., 1) have the same gallery (the translation lemma of
+``tableaux``), so blocks at n and n + l are shifted copies; they share
+one ``Geometry``, whose ``galleries`` memo gives ``decomposition_matrix``
+one gallery word per class and ``runs`` one run per word.
 """
 
 from __future__ import annotations

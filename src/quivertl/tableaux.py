@@ -21,6 +21,28 @@ residue placed, so they are kept in ``geom.caches["transitions"]``, a
 table from ``(heights, residue)`` to the list of ``(next heights, degree
 increment)``, filled on first use and shared by every weight of every n
 with the same (l, e, kappa).
+
+Translation lemma.  Let k = min(mu) and mu0 = mu - k*(1, ..., 1), the
+representative of mu's translation class (``translation_class``).  The
+counts of mu are those of mu0 with every shape shifted by +k*(1, ..., 1)
+and no degree shift, and the distinguished paths of mu and mu0 have the
+same alcove series word (or both fail with the same exception class):
+
+* mu's loading starts with k full rows of l nodes.
+* Params forbids kappa_i in {kappa_j, kappa_j + 1}, so in each of those
+  rows exactly one component takes each residue placed, and every
+  placement is forced: the heights run through the points
+  r*(1, ..., 1) + (1, ..., 1, 0, ..., 0).
+* Each such point has root values equal to the origin's, or the origin's
+  plus 1, and Params keeps both off the walls (kappa_j - kappa_i is
+  neither 0 nor -1 mod e).  So these steps add degree 0 and land on no
+  wall.
+* At k*(1, ..., 1) the root values are the origin's again, and every
+  later residue of mu, and of the shifted heights, is shifted by the same
+  -k, so the rest of the DP and of the walk is that of mu0.
+
+So ``paths.graded_path_count`` runs the DP once per class, on mu0, and
+``decomposition.decomposition_matrix`` walks one gallery per class.
 """
 
 from __future__ import annotations
@@ -47,6 +69,15 @@ def loading(params, lam):
                 out.append((x, (kappa[c] - row) % e, c + 1))
             x += 1
     return out
+
+
+def translation_class(mu):
+    """(mu0, k) for k = min(mu): mu0 = mu - k*(1, ..., 1) represents mu's
+    translation class, whose counts and gallery are mu's (module
+    docstring)."""
+    k = min(mu)
+    # a list comprehension: on tuples this short a generator costs more
+    return (tuple([x - k for x in mu]) if k else tuple(mu)), k
 
 
 def graded_tableau_counts(params, mu):

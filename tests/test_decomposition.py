@@ -9,6 +9,7 @@ from quivertl import decomposition, geometry, paths
 from quivertl.geometry import InternalMismatch, geometry_for
 from quivertl.laurent import Laurent, ONE, ZERO
 from quivertl.params import Params
+from quivertl.tableaux import graded_tableau_counts, translation_class
 from quivertl.decomposition import (
     NoRegularMember,
     NotLevelTwo,
@@ -164,9 +165,10 @@ class TestDecompositionMatrix:
         assert checked == 60
 
     def test_memos_do_not_change_outputs(self):
-        # blocks at n and n + l share alcoves and galleries, so the star,
-        # run and n-function memos serve one block from another's entries;
-        # both routes must give the same report whatever the order
+        # blocks at n and n + l share alcoves and galleries, so the run,
+        # n-function, count-table and gallery memos serve one block from
+        # another's entries; both routes must give the same report whatever
+        # the order
         cases = [
             (Params(2, 4, (0, 2)), range(20, 28)),
             (Params(3, 6, (0, 2, 4)), range(18, 21)),
@@ -193,26 +195,82 @@ class TestDecompositionMatrix:
 
         assert reports(work) == reports(work[::-1])
 
-    def test_path_counts_hold_one_block(self, monkeypatch):
-        # the count memo keeps the block being computed, which is all that
-        # the second route reads again: one DP run per column
+    def test_dp_and_walk_run_once_per_class(self, monkeypatch):
+        # columns that differ by a multiple of (1, ..., 1) share a count
+        # table and a gallery, memoised under the class representative: one
+        # DP run and one walk per class over both routes, and the n=16
+        # translate of INTRO then runs neither
         monkeypatch.setattr(geometry, "_GEOMETRIES", {})
-        runs = []
-        real = paths.graded_tableau_counts
+        runs, walks = [], []
+        real_dp = paths.graded_tableau_counts
+        real_walk = decomposition.alcove_series
 
-        def counted(params, mu):
+        def dp(params, mu):
             runs.append(mu)
-            return real(params, mu)
+            return real_dp(params, mu)
 
-        monkeypatch.setattr(paths, "graded_tableau_counts", counted)
+        def walk(params, path):
+            walks.append(path.endpoint())
+            return real_walk(params, path)
+
+        monkeypatch.setattr(paths, "graded_tableau_counts", dp)
+        monkeypatch.setattr(decomposition, "alcove_series", walk)
         first = block_of(P_INTRO, 13, (4, 9, 0))
         second = block_of(P_INTRO, 14, (4, 10, 0))
         for block in (first, second):
             decomposition_matrix(P_INTRO, block)
             kn_oracle(P_INTRO, block)
-        assert runs == list(first.members) + list(second.members)
-        memo = geometry_for(P_INTRO).caches["path_counts"]
-        assert set(memo) == set(second.members)
+
+        def classes(members):
+            return {translation_class(mu)[0] for mu in members}
+
+        both = first.members + second.members
+        assert sorted(runs) == sorted(classes(both))
+        regs = first.regular_members() + second.regular_members()
+        assert sorted(walks) == sorted(classes(regs))
+        assert set(geometry_for(P_INTRO).caches["count_tables"]) == classes(both)
+        translate = block_of(P_INTRO, 16, (5, 10, 1))
+        assert translate.members == tuple(
+            tuple(x + 1 for x in mu) for mu in first.members
+        )
+        del runs[:], walks[:]
+        decomposition_matrix(P_INTRO, translate)
+        kn_oracle(P_INTRO, translate)
+        assert runs == walks == []
+
+    def test_translated_block_reads_shifted_counts(self, monkeypatch):
+        # the n=16 translate of INTRO reads the tables that n=13 stored, at
+        # lam shifted back by (1, 1, 1); every count must still be the DP's
+        # own count of that column
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        decomposition_matrix(P_INTRO, block_of(P_INTRO, 13, (4, 9, 0)))
+        translate = block_of(P_INTRO, 16, (5, 10, 1))
+        dims = decomposition_matrix(P_INTRO, translate).standard_dims
+        nonzero = 0
+        for mu in translate.members:
+            direct = graded_tableau_counts(P_INTRO, mu)
+            for lam in translate.members:
+                got = paths.graded_path_count(P_INTRO, lam, mu)
+                assert got == direct.get(lam, ZERO) == dims[(lam, mu)], (lam, mu)
+                nonzero += bool(got)
+        assert nonzero > len(translate.members)
+
+    def test_changed_counts_reach_no_other_route(self, monkeypatch):
+        # both routes read one count table per block, each through its own
+        # copy: changing the counts one route returned must not reach the
+        # other route, nor a later computation of the same block
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        block = block_of(P_INTRO, 13, (4, 9, 0))
+        matrix = decomposition_matrix(P_INTRO, block)
+        for key in matrix.standard_dims:
+            matrix.standard_dims[key] = Laurent.term(-3, 7)
+        oracle = kn_oracle(P_INTRO, block)
+        again = decomposition_matrix(P_INTRO, block)
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        cold = block_of(P_INTRO, 13, (4, 9, 0))
+        assert matrices_equal(oracle, kn_oracle(P_INTRO, cold))
+        assert matrices_equal(again, decomposition_matrix(P_INTRO, cold))
+        assert len(oracle.standard_dims) == len(block.members) ** 2
 
     def test_singular_block_rejected(self):
         sing = next(b for b in blocks(P_INTRO, 13) if not any(b.regular))

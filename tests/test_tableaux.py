@@ -7,8 +7,14 @@ import pytest
 from quivertl import geometry
 from quivertl.geometry import compositions, geometry_for
 from quivertl.laurent import Laurent, ZERO
-from quivertl.params import Params
-from quivertl.paths import paths_between
+from quivertl.params import Params, ParamsError
+from quivertl.paths import (
+    NotAdmissible,
+    NotAGallery,
+    alcove_series,
+    distinguished_path,
+    paths_between,
+)
 from quivertl.tableaux import (
     graded_tableau_counts,
     loading,
@@ -222,3 +228,58 @@ class TestGradedCounts:
                         hs = tuple(hs)
                         want.append((hs, placement_degree(params, hs, c)))
                 assert moves == want, (params, heights, res)
+
+
+class TestTranslationLemma:
+    """mu and mu0 = mu - min(mu) * (1, ..., 1) have the same counts up to the
+    shift of the shapes, and the same gallery (``tableaux`` docstring)."""
+
+    # the largest n tried at each l
+    MAX_N = {2: 16, 3: 12, 4: 10, 5: 9}
+
+    @staticmethod
+    def multicharges(l, e):
+        """Up to three valid multicharges with kappa_1 = 0: the first, the
+        middle and the last in lexicographic order."""
+        valid = []
+        for rest in itertools.product(range(e), repeat=l - 1):
+            try:
+                valid.append(Params(l, e, (0,) + rest))
+            except ParamsError:
+                pass
+        return sorted({valid[0], valid[len(valid) // 2], valid[-1]}, key=str)
+
+    @staticmethod
+    def gallery(params, mu):
+        try:
+            return alcove_series(params, distinguished_path(params, mu))
+        except (NotAdmissible, NotAGallery) as exc:
+            return type(exc)
+
+    def test_translates_share_counts_and_gallery(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        checked = 0
+        for l, max_n in self.MAX_N.items():
+            for e in range(2 * l, 2 * l + 3):
+                for params in self.multicharges(l, e):
+                    caches = geometry_for(params).caches
+                    by_class = {}
+                    for n in range(l, max_n + 1):
+                        for mu in compositions(n, l):
+                            if min(mu) >= 1:
+                                base = tuple(x - min(mu) for x in mu)
+                                by_class.setdefault(base, []).append(mu)
+                    for base, translates in by_class.items():
+                        caches.pop("transitions", None)
+                        cold = graded_tableau_counts(params, base)
+                        word = self.gallery(params, base)
+                        for mu in translates:
+                            k = min(mu)
+                            shifted = {
+                                tuple(x + k for x in lam): poly
+                                for lam, poly in cold.items()
+                            }
+                            assert graded_tableau_counts(params, mu) == shifted, (params, mu)
+                            assert self.gallery(params, mu) == word, (params, mu)
+                            checked += 1
+        assert checked == 5504
