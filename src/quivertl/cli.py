@@ -230,9 +230,8 @@ def _render_matrix_json(matrix, cross_checked):
 
 
 def _render_matrix_table(matrix):
-    block = matrix.block
-    regs = block.regular_members()
-    lines = ["block: %s" % [list(m) for m in block.members]]
+    members = matrix.block.members
+    lines = ["block: %s" % [list(m) for m in members]]
 
     def table(title, getter, rows, cols):
         lines.append(title)
@@ -248,9 +247,9 @@ def _render_matrix_table(matrix):
                 "  " + "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
             )
 
-    table("decomposition numbers d:", matrix.d, regs, regs)
-    table("simple characters:", matrix.character, regs, regs)
-    table("standard dimensions:", matrix.standard_dim, block.members, block.members)
+    table("decomposition numbers d:", matrix.d, members, members)
+    table("simple characters:", matrix.character, members, members)
+    table("standard dimensions:", matrix.standard_dim, members, members)
     return "\n".join(lines) + "\n"
 
 

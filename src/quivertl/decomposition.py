@@ -2,11 +2,15 @@
 Blocks and graded decomposition matrices.
 
 A block of TL_n(kappa) is an orbit of the shifted affine Weyl group
-action on one-column multipartitions of n.  For a block of regular
-weights the graded decomposition numbers d and the graded standard-module
-dimensions are computed by running the wall-crossing recursions along the
-alcove series of each column's distinguished path, and the graded simple
-characters by solving m = sum e(nu) * n_nu.  Two independent cross-checks
+action on one-column multipartitions of n: the points of n boxes with one
+multiset of residues (coordinate + rho) mod e (``Geometry.orbit_points``).
+``blocks`` builds one block per multiset, ``block_of`` the block of its
+member's.  The block is regular exactly when its residues are distinct.
+For a block of regular weights the graded decomposition numbers d and
+the graded standard-module dimensions are computed by running the
+wall-crossing recursions along the alcove series of each column's
+distinguished path, and the graded simple characters by solving
+m = sum e(nu) * n_nu.  Two independent cross-checks
 are built in:
 
 * graded dimensions from the recursion must equal graded path counts,
@@ -30,8 +34,9 @@ both keyed by the class representative and kept as long as the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 
-from .geometry import InternalMismatch, compositions, geometry_for
+from .geometry import InternalMismatch, geometry_for
 from .laurent import Laurent, ONE, ZERO, SplitImpossible, split_symmetric
 from .paths import (
     NotAdmissible,
@@ -55,18 +60,22 @@ class NotLevelTwo(ValueError):
 @dataclass(frozen=True)
 class Block:
     """One orbit of one-column multipartitions of n, in a fixed order:
-    by number of walls separating the weight from the fundamental alcove,
-    then lexicographically."""
+    by number of walls separating the weight from the fundamental alcove
+    (``lengths``, each member's ``Geometry.point_length``), then
+    lexicographically.
+
+    ``regular`` flags each member as regular.  The flags are all equal: a
+    root value is a difference of two residues, so a member is regular
+    exactly when the block's residues are distinct.  They stay one per
+    member because the JSON report and the benchmark read them so."""
 
     params: object
     n: int
     members: tuple
     regular: tuple
+    lengths: tuple
     # the graded path counts between members, filled by ``_standard_dims``
     _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def regular_members(self):
-        return [m for m, r in zip(self.members, self.regular) if r]
 
     def to_json(self):
         return {
@@ -77,20 +86,28 @@ class Block:
         }
 
 
-def _block(geom, params, n, members):
-    members.sort(key=lambda q: (geom.point_length(q), q))
+def _block(geom, params, n, key):
+    """The block of the points of n boxes whose ``_orbit_key`` is key."""
+    ranked = sorted((geom.point_length(q), q) for q in geom.orbit_points(key, n))
+    members = tuple(q for _, q in ranked)
+    regular = len(set(key)) == len(key)
     return Block(
-        params, n, tuple(members), tuple(not geom.classify(q) for q in members)
+        params, n, members, (regular,) * len(members), tuple(k for k, _ in ranked)
     )
 
 
 def blocks(params, n):
-    """All blocks of TL_n(kappa), sorted by their first member."""
+    """All blocks of TL_n(kappa), sorted by their first member: one per
+    residue multiset that has points of n boxes, whose residues then sum
+    to n + sum(rho) mod e."""
     geom = geometry_for(params)
-    groups = {}
-    for q in compositions(n, params.l):
-        groups.setdefault(geom._orbit_key(q), []).append(q)
-    out = [_block(geom, params, n, members) for members in groups.values()]
+    total = (n + sum(params.rho)) % params.e
+    out = []
+    for key in combinations_with_replacement(range(params.e), params.l):
+        if sum(key) % params.e == total:
+            block = _block(geom, params, n, key)
+            if block.members:
+                out.append(block)
     out.sort(key=lambda b: b.members[0])
     return out
 
@@ -99,11 +116,17 @@ def block_of(params, n, member):
     """The block of TL_n(kappa) containing ``member``; only its own orbit
     is built."""
     member = tuple(member)
-    geom = geometry_for(params)
-    members = geom.orbit_points(member, n) if len(member) == params.l else []
-    if member not in members:
-        raise ValueError("%r is not a one-column multipartition of %d" % (member, n))
-    return _block(geom, params, n, members)
+    if len(member) == params.l:
+        geom = geometry_for(params)
+        block = _block(geom, params, n, geom._orbit_key(member))
+        if member in block.members:
+            return block
+    raise ValueError("%r is not a one-column multipartition of %d" % (member, n))
+
+
+def _require_regular(block):
+    if not block.regular[0]:
+        raise NoRegularMember("block %r has no regular member" % (block.members,))
 
 
 @dataclass
@@ -113,8 +136,8 @@ class DecompositionMatrix:
     ``entries[(lam, mu)]`` is the graded decomposition number d_{lam,mu},
     ``characters[(lam, mu)]`` the graded simple character of mu at lam,
     and ``standard_dims[(lam, mu)]`` the graded dimension of the
-    mu-standard module at lam; all keys run over regular members, with
-    standard_dims additionally defined for singular rows.
+    mu-standard module at lam; all keys run over the block's members,
+    which are all regular.
     """
 
     block: Block
@@ -191,17 +214,16 @@ def decomposition_matrix(params, block):
     """Graded decomposition data of a regular block via the wall-crossing
     recursions, cross-checked against graded path counts.
     """
+    _require_regular(block)
     geom = geometry_for(params)
-    regs = block.regular_members()
-    if not regs:
-        raise NoRegularMember("block %r has no regular member" % (block.members,))
+    members = block.members
     dims = _standard_dims(params, block)
-    alcove = {lam: geom.alcove_of(lam) for lam in regs}
+    alcove = {lam: geom.alcove_of(lam) for lam in members}
     entries = {}
     characters = {}
-    for mu in regs:
+    for mu in members:
         m_fn, n_fn, e_fn, _ = run_all(params, _gallery(params, geom, mu))
-        for lam in regs:
+        for lam in members:
             key = alcove[lam]
             m = m_fn.get(key, ZERO)
             if m != dims[(lam, mu)]:
@@ -219,8 +241,9 @@ def kn_oracle(params, block):
 
     The counts factor as M = D*C with D unitriangular, its off-diagonal
     entries the decomposition numbers in tZ[t], and C the bar-symmetric
-    characters.  Columns mu are solved by increasing alcove length, and
-    within a column the rows lam by decreasing length: the count minus
+    characters.  Columns mu are solved in block order, which is by
+    increasing alcove length (``Block.lengths``), and within a column the
+    rows lam by decreasing length: the count minus
     the sum of d(lam, nu) * c(nu, mu) over the intermediate nu then splits
     uniquely into a bar-symmetric part (the character value) plus a
     positively graded part (the decomposition number).
@@ -233,18 +256,15 @@ def kn_oracle(params, block):
     length(nu) < length(mu), so both of its factors are solved before the
     pair (lam, mu).
     """
-    geom = geometry_for(params)
-    regs = block.regular_members()
-    if not regs:
-        raise NoRegularMember("block %r has no regular member" % (block.members,))
+    _require_regular(block)
     counts = _standard_dims(params, block)
-    length = {lam: geom.point_length(lam) for lam in regs}
-    rows = sorted(regs, key=lambda q: (-length[q], q))
+    length = dict(zip(block.members, block.lengths))
+    rows = sorted(block.members, key=lambda q: (-length[q], q))
     entries = {}
     characters = {}
     # the nonzero off-diagonal decomposition numbers of each row, by column
-    row_dec = {lam: {} for lam in regs}
-    for mu in sorted(regs, key=lambda q: (length[q], q)):
+    row_dec = {lam: {} for lam in block.members}
+    for mu in block.members:
         support = []  # (nu, c(nu, mu)) for the solved nu != mu with c != 0
         for lam in rows:
             if lam == mu:

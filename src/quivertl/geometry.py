@@ -49,12 +49,11 @@ signs); ``alcove_series`` walks a path by updating the values from
 ``origin_values`` on and applies the per-root rule only where a value
 lands on or leaves a multiple of e.
 
-``Geometry.orbit_points`` builds the members of an orbit with n boxes
-directly instead of scanning every composition of n: coordinate c takes
-one of the orbit's (coordinate + rho) residues mod e not yet used, its
-value runs from the least representative upward in steps of e, and the
-last coordinate takes what is left of n.  Every prefix it extends is a
-prefix of a composition, so it visits no more than a scan would.
+A shifted W_e-orbit is one multiset of the l residues (coordinate + rho)
+mod e, ``Geometry._orbit_key``, and ``Geometry.orbit_points`` builds its
+points of n boxes from the multiset directly.  A point lies on a wall
+exactly when two of its residues are equal, since a root value is their
+difference mod e, so regularity is a property of the orbit.
 """
 
 from __future__ import annotations
@@ -257,21 +256,20 @@ class Geometry:
     # -- orbits -------------------------------------------------------
 
     def _orbit_key(self, p):
+        """The orbit of p: its sorted (coordinate + rho) residues mod e."""
         return tuple(sorted((p[i] + self.rho[i]) % self.e for i in range(self.l)))
 
-    def orbit_points(self, p, n):
-        """All points of the shifted W_e-orbit of p with nonnegative
-        coordinates summing to n, in lexicographic order.  Membership is
-        the exact criterion: equal multisets of (coordinate + rho) residues
-        mod e.
+    def orbit_points(self, key, n):
+        """All points with nonnegative coordinates summing to n in the
+        shifted W_e-orbit whose ``_orbit_key`` is ``key``, in lexicographic
+        order.
 
         The points are built coordinate by coordinate: each coordinate
-        takes one of p's residues not yet used, its value runs from the
-        least representative upward in steps of e, and the last
+        takes one of the residues of ``key`` not yet used, its value runs
+        from the least representative upward in steps of e, and the last
         coordinate takes what is left of n.
         """
         e, rho, last = self.e, self.rho, self.l - 1
-        key = self._orbit_key(p)
         unused = {r: key.count(r) for r in key}
         point = [0] * self.l
         out = []
@@ -297,16 +295,6 @@ class Geometry:
 
         extend(0, n)
         return out
-
-
-def compositions(n, l):
-    """All tuples of l nonnegative integers summing to n, lexicographic."""
-    if l == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in compositions(n - first, l - 1):
-            yield (first,) + rest
 
 
 _GEOMETRIES = {}

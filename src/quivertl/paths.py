@@ -39,10 +39,6 @@ from .tableaux import graded_tableau_counts, loading, translation_class
 CLOSURE_BUDGET = 2 ** 20
 
 
-class NotOnHyperplane(ValueError):
-    """Tail reflection requested at a point not on the given wall."""
-
-
 class ClosureBudgetExceeded(RuntimeError):
     """Reflection closure grew past the configured budget."""
 
@@ -84,23 +80,6 @@ def path_degree(params, path):
     return sum(geom.step_degree(p, q) for p, q in zip(path.points, path.points[1:]))
 
 
-def reflect_tail(params, path, k, h):
-    """Reflect the tail of ``path`` after position k in the wall h.
-
-    h is a wall as the 0-based (i, j, m) triple of ``Geometry.classify``.
-    Requires the k-th prefix point to lie on h; in type A the reflection
-    swaps the 1-based letters i + 1 and j + 1 in the tail.
-    """
-    geom = geometry_for(params)
-    point = path.points[k]
-    if h not in geom.classify(point):
-        raise NotOnHyperplane("point %r is not on %r" % (point, h))
-    i, j, _ = h
-    swap = {i + 1: j + 1, j + 1: i + 1}
-    tail = tuple(swap.get(s, s) for s in path.steps[k:])
-    return PathWord(path.l, path.steps[:k] + tail)
-
-
 def distinguished_path(params, mu):
     """The distinguished path of a one-column multipartition mu: the
     component of each of its loading values, in increasing order.
@@ -110,7 +89,9 @@ def distinguished_path(params, mu):
 
 def reflection_closure(params, path, budget=CLOSURE_BUDGET):
     """Closure of ``path`` under all tail reflections at wall contacts,
-    of at most ``budget`` paths."""
+    of at most ``budget`` paths.  In type A the reflection of the tail
+    after a point on the wall (i, j, m) swaps the letters i + 1 and j + 1
+    in the tail."""
     if budget < 1:
         raise ClosureBudgetExceeded("reflection closure exceeded budget %d" % budget)
     geom = geometry_for(params)
@@ -119,8 +100,10 @@ def reflection_closure(params, path, budget=CLOSURE_BUDGET):
     while work:
         cur = work.pop()
         for k in range(1, len(cur)):
-            for h in geom.classify(cur.points[k]):
-                new = reflect_tail(params, cur, k, h)
+            for i, j, _ in geom.classify(cur.points[k]):
+                swap = {i + 1: j + 1, j + 1: i + 1}
+                tail = tuple(swap.get(s, s) for s in cur.steps[k:])
+                new = PathWord(cur.l, cur.steps[:k] + tail)
                 if new.steps not in seen:
                     if len(seen) >= budget:
                         raise ClosureBudgetExceeded(

@@ -6,8 +6,8 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from quivertl.decomposition import NotLevelTwo, block_of, decomposition_matrix
-from quivertl.geometry import compositions, geometry_for
+from quivertl.decomposition import Block, NotLevelTwo, block_of, decomposition_matrix
+from quivertl.geometry import geometry_for
 from quivertl.laurent import Laurent, ONE, ZERO
 from quivertl.paths import NotAdmissible, NotAGallery, PathWord
 from quivertl.soergel import n_function, run_all
@@ -228,12 +228,47 @@ def star_by_conjugation(geom, b, a, h):
     return geom.alcove_of(shifted(conjugated, (0,) * geom.l, geom.rho))
 
 
+def compositions(n, l):
+    """All tuples of l nonnegative integers summing to n, lexicographic."""
+    if l == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in compositions(n - first, l - 1):
+            yield (first,) + rest
+
+
 def orbit_points_by_scan(geom, p, n):
-    """The points of ``Geometry.orbit_points(p, n)`` found by scanning
-    every composition of n for p's multiset of (coordinate + rho) residues
-    mod e."""
+    """The points of ``Geometry.orbit_points(geom._orbit_key(p), n)``
+    found by scanning every composition of n for p's multiset of
+    (coordinate + rho) residues mod e."""
     want = geom._orbit_key(p)
     return [q for q in compositions(n, geom.l) if geom._orbit_key(q) == want]
+
+
+def blocks_by_scan(params, n):
+    """``decomposition.blocks`` found by scanning every composition of n
+    and grouping by ``_orbit_key``: each member flagged regular when
+    ``classify`` finds no wall through it, and ordered by its
+    ``point_length``."""
+    geom = geometry_for(params)
+    groups = {}
+    for q in compositions(n, params.l):
+        groups.setdefault(geom._orbit_key(q), []).append(q)
+    out = []
+    for members in groups.values():
+        members.sort(key=lambda q: (geom.point_length(q), q))
+        out.append(
+            Block(
+                params,
+                n,
+                tuple(members),
+                tuple(not geom.classify(q) for q in members),
+                tuple(geom.point_length(q) for q in members),
+            )
+        )
+    out.sort(key=lambda b: b.members[0])
+    return out
 
 
 def alcove_series_by_points(params, path):
@@ -381,6 +416,28 @@ def tableau_degree(params, tab):
         heights[m - 1] += 1
         total += placement_degree(params, tuple(heights), m)
     return total
+
+
+class NotOnHyperplane(ValueError):
+    """Tail reflection requested at a point not on the given wall."""
+
+
+def reflect_tail(params, path, k, h):
+    """Reflect the tail of ``path`` after position k in the wall h.
+
+    h is a wall as the 0-based (i, j, m) triple of ``Geometry.classify``.
+    Requires the k-th prefix point to lie on h; in type A the reflection
+    swaps the 1-based letters i + 1 and j + 1 in the tail, as
+    ``reflection_closure`` does.
+    """
+    geom = geometry_for(params)
+    point = path.points[k]
+    if h not in geom.classify(point):
+        raise NotOnHyperplane("point %r is not on %r" % (point, h))
+    i, j, _ = h
+    swap = {i + 1: j + 1, j + 1: i + 1}
+    tail = tuple(swap.get(s, s) for s in path.steps[k:])
+    return PathWord(path.l, path.steps[:k] + tail)
 
 
 def component_word(params, tab):

@@ -2,13 +2,14 @@
 and the level-two closed forms."""
 
 import json
+from itertools import permutations
 
 import pytest
 
 from quivertl import decomposition, geometry, paths
 from quivertl.geometry import InternalMismatch, geometry_for
 from quivertl.laurent import Laurent, ONE, ZERO
-from quivertl.params import Params
+from quivertl.params import Params, ParamsError
 from quivertl.tableaux import graded_tableau_counts, translation_class
 from quivertl.decomposition import (
     NoRegularMember,
@@ -23,6 +24,7 @@ from quivertl.decomposition import (
 )
 
 from helpers import (
+    blocks_by_scan,
     is_in_plus_semiring,
     level2_hom_dim,
     residue_multiset,
@@ -31,6 +33,20 @@ from helpers import (
 
 P_INTRO = Params(3, 8, (0, 4, 6))
 P_RANK1 = Params(2, 4, (0, 2))
+
+
+def _block_grid():
+    """(params, n) for every valid kappa order at l = 1..4 and small e,
+    singular blocks and n < l included, with n = 0..10."""
+    for l, es in [(1, (2, 3)), (2, (4, 5)), (3, (6, 7)), (4, (8,))]:
+        for e in es:
+            for kappa in permutations(range(e), l):
+                try:
+                    params = Params(l, e, kappa)
+                except ParamsError:
+                    continue
+                for n in range(11):
+                    yield params, n
 
 
 class TestBlocks:
@@ -48,8 +64,17 @@ class TestBlocks:
             assert len(sets) == 1
 
     def test_regularity_constant_on_blocks(self):
-        for b in blocks(P_INTRO, 13):
-            assert len(set(b.regular)) == 1
+        # blocks reads regularity off the residue multiset; each flag must
+        # be what classify finds at its member
+        seen = set()
+        for params, n in _block_grid():
+            g = geometry_for(params)
+            for b in blocks(params, n):
+                assert len(set(b.regular)) == 1
+                for q, flag in zip(b.members, b.regular):
+                    assert flag == (not g.classify(q)), (params, n, q)
+                seen.add(b.regular[0])
+        assert seen == {False, True}
 
     def test_member_order(self):
         g = geometry_for(P_INTRO)
@@ -64,14 +89,20 @@ class TestBlocks:
             assert m in b.members
 
     def test_block_of_matches_blocks(self):
-        # block_of builds only the orbit of its member; blocks builds all
+        # blocks builds one orbit per residue multiset, and must find the
+        # blocks, member order, flags and lengths of the composition scan
+        for params, n in _block_grid():
+            assert blocks(params, n) == blocks_by_scan(params, n), (params, n)
+        # block_of builds only the orbit of its member
         for params, ns in [
             (P_RANK1, range(21)),
             (P_INTRO, range(14)),
             (Params(4, 8, (0, 2, 4, 6)), range(11)),
         ]:
             for n in ns:
-                for b in blocks(params, n):
+                found = blocks(params, n)
+                assert found == blocks_by_scan(params, n), (params, n)
+                for b in found:
                     for m in b.members:
                         assert block_of(params, n, m) == b, (params, n, m)
         for member in [(4, 6), (4, 6, 3, 0), (4, 6, 2), (-1, 8, 6)]:
@@ -95,9 +126,9 @@ class TestDecompositionMatrix:
         b = block_of(P_INTRO, 13, (4, 6, 3))
         dm = decomposition_matrix(P_INTRO, b)
         g = geometry_for(P_INTRO)
-        for mu in b.regular_members():
+        for mu in b.members:
             assert dm.d(mu, mu) == ONE
-            for lam in b.regular_members():
+            for lam in b.members:
                 poly = dm.d(lam, mu)
                 if lam != mu and poly:
                     # strictly positive exponents, nonnegative coefficients
@@ -153,9 +184,8 @@ class TestDecompositionMatrix:
             g = geometry_for(params)
             for n in ns:
                 for block in blocks(params, n):
-                    regs = block.regular_members()
-                    if not regs or not 5 <= max(
-                        g.length(g.alcove_of(m)) for m in regs
+                    if not any(block.regular) or not 5 <= max(
+                        g.length(g.alcove_of(m)) for m in block.members
                     ) <= 8:
                         continue
                     assert matrices_equal(
@@ -225,9 +255,7 @@ class TestDecompositionMatrix:
             return {translation_class(mu)[0] for mu in members}
 
         both = first.members + second.members
-        assert sorted(runs) == sorted(classes(both))
-        regs = first.regular_members() + second.regular_members()
-        assert sorted(walks) == sorted(classes(regs))
+        assert sorted(runs) == sorted(walks) == sorted(classes(both))
         assert set(geometry_for(P_INTRO).caches["count_tables"]) == classes(both)
         translate = block_of(P_INTRO, 16, (5, 10, 1))
         assert translate.members == tuple(
@@ -323,7 +351,7 @@ class TestDecompositionMatrix:
                 m.setattr(Laurent, "__mul__", counted)
                 result = kn_oracle(P_INTRO, block)
             counts, d, c = result.standard_dims, result.entries, result.characters
-            regs = block.regular_members()
+            regs = block.members
             support = reached = 0
             for mu in regs:
                 for lam in regs:
@@ -397,8 +425,8 @@ class TestLevelTwo:
     def test_matrix_matches_closed_form(self):
         b = block_of(P_RANK1, 11, (0, 11))
         dm = decomposition_matrix(P_RANK1, b)
-        for mu in b.regular_members():
-            for lam in b.regular_members():
+        for mu in b.members:
+            for lam in b.members:
                 want = level2_closed_form(
                     P_RANK1, level2_label(P_RANK1, lam), level2_label(P_RANK1, mu)
                 )

@@ -13,7 +13,6 @@ from quivertl.geometry import (
     Geometry,
     InternalMismatch,
     SingularPoint,
-    compositions,
     geometry_for,
 )
 from quivertl.params import Params, ParamsError
@@ -21,6 +20,7 @@ from quivertl.params import Params, ParamsError
 from helpers import (
     AffineElement,
     apply,
+    compositions,
     element_along,
     element_wall,
     gallery_alcoves,
@@ -365,13 +365,13 @@ class TestOrbits:
         # oracle: close the point set under single reflections, staying
         # inside the nonnegative region through bounded detours
         g = geometry_for(P_INTRO)
-        orbit = set(g.orbit_points((4, 6, 3), 13))
+        orbit = set(g.orbit_points(g._orbit_key((4, 6, 3)), 13))
         closure = _reflection_orbit_oracle(g, (4, 6, 3), 13)
         assert orbit == closure
 
     def test_orbit_rank1(self):
         g = geometry_for(P_RANK1)
-        assert set(g.orbit_points((0, 11), 11)) == {
+        assert set(g.orbit_points(g._orbit_key((0, 11)), 11)) == {
             (5, 6), (4, 7), (8, 3), (1, 10), (9, 2), (0, 11),
         }
 
@@ -386,12 +386,12 @@ class TestOrbits:
         g = Geometry(Params(l, e, tuple(kappa)))
         p = data.draw(st.tuples(*[st.integers(0, 2 * e)] * l))
         n = data.draw(st.integers(0, 24))
-        assert g.orbit_points(p, n) == orbit_points_by_scan(g, p, n)
+        assert g.orbit_points(g._orbit_key(p), n) == orbit_points_by_scan(g, p, n)
 
     def test_orbit_with_more_components_than_boxes(self):
         g = Geometry(Params(7, 14, tuple(range(0, 14, 2))))
         p = (5, 0, 0, 0, 0, 0, 0)
-        assert g.orbit_points(p, 5) == orbit_points_by_scan(g, p, 5) == [
+        assert g.orbit_points(g._orbit_key(p), 5) == orbit_points_by_scan(g, p, 5) == [
             (2, 0, 0, 0, 0, 0, 3),
             (2, 0, 0, 0, 0, 1, 2),
             (4, 0, 0, 0, 0, 1, 0),

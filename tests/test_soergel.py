@@ -42,7 +42,9 @@ def both_galleries(monkeypatch):
     for params, n in WIDE:
         g = geometry_for(params)
         for block in blocks(params, n):
-            for mu in reversed(block.regular_members()):
+            if not all(block.regular):
+                continue
+            for mu in reversed(block.members):
                 a = g.alcove_of(mu)
                 yield params, a, alcove_series(params, distinguished_path(params, mu))
                 yield params, a, g.minimal_gallery(a)
@@ -136,7 +138,7 @@ class TestCrossChecks:
         for mu in [(5, 6, 2), (4, 9, 0), (13, 0, 0), (10, 1, 2)]:
             series = alcove_series(P_INTRO, distinguished_path(P_INTRO, mu))
             m, _, _, _ = run_all(P_INTRO, series)
-            for lam in g.orbit_points(mu, 13):
+            for lam in g.orbit_points(g._orbit_key(mu), 13):
                 if not g.classify(lam):
                     assert m.get(g.alcove_of(lam), ZERO) == graded_path_count(
                         P_INTRO, lam, mu

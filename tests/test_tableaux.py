@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from quivertl import geometry
-from quivertl.geometry import compositions, geometry_for
+from quivertl.geometry import geometry_for
 from quivertl.laurent import Laurent, ZERO
 from quivertl.params import Params, ParamsError
 from quivertl.paths import (
@@ -24,6 +24,7 @@ from quivertl.tableaux import (
 from helpers import (
     addable_removable,
     component_word,
+    compositions,
     dominance_leq,
     node_loading,
     placement_degree,
@@ -117,7 +118,7 @@ class TestBijectionWithPaths:
     def test_degree_preserving_bijection(self):
         params = Params(3, 8, (0, 4, 6))
         g = geometry_for(params)
-        members = g.orbit_points((4, 6, 3), 13)
+        members = g.orbit_points(g._orbit_key((4, 6, 3)), 13)
         for mu in members:
             for lam in members:
                 tabs = semistandard_tableaux(params, lam, mu)
