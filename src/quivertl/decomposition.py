@@ -4,8 +4,9 @@ Blocks and graded decomposition matrices.
 A block of TL_n(kappa) is an orbit of the shifted affine Weyl group
 action on one-column multipartitions of n: the points of n boxes with one
 multiset of residues (coordinate + rho) mod e (``Geometry.orbit_points``).
-``blocks`` builds one block per multiset, ``block_of`` the block of its
-member's.  The block is regular exactly when its residues are distinct.
+``blocks`` builds one block per multiset that points of n boxes have,
+``block_of`` the block of its member's.  The block is regular exactly
+when its residues are distinct.
 For a block of regular weights the graded decomposition numbers d and
 the graded standard-module dimensions are computed by running the
 wall-crossing recursions along the alcove series of each column's
@@ -34,7 +35,6 @@ both keyed by the class representative and kept as long as the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 
 from .geometry import InternalMismatch, geometry_for
 from .laurent import Laurent, ONE, ZERO, SplitImpossible, split_symmetric
@@ -96,18 +96,27 @@ def _block(geom, params, n, key):
     )
 
 
+def _reduced_points(l, e, n):
+    """The points of n boxes whose first l - 1 coordinates are below e."""
+    if l == 1:
+        yield (n,)
+        return
+    for v in range(min(n, e - 1) + 1):
+        for rest in _reduced_points(l - 1, e, n - v):
+            yield (v,) + rest
+
+
 def blocks(params, n):
-    """All blocks of TL_n(kappa), sorted by their first member: one per
-    residue multiset that has points of n boxes, whose residues then sum
-    to n + sum(rho) mod e."""
+    """All blocks of TL_n(kappa), sorted by their first member.
+
+    Every block has a member whose first l - 1 coordinates are below e:
+    moving multiples of e from them to the last coordinate keeps each
+    residue.  So the residue multisets of those points, of which there are
+    no more than compositions of n, are the blocks' multisets, and each
+    is built once."""
     geom = geometry_for(params)
-    total = (n + sum(params.rho)) % params.e
-    out = []
-    for key in combinations_with_replacement(range(params.e), params.l):
-        if sum(key) % params.e == total:
-            block = _block(geom, params, n, key)
-            if block.members:
-                out.append(block)
+    keys = {geom._orbit_key(p) for p in _reduced_points(params.l, params.e, n)}
+    out = [_block(geom, params, n, key) for key in keys]
     out.sort(key=lambda b: b.members[0])
     return out
 

@@ -37,7 +37,8 @@ P_RANK1 = Params(2, 4, (0, 2))
 
 def _block_grid():
     """(params, n) for every valid kappa order at l = 1..4 and small e,
-    singular blocks and n < l included, with n = 0..10."""
+    singular blocks and n < l included, with n = 0..10; then INTRO and
+    RANK1 at larger n, and e much larger than n."""
     for l, es in [(1, (2, 3)), (2, (4, 5)), (3, (6, 7)), (4, (8,))]:
         for e in es:
             for kappa in permutations(range(e), l):
@@ -47,6 +48,15 @@ def _block_grid():
                     continue
                 for n in range(11):
                     yield params, n
+    for params, ns in [
+        (P_INTRO, range(14)),
+        (P_RANK1, range(11, 21)),
+        (Params(3, 40, (0, 13, 27)), range(4)),
+        (Params(2, 1000, (0, 500)), range(4)),
+        (Params(7, 14, tuple(range(0, 14, 2))), range(6)),
+    ]:
+        for n in ns:
+            yield params, n
 
 
 class TestBlocks:
@@ -64,15 +74,16 @@ class TestBlocks:
             assert len(sets) == 1
 
     def test_regularity_constant_on_blocks(self):
-        # blocks reads regularity off the residue multiset; each flag must
-        # be what classify finds at its member
+        # blocks builds one orbit per residue multiset and reads regularity
+        # off it; blocks_by_scan groups every composition and flags each
+        # member by classify, so equality pins the blocks, member order,
+        # flags and lengths, singular blocks included
         seen = set()
         for params, n in _block_grid():
-            g = geometry_for(params)
-            for b in blocks(params, n):
+            found = blocks(params, n)
+            assert found == blocks_by_scan(params, n), (params, n)
+            for b in found:
                 assert len(set(b.regular)) == 1
-                for q, flag in zip(b.members, b.regular):
-                    assert flag == (not g.classify(q)), (params, n, q)
                 seen.add(b.regular[0])
         assert seen == {False, True}
 
@@ -89,10 +100,6 @@ class TestBlocks:
             assert m in b.members
 
     def test_block_of_matches_blocks(self):
-        # blocks builds one orbit per residue multiset, and must find the
-        # blocks, member order, flags and lengths of the composition scan
-        for params, n in _block_grid():
-            assert blocks(params, n) == blocks_by_scan(params, n), (params, n)
         # block_of builds only the orbit of its member
         for params, ns in [
             (P_RANK1, range(21)),
@@ -100,9 +107,7 @@ class TestBlocks:
             (Params(4, 8, (0, 2, 4, 6)), range(11)),
         ]:
             for n in ns:
-                found = blocks(params, n)
-                assert found == blocks_by_scan(params, n), (params, n)
-                for b in found:
+                for b in blocks(params, n):
                     for m in b.members:
                         assert block_of(params, n, m) == b, (params, n, m)
         for member in [(4, 6), (4, 6, 3, 0), (4, 6, 2), (-1, 8, 6)]:
