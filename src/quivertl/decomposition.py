@@ -276,9 +276,10 @@ def kn_oracle(params, block):
     for mu in block.members:
         support = []  # (nu, c(nu, mu)) for the solved nu != mu with c != 0
         for lam in rows:
+            f = counts[(lam, mu)]
             if lam == mu:
                 char = dec = ONE
-            elif not counts[(lam, mu)]:
+            elif not f:
                 char = dec = ZERO
             elif length[lam] >= length[mu]:
                 raise InternalMismatch(
@@ -286,7 +287,6 @@ def kn_oracle(params, block):
                     "its alcove is not shorter" % (list(lam), list(mu))
                 )
             else:
-                f = counts[(lam, mu)]
                 decs = row_dec[lam]
                 for nu, c in support:
                     d = decs.get(nu)

@@ -271,6 +271,10 @@ class Geometry:
         """
         e, rho, last = self.e, self.rho, self.l - 1
         unused = {r: key.count(r) for r in key}
+        # per coordinate, the residues as (least representative, residue),
+        # so that within each window of e values the values come in
+        # increasing order; ``extend`` skips the ones used up
+        starts = [sorted(((r - rho[c]) % e, r) for r in unused) for c in range(last)]
         point = [0] * self.l
         out = []
 
@@ -280,14 +284,13 @@ class Geometry:
                     point[c] = rest
                     out.append(tuple(point))
                 return
-            # (least representative, residue), so that within each window
-            # of e values the values come in increasing order
-            starts = sorted(((r - rho[c]) % e, r) for r, k in unused.items() if k)
             for base in range(0, rest + 1, e):
-                for start, r in starts:
+                for start, r in starts[c]:
                     v = base + start
                     if v > rest:
                         break
+                    if not unused[r]:
+                        continue
                     unused[r] -= 1
                     point[c] = v
                     extend(c + 1, rest - v)

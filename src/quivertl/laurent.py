@@ -59,22 +59,30 @@ class Laurent:
         return bool(self.terms)
 
     def __eq__(self, other):
+        if type(other) is Laurent:
+            return self.terms == other.terms
         if isinstance(other, int):
-            other = Laurent.term(0, other)
-        if not isinstance(other, Laurent):
-            return NotImplemented
-        return self.terms == other.terms
+            return self.terms == ({0: other} if other else {})
+        return NotImplemented
+
+    def __ne__(self, other):
+        if type(other) is Laurent:
+            return self.terms != other.terms
+        if isinstance(other, int):
+            return self.terms != ({0: other} if other else {})
+        return NotImplemented
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self):
-        return Laurent({e: -c for e, c in self.terms.items()})
+        return _wrap({e: -c for e, c in self.terms.items()})
 
     def _plus(self, other, sign):
         """self + sign * other, for sign 1 or -1."""
-        if isinstance(other, int):
-            other = Laurent.term(0, other)
+        if type(other) is not Laurent:
+            if isinstance(other, int):
+                other = Laurent.term(0, other)
         acc = dict(self.terms)
         for e, c in other.terms.items():
             total = acc.get(e, 0) + sign * c
@@ -82,9 +90,7 @@ class Laurent:
                 acc[e] = total
             else:
                 del acc[e]
-        out = Laurent()
-        out.terms = acc
-        return out
+        return _wrap(acc)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -95,30 +101,37 @@ class Laurent:
         return self._plus(other, -1)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = Laurent.term(0, other)
+        if type(other) is not Laurent:
+            if isinstance(other, int):
+                other = Laurent.term(0, other)
+        a, b = self.terms, other.terms
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # one term: a product of nonzero coefficients is nonzero, and
+            # the exponents stay distinct
+            ((e2, c2),) = b.items()
+            return _wrap({e1 + e2: c1 * c2 for e1, c1 in a.items()})
         acc = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
                 total = acc.get(e, 0) + c1 * c2
                 if total:
                     acc[e] = total
                 else:
                     del acc[e]
-        out = Laurent()
-        out.terms = acc
-        return out
+        return _wrap(acc)
 
     __rmul__ = __mul__
 
     def shift(self, k):
         """Multiply by t^k."""
-        return Laurent({e + k: coeff for e, coeff in self.terms.items()})
+        return _wrap({e + k: c for e, c in self.terms.items()})
 
     def bar(self):
         """The involution t -> t^-1."""
-        return Laurent({-e: c for e, c in self.terms.items()})
+        return _wrap({-e: c for e, c in self.terms.items()})
 
     # -- rendering ----------------------------------------------------
 
@@ -147,6 +160,16 @@ class Laurent:
         return "Laurent(%r)" % (self.terms,)
 
 
+_new = object.__new__
+
+
+def _wrap(terms):
+    """The Laurent polynomial of ``terms``, which must hold no zero
+    coefficient; unlike ``Laurent(terms)`` nothing is copied or checked."""
+    out = _new(Laurent)
+    out.terms = terms
+    return out
+
 ZERO = Laurent()
 ONE = Laurent.term(0)
 
@@ -155,21 +178,27 @@ def split_symmetric(f):
     """Split f = e + n with e bar-symmetric and n supported in degrees >= 1.
 
     The symmetric part is forced: e(-k) = e(k) = f(-k) for k > 0 and
-    e(0) = f(0), so n = f - e vanishes in degrees <= 0.  Raises
-    SplitImpossible when n has a negative coefficient, i.e. when no such
-    decomposition exists.
+    e(0) = f(0), so n = f - e vanishes in degrees <= 0 and is
+    f(k) - f(-k) in each degree k > 0.  Both parts are read off f in one
+    pass over its terms.  Raises SplitImpossible when n has a negative
+    coefficient, i.e. when no such decomposition exists.
     """
+    terms = f.terms
     sym = {}
-    for e, c in f.terms.items():
+    pos = {}
+    for e, c in terms.items():
         if e < 0:
-            sym[e] = c
-            sym[-e] = c
+            sym[e] = sym[-e] = c
+            k, rest = -e, terms.get(-e, 0) - c
         elif e == 0:
             sym[0] = c
-    e_part = Laurent()
-    e_part.terms = sym
-    n_part = f - e_part
-    if any(c < 0 for c in n_part.terms.values()):
-        raise SplitImpossible("no symmetric + positive decomposition of %s" % f)
-    return e_part, n_part
-
+            continue
+        elif -e in terms:
+            continue  # read with its mirror
+        else:
+            k, rest = e, c
+        if rest < 0:
+            raise SplitImpossible("no symmetric + positive decomposition of %s" % f)
+        if rest:
+            pos[k] = rest
+    return _wrap(sym), _wrap(pos)

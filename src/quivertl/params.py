@@ -10,7 +10,7 @@ every downstream computation can assume a well-posed alcove geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ParamsError(ValueError):

@@ -24,8 +24,13 @@ The count tables are memoised per translation class in
 ``geom.caches["count_tables"]``: mu and mu - k*(1, ..., 1) have the same
 table up to that shift of the shapes (the translation lemma of
 ``tableaux``), so the table of the class representative mu0 serves every
-n.  Like the ``transitions`` and ``runs`` memos it lives as long as the
-``Geometry``, and nothing is evicted.
+n, and the DP of a new class continues from the stored table of the
+longest prefix of its loading (the prefix lemma of ``tableaux``).  The
+column memo ``geom.caches["columns"]`` keeps each column mu that was read
+as its class table shifted by +k*(1, ..., 1) (the table itself when
+k = 0), so that a count read finds its column with one lookup.  Like the
+``transitions`` and ``runs`` memos both live as long as the ``Geometry``,
+and nothing is evicted.
 """
 
 from __future__ import annotations
@@ -139,16 +144,31 @@ def _closure_cached(params, mu, budget):
 
 def graded_path_count(params, lam, mu):
     """The graded count of paths from the distinguished path of mu to lam:
-    sum of t^(degree) over paths_between(lam, mu), read at lam - k*(1, ...,
-    1) from the tableau counts of the class representative mu0 = mu - k*(1,
-    ..., 1), k = min(mu), kept in ``caches["count_tables"]``.  A shape with
-    a negative coordinate is in no table, so its count is 0."""
-    tables = geometry_for(params).caches.setdefault("count_tables", {})
+    sum of t^(degree) over paths_between(lam, mu), read from mu's column in
+    ``caches["columns"]`` (lam and mu are tuples).  A shape that is in no
+    table has count 0."""
+    try:
+        column = geometry_for(params).caches["columns"][mu]
+    except KeyError:
+        column = _column(params, mu)
+    return column.get(lam, ZERO)
+
+
+def _column(params, mu):
+    """mu's column of counts, memoised in ``caches["columns"]``: the table
+    of the class representative mu0 = mu - k*(1, ..., 1), k = min(mu),
+    from ``caches["count_tables"]``, with every shape shifted by
+    +k*(1, ..., 1)."""
+    caches = geometry_for(params).caches
+    tables = caches.setdefault("count_tables", {})
     base, k = translation_class(mu)
     table = tables.get(base)
     if table is None:
         table = tables[base] = graded_tableau_counts(params, base)
-    return table.get(tuple([x - k for x in lam]) if k else tuple(lam), ZERO)
+    if k:
+        table = {tuple([x + k for x in lam]): poly for lam, poly in table.items()}
+    caches.setdefault("columns", {})[tuple(mu)] = table
+    return table
 
 
 def alcove_series(params, path):

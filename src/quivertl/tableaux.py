@@ -43,6 +43,31 @@ same alcove series word (or both fail with the same exception class):
 
 So ``paths.graded_path_count`` runs the DP once per class, on mu0, and
 ``decomposition.decomposition_matrix`` walks one gallery per class.
+
+Prefix lemma.  Let nu be the shape of the first j nodes of mu's loading
+(nu_m of them in component m).  Then the DP of mu after j placements is
+the DP of nu, whose states are nu's counts:
+
+* The first j nodes are the nodes of mu with the j smallest loading
+  values.  Within component m these values increase with the row, so
+  they are rows 1, ..., nu_m of m: the nodes of nu, with the same loading
+  values, residues and components.  The loading of nu is therefore the
+  first j nodes, in the same order.
+* After those j placements the DP holds, for each heights vector, the
+  graded count of the tableaux of weight nu with those column heights;
+  the heights are the shape, and a state exists exactly when its count
+  is nonzero (all counts have positive coefficients).  That is nu's table.
+* A class representative mu0 has a zero coordinate, and nu <= mu0 keeps
+  it, so nu is its own representative and its table is the one stored
+  under nu in ``caches["count_tables"]``.
+
+So ``graded_tableau_counts`` starts from the longest proper prefix whose
+table is already stored and places only the remaining nodes.  Which
+tables are stored depends on the order of requests, but by the lemma the
+result does not.  Each class still runs one DP.  At l = 2 the loading of
+the representative (0, m') is a prefix of that of (0, m) for m' < m,
+and likewise for (m', 0), so there a DP places only the nodes beyond
+the longest shorter representative stored on its side.
 """
 
 from __future__ import annotations
@@ -101,8 +126,9 @@ def graded_tableau_counts(params, mu):
     """
     geom = geometry_for(params)
     transitions = geom.caches.setdefault("transitions", {})
-    states = {(0,) * params.l: {0: 1}}
-    for _, res, _ in loading(params, mu):
+    nodes = loading(params, mu)
+    start, states = _stored_prefix(geom, mu, nodes)
+    for _, res, _ in nodes[start:]:
         grown = {}
         for heights, poly in states.items():
             moves = transitions.get((heights, res))
@@ -114,6 +140,23 @@ def graded_tableau_counts(params, mu):
                     acc[d + deg] = acc.get(d + deg, 0) + c
         states = grown
     return {lam: Laurent(poly) for lam, poly in states.items()}
+
+
+def _stored_prefix(geom, mu, nodes):
+    """(j, states) for the longest proper prefix of mu's loading ``nodes``
+    whose table is in ``caches["count_tables"]``: the first j nodes are
+    the loading of a shape nu, and the states are nu's counts (the prefix
+    lemma of the module docstring).  Without one, j = 0 and the states
+    are the empty tableau's."""
+    tables = geom.caches.get("count_tables")
+    if tables:
+        nu = list(mu)
+        for j in range(len(nodes) - 1, 0, -1):
+            nu[nodes[j][2] - 1] -= 1
+            table = tables.get(tuple(nu))
+            if table is not None:
+                return j, {lam: poly.terms for lam, poly in table.items()}
+    return 0, {(0,) * geom.l: {0: 1}}
 
 
 def _moves(geom, params, heights, res):

@@ -8,7 +8,7 @@ from math import comb
 
 from quivertl.decomposition import Block, NotLevelTwo, block_of, decomposition_matrix
 from quivertl.geometry import geometry_for
-from quivertl.laurent import Laurent, ONE, ZERO
+from quivertl.laurent import Laurent, ONE, SplitImpossible, ZERO
 from quivertl.paths import NotAdmissible, NotAGallery, PathWord
 from quivertl.soergel import n_function, run_all
 from quivertl.tableaux import loading, node_residue
@@ -529,3 +529,21 @@ def level2_hom_dim(params, i, j):
     if li < lj:
         return Laurent.term(lj - li)
     return ZERO
+
+
+def split_symmetric_by_difference(f):
+    """``laurent.split_symmetric`` by its defining formula: the forced
+    bar-symmetric part e (e(-k) = e(k) = f(-k) for k > 0, e(0) = f(0)),
+    and n = f - e, which must have no negative coefficient."""
+    sym = {}
+    for e, c in f.terms.items():
+        if e < 0:
+            sym[e] = c
+            sym[-e] = c
+        elif e == 0:
+            sym[0] = c
+    e_part = Laurent(sym)
+    n_part = f - e_part
+    if any(c < 0 for c in n_part.terms.values()):
+        raise SplitImpossible("no symmetric + positive decomposition of %s" % f)
+    return e_part, n_part

@@ -2,11 +2,12 @@
 and the level-two closed forms."""
 
 import json
+import random
 from itertools import permutations
 
 import pytest
 
-from quivertl import decomposition, geometry, paths
+from quivertl import decomposition, geometry, paths, soergel, tableaux
 from quivertl.geometry import InternalMismatch, geometry_for
 from quivertl.laurent import Laurent, ONE, ZERO
 from quivertl.params import Params, ParamsError
@@ -25,6 +26,7 @@ from quivertl.decomposition import (
 
 from helpers import (
     blocks_by_scan,
+    compositions,
     is_in_plus_semiring,
     level2_hom_dim,
     residue_multiset,
@@ -270,6 +272,72 @@ class TestDecompositionMatrix:
         decomposition_matrix(P_INTRO, translate)
         kn_oracle(P_INTRO, translate)
         assert runs == walks == []
+
+    @pytest.mark.parametrize("params, n_max", [(P_RANK1, 40), (P_INTRO, 16)])
+    def test_prefix_reuse_is_exact_in_any_order(self, monkeypatch, params, n_max):
+        # the DP continues from the longest stored prefix of a loading, and
+        # m from the longest stored prefix of a gallery word; filled in
+        # three column orders, every count table must equal a DP from the
+        # empty state and every run one from the fundamental alcove
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        columns = [q for n in range(n_max + 1) for q in compositions(n, params.l)]
+        classes = sorted(
+            {translation_class(q)[0] for q in columns}, key=lambda q: (sum(q), q)
+        )
+        geom = geometry_for(params)
+        words = {
+            q: decomposition._gallery(params, geom, q)
+            for q in classes
+            if not geom.classify(q)
+        }
+        # no count table is stored, so every DP starts from the empty state;
+        # the run memos are emptied before each word
+        tables = {q: graded_tableau_counts(params, q) for q in classes}
+        assert "count_tables" not in geom.caches
+        runs = {}
+        for word in set(words.values()):
+            geom.caches.pop("runs", None)
+            geom.caches.pop("m_prefixes", None)
+            runs[word] = soergel.run_all(params, word)
+        shuffled = list(classes)
+        random.Random(3).shuffle(shuffled)
+        reused = {}
+        crossings = {}
+        real_prefix, real_cross = tableaux._stored_prefix, soergel._cross
+        orders = [("up", classes), ("down", classes[::-1]), ("shuffled", shuffled)]
+        for name, order in orders:
+            monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+            starts, crossed = [], []
+
+            def prefix(*args):
+                got = real_prefix(*args)
+                starts.append(got[0])
+                return got
+
+            def cross(*args):
+                crossed.append(1)
+                return real_cross(*args)
+
+            with monkeypatch.context() as m:
+                m.setattr(tableaux, "_stored_prefix", prefix)
+                m.setattr(soergel, "_cross", cross)
+                for q in order:
+                    paths.graded_path_count(params, q, q)
+                    if q in words:
+                        soergel.run_all(params, words[q])
+            caches = geometry_for(params).caches
+            assert caches["count_tables"] == tables, name
+            for q, word in words.items():
+                assert soergel.run_all(params, word) == runs[word], (name, q)
+            prefixes = {w[:j] for w in words.values() for j in range(len(w) + 1)}
+            assert set(caches["m_prefixes"]) == prefixes, name
+            reused[name] = sum(map(bool, starts))
+            crossings[name] = len(crossed)
+        # in increasing order almost every class continues from a stored
+        # table (78 of 81 at l=2, 405 of 409 at INTRO), and the crossings,
+        # of m and of n together, do not depend on the order
+        assert reused["up"] > len(classes) // 2
+        assert len(set(crossings.values())) == 1
 
     def test_translated_block_reads_shifted_counts(self, monkeypatch):
         # the n=16 translate of INTRO reads the tables that n=13 stored, at

@@ -11,7 +11,7 @@ from quivertl.laurent import (
     split_symmetric,
 )
 
-from helpers import T, T_INV, is_in_plus_semiring
+from helpers import T, T_INV, is_in_plus_semiring, split_symmetric_by_difference
 
 
 def L(*pairs):
@@ -65,6 +65,37 @@ class TestArithmetic:
         assert a * (b + c) == a * b + a * c
         assert (a * b) * c == a * (b * c)
 
+    @given(small_polys, small_polys, st.integers(-4, 4))
+    def test_products_and_shifts_against_the_constructor(self, a, b, k):
+        # ``Laurent(pairs)`` sums repeated exponents and drops zeros; the
+        # one-term products, shift and bar build their terms directly
+        pairs = [
+            (e1 + e2, c1 * c2)
+            for e1, c1 in a.terms.items()
+            for e2, c2 in b.terms.items()
+        ]
+        assert (a * b).terms == Laurent(pairs).terms
+        terms = a.terms.items()
+        tripled = Laurent((e + k, 3 * c) for e, c in terms)
+        assert (a * Laurent.term(k, 3)).terms == tripled.terms
+        assert (a * -2).terms == Laurent((e, -2 * c) for e, c in terms).terms
+        assert a.shift(k).terms == Laurent((e + k, c) for e, c in terms).terms
+        assert a.bar().terms == Laurent((-e, c) for e, c in terms).terms
+        assert (a + b - b).terms == a.terms
+
+    def test_equality_with_ints_and_other_objects(self):
+        three = Laurent.term(0, 3)
+        assert three == 3 and 3 == three and not three != 3
+        assert three != 2 and not three == 2
+        assert ZERO == 0 and not ZERO != 0 and ZERO != 1
+        assert Laurent.term(1) != 1 and not Laurent.term(1) == 1
+        assert ONE == True  # noqa: E712 - bool is an int
+        for other in ("1", 1.0, None, object()):
+            assert ONE.__eq__(other) is NotImplemented
+            assert ONE.__ne__(other) is NotImplemented
+            assert not ONE == other
+            assert ONE != other
+
     @given(small_polys, small_polys)
     def test_bar_is_ring_map(self, a, b):
         assert (a + b).bar() == a.bar() + b.bar()
@@ -103,6 +134,20 @@ class TestSplitSymmetric:
         n = Laurent(pos)
         got_e, got_n = split_symmetric(e + n)
         assert got_e == e and got_n == n
+
+
+    @given(st.one_of(small_polys, nonneg_polys))
+    def test_agrees_with_the_difference_formula(self, f):
+        # the one-pass split against f - e: equal parts, and SplitImpossible
+        # on exactly the same inputs
+        try:
+            want = split_symmetric_by_difference(f)
+        except SplitImpossible:
+            with pytest.raises(SplitImpossible):
+                split_symmetric(f)
+            return
+        got = split_symmetric(f)
+        assert [part.terms for part in got] == [part.terms for part in want]
 
 
 class TestPlusSemiring:
