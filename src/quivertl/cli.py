@@ -17,7 +17,16 @@ Exit codes: 0 success, 2 configuration error (an empty or unwritable
 (``paths`` and ``svg`` only).  Reports are byte-deterministic.  JSON
 reports are ``json.dumps(report, indent=2)``; the ``decompose`` one is
 rendered directly as text, to the same bytes, since its tables run to
-thousands of entries.
+thousands of entries: each table's nonzero items are grouped by row, and
+only they are rendered.
+
+The argument parser is built once per process, by the first ``main``
+call, and serves every later one; each call parses into a fresh
+namespace, so no option carries over.  ``set_defaults(func=...)`` binds
+the ``cmd_*`` functions once, when the parser is built, but the commands
+still read ``decomposition_matrix`` and ``kn_oracle`` as module globals
+at each call, so that replacing those (as the tests and the benchmark's
+tracer do) takes effect.
 """
 
 from __future__ import annotations
@@ -189,42 +198,63 @@ def cmd_decompose(args):
 
 def _indented(data, depth):
     """``json.dumps(data, indent=2)`` as it appears ``depth`` levels deep
-    in an indent-2 document."""
-    return json.dumps(data, indent=2).replace("\n", "\n" + "  " * depth)
+    in an indent-2 document, for data built of dicts with string keys,
+    lists, ints and bools.  Rendered here, not by ``json``, whose indenting
+    encoder runs in pure Python and is several times slower."""
+    if type(data) is bool:
+        return "true" if data else "false"
+    if type(data) is int:
+        return str(data)
+    if not data:
+        return "{}" if type(data) is dict else "[]"
+    pad = "\n" + "  " * (depth + 1)
+    if type(data) is dict:
+        items = (json.dumps(k) + ": " + _indented(v, depth + 1) for k, v in data.items())
+        return "{" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "}"
+    items = (_indented(x, depth + 1) for x in data)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
 
 
 def _render_matrix_json(matrix, cross_checked):
     """The ``decompose`` report, ``matrix.to_json()`` with ``cross_checked``
-    appended, as the same bytes as ``_json_dumps`` of it.  Each member's
-    coordinates and each distinct polynomial are rendered once, and the
-    entries are joined as text without building their dicts."""
-    order = sorted(matrix.block.members)
-    coords = {m: _indented(list(m), 3) for m in order}
+    appended, as the same bytes as ``_json_dumps`` of it.  Each table's
+    nonzero items are grouped by lambda in one pass, and each row is sorted
+    by mu, so that the order is ``sorted(table.items())`` whatever the
+    tables' insertion order.  Each member's coordinates and each distinct
+    polynomial are rendered once, and the entries are joined as text
+    without building their dicts."""
+    coords = {m: _indented(m, 3) for m in matrix.block.members}
+    # the text of each distinct polynomial, keyed by its terms: equal
+    # values recur as distinct objects, and a frozenset hashes and compares
+    # without calling into ``Laurent``
     polys = {}
 
     def table(data):
-        # every key is a pair of members, so this is sorted(data) order
-        rows = []
-        for lam in order:
+        rows = {}
+        for (lam, mu), poly in data.items():
+            if poly.terms:
+                rows.setdefault(lam, []).append((mu, poly))
+        out = []
+        for lam in sorted(rows):
             lam_text = '    {\n      "lambda": ' + coords[lam] + ',\n      "mu": '
-            for mu in order:
-                poly = data.get((lam, mu))
-                if not poly:
-                    continue
-                text = polys.get(poly)
+            row = rows[lam]
+            row.sort()  # the mu of a row are distinct: no poly is compared
+            for mu, poly in row:
+                key = frozenset(poly.terms.items())
+                text = polys.get(key)
                 if text is None:
-                    text = polys[poly] = _indented(poly.to_pairs(), 3)
-                rows.append("".join((
+                    text = polys[key] = _indented(poly.to_pairs(), 3)
+                out.append("".join((
                     lam_text, coords[mu], ',\n      "poly": ', text, "\n    }"
                 )))
-        return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+        return "[\n" + ",\n".join(out) + "\n  ]" if out else "[]"
 
     return "".join((
         '{\n  "block": ', _indented(matrix.block.to_json(), 1),
         ',\n  "decomposition_numbers": ', table(matrix.entries),
         ',\n  "characters": ', table(matrix.characters),
         ',\n  "standard_dims": ', table(matrix.standard_dims),
-        ',\n  "cross_checked": ', json.dumps(cross_checked),
+        ',\n  "cross_checked": ', _indented(cross_checked, 1),
         "\n}\n",
     ))
 
@@ -318,9 +348,14 @@ def build_parser():
     return parser
 
 
+_PARSER = None  # built by the first ``main`` call
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         _check_out(args.out)
         return args.func(args)

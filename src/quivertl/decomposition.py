@@ -30,6 +30,12 @@ their count table and their gallery (the translation lemma of
 and ``decomposition_matrix`` the gallery words in ``caches["galleries"]``,
 both keyed by the class representative and kept as long as the
 ``Geometry``.
+
+The tables of a ``DecompositionMatrix`` are dense: every pair of members
+is a key, ``ZERO`` included.  Most of their values are zero, so neither
+route visits every pair.  Each starts its two tables as a zero copy of
+the count table's keys (``dict.fromkeys``, which hashes nothing), groups
+the nonzero counts by column in one pass, and writes only nonzero values.
 """
 
 from __future__ import annotations
@@ -145,8 +151,11 @@ class DecompositionMatrix:
     ``entries[(lam, mu)]`` is the graded decomposition number d_{lam,mu},
     ``characters[(lam, mu)]`` the graded simple character of mu at lam,
     and ``standard_dims[(lam, mu)]`` the graded dimension of the
-    mu-standard module at lam; all keys run over the block's members,
-    which are all regular.
+    mu-standard module at lam; the block's members are all regular.  The
+    tables are dense: every pair of members is a key of each, with
+    ``ZERO`` where the value is zero.  The routes build ``entries`` and
+    ``characters`` as a zero copy of the keys of ``standard_dims``, the
+    count table, and fill in their nonzero values.
     """
 
     block: Block
@@ -222,26 +231,49 @@ def _gallery(params, geom, mu):
 def decomposition_matrix(params, block):
     """Graded decomposition data of a regular block via the wall-crossing
     recursions, cross-checked against graded path counts.
+
+    Each column's m must equal the column's nonzero counts, keyed by the
+    rows' alcoves: the counts this call was given, not a memo.  Only when
+    the two differ are the members scanned in order, to name the first
+    pair that differs.  n and e are read on their supports (alcoves that
+    hold no member are skipped), so each column writes its nonzero values
+    alone.
     """
     _require_regular(block)
     geom = geometry_for(params)
     members = block.members
     dims = _standard_dims(params, block)
-    alcove = {lam: geom.alcove_of(lam) for lam in members}
-    entries = {}
-    characters = {}
-    for mu in members:
+    alcove = {}
+    member_at = {}
+    columns = {}  # the nonzero counts of each column, by the row's alcove
+    for lam in members:
+        a = alcove[lam] = geom.alcove_of(lam)
+        member_at[a] = lam
+        columns[lam] = {}
+    for (lam, mu), f in dims.items():
+        if f.terms:
+            columns[mu][alcove[lam]] = f
+    entries = dict.fromkeys(dims, ZERO)
+    characters = entries.copy()
+    for mu, want in columns.items():
         m_fn, n_fn, e_fn, _ = run_all(params, _gallery(params, geom, mu))
-        for lam in members:
-            key = alcove[lam]
-            m = m_fn.get(key, ZERO)
-            if m != dims[(lam, mu)]:
-                raise InternalMismatch(
-                    "recursion route: graded dimension mismatch at lambda=%s, "
-                    "mu=%s: %s vs %s" % (list(lam), list(mu), m, dims[(lam, mu)])
-                )
-            entries[(lam, mu)] = n_fn.get(key, ZERO)
-            characters[(lam, mu)] = e_fn.get(key, ZERO)
+        if m_fn != want:
+            # m may also hold alcoves of no member, which are not compared
+            for lam in members:
+                m = m_fn.get(alcove[lam], ZERO)
+                if m != dims[(lam, mu)]:
+                    raise InternalMismatch(
+                        "recursion route: graded dimension mismatch at lambda=%s, "
+                        "mu=%s: %s vs %s" % (list(lam), list(mu), m, dims[(lam, mu)])
+                    )
+        for a, value in n_fn.items():
+            lam = member_at.get(a)
+            if lam is not None:
+                entries[(lam, mu)] = value
+        for a, value in e_fn.items():
+            lam = member_at.get(a)
+            if lam is not None:
+                characters[(lam, mu)] = value
     return DecompositionMatrix(block, entries, characters, dims)
 
 
@@ -257,7 +289,10 @@ def kn_oracle(params, block):
     uniquely into a bar-symmetric part (the character value) plus a
     positively graded part (the decomposition number).
 
-    Most characters are zero, so the sum runs only over the nu of the
+    Most counts are zero, and a zero count leaves both values zero, so a
+    column's pass visits only its rows with a nonzero count, grouped by
+    column in one pass over the counts; the diagonal is always 1.  Most
+    characters are zero, so the sum runs only over the nu of the
     column already solved with c(nu, mu) != 0, and multiplies only where
     d(lam, nu) != 0.  That is exact because each row checks, before it is
     split, that it is shorter than mu (paths out of mu only reach shorter
@@ -267,42 +302,45 @@ def kn_oracle(params, block):
     """
     _require_regular(block)
     counts = _standard_dims(params, block)
-    length = dict(zip(block.members, block.lengths))
-    rows = sorted(block.members, key=lambda q: (-length[q], q))
-    entries = {}
-    characters = {}
+    members = block.members
+    length = dict(zip(members, block.lengths))
+    entries = dict.fromkeys(counts, ZERO)
+    characters = entries.copy()
+    columns = {}  # the nonzero off-diagonal counts of each column
+    for mu in members:
+        columns[mu] = {}
+    for (lam, mu), f in counts.items():
+        if f.terms and lam != mu:
+            columns[mu][lam] = f
     # the nonzero off-diagonal decomposition numbers of each row, by column
-    row_dec = {lam: {} for lam in block.members}
-    for mu in block.members:
+    row_dec = {}
+    for mu, column in columns.items():
+        entries[(mu, mu)] = characters[(mu, mu)] = ONE
         support = []  # (nu, c(nu, mu)) for the solved nu != mu with c != 0
-        for lam in rows:
-            f = counts[(lam, mu)]
-            if lam == mu:
-                char = dec = ONE
-            elif not f:
-                char = dec = ZERO
-            elif length[lam] >= length[mu]:
+        # by decreasing length, and lexicographically within a length
+        for lam in sorted(sorted(column), key=length.__getitem__, reverse=True):
+            if length[lam] >= length[mu]:
                 raise InternalMismatch(
                     "path-counting oracle: weight %s is reached from mu=%s but "
                     "its alcove is not shorter" % (list(lam), list(mu))
                 )
-            else:
-                decs = row_dec[lam]
-                for nu, c in support:
-                    d = decs.get(nu)
-                    if d is not None:
-                        f = f - d * c
-                try:
-                    char, dec = split_symmetric(f)
-                except SplitImpossible as exc:
-                    raise InternalMismatch(
-                        "path-counting oracle: %s at lambda=%s, mu=%s"
-                        % (exc, list(lam), list(mu))
-                    ) from exc
-                if dec:
-                    decs[mu] = dec
-                if char:
-                    support.append((lam, char))
+            f = column[lam]
+            decs = row_dec.setdefault(lam, {})
+            for nu, c in support:
+                d = decs.get(nu)
+                if d is not None:
+                    f = f - d * c
+            try:
+                char, dec = split_symmetric(f)
+            except SplitImpossible as exc:
+                raise InternalMismatch(
+                    "path-counting oracle: %s at lambda=%s, mu=%s"
+                    % (exc, list(lam), list(mu))
+                ) from exc
+            if dec:
+                decs[mu] = dec
+            if char:
+                support.append((lam, char))
             entries[(lam, mu)] = dec
             characters[(lam, mu)] = char
     return DecompositionMatrix(block, entries, characters, counts)

@@ -6,9 +6,16 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from quivertl.decomposition import Block, NotLevelTwo, block_of, decomposition_matrix
-from quivertl.geometry import geometry_for
-from quivertl.laurent import Laurent, ONE, SplitImpossible, ZERO
+from quivertl import decomposition
+from quivertl.decomposition import (
+    Block,
+    DecompositionMatrix,
+    NotLevelTwo,
+    block_of,
+    decomposition_matrix,
+)
+from quivertl.geometry import InternalMismatch, geometry_for
+from quivertl.laurent import Laurent, ONE, SplitImpossible, ZERO, split_symmetric
 from quivertl.paths import NotAdmissible, NotAGallery, PathWord
 from quivertl.soergel import n_function, run_all
 from quivertl.tableaux import loading, node_residue
@@ -547,3 +554,80 @@ def split_symmetric_by_difference(f):
     if any(c < 0 for c in n_part.terms.values()):
         raise SplitImpossible("no symmetric + positive decomposition of %s" % f)
     return e_part, n_part
+
+
+# -- the routes as dense loops -------------------------------------------
+#
+# Both routes of ``decomposition`` as they were before they skipped zero
+# entries: every (lam, mu) pair of the block is visited and written.  They
+# read the counts through ``decomposition._standard_dims`` at call time, so
+# that a test which replaces it reaches the twins and the routes alike.
+
+
+def dense_decomposition_matrix(params, block):
+    """``decomposition_matrix``, visiting every member pair."""
+    decomposition._require_regular(block)
+    geom = geometry_for(params)
+    members = block.members
+    dims = decomposition._standard_dims(params, block)
+    alcove = {lam: geom.alcove_of(lam) for lam in members}
+    entries = {}
+    characters = {}
+    for mu in members:
+        m_fn, n_fn, e_fn, _ = run_all(params, decomposition._gallery(params, geom, mu))
+        for lam in members:
+            key = alcove[lam]
+            m = m_fn.get(key, ZERO)
+            if m != dims[(lam, mu)]:
+                raise InternalMismatch(
+                    "recursion route: graded dimension mismatch at lambda=%s, "
+                    "mu=%s: %s vs %s" % (list(lam), list(mu), m, dims[(lam, mu)])
+                )
+            entries[(lam, mu)] = n_fn.get(key, ZERO)
+            characters[(lam, mu)] = e_fn.get(key, ZERO)
+    return DecompositionMatrix(block, entries, characters, dims)
+
+
+def dense_kn_oracle(params, block):
+    """``kn_oracle``, visiting every row of every column in the order
+    (-length, lam)."""
+    decomposition._require_regular(block)
+    counts = decomposition._standard_dims(params, block)
+    length = dict(zip(block.members, block.lengths))
+    rows = sorted(block.members, key=lambda q: (-length[q], q))
+    entries = {}
+    characters = {}
+    row_dec = {lam: {} for lam in block.members}
+    for mu in block.members:
+        support = []
+        for lam in rows:
+            f = counts[(lam, mu)]
+            if lam == mu:
+                char = dec = ONE
+            elif not f:
+                char = dec = ZERO
+            elif length[lam] >= length[mu]:
+                raise InternalMismatch(
+                    "path-counting oracle: weight %s is reached from mu=%s but "
+                    "its alcove is not shorter" % (list(lam), list(mu))
+                )
+            else:
+                decs = row_dec[lam]
+                for nu, c in support:
+                    d = decs.get(nu)
+                    if d is not None:
+                        f = f - d * c
+                try:
+                    char, dec = split_symmetric(f)
+                except SplitImpossible as exc:
+                    raise InternalMismatch(
+                        "path-counting oracle: %s at lambda=%s, mu=%s"
+                        % (exc, list(lam), list(mu))
+                    ) from exc
+                if dec:
+                    decs[mu] = dec
+                if char:
+                    support.append((lam, char))
+            entries[(lam, mu)] = dec
+            characters[(lam, mu)] = char
+    return DecompositionMatrix(block, entries, characters, counts)

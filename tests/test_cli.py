@@ -2,13 +2,23 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quivertl
 from quivertl import cli, decomposition, geometry
 from quivertl.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, main
-from quivertl.decomposition import DecompositionMatrix, block_of, decomposition_matrix
-from quivertl.laurent import Laurent
+from quivertl.decomposition import (
+    DecompositionMatrix,
+    block_of,
+    decomposition_matrix,
+    kn_oracle,
+)
+from quivertl.laurent import Laurent, ZERO
 from quivertl.params import Params
 
 INTRO = ["--l", "3", "--e", "8", "--kappa", "0,4,6", "--n", "13"]
@@ -159,6 +169,36 @@ class TestOutputs:
         empty = DecompositionMatrix(block, {}, {}, {})
         report = empty.to_json() | {"cross_checked": False}
         assert cli._render_matrix_json(empty, False) == json.dumps(report, indent=2) + "\n"
+
+    @pytest.mark.parametrize("data", [
+        [], {}, [[], {}], [True, False, 0, -3, [7]],
+        {"a": {"b": [1, [2, {}]], "c": True}, "d": -1},
+    ])
+    def test_indented_is_json_dumps(self, data):
+        # the report's own renderer, on the shapes json.dumps could meet
+        for depth in range(3):
+            want = json.dumps(data, indent=2).replace("\n", "\n" + "  " * depth)
+            assert cli._indented(data, depth) == want
+
+    def test_report_order_does_not_follow_insertion_order(self):
+        # the report lists each table sorted by (lambda, mu), however its
+        # dict was filled; a block whose tables hold only ZERO renders []
+        params = Params(3, 8, (0, 4, 6), 13)
+        block = block_of(params, 13, (4, 9, 0))
+        oracle = kn_oracle(params, block)
+        tables = (oracle.entries, oracle.characters, oracle.standard_dims)
+        backwards = DecompositionMatrix(
+            block, *(dict(reversed(t.items())) for t in tables)
+        )
+        assert list(backwards.entries) != sorted(backwards.entries)
+        zero = DecompositionMatrix(
+            block, *(dict.fromkeys(oracle.entries, ZERO) for _ in tables)
+        )
+        for matrix, checked in [(oracle, True), (backwards, False), (zero, True)]:
+            report = matrix.to_json() | {"cross_checked": checked}
+            text = cli._render_matrix_json(matrix, checked)
+            assert text == json.dumps(report, indent=2) + "\n"
+        assert '"decomposition_numbers": [],' in cli._render_matrix_json(zero, True)
 
     def test_decompose_table_bytes(self, capsys):
         # the table reports of four blocks, pinned by their sha256
@@ -345,6 +385,45 @@ class TestOutputs:
             assert captured.err == (
                 "error: cannot write %s: No such file or directory\n" % target
             )
+
+
+class TestParser:
+    def test_parser_is_reused_without_carrying_options(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # one parser serves every main call of a process: options given to
+        # one call must not reach the next, which gets the defaults
+        # --oracle on and --format table
+        calls = []
+        real = cli.kn_oracle
+
+        def oracle(params, block):
+            calls.append(block.members)
+            return real(params, block)
+
+        monkeypatch.setattr(cli, "kn_oracle", oracle)
+        target = tmp_path / "report.txt"
+        decompose = ["decompose"] + INTRO + ["--mu", "4,9,0"]
+        code, out = run(capsys, decompose + [
+            "--oracle", "off", "--format", "table", "--out", str(target),
+        ])
+        assert (code, out, calls) == (EXIT_OK, "", [])
+        parser = cli._PARSER
+        code, _ = run(capsys, ["blocks"] + RANK1)
+        assert code == EXIT_OK
+        code, out = run(capsys, decompose)
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        assert cli._PARSER is parser
+        src = str(Path(quivertl.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "quivertl.cli"] + decompose,
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert fresh.returncode == EXIT_OK, fresh.stderr
+        assert out == fresh.stdout == target.read_text()
 
 
 class TestDeterminism:

@@ -27,6 +27,8 @@ from quivertl.decomposition import (
 from helpers import (
     blocks_by_scan,
     compositions,
+    dense_decomposition_matrix,
+    dense_kn_oracle,
     is_in_plus_semiring,
     level2_hom_dim,
     residue_multiset,
@@ -458,6 +460,93 @@ class TestDecompositionMatrix:
         dm = decomposition_matrix(P_RANK1, b)
         text = json.dumps(dm.to_json())
         assert json.dumps(json.loads(text)) == text
+
+
+# each route and its dense twin (``helpers``), which visits every pair
+ROUTES = [
+    (decomposition_matrix, dense_decomposition_matrix),
+    (kn_oracle, dense_kn_oracle),
+]
+
+
+def _regular_blocks():
+    """Every regular block of INTRO at n <= 14, of l=2 e=4 kappa=(0,2) at
+    n <= 20 and of l=4 e=8 at n <= 9."""
+    for params, ns in [
+        (P_INTRO, range(15)),
+        (P_RANK1, range(21)),
+        (Params(4, 8, (0, 2, 4, 6)), range(10)),
+    ]:
+        for n in ns:
+            for block in blocks(params, n):
+                if block.regular[0]:
+                    yield params, block
+
+
+def _outcome(route, params, block):
+    """("raised", message) or ("returned", tables, report) of one route."""
+    try:
+        matrix = route(params, block)
+    except InternalMismatch as exc:
+        return "raised", str(exc)
+    tables = (matrix.entries, matrix.characters, matrix.standard_dims)
+    return "returned", tables, matrix.to_json()
+
+
+class TestSparseRoutes:
+    """The routes visit only the nonzero counts of each column; their dense
+    twins visit every pair.  Both must give the same tables, and on changed
+    counts the same error or the same tables."""
+
+    def test_routes_equal_their_dense_twins(self):
+        checked = 0
+        for params, block in _regular_blocks():
+            for route, dense in ROUTES:
+                got = _outcome(route, params, block)
+                assert got[0] == "returned"
+                assert got == _outcome(dense, params, block), block.members
+                # dense keys: every member pair, ZERO included
+                assert all(len(t) == len(block.members) ** 2 for t in got[1])
+            checked += 1
+        assert checked == 192
+
+    def test_changed_counts_give_the_dense_outcome(self, monkeypatch):
+        # per block: zero off-diagonal counts made nonzero or replaced by a
+        # zero that is not the ZERO object, and nonzero counts, diagonal
+        # ones included, made such a zero or changed by t^2 or t^-1
+        real = decomposition._standard_dims
+        rng = random.Random(23)
+        seen = set()
+        for params, block in _regular_blocks():
+            counts = real(params, block)
+            zeros = [k for k, f in counts.items() if not f and k[0] != k[1]]
+            nonzero = [k for k, f in counts.items() if f]
+            changes = []
+            for k in rng.sample(zeros, min(2, len(zeros))):
+                changes += [(k, Laurent.term(1)), (k, Laurent())]
+            for k in rng.sample(nonzero, min(2, len(nonzero))):
+                changes += [
+                    (k, Laurent()),
+                    (k, counts[k] + Laurent.term(2)),
+                    (k, counts[k] + Laurent.term(-1)),
+                ]
+            for key, poly in changes:
+
+                def dims(params, block):
+                    changed = real(params, block)
+                    changed[key] = poly
+                    return changed
+
+                with monkeypatch.context() as m:
+                    m.setattr(decomposition, "_standard_dims", dims)
+                    for route, dense in ROUTES:
+                        got = _outcome(route, params, block)
+                        assert got == _outcome(dense, params, block), (
+                            block.members, key, poly
+                        )
+                        seen.add((route.__name__, got[0]))
+        # each route both raised and returned on some change
+        assert len(seen) == 4
 
 
 class TestStability:
