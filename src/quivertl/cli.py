@@ -260,26 +260,40 @@ def _render_matrix_json(matrix, cross_checked):
 
 
 def _render_matrix_table(matrix):
+    """The ``decompose`` table report: the three tables as member-by-member
+    grids.  A zero cell is written ``0``, and each distinct polynomial is
+    rendered once, keyed by its terms as in ``_render_matrix_json``.  The
+    cells are read through ``matrix.d``, ``character`` and
+    ``standard_dim``, which return a member pair's value by key."""
     members = matrix.block.members
+    names = [str(list(m)) for m in members]
     lines = ["block: %s" % [list(m) for m in members]]
+    header = ["lambda \\ mu"] + names
+    polys = {}
 
-    def table(title, getter, rows, cols):
+    def table(title, getter):
         lines.append(title)
-        header = ["lambda \\ mu"] + [str(list(mu)) for mu in cols]
-        body = []
-        for lam in rows:
-            body.append([str(list(lam))] + [str(getter(lam, mu)) for mu in cols])
-        widths = [
-            max(len(row[c]) for row in [header] + body) for c in range(len(header))
-        ]
-        for row in [header] + body:
-            lines.append(
-                "  " + "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
-            )
+        rows = [header]
+        for lam, name in zip(members, names):
+            row = [name]
+            for mu in members:
+                terms = getter(lam, mu).terms
+                if not terms:
+                    row.append("0")
+                    continue
+                key = frozenset(terms.items())
+                text = polys.get(key)
+                if text is None:
+                    text = polys[key] = str(getter(lam, mu))
+                row.append(text)
+            rows.append(row)
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        for row in rows:
+            lines.append("  " + "  ".join(map(str.ljust, row, widths)))
 
-    table("decomposition numbers d:", matrix.d, members, members)
-    table("simple characters:", matrix.character, members, members)
-    table("standard dimensions:", matrix.standard_dim, members, members)
+    table("decomposition numbers d:", matrix.d)
+    table("simple characters:", matrix.character)
+    table("standard dimensions:", matrix.standard_dim)
     return "\n".join(lines) + "\n"
 
 

@@ -43,7 +43,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .geometry import InternalMismatch, geometry_for
-from .laurent import Laurent, ONE, ZERO, SplitImpossible, split_symmetric
+from .laurent import (
+    Laurent,
+    ONE,
+    ZERO,
+    SplitImpossible,
+    from_terms,
+    split_symmetric,
+    subtract_product,
+)
 from .paths import (
     NotAdmissible,
     NotAGallery,
@@ -294,11 +302,15 @@ def kn_oracle(params, block):
     column in one pass over the counts; the diagonal is always 1.  Most
     characters are zero, so the sum runs only over the nu of the
     column already solved with c(nu, mu) != 0, and multiplies only where
-    d(lam, nu) != 0.  That is exact because each row checks, before it is
-    split, that it is shorter than mu (paths out of mu only reach shorter
-    alcoves): a nonzero d(lam, nu) * c(nu, mu) then needs length(lam) <
-    length(nu) < length(mu), so both of its factors are solved before the
-    pair (lam, mu).
+    d(lam, nu) != 0: one fused multiply-subtract (``subtract_product``)
+    per triple (lam, nu, mu) with nonzero d(lam, nu) and c(nu, mu), on the
+    row's remainder as a term dict, copied from the count at the row's
+    first product and wrapped once before it is split.  That is exact
+    because each row checks, before it is split, that it is shorter than
+    mu (paths out of mu only reach shorter alcoves): a nonzero
+    d(lam, nu) * c(nu, mu) then needs length(lam) < length(nu) <
+    length(mu), so both of its factors are solved before the pair
+    (lam, mu).
     """
     _require_regular(block)
     counts = _standard_dims(params, block)
@@ -312,11 +324,13 @@ def kn_oracle(params, block):
     for (lam, mu), f in counts.items():
         if f.terms and lam != mu:
             columns[mu][lam] = f
-    # the nonzero off-diagonal decomposition numbers of each row, by column
+    # the terms of the nonzero off-diagonal decomposition numbers of each
+    # row, by column: the ``.terms`` of stored values, only ever read
     row_dec = {}
     for mu, column in columns.items():
         entries[(mu, mu)] = characters[(mu, mu)] = ONE
-        support = []  # (nu, c(nu, mu)) for the solved nu != mu with c != 0
+        # (nu, terms of c(nu, mu)) for the solved nu != mu with c != 0
+        support = []
         # by decreasing length, and lexicographically within a length
         for lam in sorted(sorted(column), key=length.__getitem__, reverse=True):
             if length[lam] >= length[mu]:
@@ -326,10 +340,15 @@ def kn_oracle(params, block):
                 )
             f = column[lam]
             decs = row_dec.setdefault(lam, {})
+            rest = None  # the row's remainder, copied from f at its first product
             for nu, c in support:
                 d = decs.get(nu)
                 if d is not None:
-                    f = f - d * c
+                    if rest is None:
+                        rest = dict(f.terms)
+                    subtract_product(rest, d, c)
+            if rest is not None:
+                f = from_terms(rest)
             try:
                 char, dec = split_symmetric(f)
             except SplitImpossible as exc:
@@ -338,9 +357,9 @@ def kn_oracle(params, block):
                     % (exc, list(lam), list(mu))
                 ) from exc
             if dec:
-                decs[mu] = dec
+                decs[mu] = dec.terms
             if char:
-                support.append((lam, char))
+                support.append((lam, char.terms))
             entries[(lam, mu)] = dec
             characters[(lam, mu)] = char
     return DecompositionMatrix(block, entries, characters, counts)

@@ -6,6 +6,15 @@ simple characters) lives in the ring Z[t, t^-1].  Polynomials are stored
 sparsely as a map from exponent to nonzero integer coefficient, so every
 operation is exact.
 
+The hot loops (the oracle's triangular solve and the n and e
+recursions of ``soergel``) do their arithmetic on plain term dicts
+``{exponent: coefficient}``, not on ``Laurent`` objects: a row's
+remainder is one dict, changed in place by ``subtract_product``, one
+fused multiply-subtract that builds no temporary polynomial.  A
+``Laurent`` is built once, when a value is stored, by ``from_terms``,
+which trusts its dict (no zero coefficient) and takes it over without
+checking or copying it.
+
 Beyond ring arithmetic, ``split_symmetric`` writes a polynomial with
 nonnegative coefficients uniquely as (bar-symmetric part) + (part supported
 in strictly positive degrees).  This is the arithmetic engine of the
@@ -76,7 +85,7 @@ class Laurent:
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self):
-        return _wrap({e: -c for e, c in self.terms.items()})
+        return from_terms({e: -c for e, c in self.terms.items()})
 
     def _plus(self, other, sign):
         """self + sign * other, for sign 1 or -1."""
@@ -90,7 +99,7 @@ class Laurent:
                 acc[e] = total
             else:
                 del acc[e]
-        return _wrap(acc)
+        return from_terms(acc)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -111,7 +120,7 @@ class Laurent:
             # one term: a product of nonzero coefficients is nonzero, and
             # the exponents stay distinct
             ((e2, c2),) = b.items()
-            return _wrap({e1 + e2: c1 * c2 for e1, c1 in a.items()})
+            return from_terms({e1 + e2: c1 * c2 for e1, c1 in a.items()})
         acc = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
@@ -121,17 +130,17 @@ class Laurent:
                     acc[e] = total
                 else:
                     del acc[e]
-        return _wrap(acc)
+        return from_terms(acc)
 
     __rmul__ = __mul__
 
     def shift(self, k):
         """Multiply by t^k."""
-        return _wrap({e + k: c for e, c in self.terms.items()})
+        return from_terms({e + k: c for e, c in self.terms.items()})
 
     def bar(self):
         """The involution t -> t^-1."""
-        return _wrap({-e: c for e, c in self.terms.items()})
+        return from_terms({-e: c for e, c in self.terms.items()})
 
     # -- rendering ----------------------------------------------------
 
@@ -163,12 +172,35 @@ class Laurent:
 _new = object.__new__
 
 
-def _wrap(terms):
-    """The Laurent polynomial of ``terms``, which must hold no zero
-    coefficient; unlike ``Laurent(terms)`` nothing is copied or checked."""
+def from_terms(terms):
+    """The Laurent polynomial of the term dict ``terms``, trusted as it is.
+
+    Precondition: ``terms`` maps exponents to integer coefficients and
+    holds no zero coefficient.  Unlike ``Laurent(terms)`` nothing is
+    checked or copied: the new object takes the dict over, so the caller
+    must not change it afterwards."""
     out = _new(Laurent)
     out.terms = terms
     return out
+
+
+def subtract_product(acc, a, b):
+    """Set ``acc -= a * b`` in place, on term dicts, deleting every
+    coefficient that reaches 0.
+
+    ``acc`` must be a dict the caller owns, never the ``.terms`` of a
+    stored ``Laurent``, which would change that value behind its back;
+    ``a`` and ``b`` are only read, and neither may be ``acc``.  All three
+    hold no zero coefficient, and ``acc`` still holds none on return."""
+    get = acc.get
+    for e2, c2 in b.items():
+        for e1, c1 in a.items():
+            e = e1 + e2
+            total = get(e, 0) - c1 * c2
+            if total:
+                acc[e] = total
+            else:
+                del acc[e]
 
 ZERO = Laurent()
 ONE = Laurent.term(0)
@@ -201,4 +233,4 @@ def split_symmetric(f):
             raise SplitImpossible("no symmetric + positive decomposition of %s" % f)
         if rest:
             pos[k] = rest
-    return _wrap(sym), _wrap(pos)
+    return from_terms(sym), from_terms(pos)

@@ -210,10 +210,11 @@ def alcove_series(params, path):
                 touching[i] += 1
                 touching[j] += 1
                 landed.append((i, j, v1 // e))
-        # only the walls just landed on can share a coordinate with another
-        if (running and k < last) or any(
+        # only the walls just landed on can share a coordinate with
+        # another, so a step that landed on none needs no such check
+        if (running and k < last) or (len(landed) > new and any(
             touching[i] > 1 or touching[j] > 1 for i, j, _ in landed[new:]
-        ):
+        )):
             raise NotAdmissible("path %r is not admissible" % (path.steps,))
     word = []
     cur = geom.fundamental

@@ -22,6 +22,12 @@ The graded simple characters e are not propagated: they are solved from
 the factorisation m = sum over alcoves nu of e(nu) * n_nu, and each
 solved value must be bar-symmetric.
 
+n and e subtract on term dicts: each value that a subtraction changes is
+copied once, on its first write, changed in place by
+``laurent.subtract_product`` (n's constant terms as the one-term factor
+{0: ct}), and wrapped as a ``Laurent`` once, by ``laurent.from_terms``,
+when it is stored or read as a solved character.
+
 Three memos in ``geom.caches`` hold the results.  ``n_functions`` is
 keyed by alcove and is read and written by ``n_function`` only.  ``runs``
 keeps each ``run_all`` result under the gallery's whole word, not its
@@ -46,7 +52,7 @@ one run per word.
 from __future__ import annotations
 
 from .geometry import InternalMismatch, geometry_for
-from .laurent import ONE, ZERO
+from .laurent import ONE, ZERO, from_terms, subtract_product
 
 
 def _cross(geom, fn, t):
@@ -94,16 +100,28 @@ def n_function(geom, a):
     for c in reversed(chain):
         n_function(geom, c)
     crossed = _cross(geom, memo[b], t)
-    got = dict(crossed)
+    # the term dicts of the values changed so far, each copied from
+    # crossed (or started empty) on its first write
+    changed = {}
     for d in sorted(crossed):
         if d == a or geom.length(d) >= size:
             continue
         ct = crossed[d].constant_term()
         if ct == 0:
             continue
+        factor = {0: ct}
         for key, poly in n_function(geom, d).items():
-            got[key] = got.get(key, ZERO) - poly * ct
-    got = {k: v for k, v in got.items() if v}
+            acc = changed.get(key)
+            if acc is None:
+                value = crossed.get(key)
+                acc = changed[key] = {} if value is None else dict(value.terms)
+            subtract_product(acc, poly.terms, factor)
+    got = dict(crossed)
+    for key, acc in changed.items():
+        if acc:
+            got[key] = from_terms(acc)
+        else:
+            got.pop(key, None)
     if got.get(a) != ONE:
         raise InternalMismatch("n is not 1 at alcove %r" % (a,))
     memo[a] = got
@@ -126,10 +144,13 @@ def _solve_characters(geom, m_fn):
     support by decreasing length, the part of m not yet accounted for at
     an alcove is e there.
     """
-    rest = dict(m_fn)
+    # the unsolved alcoves, each with the term dict of m there minus what
+    # is accounted for so far: None until its first write copies m's
+    rest = dict.fromkeys(m_fn)
     e_fn = {}
     for key in sorted(m_fn, key=lambda k: (geom.length(k), k), reverse=True):
-        e = rest.pop(key)
+        acc = rest.pop(key)
+        e = m_fn[key] if acc is None else from_terms(acc)
         if not e:
             continue
         if e.bar() != e:
@@ -145,7 +166,10 @@ def _solve_characters(geom, m_fn):
                     "n of alcove %r reaches %r outside the unsolved support of m"
                     % (key, b_key)
                 )
-            rest[b_key] = rest[b_key] - poly * e
+            acc = rest[b_key]
+            if acc is None:
+                acc = rest[b_key] = dict(m_fn[b_key].terms)
+            subtract_product(acc, poly.terms, e.terms)
     return e_fn
 
 

@@ -16,11 +16,14 @@ at once, with one dynamic-programming pass over the loading values of the
 weight; this is how graded path counts are computed.  No tableau is ever
 built: the column heights are the path's current point, so a placement's
 degree is ``Geometry.step_degree`` from the heights before it to those
-after.  The moves of a step depend only on the heights before it and the
-residue placed, so they are kept in ``geom.caches["transitions"]``, a
-table from ``(heights, residue)`` to the list of ``(next heights, degree
-increment)``, filled on first use and shared by every weight of every n
-with the same (l, e, kappa).
+after.  ``_moves`` computes it as ``alcove_series`` does: from the root
+values of the heights before, summing ``Geometry.root_step_degree`` over
+the l - 1 roots that the placed coordinate touches (``Geometry.touches``),
+since no other root value changes.  The moves of a step depend only on
+the heights before it and the residue placed, so they are kept in
+``geom.caches["transitions"]``, a table from ``(heights, residue)`` to
+the list of ``(next heights, degree increment)``, filled on first use and
+shared by every weight of every n with the same (l, e, kappa).
 
 Translation lemma.  Let k = min(mu) and mu0 = mu - k*(1, ..., 1), the
 representative of mu's translation class (``translation_class``).  The
@@ -73,7 +76,7 @@ the longest shorter representative stored on its side.
 from __future__ import annotations
 
 from .geometry import geometry_for
-from .laurent import Laurent
+from .laurent import from_terms
 
 
 def node_residue(params, r, m):
@@ -139,7 +142,11 @@ def graded_tableau_counts(params, mu):
                 for d, c in poly.items():
                     acc[d + deg] = acc.get(d + deg, 0) + c
         states = grown
-    return {lam: Laurent(poly) for lam, poly in states.items()}
+    # wrapped unchecked: every count has positive coefficients (a sum of
+    # powers of t, one per tableau), so none is zero; and each dict is this
+    # call's own, built by a placement or the empty tableau's start state,
+    # since a stored prefix is proper and leaves a node to place
+    return {lam: from_terms(poly) for lam, poly in states.items()}
 
 
 def _stored_prefix(geom, mu, nodes):
@@ -164,9 +171,16 @@ def _moves(geom, params, heights, res):
     ``(next heights, degree increment)`` for each component whose next
     empty node has that residue."""
     out = []
+    values = geom.values(heights)
+    step = geom.root_step_degree
     for m in range(params.l):
         if node_residue(params, heights[m] + 1, m + 1) == res:
             hs = heights[:m] + (heights[m] + 1,) + heights[m + 1 :]
-            out.append((hs, geom.step_degree(heights, hs)))
+            # only the l - 1 roots that touch coordinate m change value
+            deg = 0
+            for r, sign, _, _ in geom.touches[m]:
+                v0 = values[r]
+                deg += step(r, v0, v0 + sign)
+            out.append((hs, deg))
     return out
 

@@ -631,3 +631,30 @@ def dense_kn_oracle(params, block):
             entries[(lam, mu)] = dec
             characters[(lam, mu)] = char
     return DecompositionMatrix(block, entries, characters, counts)
+
+
+def reference_render_matrix_table(matrix):
+    """The ``decompose`` table report, cell by cell through ``matrix.d``,
+    ``character`` and ``standard_dim`` and ``str`` of each value: the
+    reference for ``cli._render_matrix_table``."""
+    members = matrix.block.members
+    lines = ["block: %s" % [list(m) for m in members]]
+
+    def table(title, getter, rows, cols):
+        lines.append(title)
+        header = ["lambda \\ mu"] + [str(list(mu)) for mu in cols]
+        body = []
+        for lam in rows:
+            body.append([str(list(lam))] + [str(getter(lam, mu)) for mu in cols])
+        widths = [
+            max(len(row[c]) for row in [header] + body) for c in range(len(header))
+        ]
+        for row in [header] + body:
+            lines.append(
+                "  " + "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
+            )
+
+    table("decomposition numbers d:", matrix.d, members, members)
+    table("simple characters:", matrix.character, members, members)
+    table("standard dimensions:", matrix.standard_dim, members, members)
+    return "\n".join(lines) + "\n"

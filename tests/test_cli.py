@@ -21,6 +21,8 @@ from quivertl.decomposition import (
 from quivertl.laurent import Laurent, ZERO
 from quivertl.params import Params
 
+from helpers import reference_render_matrix_table
+
 INTRO = ["--l", "3", "--e", "8", "--kappa", "0,4,6", "--n", "13"]
 RANK1 = ["--l", "2", "--e", "4", "--kappa", "0,2", "--n", "11"]
 
@@ -217,6 +219,36 @@ class TestOutputs:
             code, out = run(capsys, ["decompose"] + argv + ["--format", "table"])
             assert code == EXIT_OK
             assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_table_renderer_matches_the_reference(self):
+        # the table report reads each cell by key and renders each distinct
+        # polynomial once; its bytes are those of the cell-by-cell
+        # reference, also for a sparse table (a missing key is a zero
+        # cell) and for negative coefficients
+        l3 = Params(3, 6, (0, 2, 4))
+        cases = [
+            (Params(3, 8, (0, 4, 6)), 13, (4, 9, 0)),
+            (Params(2, 4, (0, 2)), 11, (0, 11)),
+            (l3, 21, (6, 7, 8)),
+            (Params(4, 8, (0, 2, 4, 6)), 13, (3, 3, 3, 4)),
+        ]
+        for params, n, mu in cases:
+            block = block_of(params, n, mu)
+            matrix = decomposition_matrix(params, block)
+            if params is l3:
+                assert len(block.members) == 44
+            text = cli._render_matrix_table(matrix)
+            assert text == reference_render_matrix_table(matrix), (params, mu)
+        lam, mu = block.members[0], block.members[-1]
+        sparse = DecompositionMatrix(
+            block,
+            {k: v for k, v in matrix.entries.items() if k != (lam, mu)},
+            dict(matrix.characters) | {(mu, lam): Laurent({-2: -3, 1: 1})},
+            dict(matrix.standard_dims) | {(lam, lam): ZERO},
+        )
+        text = cli._render_matrix_table(sparse)
+        assert text == reference_render_matrix_table(sparse)
+        assert "-3*t^-2 + t" in text
 
     def test_mismatch_names_table_and_pair(self, capsys, monkeypatch):
         real = cli.kn_oracle

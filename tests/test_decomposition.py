@@ -411,19 +411,20 @@ class TestDecompositionMatrix:
     def test_oracle_multiplies_only_over_the_support(self, monkeypatch):
         # one multiply-subtract per triple (lam, nu, mu) with a nonzero
         # count(lam, mu), d(lam, nu) and c(nu, mu); a loop over every nu
-        # that mu reaches would make more
-        real_mul = Laurent.__mul__
+        # that mu reaches would make more.  The oracle multiplies through
+        # ``subtract_product``, counted where it looks the kernel up
+        real_kernel = decomposition.subtract_product
         for n, member in [(13, (4, 9, 0)), (24, (8, 8, 8))]:
             block = block_of(P_INTRO, n, member)
             decomposition_matrix(P_INTRO, block)  # fills the count memo
             products = []
 
-            def counted(self, other):
+            def counted(acc, a, b):
                 products.append(1)
-                return real_mul(self, other)
+                return real_kernel(acc, a, b)
 
             with monkeypatch.context() as m:
-                m.setattr(Laurent, "__mul__", counted)
+                m.setattr(decomposition, "subtract_product", counted)
                 result = kn_oracle(P_INTRO, block)
             counts, d, c = result.standard_dims, result.entries, result.characters
             regs = block.members

@@ -8,7 +8,9 @@ from quivertl.laurent import (
     ONE,
     SplitImpossible,
     ZERO,
+    from_terms,
     split_symmetric,
+    subtract_product,
 )
 
 from helpers import T, T_INV, is_in_plus_semiring, split_symmetric_by_difference
@@ -101,6 +103,58 @@ class TestArithmetic:
         assert (a + b).bar() == a.bar() + b.bar()
         assert (a * b).bar() == a.bar() * b.bar()
         assert a.bar().bar() == a
+
+
+# term dicts as the hot loops hold them: no zero coefficient
+term_dicts = st.dictionaries(
+    st.integers(-6, 6), st.integers(-9, 9).filter(bool), max_size=6
+)
+
+
+class TestSubtractProduct:
+    """``subtract_product(acc, a, b)`` sets acc -= a * b in place."""
+
+    @given(term_dicts, term_dicts, term_dicts)
+    def test_matches_ring_arithmetic(self, acc, a, b):
+        want = (Laurent(acc) - Laurent(a) * Laurent(b)).terms
+        a_before, b_before = dict(a), dict(b)
+        subtract_product(acc, a, b)
+        assert acc == want
+        assert 0 not in acc.values()
+        assert a == a_before and b == b_before
+
+    @given(term_dicts, term_dicts, term_dicts)
+    def test_full_cancellation(self, a, b, rest):
+        # subtracting the product that acc holds leaves exactly the rest
+        acc = (Laurent(rest) + Laurent(a) * Laurent(b)).terms.copy()
+        subtract_product(acc, a, b)
+        assert acc == Laurent(rest).terms
+        acc = (Laurent(a) * Laurent(b)).terms.copy()
+        subtract_product(acc, a, b)
+        assert acc == {}
+
+    @given(term_dicts, term_dicts, st.integers(-9, -1))
+    def test_negative_constant_factor(self, acc, a, ct):
+        # n's recursion subtracts poly * ct with b = {0: ct}
+        want = (Laurent(acc) - Laurent(a) * ct).terms
+        subtract_product(acc, a, {0: ct})
+        assert acc == want and 0 not in acc.values()
+
+    @given(term_dicts, term_dicts)
+    def test_empty_operands(self, acc, a):
+        before = dict(acc)
+        subtract_product(acc, a, {})
+        subtract_product(acc, {}, a)
+        assert acc == before
+        empty = {}
+        subtract_product(empty, a, {0: 1})
+        assert empty == (-Laurent(a)).terms
+
+    def test_from_terms_takes_the_dict_over(self):
+        terms = {-1: 2, 3: -1}
+        poly = from_terms(terms)
+        assert poly.terms is terms
+        assert poly == Laurent(terms) and str(poly) == "2*t^-1 - t^3"
 
 
 class TestSplitSymmetric:

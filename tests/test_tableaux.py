@@ -182,6 +182,16 @@ class TestGradedCounts:
                         )
                         assert counts.get(lam, ZERO) == want
 
+    def test_counts_have_positive_coefficients(self):
+        # ``graded_tableau_counts`` wraps its DP dicts unchecked
+        # (``laurent.from_terms``), which needs every coefficient nonzero:
+        # each count is a sum of powers of t, one per tableau
+        for params, n in self.PARAMS:
+            for mu in compositions(n, params.l):
+                for lam, poly in graded_tableau_counts(params, mu).items():
+                    assert poly.terms and min(poly.terms.values()) > 0, (mu, lam)
+                    assert poly == Laurent(poly.terms)
+
     def test_column_rules_follow_from_residues(self):
         # the counts keep no column state: an entry of the next residue of
         # a component never comes less than l after its predecessor there,
