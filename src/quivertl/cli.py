@@ -27,6 +27,11 @@ the ``cmd_*`` functions once, when the parser is built, but the commands
 still read ``decomposition_matrix`` and ``kn_oracle`` as module globals
 at each call, so that replacing those (as the tests and the benchmark's
 tracer do) takes effect.
+
+Start-up is a large part of a one-shot ``quivertl`` process, so the
+module imports only what every command needs: ``svg``, which only the
+``svg`` command uses, is imported by ``cmd_svg``, and no package module
+imports ``dataclasses``, which pulls in ``inspect``.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ import os
 import stat
 import sys
 
-from . import svg as svg_mod
 from .decomposition import (
     NoRegularMember,
     block_of,
@@ -298,6 +302,10 @@ def _render_matrix_table(matrix):
 
 
 def cmd_svg(args):
+    # only this command draws, so only it imports the module (see the
+    # module docstring)
+    from . import svg as svg_mod
+
     params = _params(args)
     mu = _parse_multipartition(args.mu, params.l)
     lam = _parse_multipartition(args.lam, params.l) if args.lam else mu

@@ -36,11 +36,17 @@ is a key, ``ZERO`` included.  Most of their values are zero, so neither
 route visits every pair.  Each starts its two tables as a zero copy of
 the count table's keys (``dict.fromkeys``, which hashes nothing), groups
 the nonzero counts by column in one pass, and writes only nonzero values.
+
+``Block`` and ``DecompositionMatrix`` are plain ``__slots__`` classes
+rather than dataclasses, because importing ``dataclasses`` (and the
+``inspect`` it pulls in) is a large share of a one-shot ``quivertl``
+process's start-up.  They keep the dataclasses' behaviour: the same
+constructors, equality and ``repr``; a ``Block`` is hashable and its
+fields cannot be assigned, and a ``DecompositionMatrix`` is mutable and
+unhashable.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .geometry import InternalMismatch, geometry_for
 from .laurent import (
@@ -71,7 +77,9 @@ class NotLevelTwo(ValueError):
     """A level-two closed form was requested with l != 2."""
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
 class Block:
     """One orbit of one-column multipartitions of n, in a fixed order:
     by number of walls separating the weight from the fundamental alcove
@@ -81,15 +89,42 @@ class Block:
     ``regular`` flags each member as regular.  The flags are all equal: a
     root value is a difference of two residues, so a member is regular
     exactly when the block's residues are distinct.  They stay one per
-    member because the JSON report and the benchmark read them so."""
+    member because the JSON report and the benchmark read them so.
 
-    params: object
-    n: int
-    members: tuple
-    regular: tuple
-    lengths: tuple
-    # the graded path counts between members, filled by ``_standard_dims``
-    _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    ``_counts``, the graded path counts between members, is filled by
+    ``_standard_dims``; it takes no part in equality, hashing or ``repr``."""
+
+    __slots__ = ("params", "n", "members", "regular", "lengths", "_counts")
+
+    def __init__(self, params, n, members, regular, lengths):
+        _set(self, "params", params)
+        _set(self, "n", n)
+        _set(self, "members", members)
+        _set(self, "regular", regular)
+        _set(self, "lengths", lengths)
+        _set(self, "_counts", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def _key(self):
+        return (self.params, self.n, self.members, self.regular, self.lengths)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Block(params=%r, n=%r, members=%r, regular=%r, lengths=%r)" % (
+            self._key()
+        )
 
     def to_json(self):
         return {
@@ -152,7 +187,6 @@ def _require_regular(block):
         raise NoRegularMember("block %r has no regular member" % (block.members,))
 
 
-@dataclass
 class DecompositionMatrix:
     """Graded data of one block.
 
@@ -166,10 +200,30 @@ class DecompositionMatrix:
     count table, and fill in their nonzero values.
     """
 
-    block: Block
-    entries: dict
-    characters: dict
-    standard_dims: dict
+    __slots__ = ("block", "entries", "characters", "standard_dims")
+
+    def __init__(self, block, entries, characters, standard_dims):
+        self.block = block
+        self.entries = entries
+        self.characters = characters
+        self.standard_dims = standard_dims
+
+    def _key(self):
+        return (self.block, self.entries, self.characters, self.standard_dims)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    # mutable, so unhashable
+    __hash__ = None
+
+    def __repr__(self):
+        return (
+            "DecompositionMatrix(block=%r, entries=%r, characters=%r, "
+            "standard_dims=%r)" % self._key()
+        )
 
     def d(self, lam, mu):
         return self.entries.get((tuple(lam), tuple(mu)), ZERO)
@@ -310,12 +364,19 @@ def kn_oracle(params, block):
     mu (paths out of mu only reach shorter alcoves): a nonzero
     d(lam, nu) * c(nu, mu) then needs length(lam) < length(nu) <
     length(mu), so both of its factors are solved before the pair
-    (lam, mu).
+    (lam, mu).  Most rows have a zero character: a remainder with only
+    positive exponents and coefficients is its own decomposition number,
+    and ``split_symmetric`` returns it as it is, so such a row stores the
+    count object itself as d.
     """
     _require_regular(block)
     counts = _standard_dims(params, block)
     members = block.members
     length = dict(zip(members, block.lengths))
+    # each member's place in the row order: by decreasing length, and
+    # lexicographically within a length
+    order = sorted(members, key=lambda q: (-length[q], q))
+    rank = {lam: i for i, lam in enumerate(order)}
     entries = dict.fromkeys(counts, ZERO)
     characters = entries.copy()
     columns = {}  # the nonzero off-diagonal counts of each column
@@ -331,8 +392,7 @@ def kn_oracle(params, block):
         entries[(mu, mu)] = characters[(mu, mu)] = ONE
         # (nu, terms of c(nu, mu)) for the solved nu != mu with c != 0
         support = []
-        # by decreasing length, and lexicographically within a length
-        for lam in sorted(sorted(column), key=length.__getitem__, reverse=True):
+        for lam in sorted(column, key=rank.__getitem__):
             if length[lam] >= length[mu]:
                 raise InternalMismatch(
                     "path-counting oracle: weight %s is reached from mu=%s but "
@@ -356,9 +416,9 @@ def kn_oracle(params, block):
                     "path-counting oracle: %s at lambda=%s, mu=%s"
                     % (exc, list(lam), list(mu))
                 ) from exc
-            if dec:
+            if dec.terms:
                 decs[mu] = dec.terms
-            if char:
+            if char.terms:
                 support.append((lam, char.terms))
             entries[(lam, mu)] = dec
             characters[(lam, mu)] = char

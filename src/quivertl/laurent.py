@@ -214,8 +214,15 @@ def split_symmetric(f):
     f(k) - f(-k) in each degree k > 0.  Both parts are read off f in one
     pass over its terms.  Raises SplitImpossible when n has a negative
     coefficient, i.e. when no such decomposition exists.
+
+    When every exponent and every coefficient of f is positive, the split
+    is (0, f), and f itself is returned as its positive part: most rows
+    of the oracle take this path.  The coefficients are checked too,
+    since a negative one in a positive degree has no split.
     """
     terms = f.terms
+    if min(terms, default=1) > 0 and min(terms.values(), default=1) > 0:
+        return ZERO, f
     sym = {}
     pos = {}
     for e, c in terms.items():

@@ -6,18 +6,25 @@ characteristic e, and a multicharge kappa of l residues mod e.  The
 one-column (Temperley-Lieb) regime needs 2l <= e and the adjacency-free
 condition on the multicharge; both are enforced at construction time so
 every downstream computation can assume a well-posed alcove geometry.
+
+``Params`` is a plain ``__slots__`` class rather than a frozen dataclass:
+importing ``dataclasses`` pulls in ``inspect`` and takes about a quarter
+of the package's import time, which every one-shot ``quivertl`` process
+pays at start-up.  It behaves as the frozen dataclass did: the same
+constructor, equality, hash and ``repr``, and assigning a field raises
+``AttributeError``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 class ParamsError(ValueError):
     """Invalid (l, e, kappa) configuration."""
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
 class Params:
     """Algebra parameters: l components, quantum characteristic e, multicharge.
 
@@ -26,36 +33,54 @@ class Params:
     and written into ``to_json`` (the ``params`` of every CLI report).
     """
 
-    l: int
-    e: int
-    kappa: tuple = ()
-    n: int | None = None
+    __slots__ = ("l", "e", "kappa", "n")
 
-    def __post_init__(self):
-        if not isinstance(self.l, int) or self.l < 1:
-            raise ParamsError("l must be an integer >= 1, got %r" % (self.l,))
-        if not isinstance(self.e, int):
-            raise ParamsError("e must be a finite integer, got %r" % (self.e,))
-        if self.e < 2:
-            raise ParamsError("e must be >= 2, got %r" % (self.e,))
-        if 2 * self.l > self.e:
-            raise ParamsError("need 2l <= e, got l=%d, e=%d" % (self.l, self.e))
-        kappa = tuple(int(k) % self.e for k in self.kappa)
-        if len(kappa) != self.l:
-            raise ParamsError(
-                "kappa must have l=%d entries, got %d" % (self.l, len(kappa))
-            )
-        for i in range(self.l):
-            for j in range(self.l):
-                if i != j and kappa[i] in (kappa[j], (kappa[j] + 1) % self.e):
+    def __init__(self, l, e, kappa=(), n=None):
+        if not isinstance(l, int) or l < 1:
+            raise ParamsError("l must be an integer >= 1, got %r" % (l,))
+        if not isinstance(e, int):
+            raise ParamsError("e must be a finite integer, got %r" % (e,))
+        if e < 2:
+            raise ParamsError("e must be >= 2, got %r" % (e,))
+        if 2 * l > e:
+            raise ParamsError("need 2l <= e, got l=%d, e=%d" % (l, e))
+        kappa = tuple(int(k) % e for k in kappa)
+        if len(kappa) != l:
+            raise ParamsError("kappa must have l=%d entries, got %d" % (l, len(kappa)))
+        for i in range(l):
+            for j in range(l):
+                if i != j and kappa[i] in (kappa[j], (kappa[j] + 1) % e):
                     raise ParamsError(
                         "multicharge must satisfy κ_i ∉ {κ_j, κ_j+1} "
                         "(mod e); violated by κ_%d=%d, κ_%d=%d"
                         % (i + 1, kappa[i], j + 1, kappa[j])
                     )
-        object.__setattr__(self, "kappa", kappa)
-        if self.n is not None and (not isinstance(self.n, int) or self.n < 0):
-            raise ParamsError("n must be a nonnegative integer, got %r" % (self.n,))
+        if n is not None and (not isinstance(n, int) or n < 0):
+            raise ParamsError("n must be a nonnegative integer, got %r" % (n,))
+        _set(self, "l", l)
+        _set(self, "e", e)
+        _set(self, "kappa", kappa)
+        _set(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def _key(self):
+        return (self.l, self.e, self.kappa, self.n)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Params(l=%r, e=%r, kappa=%r, n=%r)" % self._key()
 
     @property
     def rho(self):

@@ -180,19 +180,27 @@ def alcove_series(params, path):
     two walls through a common point touch disjoint coordinate pairs; one
     walk over the steps checks this and collects the walls each step
     lands on (in root order) before any is crossed.  The walk keeps the
-    root values of the current point and, per coordinate, the number of
-    walls through it that touch that coordinate; a step updates the l - 1
-    values its coordinate touches (``Geometry.touches``), and only a root
-    that lands on or leaves a wall adds to the degree or changes the
-    walls.  A step that leaves one wall for an orthogonal one skips an
-    alcove, which the crossings still insert.  Validated to be a minimal
-    gallery of lengths 0, 1, ..., k.
+    root values of the current point; a step updates the l - 1 values its
+    coordinate touches (``Geometry.touches``), and only a root that lands
+    on or leaves a wall adds to the degree or changes the walls.  A step
+    that leaves one wall for an orthogonal one skips an alcove, which the
+    crossings still insert.  Validated to be a minimal gallery of lengths
+    0, 1, ..., k.
+
+    Two walls through the new point share a coordinate exactly when the
+    step landed on two or more walls, so the walk checks only that count.
+    A step moves one coordinate i and leaves every wall through i that
+    the old point was on, so the walls through i at the new point are the
+    ones just landed on, and any two of those share i.  A landed wall
+    (i, j) next to a wall (j, k) that the point was already on forces
+    (i, k) to land in the same step, since root values add.  Two walls
+    that both miss i were both on the old point, which passed the check.
+    The origin is regular (``Params`` keeps the residues distinct), and
+    the endpoint is regular when no final root value is a multiple of e.
     """
     geom = geometry_for(params)
     e = geom.e
     values = list(geom.origin_values)
-    # the origin is regular: Params keeps the residues distinct
-    touching = [0] * geom.l
     landed = []
     running = 0
     last = len(path)
@@ -203,18 +211,10 @@ def alcove_series(params, path):
             v1 = values[r] = v0 + sign
             if v0 % e == 0:
                 running += geom.root_step_degree(r, v0, v1)
-                touching[i] -= 1
-                touching[j] -= 1
             elif v1 % e == 0:
                 running += geom.root_step_degree(r, v0, v1)
-                touching[i] += 1
-                touching[j] += 1
                 landed.append((i, j, v1 // e))
-        # only the walls just landed on can share a coordinate with
-        # another, so a step that landed on none needs no such check
-        if (running and k < last) or (len(landed) > new and any(
-            touching[i] > 1 or touching[j] > 1 for i, j, _ in landed[new:]
-        )):
+        if (running and k < last) or len(landed) - new >= 2:
             raise NotAdmissible("path %r is not admissible" % (path.steps,))
     word = []
     cur = geom.fundamental
@@ -228,6 +228,6 @@ def alcove_series(params, path):
             raise NotAGallery("crossing %r does not move away from the origin" % (h,))
         length += 1
         word.append(t)
-    if not any(touching) and cur != geom.alcove_of(path.endpoint()):
+    if all(v % e for v in values) and cur != geom.alcove_of(path.endpoint()):
         raise NotAGallery("gallery does not end at the endpoint's alcove")
     return tuple(word)

@@ -171,6 +171,16 @@ class TestSplitSymmetric:
         with pytest.raises(SplitImpossible):
             split_symmetric(L((-1, 2), (1, 1)))
 
+    def test_positive_polynomial_is_its_own_positive_part(self):
+        f = L((1, 2), (3, 1))
+        e, n = split_symmetric(f)
+        assert e == ZERO and n is f
+
+    def test_negative_coefficient_in_positive_degree_is_impossible(self):
+        # every exponent is positive, but n = f has a negative coefficient
+        with pytest.raises(SplitImpossible):
+            split_symmetric(L((1, 2), (2, -1)))
+
     @given(nonneg_polys)
     def test_split_recomposes(self, f):
         try:
