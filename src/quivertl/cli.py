@@ -13,8 +13,9 @@ Subcommands:
 enumerate reflection closures and take ``--budget``, a cap on their size.
 
 Exit codes: 0 success, 2 configuration error (an empty or unwritable
-``--out`` among them), 3 cross-check mismatch, 4 path-closure budget exceeded
-(``paths`` and ``svg`` only).  Reports are byte-deterministic.  JSON
+``--out`` among them, and a standard output that cannot be written), 3
+cross-check mismatch, 4 path-closure budget exceeded (``paths`` and ``svg``
+only).  Reports are byte-deterministic.  JSON
 reports are ``json.dumps(report, indent=2)``; the ``decompose`` one is
 rendered directly as text, to the same bytes, since its tables run to
 thousands of entries: each table's nonzero items are grouped by row, and
@@ -115,8 +116,27 @@ def _emit(text, out):
                 fh.write(text)
         except OSError as ex:
             raise _CliError(EXIT_CONFIG, "cannot write %s: %s" % (out, ex.strerror))
+    elif sys.stdout is None:
+        # the process started with standard output closed
+        raise _CliError(
+            EXIT_CONFIG, "cannot write standard output: %s" % os.strerror(errno.EBADF)
+        )
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as ex:
+            # what is still buffered cannot be written either: send it to
+            # the null device, so that the flush at exit neither fails nor
+            # prints a second error
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, sys.stdout.fileno())
+            finally:
+                os.close(devnull)
+            raise _CliError(
+                EXIT_CONFIG, "cannot write standard output: %s" % ex.strerror
+            )
 
 
 def _json_dumps(data):

@@ -31,11 +31,8 @@ and ``decomposition_matrix`` the gallery words in ``caches["galleries"]``,
 both keyed by the class representative and kept as long as the
 ``Geometry``.
 
-The tables of a ``DecompositionMatrix`` are dense: every pair of members
-is a key, ``ZERO`` included.  Most of their values are zero, so neither
-route visits every pair.  Each starts its two tables as a zero copy of
-the count table's keys (``dict.fromkeys``, which hashes nothing), groups
-the nonzero counts by column in one pass, and writes only nonzero values.
+The count table and the tables of a ``DecompositionMatrix`` hold nonzero
+values only: a pair of members that is not a key has the value zero.
 
 ``Block`` and ``DecompositionMatrix`` are plain ``__slots__`` classes
 rather than dataclasses, because importing ``dataclasses`` (and the
@@ -194,10 +191,8 @@ class DecompositionMatrix:
     ``characters[(lam, mu)]`` the graded simple character of mu at lam,
     and ``standard_dims[(lam, mu)]`` the graded dimension of the
     mu-standard module at lam; the block's members are all regular.  The
-    tables are dense: every pair of members is a key of each, with
-    ``ZERO`` where the value is zero.  The routes build ``entries`` and
-    ``characters`` as a zero copy of the keys of ``standard_dims``, the
-    count table, and fill in their nonzero values.
+    routes store nonzero values only, and the accessors read a missing
+    pair as ``ZERO``.
     """
 
     __slots__ = ("block", "entries", "characters", "standard_dims")
@@ -255,18 +250,20 @@ class DecompositionMatrix:
 
 
 def _standard_dims(params, block):
-    """Graded path counts between all members of the block, keyed by
-    (lam, mu): the graded standard dimensions.  They are read once per
-    block into ``block._counts``; each call returns its own copy, which
-    the caller may change."""
+    """The nonzero graded path counts between members of the block, keyed
+    by (lam, mu): the graded standard dimensions.  They are read once per
+    block, one ``graded_path_count`` call per member pair, into
+    ``block._counts``; each call returns its own copy, which the caller
+    may change."""
     if not block._counts:
         # built whole before it is stored: a count that raises leaves no
         # partial table behind
         block._counts.update(
             {
-                (lam, mu): graded_path_count(params, lam, mu)
+                (lam, mu): f
                 for mu in block.members
                 for lam in block.members
+                if (f := graded_path_count(params, lam, mu)).terms
             }
         )
     return dict(block._counts)
@@ -315,18 +312,19 @@ def decomposition_matrix(params, block):
     for (lam, mu), f in dims.items():
         if f.terms:
             columns[mu][alcove[lam]] = f
-    entries = dict.fromkeys(dims, ZERO)
-    characters = entries.copy()
+    entries = {}
+    characters = {}
     for mu, want in columns.items():
         m_fn, n_fn, e_fn, _ = run_all(params, _gallery(params, geom, mu))
         if m_fn != want:
             # m may also hold alcoves of no member, which are not compared
             for lam in members:
                 m = m_fn.get(alcove[lam], ZERO)
-                if m != dims[(lam, mu)]:
+                count = dims.get((lam, mu), ZERO)
+                if m != count:
                     raise InternalMismatch(
                         "recursion route: graded dimension mismatch at lambda=%s, "
-                        "mu=%s: %s vs %s" % (list(lam), list(mu), m, dims[(lam, mu)])
+                        "mu=%s: %s vs %s" % (list(lam), list(mu), m, count)
                     )
         for a, value in n_fn.items():
             lam = member_at.get(a)
@@ -377,8 +375,8 @@ def kn_oracle(params, block):
     # lexicographically within a length
     order = sorted(members, key=lambda q: (-length[q], q))
     rank = {lam: i for i, lam in enumerate(order)}
-    entries = dict.fromkeys(counts, ZERO)
-    characters = entries.copy()
+    entries = {}
+    characters = {}
     columns = {}  # the nonzero off-diagonal counts of each column
     for mu in members:
         columns[mu] = {}
@@ -418,10 +416,10 @@ def kn_oracle(params, block):
                 ) from exc
             if dec.terms:
                 decs[mu] = dec.terms
+                entries[(lam, mu)] = dec
             if char.terms:
                 support.append((lam, char.terms))
-            entries[(lam, mu)] = dec
-            characters[(lam, mu)] = char
+                characters[(lam, mu)] = char
     return DecompositionMatrix(block, entries, characters, counts)
 
 

@@ -559,9 +559,10 @@ def split_symmetric_by_difference(f):
 # -- the routes as dense loops -------------------------------------------
 #
 # Both routes of ``decomposition`` as they were before they skipped zero
-# entries: every (lam, mu) pair of the block is visited and written.  They
-# read the counts through ``decomposition._standard_dims`` at call time, so
-# that a test which replaces it reaches the twins and the routes alike.
+# entries: every (lam, mu) pair of the block is visited and written, ZERO
+# included.  They read the counts through ``decomposition._standard_dims``
+# at call time, so that a test which replaces it reaches the twins and the
+# routes alike, and read a pair missing from the counts as ZERO.
 
 
 def dense_decomposition_matrix(params, block):
@@ -578,10 +579,11 @@ def dense_decomposition_matrix(params, block):
         for lam in members:
             key = alcove[lam]
             m = m_fn.get(key, ZERO)
-            if m != dims[(lam, mu)]:
+            count = dims.get((lam, mu), ZERO)
+            if m != count:
                 raise InternalMismatch(
                     "recursion route: graded dimension mismatch at lambda=%s, "
-                    "mu=%s: %s vs %s" % (list(lam), list(mu), m, dims[(lam, mu)])
+                    "mu=%s: %s vs %s" % (list(lam), list(mu), m, count)
                 )
             entries[(lam, mu)] = n_fn.get(key, ZERO)
             characters[(lam, mu)] = e_fn.get(key, ZERO)
@@ -601,7 +603,7 @@ def dense_kn_oracle(params, block):
     for mu in block.members:
         support = []
         for lam in rows:
-            f = counts[(lam, mu)]
+            f = counts.get((lam, mu), ZERO)
             if lam == mu:
                 char = dec = ONE
             elif not f:

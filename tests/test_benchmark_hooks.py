@@ -49,23 +49,27 @@ def test_every_traced_name_is_bound():
 def test_every_count_passes_the_counting_hook(monkeypatch):
     # the ``paths.graded_path_count`` span and the ``paths_counted`` counter
     # wrap ``decomposition.graded_path_count``; however the counts are
-    # memoised, every (lam, mu) entry of a block must pass through it, once:
-    # the block's table is built once and both routes read it
+    # memoised, every member pair (lam, mu) of a block must pass through it
+    # once, in column order: the block's table is built once, from the
+    # nonzero values the hook returned, and both routes read it
     params = Params(3, 8, (0, 4, 6))
     block = block_of(params, 13, (4, 9, 0))
     seen = []
     real = decomposition.graded_path_count
 
     def counted(params, lam, mu):
-        seen.append((lam, mu))
-        return real(params, lam, mu)
+        f = real(params, lam, mu)
+        seen.append(((lam, mu), f))
+        return f
 
     monkeypatch.setattr(decomposition, "graded_path_count", counted)
     matrix = decomposition_matrix(params, block)
-    assert seen == list(matrix.standard_dims)
     oracle = kn_oracle(params, block)
-    assert seen == list(oracle.standard_dims)
-    assert len(matrix.standard_dims) == len(block.members) ** 2
+    members = block.members
+    assert [pair for pair, _ in seen] == [(lam, mu) for mu in members for lam in members]
+    nonzero = {pair: f for pair, f in seen if f}
+    assert matrix.standard_dims == nonzero == oracle.standard_dims
+    assert len(nonzero) < len(seen)
 
 
 def test_every_n_function_passes_the_n_function_hook(monkeypatch):

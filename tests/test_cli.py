@@ -1,5 +1,6 @@
 """Command line interface: exit codes, determinism, output formats."""
 
+import errno
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import quivertl
 from quivertl import cli, decomposition, geometry
@@ -418,6 +420,53 @@ class TestOutputs:
                 "error: cannot write %s: No such file or directory\n" % target
             )
 
+    @staticmethod
+    def _cli_process(argv, stdout, **kwargs):
+        """A fresh ``quivertl`` process writing its report to ``stdout``."""
+        src = str(Path(quivertl.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "quivertl.cli"] + argv,
+            stdout=stdout, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path), text=True, timeout=120,
+            **kwargs,
+        )
+
+    def _assert_unwritable_stdout(self, done, errno_code):
+        assert done.returncode == EXIT_CONFIG
+        assert "Traceback" not in done.stderr
+        assert "Exception ignored" not in done.stderr
+        assert done.stderr == (
+            "error: cannot write standard output: %s\n" % os.strerror(errno_code)
+        )
+
+    def test_full_standard_output(self):
+        # a device that takes no data: the flush fails, and what is still
+        # buffered must not fail again at exit
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "w") as full:
+            done = self._cli_process(["blocks"] + INTRO, full)
+        self._assert_unwritable_stdout(done, errno.ENOSPC)
+
+    def test_closed_standard_output_pipe(self):
+        # the reader of the pipe is gone before the report is written
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = self._cli_process(["decompose"] + INTRO + ["--mu", "4,9,0"], write_end)
+        finally:
+            os.close(write_end)
+        self._assert_unwritable_stdout(done, errno.EPIPE)
+
+    def test_closed_standard_output(self):
+        # descriptor 1 is closed before the interpreter starts, so Python
+        # has no sys.stdout at all
+        done = self._cli_process(
+            ["blocks"] + INTRO, None, preexec_fn=lambda: os.close(1)
+        )
+        self._assert_unwritable_stdout(done, errno.EBADF)
+
 
 class TestParser:
     def test_parser_is_reused_without_carrying_options(
@@ -468,3 +517,89 @@ class TestDeterminism:
         _, first = run(capsys, argv)
         _, second = run(capsys, argv)
         assert first == second
+
+
+# malformed values of every kind the options take
+BAD = ["", "x", "-1", "1,,2", "0,-2", "1.5", "xml"]
+
+
+def _draw_argv(data, workdir):
+    """One argv for a random command at l <= 4, e <= 10, n <= 8: well-formed
+    options, of which up to two are then made malformed or left out.
+    ``--out`` names only a file in ``workdir``, ``""``, ``workdir`` itself
+    or a file in a missing directory, so that nothing is written anywhere
+    else."""
+    draw = data.draw
+    command = draw(st.sampled_from(["blocks", "paths", "decompose", "svg"]))
+    l = draw(st.integers(1, 4))
+    # three times in four e >= 2l, and kappa of residues two apart, which
+    # then satisfies the multicharge condition
+    e = draw(st.integers(2 * l, 10) if draw(st.integers(0, 3)) else st.integers(0, 10))
+    n = draw(st.integers(0, 8))
+    shift = draw(st.integers(0, 9))
+    spaced = [(2 * i + shift) % max(e, 1) for i in range(l)]
+    kappa = draw(
+        st.permutations(spaced) if draw(st.integers(0, 3))
+        else st.lists(st.integers(-1, max(e, 1)), min_size=l - 1, max_size=l + 1)
+    )
+
+    def weight():
+        # mostly a multipartition of n: l parts cut at sorted points
+        cuts = sorted(draw(st.lists(st.integers(0, n), min_size=l - 1, max_size=l - 1)))
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+        kind = draw(st.sampled_from(["ok", "ok", "ok", "more", "fewer", "bigger"]))
+        if kind == "more":
+            parts.append(0)
+        elif kind == "fewer":
+            parts.pop()
+        elif kind == "bigger":
+            parts[-1] += 1
+        return ",".join(map(str, parts))
+
+    options = {
+        "--l": str(l),
+        "--e": str(e),
+        "--kappa": ",".join(map(str, kappa)),
+        "--n": str(n),
+    }
+    if command in ("paths", "svg"):
+        options["--mu"] = weight()
+        options["--lambda"] = weight()
+        options["--budget"] = str(draw(st.integers(0, 40)))
+    if command == "decompose":
+        options["--mu"] = weight()
+        options["--oracle"] = draw(st.sampled_from(["on", "off"]))
+    if command != "svg":
+        options["--format"] = draw(st.sampled_from(["table", "json"]))
+    for name in draw(st.sets(st.sampled_from(sorted(options)), max_size=2)):
+        bad = draw(st.sampled_from(BAD + [None]))
+        if bad is None:
+            del options[name]
+        else:
+            options[name] = bad
+    # after the malformed values: a relative --out would write into the
+    # working directory
+    out = draw(st.sampled_from([
+        None, None, str(workdir / "report"), str(workdir / "report"),
+        "", str(workdir), str(workdir / "missing" / "r"),
+    ]))
+    if out is not None:
+        options["--out"] = out
+    return [command] + ["%s=%s" % item for item in options.items()]
+
+
+class TestRandomArgv:
+    @given(data=st.data())
+    @settings(
+        max_examples=400, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_every_argv_ends_in_a_documented_exit_code(self, data, tmp_path):
+        # every call returns, or leaves through argparse's SystemExit, with
+        # a documented code; no other exception escapes
+        argv = _draw_argv(data, tmp_path)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in {EXIT_OK, EXIT_CONFIG, EXIT_MISMATCH, EXIT_BUDGET}, argv

@@ -354,7 +354,8 @@ class TestDecompositionMatrix:
             direct = graded_tableau_counts(P_INTRO, mu)
             for lam in translate.members:
                 got = paths.graded_path_count(P_INTRO, lam, mu)
-                assert got == direct.get(lam, ZERO) == dims[(lam, mu)], (lam, mu)
+                want = direct.get(lam, ZERO)
+                assert got == want == dims.get((lam, mu), ZERO), (lam, mu)
                 nonzero += bool(got)
         assert nonzero > len(translate.members)
 
@@ -373,7 +374,9 @@ class TestDecompositionMatrix:
         cold = block_of(P_INTRO, 13, (4, 9, 0))
         assert matrices_equal(oracle, kn_oracle(P_INTRO, cold))
         assert matrices_equal(again, decomposition_matrix(P_INTRO, cold))
-        assert len(oracle.standard_dims) == len(block.members) ** 2
+        # ``==`` on the dicts: the same keys, and no zero stored
+        assert oracle.standard_dims == kn_oracle(P_INTRO, cold).standard_dims
+        assert all(oracle.standard_dims.values())
 
     def test_singular_block_rejected(self):
         sing = next(b for b in blocks(P_INTRO, 13) if not any(b.regular))
@@ -426,18 +429,19 @@ class TestDecompositionMatrix:
             with monkeypatch.context() as m:
                 m.setattr(decomposition, "subtract_product", counted)
                 result = kn_oracle(P_INTRO, block)
-            counts, d, c = result.standard_dims, result.entries, result.characters
+            # the accessors read a missing pair as ZERO
+            counts, d, c = result.standard_dim, result.d, result.character
             regs = block.members
             support = reached = 0
             for mu in regs:
                 for lam in regs:
-                    if lam == mu or not counts[(lam, mu)]:
+                    if lam == mu or not counts(lam, mu):
                         continue
                     for nu in regs:
                         if nu in (lam, mu):
                             continue
-                        support += bool(d[(lam, nu)] and c[(nu, mu)])
-                        reached += bool(counts[(lam, nu)] and counts[(nu, mu)])
+                        support += bool(d(lam, nu) and c(nu, mu))
+                        reached += bool(counts(lam, nu) and counts(nu, mu))
             assert len(products) == support
             assert 0 < support < reached
 
@@ -494,34 +498,54 @@ def _outcome(route, params, block):
     return "returned", tables, matrix.to_json()
 
 
+def _nonzero(outcome):
+    """The outcome with the zero values dropped from its tables."""
+    if outcome[0] == "raised":
+        return outcome
+    kind, tables, report = outcome
+    return kind, tuple({k: v for k, v in t.items() if v} for t in tables), report
+
+
 class TestSparseRoutes:
-    """The routes visit only the nonzero counts of each column; their dense
-    twins visit every pair.  Both must give the same tables, and on changed
-    counts the same error or the same tables."""
+    """The routes visit only the nonzero counts of each column and store
+    only nonzero values; their dense twins visit and store every pair.
+    Both must give the same nonzero values and the same report, and on
+    changed counts the same error or the same nonzero values."""
 
     def test_routes_equal_their_dense_twins(self):
         checked = 0
         for params, block in _regular_blocks():
             for route, dense in ROUTES:
                 got = _outcome(route, params, block)
-                assert got[0] == "returned"
-                assert got == _outcome(dense, params, block), block.members
-                # dense keys: every member pair, ZERO included
-                assert all(len(t) == len(block.members) ** 2 for t in got[1])
+                want = _outcome(dense, params, block)
+                assert got[0] == want[0] == "returned"
+                assert got[1] == _nonzero(want)[1], block.members
+                assert got[2] == want[2], block.members
+                # the route stores no zero; the twin writes d and the
+                # characters at every member pair
+                assert all(v for t in got[1] for v in t.values())
+                k = len(block.members)
+                assert all(len(t) == k**2 for t in want[1][:2])
             checked += 1
         assert checked == 192
 
     def test_changed_counts_give_the_dense_outcome(self, monkeypatch):
-        # per block: zero off-diagonal counts made nonzero or replaced by a
-        # zero that is not the ZERO object, and nonzero counts, diagonal
-        # ones included, made such a zero or changed by t^2 or t^-1
+        # per block: zero off-diagonal counts, the member pairs missing from
+        # the counts, made nonzero or given a zero that is not the ZERO
+        # object, and nonzero counts, diagonal ones included, made such a
+        # zero or changed by t^2 or t^-1
         real = decomposition._standard_dims
         rng = random.Random(23)
         seen = set()
         for params, block in _regular_blocks():
             counts = real(params, block)
-            zeros = [k for k, f in counts.items() if not f and k[0] != k[1]]
-            nonzero = [k for k, f in counts.items() if f]
+            zeros = [
+                (lam, mu)
+                for mu in block.members
+                for lam in block.members
+                if lam != mu and (lam, mu) not in counts
+            ]
+            nonzero = list(counts)
             changes = []
             for k in rng.sample(zeros, min(2, len(zeros))):
                 changes += [(k, Laurent.term(1)), (k, Laurent())]
@@ -541,8 +565,8 @@ class TestSparseRoutes:
                 with monkeypatch.context() as m:
                     m.setattr(decomposition, "_standard_dims", dims)
                     for route, dense in ROUTES:
-                        got = _outcome(route, params, block)
-                        assert got == _outcome(dense, params, block), (
+                        got = _nonzero(_outcome(route, params, block))
+                        assert got == _nonzero(_outcome(dense, params, block)), (
                             block.members, key, poly
                         )
                         seen.add((route.__name__, got[0]))
