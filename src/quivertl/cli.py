@@ -126,17 +126,35 @@ def _emit(text, out):
             sys.stdout.write(text)
             sys.stdout.flush()
         except OSError as ex:
-            # what is still buffered cannot be written either: send it to
-            # the null device, so that the flush at exit neither fails nor
-            # prints a second error
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            try:
-                os.dup2(devnull, sys.stdout.fileno())
-            finally:
-                os.close(devnull)
+            _silence(sys.stdout)
             raise _CliError(
                 EXIT_CONFIG, "cannot write standard output: %s" % ex.strerror
             )
+
+
+def _silence(stream):
+    """Send ``stream``'s descriptor to the null device after a failed
+    write: what is still buffered cannot be written either, and this way
+    the flush at exit neither fails nor prints a second error."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, stream.fileno())
+    finally:
+        os.close(devnull)
+
+
+def _report(message):
+    """Write ``error: <message>`` to standard error.  A standard error that
+    is closed or cannot be written loses the line, and the exit code still
+    says what went wrong."""
+    if sys.stderr is None:
+        # the process started with standard error closed
+        return
+    try:
+        sys.stderr.write("error: %s\n" % message)
+        sys.stderr.flush()
+    except OSError:
+        _silence(sys.stderr)
 
 
 def _json_dumps(data):
@@ -402,10 +420,10 @@ def main(argv=None):
         _check_out(args.out)
         return args.func(args)
     except _CliError as ex:
-        print("error: %s" % ex, file=sys.stderr)
+        _report(ex)
         return ex.code
     except ValueError as ex:
-        print("error: %s" % ex, file=sys.stderr)
+        _report(ex)
         return EXIT_CONFIG
 
 

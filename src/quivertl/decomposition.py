@@ -22,14 +22,10 @@ are built in:
 
 Both routes read the graded path counts, which are also the graded
 standard dimensions, from one table per block (``_standard_dims``), built
-once per ``Block`` and copied for each route.  Each column of it comes
-from the tableau-placement count of ``paths``; no reflection closure is
-enumerated here.  Columns that differ by a multiple of (1, ..., 1) share
-their count table and their gallery (the translation lemma of
-``tableaux``): ``paths`` memoises the tables in ``caches["count_tables"]``
-and ``decomposition_matrix`` the gallery words in ``caches["galleries"]``,
-both keyed by the class representative and kept as long as the
-``Geometry``.
+once per ``Block`` and copied for each route.  Each column of it, and
+each column's gallery word, is read from the column's translation class
+record in ``paths`` (``class_counts``, ``gallery_word``); no reflection
+closure is enumerated here.
 
 The count table and the tables of a ``DecompositionMatrix`` hold nonzero
 values only: a pair of members that is not a key has the value zero.
@@ -58,12 +54,15 @@ from .laurent import (
 from .paths import (
     NotAdmissible,
     NotAGallery,
+    # no longer called here: the benchmark's tracer still wraps these two
+    # names in this module until ROADMAP item 1 hooks ``class_counts`` and
+    # ``gallery_word`` instead
     alcove_series,
-    distinguished_path,
+    class_counts,
+    gallery_word,
     graded_path_count,
 )
 from .soergel import run_all
-from .tableaux import translation_class
 
 
 class NoRegularMember(ValueError):
@@ -252,39 +251,44 @@ class DecompositionMatrix:
 def _standard_dims(params, block):
     """The nonzero graded path counts between members of the block, keyed
     by (lam, mu): the graded standard dimensions.  They are read once per
-    block, one ``graded_path_count`` call per member pair, into
-    ``block._counts``; each call returns its own copy, which the caller
-    may change."""
+    block into ``block._counts``, one ``class_counts`` call per member
+    column in block order, each column's class table with its shapes
+    shifted by +k*(1, ..., 1); each call returns its own copy, which the
+    caller may change.  A column's tableaux place the residues of mu, so
+    every shape it reaches is a member of mu's block, and one that is not
+    is the program's fault."""
     if not block._counts:
-        # built whole before it is stored: a count that raises leaves no
+        # each shape keyed by its member tuple, so that no shifted copy is
+        # kept
+        members = {q: q for q in block.members}
+        counts = {}
+        for mu in block.members:
+            table, k = class_counts(params, mu)
+            for shape, f in table.items():
+                if k:
+                    shape = tuple([x + k for x in shape])
+                lam = members.get(shape)
+                if lam is None:
+                    raise InternalMismatch(
+                        "count table of mu=%s reaches %s, which is not a member "
+                        "of its block" % (list(mu), list(shape))
+                    )
+                counts[lam, mu] = f
+        # built whole before it is stored: a column that raises leaves no
         # partial table behind
-        block._counts.update(
-            {
-                (lam, mu): f
-                for mu in block.members
-                for lam in block.members
-                if (f := graded_path_count(params, lam, mu)).terms
-            }
-        )
+        block._counts.update(counts)
     return dict(block._counts)
 
 
-def _gallery(params, geom, mu):
-    """The gallery word of mu's distinguished path, walked once per
-    translation class: on the class representative, memoised under it in
-    ``caches["galleries"]``."""
-    galleries = geom.caches.setdefault("galleries", {})
-    base, _ = translation_class(mu)
-    word = galleries.get(base)
-    if word is None:
-        try:
-            word = alcove_series(params, distinguished_path(params, base))
-        except (NotAdmissible, NotAGallery) as exc:
-            raise InternalMismatch(
-                "distinguished path of mu=%s: %s" % (list(mu), exc)
-            ) from exc
-        galleries[base] = word
-    return word
+def _gallery(params, mu):
+    """The gallery word of mu's distinguished path (``gallery_word``); a
+    path that is not a gallery is the program's fault."""
+    try:
+        return gallery_word(params, mu)
+    except (NotAdmissible, NotAGallery) as exc:
+        raise InternalMismatch(
+            "distinguished path of mu=%s: %s" % (list(mu), exc)
+        ) from exc
 
 
 def decomposition_matrix(params, block):
@@ -315,7 +319,7 @@ def decomposition_matrix(params, block):
     entries = {}
     characters = {}
     for mu, want in columns.items():
-        m_fn, n_fn, e_fn, _ = run_all(params, _gallery(params, geom, mu))
+        m_fn, n_fn, e_fn, _ = run_all(params, _gallery(params, mu))
         if m_fn != want:
             # m may also hold alcoves of no member, which are not compared
             for lam in members:

@@ -13,31 +13,33 @@ counts, which compute graded dimensions of standard modules.
 
 Closure paths correspond to semistandard tableaux by a degree-preserving
 bijection: a tableau's entries, read in increasing order, spell the path's
-component word.  Graded path counts are therefore taken from
-``tableaux.graded_tableau_counts``, one dynamic-programming pass per column
-mu that serves every lam at once, instead of enumerating the closure,
-which has 2^length(mu) paths.  The closure is enumerated only where the
-paths themselves are wanted (``paths_between``, the ``paths`` and ``svg``
-commands) and as the test oracle for the counts.
+component word.  Graded path counts are therefore taken from the tableau
+DP (``tableaux.place_nodes``), which serves every lam at once, instead of
+enumerating the closure, which has 2^length(mu) paths.  The closure is
+enumerated only where the paths themselves are wanted (``paths_between``,
+the ``paths`` and ``svg`` commands) and as the test oracle for the counts.
 
-The count tables are memoised per translation class in
-``geom.caches["count_tables"]``: mu and mu - k*(1, ..., 1) have the same
-table up to that shift of the shapes (the translation lemma of
-``tableaux``), so the table of the class representative mu0 serves every
-n, and the DP of a new class continues from the stored table of the
-longest prefix of its loading (the prefix lemma of ``tableaux``).  The
-column memo ``geom.caches["columns"]`` keeps each column mu that was read
-as its class table shifted by +k*(1, ..., 1) (the table itself when
-k = 0), so that a count read finds its column with one lookup.  Like the
-``transitions`` and ``runs`` memos both live as long as the ``Geometry``,
-and nothing is evicted.
+A column's counts and gallery depend only on its translation class (the
+translation lemma of ``tableaux``), so ``geom.caches["classes"]`` keeps
+one ``ClassRecord`` per class, read by ``class_counts`` and
+``gallery_word``; a new record continues the DP and the walk of the
+longest stored prefix of its loading (the prefix lemma).  The reference
+entry points ``graded_tableau_counts`` and ``alcove_series`` run the same
+DP and walk from the empty tableau and the origin.  The records live as
+long as the ``Geometry``.
 """
 
 from __future__ import annotations
 
 from .geometry import geometry_for
 from .laurent import ZERO
-from .tableaux import graded_tableau_counts, loading, translation_class
+from .tableaux import (
+    graded_tableau_counts,
+    loading,
+    node_residue,
+    place_nodes,
+    translation_class,
+)
 
 
 # the default cap on the size of a reflection closure
@@ -144,48 +146,115 @@ def _closure_cached(params, mu, budget):
 
 def graded_path_count(params, lam, mu):
     """The graded count of paths from the distinguished path of mu to lam:
-    sum of t^(degree) over paths_between(lam, mu), read from mu's column in
-    ``caches["columns"]`` (lam and mu are tuples).  A shape that is in no
-    table has count 0."""
-    try:
-        column = geometry_for(params).caches["columns"][mu]
-    except KeyError:
-        column = _column(params, mu)
-    return column.get(lam, ZERO)
-
-
-def _column(params, mu):
-    """mu's column of counts, memoised in ``caches["columns"]``: the table
-    of the class representative mu0 = mu - k*(1, ..., 1), k = min(mu),
-    from ``caches["count_tables"]``, with every shape shifted by
-    +k*(1, ..., 1)."""
-    caches = geometry_for(params).caches
-    tables = caches.setdefault("count_tables", {})
-    base, k = translation_class(mu)
-    table = tables.get(base)
-    if table is None:
-        table = tables[base] = graded_tableau_counts(params, base)
+    sum of t^(degree) over paths_between(lam, mu), read from mu's class
+    table (lam and mu are tuples).  A shape that is in no table has
+    count 0."""
+    table, k = class_counts(params, mu)
     if k:
-        table = {tuple([x + k for x in lam]): poly for lam, poly in table.items()}
-    caches.setdefault("columns", {})[tuple(mu)] = table
-    return table
+        lam = tuple([x - k for x in lam])
+    return table.get(lam, ZERO)
+
+
+def class_counts(params, mu):
+    """(table, k): mu's nonzero counts are its class record's ``table``
+    with every shape shifted by +k*(1, ..., 1), k = min(mu).  Callers must
+    not change the table."""
+    base, k = translation_class(mu)
+    return _record(geometry_for(params), params, base).table, k
+
+
+def gallery_word(params, mu):
+    """``alcove_series`` of mu's distinguished path, raising as it does:
+    crossed once per class from its record's walk, and kept there unless
+    it fails."""
+    base, _ = translation_class(mu)
+    geom = geometry_for(params)
+    record = _record(geom, params, base)
+    if record.word is None:
+        if record.running is None:
+            steps = distinguished_path(params, base).steps
+            raise NotAdmissible("path %r is not admissible" % (steps,))
+        record.word = _crossings(geom, record.landed, base)
+    return record.word
+
+
+class ClassRecord:
+    """A class's count ``table``, the ``running`` degree of the walk along
+    its distinguished path (None when it is not admissible) and the walls
+    it ``landed`` on, and its gallery ``word`` once it is crossed."""
+
+    __slots__ = ("table", "running", "landed", "word")
+
+    def __init__(self, table, running, landed):
+        self.table = table
+        self.running = running
+        self.landed = landed
+        self.word = None
+
+
+def _record(geom, params, mu0):
+    """The record of the representative mu0, kept in ``caches["classes"]``.
+    A new one continues the DP and the walk from the stored record of the
+    longest proper prefix nu of mu0's loading, found by taking the last
+    loading node (row max(nu), the highest component there) off the shape
+    one at a time; the empty shape's record is always stored."""
+    records = geom.caches.get("classes")
+    if records is None:
+        # the root every record extends: the empty shape, whose table is
+        # the empty tableau's count
+        zero = (0,) * geom.l
+        records = geom.caches["classes"] = {
+            zero: ClassRecord(graded_tableau_counts(params, zero), 0, ())
+        }
+    record = records.get(mu0)
+    if record is not None:
+        return record
+    nu = list(mu0)
+    residues, letters = [], []  # of the nodes beyond nu, last node first
+    while True:
+        top = max(nu)
+        m = geom.l - nu[::-1].index(top)
+        residues.append(node_residue(params, top, m))
+        letters.append(m)
+        nu[m - 1] = top - 1
+        prefix = records.get(tuple(nu))
+        if prefix is not None:
+            break
+    states = {lam: poly.terms for lam, poly in prefix.table.items()}
+    landed = list(prefix.landed)
+    running = prefix.running
+    if running is not None:
+        running = _walk(geom, geom.values(nu), running, landed, letters[::-1])
+    record = records[mu0] = ClassRecord(
+        place_nodes(params, states, residues[::-1]), running, tuple(landed)
+    )
+    return record
 
 
 def alcove_series(params, path):
     """The gallery traced by an admissible path: starting at the fundamental
-    alcove, every step onto a new wall crosses that wall.  Returned as the
-    word of the wall types crossed.
+    alcove, every step onto a new wall (``_walk``) crosses that wall
+    (``_crossings``).  Returned as the word of the wall types crossed."""
+    geom = geometry_for(params)
+    landed = []
+    if _walk(geom, list(geom.origin_values), 0, landed, path.steps) is None:
+        raise NotAdmissible("path %r is not admissible" % (path.steps,))
+    return _crossings(geom, landed, path.endpoint())
+
+
+def _walk(geom, values, running, landed, steps):
+    """Continue a walk at root values ``values`` (changed in place) and
+    degree ``running`` over the letters ``steps``, appending the walls each
+    step lands on to ``landed`` (in root order).  Returns the degree, or
+    None when the walk is not admissible.
 
     Admissible means that every proper prefix has degree 0 and that any
-    two walls through a common point touch disjoint coordinate pairs; one
-    walk over the steps checks this and collects the walls each step
-    lands on (in root order) before any is crossed.  The walk keeps the
-    root values of the current point; a step updates the l - 1 values its
-    coordinate touches (``Geometry.touches``), and only a root that lands
-    on or leaves a wall adds to the degree or changes the walls.  A step
-    that leaves one wall for an orthogonal one skips an alcove, which the
-    crossings still insert.  Validated to be a minimal gallery of lengths
-    0, 1, ..., k.
+    two walls through a common point touch disjoint coordinate pairs.  A
+    step updates the l - 1 values its coordinate touches
+    (``Geometry.touches``), and only a root that lands on or leaves a
+    wall adds to the degree or changes the walls.  A step that leaves one
+    wall for an orthogonal one skips an alcove, which the crossings still
+    insert.
 
     Two walls through the new point share a coordinate exactly when the
     step landed on two or more walls, so the walk checks only that count.
@@ -195,27 +264,34 @@ def alcove_series(params, path):
     (i, j) next to a wall (j, k) that the point was already on forces
     (i, k) to land in the same step, since root values add.  Two walls
     that both miss i were both on the old point, which passed the check.
-    The origin is regular (``Params`` keeps the residues distinct), and
-    the endpoint is regular when no final root value is a multiple of e.
     """
-    geom = geometry_for(params)
     e = geom.e
-    values = list(geom.origin_values)
-    landed = []
-    running = 0
-    last = len(path)
-    for k, s in enumerate(path.steps, 1):
+    touches = geom.touches
+    step = geom.root_step_degree
+    for s in steps:
+        if running:
+            # the walk so far is a proper prefix of this one
+            return None
         new = len(landed)
-        for r, sign, i, j in geom.touches[s - 1]:
+        for r, sign, i, j in touches[s - 1]:
             v0 = values[r]
             v1 = values[r] = v0 + sign
             if v0 % e == 0:
-                running += geom.root_step_degree(r, v0, v1)
+                running += step(r, v0, v1)
             elif v1 % e == 0:
-                running += geom.root_step_degree(r, v0, v1)
+                running += step(r, v0, v1)
                 landed.append((i, j, v1 // e))
-        if (running and k < last) or len(landed) - new >= 2:
-            raise NotAdmissible("path %r is not admissible" % (path.steps,))
+        if len(landed) - new >= 2:
+            return None
+    return running
+
+
+def _crossings(geom, landed, endpoint):
+    """The word of the wall types crossed from the fundamental alcove over
+    the walls ``landed``, validated to be a minimal gallery of lengths
+    0, 1, ..., k that ends at the alcove of ``endpoint`` when that point is
+    regular.  The origin is regular (``Params`` keeps the residues
+    distinct)."""
     word = []
     cur = geom.fundamental
     length = 0
@@ -228,6 +304,7 @@ def alcove_series(params, path):
             raise NotAGallery("crossing %r does not move away from the origin" % (h,))
         length += 1
         word.append(t)
-    if all(v % e for v in values) and cur != geom.alcove_of(path.endpoint()):
+    e = geom.e
+    if all(v % e for v in geom.values(endpoint)) and cur != geom.alcove_of(endpoint):
         raise NotAGallery("gallery does not end at the endpoint's alcove")
     return tuple(word)

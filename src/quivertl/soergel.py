@@ -46,9 +46,8 @@ so there the memo holds no m that some column does not need anyway.
 
 Columns that differ by a multiple of (1, ..., 1) have the same gallery
 (the translation lemma of ``tableaux``), so blocks at n and n + l are
-shifted copies; they share one ``Geometry``, whose ``galleries`` memo
-gives ``decomposition_matrix`` one gallery word per class and ``runs``
-one run per word.
+shifted copies; they share one ``Geometry``, whose class records
+(``paths``) give one gallery word per class and ``runs`` one run per word.
 """
 
 from __future__ import annotations

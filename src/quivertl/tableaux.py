@@ -11,12 +11,12 @@ growth conditions.  Reading the entries in increasing order gives the
 component word, which is exactly an alcove path; this bijection matches
 the tableau degree with the path degree statistic.
 
-``graded_tableau_counts`` counts those tableaux by degree for every shape
-at once, with one dynamic-programming pass over the loading values of the
-weight; this is how graded path counts are computed.  No tableau is ever
+``place_nodes``, the one dynamic-programming loop, counts those tableaux
+by degree for every shape at once, placing loading values in increasing
+order; this is how graded path counts are computed.  No tableau is ever
 built: the column heights are the path's current point, so a placement's
 degree is ``Geometry.step_degree`` from the heights before it to those
-after.  ``_moves`` computes it as ``alcove_series`` does: from the root
+after.  ``_moves`` computes it as ``paths._walk`` does: from the root
 values of the heights before, summing ``Geometry.root_step_degree`` over
 the l - 1 roots that the placed coordinate touches (``Geometry.touches``),
 since no other root value changes.  The moves of a step depend only on
@@ -44,8 +44,8 @@ same alcove series word (or both fail with the same exception class):
   later residue of mu, and of the shifted heights, is shifted by the same
   -k, so the rest of the DP and of the walk is that of mu0.
 
-So ``paths.graded_path_count`` runs the DP once per class, on mu0, and
-``decomposition.decomposition_matrix`` walks one gallery per class.
+So ``paths`` keeps one record per class, under mu0: its count table,
+its walk and its gallery word.
 
 Prefix lemma.  Let nu be the shape of the first j nodes of mu's loading
 (nu_m of them in component m).  Then the DP of mu after j placements is
@@ -60,17 +60,18 @@ the DP of nu, whose states are nu's counts:
   graded count of the tableaux of weight nu with those column heights;
   the heights are the shape, and a state exists exactly when its count
   is nonzero (all counts have positive coefficients).  That is nu's table.
+* The first j letters of mu's distinguished path are nu's, so the walk
+  along it after j steps is nu's walk.
 * A class representative mu0 has a zero coordinate, and nu <= mu0 keeps
-  it, so nu is its own representative and its table is the one stored
-  under nu in ``caches["count_tables"]``.
+  it, so nu is its own representative, whose record is kept under nu.
 
-So ``graded_tableau_counts`` starts from the longest proper prefix whose
-table is already stored and places only the remaining nodes.  Which
-tables are stored depends on the order of requests, but by the lemma the
-result does not.  Each class still runs one DP.  At l = 2 the loading of
-the representative (0, m') is a prefix of that of (0, m) for m' < m,
-and likewise for (m', 0), so there a DP places only the nodes beyond
-the longest shorter representative stored on its side.
+So a new class record continues from the record of the longest proper
+prefix stored and places, and walks, only the remaining nodes.  Which
+records are stored depends on the order of requests, but by the lemma
+the result does not.  At l = 2 the loading of the representative
+(0, m') is a prefix of that of (0, m) for m' < m, and likewise for
+(m', 0), so there a record places only the nodes beyond the longest
+shorter representative stored on its side.
 """
 
 from __future__ import annotations
@@ -111,27 +112,38 @@ def translation_class(mu):
 def graded_tableau_counts(params, mu):
     """Graded counts of the semistandard tableaux of weight mu, by shape:
     ``{lam: sum of t^degree over the tableaux of shape lam and weight mu}``
-    for every shape lam that has one.
+    for every shape lam that has one.  The loading values of mu are placed
+    in increasing order by ``place_nodes``, from the empty tableau; this
+    is the reference count of any weight, which ``paths`` gets per
+    translation class from stored prefixes instead."""
+    return place_nodes(
+        params, {(0,) * params.l: {0: 1}}, [res for _, res, _ in loading(params, mu)]
+    )
 
-    The loading values of mu are placed in increasing order, each extending
-    a component whose next empty node has its residue, and partial
-    tableaux with the same column heights are merged: the heights fix the
-    residues and degree increments of every later placement.  The column
-    rules (first entry of component m at least m - 1, each later entry at
-    least the previous plus l) need no state, because a
-    placement of the right residue always satisfies them.  Let v < x be
-    consecutive entries of a component, so res(x) = res(v) - 1.  If
-    x - v < l, then x and v are nodes of mu in components c' > c of the same
-    row, or c' < c of consecutive rows; these give kappa_c = kappa_c' + 1
-    and kappa_c = kappa_c' respectively, both excluded by Params.  Likewise
-    a first entry x < m - 1 of component m would be a first-row node of a
-    component c < m with kappa_c = kappa_m.
+
+def place_nodes(params, states, residues):
+    """The one DP loop: the states after placing nodes of the residues
+    ``residues``, in order, onto ``states``, a map from column heights to
+    the term dict of the graded count of the partial tableaux with those
+    heights.  Returns the counts by shape as ``Laurent`` values; the term
+    dicts of ``states`` are read, never changed.
+
+    Each placement extends a component whose next empty node has the
+    residue, and partial tableaux with the same column heights are merged:
+    the heights fix the residues and degree increments of every later
+    placement.  The column rules (first entry of component m at least
+    m - 1, each later entry at least the previous plus l) need no state,
+    because a placement of the right residue always satisfies them.  Let
+    v < x be consecutive entries of a component, so res(x) = res(v) - 1.
+    If x - v < l, then x and v are nodes of mu in components c' > c of
+    the same row, or c' < c of consecutive rows; these give
+    kappa_c = kappa_c' + 1 and kappa_c = kappa_c' respectively, both
+    excluded by Params.  Likewise a first entry x < m - 1 of component m
+    would be a first-row node of a component c < m with kappa_c = kappa_m.
     """
     geom = geometry_for(params)
     transitions = geom.caches.setdefault("transitions", {})
-    nodes = loading(params, mu)
-    start, states = _stored_prefix(geom, mu, nodes)
-    for _, res, _ in nodes[start:]:
+    for res in residues:
         grown = {}
         for heights, poly in states.items():
             moves = transitions.get((heights, res))
@@ -143,27 +155,10 @@ def graded_tableau_counts(params, mu):
                     acc[d + deg] = acc.get(d + deg, 0) + c
         states = grown
     # wrapped unchecked: every count has positive coefficients (a sum of
-    # powers of t, one per tableau), so none is zero; and each dict is this
-    # call's own, built by a placement or the empty tableau's start state,
-    # since a stored prefix is proper and leaves a node to place
+    # powers of t, one per tableau), so none is zero; and after a placement
+    # each dict is this call's own (with no residue to place, the caller's
+    # states are wrapped as they are)
     return {lam: from_terms(poly) for lam, poly in states.items()}
-
-
-def _stored_prefix(geom, mu, nodes):
-    """(j, states) for the longest proper prefix of mu's loading ``nodes``
-    whose table is in ``caches["count_tables"]``: the first j nodes are
-    the loading of a shape nu, and the states are nu's counts (the prefix
-    lemma of the module docstring).  Without one, j = 0 and the states
-    are the empty tableau's."""
-    tables = geom.caches.get("count_tables")
-    if tables:
-        nu = list(mu)
-        for j in range(len(nodes) - 1, 0, -1):
-            nu[nodes[j][2] - 1] -= 1
-            table = tables.get(tuple(nu))
-            if table is not None:
-                return j, {lam: poly.terms for lam, poly in table.items()}
-    return 0, {(0,) * geom.l: {0: 1}}
 
 
 def _moves(geom, params, heights, res):

@@ -575,7 +575,7 @@ def dense_decomposition_matrix(params, block):
     entries = {}
     characters = {}
     for mu in members:
-        m_fn, n_fn, e_fn, _ = run_all(params, decomposition._gallery(params, geom, mu))
+        m_fn, n_fn, e_fn, _ = run_all(params, decomposition._gallery(params, mu))
         for lam in members:
             key = alcove[lam]
             m = m_fn.get(key, ZERO)

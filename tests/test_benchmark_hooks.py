@@ -15,6 +15,7 @@ from quivertl.geometry import Geometry, geometry_for
 from quivertl.params import Params
 from quivertl.paths import alcove_series, distinguished_path
 from quivertl.soergel import run_all
+from quivertl.tableaux import graded_tableau_counts
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -47,29 +48,42 @@ def test_every_traced_name_is_bound():
 
 
 def test_every_count_passes_the_counting_hook(monkeypatch):
-    # the ``paths.graded_path_count`` span and the ``paths_counted`` counter
-    # wrap ``decomposition.graded_path_count``; however the counts are
-    # memoised, every member pair (lam, mu) of a block must pass through it
-    # once, in column order: the block's table is built once, from the
-    # nonzero values the hook returned, and both routes read it
+    # a block's counts are read one member column at a time, through
+    # ``decomposition.class_counts``: every member column must pass through
+    # it exactly once, in block order, over both routes, and the block's
+    # table must be the nonzero ``paths.graded_path_count`` over every
+    # member pair, and the DP's count from the empty tableau; the n=16
+    # translate reads the tables that n=13 stored, shifted by (1, 1, 1)
+    monkeypatch.setattr(geometry, "_GEOMETRIES", {})
     params = Params(3, 8, (0, 4, 6))
-    block = block_of(params, 13, (4, 9, 0))
-    seen = []
-    real = decomposition.graded_path_count
+    real = decomposition.class_counts
+    for n, member in [(13, (4, 9, 0)), (16, (5, 10, 1))]:
+        block = block_of(params, n, member)
+        seen = []
 
-    def counted(params, lam, mu):
-        f = real(params, lam, mu)
-        seen.append(((lam, mu), f))
-        return f
+        def counted(params, mu):
+            seen.append(mu)
+            return real(params, mu)
 
-    monkeypatch.setattr(decomposition, "graded_path_count", counted)
-    matrix = decomposition_matrix(params, block)
-    oracle = kn_oracle(params, block)
-    members = block.members
-    assert [pair for pair, _ in seen] == [(lam, mu) for mu in members for lam in members]
-    nonzero = {pair: f for pair, f in seen if f}
-    assert matrix.standard_dims == nonzero == oracle.standard_dims
-    assert len(nonzero) < len(seen)
+        with monkeypatch.context() as m:
+            m.setattr(decomposition, "class_counts", counted)
+            matrix = decomposition_matrix(params, block)
+            oracle = kn_oracle(params, block)
+        members = block.members
+        assert seen == list(members), n
+        want = {
+            (lam, mu): f
+            for mu in members
+            for lam in members
+            if (f := paths.graded_path_count(params, lam, mu))
+        }
+        direct = {
+            (lam, mu): f
+            for mu in members
+            for lam, f in graded_tableau_counts(params, mu).items()
+        }
+        assert matrix.standard_dims == want == direct == oracle.standard_dims, n
+        assert len(members) < len(want) < len(members) ** 2
 
 
 def test_every_n_function_passes_the_n_function_hook(monkeypatch):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import quivertl
-from quivertl import cli, decomposition, geometry
+from quivertl import cli, decomposition, geometry, paths
 from quivertl.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, main
 from quivertl.decomposition import (
     DecompositionMatrix,
@@ -352,6 +352,25 @@ class TestOutputs:
             "(0, 1, 0) does not bound alcove (0, 0, 0)"
         ) in err
 
+    def test_count_table_outside_the_block_is_a_mismatch(self, capsys, monkeypatch):
+        # a column's counts reach only members of its block; a class table
+        # that reaches another shape is the program's fault: exit 3 naming
+        # mu and the shape
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        params = Params(3, 8, (0, 4, 6))
+        members = block_of(params, 13, (4, 9, 0)).members
+        assert (12, 1, 0) in members and (12, 0, 1) not in members
+        table, k = paths.class_counts(params, (4, 9, 0))
+        assert k == 0
+        monkeypatch.setitem(table, (12, 0, 1), Laurent.term(1))
+        code = main(["decompose"] + INTRO + ["--mu", "4,9,0"])
+        err = capsys.readouterr().err
+        assert code == EXIT_MISMATCH
+        assert err == (
+            "error: count table of mu=[4, 9, 0] reaches [12, 0, 1], which is "
+            "not a member of its block\n"
+        )
+
     def test_one_geometry_across_n(self, capsys, monkeypatch):
         # blocks at n and n + 1 share the memos of one (l, e, kappa)
         monkeypatch.setattr(geometry, "_GEOMETRIES", {})
@@ -421,13 +440,13 @@ class TestOutputs:
             )
 
     @staticmethod
-    def _cli_process(argv, stdout, **kwargs):
+    def _cli_process(argv, stdout, stderr=subprocess.PIPE, **kwargs):
         """A fresh ``quivertl`` process writing its report to ``stdout``."""
         src = str(Path(quivertl.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, "-m", "quivertl.cli"] + argv,
-            stdout=stdout, stderr=subprocess.PIPE,
+            stdout=stdout, stderr=stderr,
             env=dict(os.environ, PYTHONPATH=path), text=True, timeout=120,
             **kwargs,
         )
@@ -467,6 +486,30 @@ class TestOutputs:
         )
         self._assert_unwritable_stdout(done, errno.EBADF)
 
+
+    # an error whose line cannot be written to standard error still exits
+    # with its documented code: l = 0 is a configuration error
+    BAD_L = ["blocks", "--l", "0", "--e", "8", "--kappa", "0", "--n", "3"]
+
+    def test_full_standard_error(self):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "w") as full:
+            done = self._cli_process(self.BAD_L, subprocess.PIPE, stderr=full)
+        assert (done.returncode, done.stdout) == (EXIT_CONFIG, "")
+
+    def test_closed_standard_error(self):
+        # descriptor 2 is closed before the interpreter starts; the report
+        # of a mismatch must not fall back to standard output either
+        for argv, code in [
+            (self.BAD_L, EXIT_CONFIG),
+            (["paths"] + INTRO + ["--lambda", "4,6,3", "--mu", "4,9,0",
+                                  "--budget", "1"], EXIT_BUDGET),
+        ]:
+            done = self._cli_process(
+                argv, subprocess.PIPE, stderr=None, preexec_fn=lambda: os.close(2)
+            )
+            assert (done.returncode, done.stdout) == (code, ""), argv
 
 class TestParser:
     def test_parser_is_reused_without_carrying_options(

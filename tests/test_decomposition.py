@@ -7,11 +7,12 @@ from itertools import permutations
 
 import pytest
 
-from quivertl import decomposition, geometry, paths, soergel, tableaux
+from quivertl import decomposition, geometry, paths, soergel
 from quivertl.geometry import InternalMismatch, geometry_for
 from quivertl.laurent import Laurent, ONE, ZERO
 from quivertl.params import Params, ParamsError
-from quivertl.tableaux import graded_tableau_counts, translation_class
+from quivertl.paths import NotAdmissible, NotAGallery, alcove_series, distinguished_path
+from quivertl.tableaux import graded_tableau_counts, loading, translation_class
 from quivertl.decomposition import (
     NoRegularMember,
     NotLevelTwo,
@@ -205,7 +206,7 @@ class TestDecompositionMatrix:
 
     def test_memos_do_not_change_outputs(self):
         # blocks at n and n + l share alcoves and galleries, so the run,
-        # n-function, count-table and gallery memos serve one block from
+        # n-function and class-record memos serve one block from
         # another's entries; both routes must give the same report whatever
         # the order
         cases = [
@@ -235,25 +236,30 @@ class TestDecompositionMatrix:
         assert reports(work) == reports(work[::-1])
 
     def test_dp_and_walk_run_once_per_class(self, monkeypatch):
-        # columns that differ by a multiple of (1, ..., 1) share a count
-        # table and a gallery, memoised under the class representative: one
-        # DP run and one walk per class over both routes, and the n=16
-        # translate of INTRO then runs neither
+        # columns that differ by a multiple of (1, ..., 1) share one class
+        # record, kept under the class representative: over both routes
+        # one DP pass, one walk and one crossing per class, and the n=16
+        # translate of INTRO then runs none of them
         monkeypatch.setattr(geometry, "_GEOMETRIES", {})
-        runs, walks = [], []
-        real_dp = paths.graded_tableau_counts
-        real_walk = decomposition.alcove_series
+        placed, walks, crossed = [], [], []
+        real_place, real_walk = paths.place_nodes, paths._walk
+        real_cross = paths._crossings
 
-        def dp(params, mu):
-            runs.append(mu)
-            return real_dp(params, mu)
+        def place(params, states, residues):
+            placed.append(len(residues))
+            return real_place(params, states, residues)
 
-        def walk(params, path):
-            walks.append(path.endpoint())
-            return real_walk(params, path)
+        def walk(geom, values, running, landed, steps):
+            walks.append(len(steps))
+            return real_walk(geom, values, running, landed, steps)
 
-        monkeypatch.setattr(paths, "graded_tableau_counts", dp)
-        monkeypatch.setattr(decomposition, "alcove_series", walk)
+        def cross(geom, landed, endpoint):
+            crossed.append(endpoint)
+            return real_cross(geom, landed, endpoint)
+
+        monkeypatch.setattr(paths, "place_nodes", place)
+        monkeypatch.setattr(paths, "_walk", walk)
+        monkeypatch.setattr(paths, "_crossings", cross)
         first = block_of(P_INTRO, 13, (4, 9, 0))
         second = block_of(P_INTRO, 14, (4, 10, 0))
         for block in (first, second):
@@ -263,82 +269,162 @@ class TestDecompositionMatrix:
         def classes(members):
             return {translation_class(mu)[0] for mu in members}
 
-        both = first.members + second.members
-        assert sorted(runs) == sorted(walks) == sorted(classes(both))
-        assert set(geometry_for(P_INTRO).caches["count_tables"]) == classes(both)
+        both = classes(first.members + second.members)
+        records = geometry_for(P_INTRO).caches["classes"]
+        assert set(records) == both | {(0, 0, 0)}
+        assert len(placed) == len(walks) == len(both)
+        # each pass places the nodes its walk steps over
+        assert placed == walks
+        assert sorted(crossed) == sorted(both)
         translate = block_of(P_INTRO, 16, (5, 10, 1))
         assert translate.members == tuple(
             tuple(x + 1 for x in mu) for mu in first.members
         )
-        del runs[:], walks[:]
+        del placed[:], walks[:], crossed[:]
         decomposition_matrix(P_INTRO, translate)
         kn_oracle(P_INTRO, translate)
-        assert runs == walks == []
+        assert placed == walks == crossed == []
+        assert set(records) == both | {(0, 0, 0)}
+
+    @staticmethod
+    def _classes(params, n_max):
+        """The translation classes of every composition of n <= n_max, by
+        increasing size."""
+        columns = [q for n in range(n_max + 1) for q in compositions(n, params.l)]
+        return sorted(
+            {translation_class(q)[0] for q in columns}, key=lambda q: (sum(q), q)
+        )
+
+    @staticmethod
+    def _orders(classes):
+        shuffled = list(classes)
+        random.Random(3).shuffle(shuffled)
+        return [("up", classes), ("down", classes[::-1]), ("shuffled", shuffled)]
+
+    @pytest.mark.parametrize("params, n_max", [(P_RANK1, 40), (P_INTRO, 16)])
+    def test_class_records_are_exact_in_any_order(self, monkeypatch, params, n_max):
+        # a class record extends the stored record of the longest prefix of
+        # its loading; built in three class orders, each on a fresh
+        # Geometry, every table must equal a DP from the empty tableau and
+        # every word alcove_series of the distinguished path (or both
+        # raise the same exception class), with the same star calls
+        classes = self._classes(params, n_max)
+
+        def series(q):
+            try:
+                return alcove_series(params, distinguished_path(params, q))
+            except (NotAdmissible, NotAGallery) as exc:
+                return type(exc)
+
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        tables = {q: graded_tableau_counts(params, q) for q in classes}
+        words = {q: series(q) for q in classes}
+        assert "classes" not in geometry_for(params).caches
+        # at INTRO 31 of the 409 paths are not admissible
+        failed = sum(isinstance(w, type) for w in words.values())
+        assert failed == (31 if params == P_INTRO else 0)
+        stars, placed = {}, {}
+        real_star, real_place = geometry.Geometry.star, paths.place_nodes
+        real_walk = paths._walk
+        for name, order in self._orders(classes):
+            monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+            calls, nodes, walked = [], [], []
+
+            def star(self, b, t):
+                calls.append(1)
+                return real_star(self, b, t)
+
+            def place(params, states, residues):
+                nodes.append(residues)
+                return real_place(params, states, residues)
+
+            def walk(geom, values, running, landed, steps):
+                walked.append(steps)
+                return real_walk(geom, values, running, landed, steps)
+
+            with monkeypatch.context() as m:
+                m.setattr(geometry.Geometry, "star", star)
+                m.setattr(paths, "place_nodes", place)
+                m.setattr(paths, "_walk", walk)
+                for q in order:
+                    before = len(nodes), len(walked)
+                    assert paths.class_counts(params, q) == (tables[q], 0), (name, q)
+                    # a new record places the last nodes of its class's
+                    # loading, and walks them unless its prefix is not
+                    # admissible
+                    new, steps = nodes[before[0]:], walked[before[1]:]
+                    assert len(new) <= 1 and len(steps) <= len(new), (name, q)
+                    if new:
+                        tail = loading(params, q)[-len(new[0]):]
+                        assert new[0] == [res for _, res, _ in tail], (name, q)
+                        if steps:
+                            assert steps[0] == [c for _, _, c in tail], (name, q)
+                        else:
+                            assert words[q] is NotAdmissible, (name, q)
+                    try:
+                        word = paths.gallery_word(params, q)
+                    except (NotAdmissible, NotAGallery) as exc:
+                        word = type(exc)
+                    assert word == words[q], (name, q)
+            records = geometry_for(params).caches["classes"]
+            assert set(records) == set(classes), name
+            stars[name] = len(calls)
+            placed[name] = sum(map(len, nodes))
+            if params == P_INTRO:
+                # the n=16 translate of INTRO builds no record
+                before = dict(records)
+                translate = block_of(P_INTRO, 16, (5, 10, 1))
+                decomposition_matrix(P_INTRO, translate)
+                kn_oracle(P_INTRO, translate)
+                assert records == before, name
+        assert len(set(stars.values())) == 1
+        # in increasing order every class continues from the class one node
+        # shorter, so each DP places one node; no order places more nodes
+        # than a DP per class from the empty tableau would
+        assert placed["up"] == len(classes) - 1
+        assert max(placed.values()) <= sum(map(sum, classes))
 
     @pytest.mark.parametrize("params, n_max", [(P_RANK1, 40), (P_INTRO, 16)])
     def test_prefix_reuse_is_exact_in_any_order(self, monkeypatch, params, n_max):
-        # the DP continues from the longest stored prefix of a loading, and
-        # m from the longest stored prefix of a gallery word; filled in
-        # three column orders, every count table must equal a DP from the
-        # empty state and every run one from the fundamental alcove
+        # m continues from the longest stored prefix of a gallery word;
+        # filled in three column orders, every run must equal one from the
+        # fundamental alcove, and the crossings must not depend on the order
         monkeypatch.setattr(geometry, "_GEOMETRIES", {})
-        columns = [q for n in range(n_max + 1) for q in compositions(n, params.l)]
-        classes = sorted(
-            {translation_class(q)[0] for q in columns}, key=lambda q: (sum(q), q)
-        )
+        classes = self._classes(params, n_max)
         geom = geometry_for(params)
         words = {
-            q: decomposition._gallery(params, geom, q)
+            q: decomposition._gallery(params, q)
             for q in classes
             if not geom.classify(q)
         }
-        # no count table is stored, so every DP starts from the empty state;
         # the run memos are emptied before each word
-        tables = {q: graded_tableau_counts(params, q) for q in classes}
-        assert "count_tables" not in geom.caches
         runs = {}
         for word in set(words.values()):
             geom.caches.pop("runs", None)
             geom.caches.pop("m_prefixes", None)
             runs[word] = soergel.run_all(params, word)
-        shuffled = list(classes)
-        random.Random(3).shuffle(shuffled)
-        reused = {}
         crossings = {}
-        real_prefix, real_cross = tableaux._stored_prefix, soergel._cross
-        orders = [("up", classes), ("down", classes[::-1]), ("shuffled", shuffled)]
-        for name, order in orders:
+        real_cross = soergel._cross
+        for name, order in self._orders(classes):
             monkeypatch.setattr(geometry, "_GEOMETRIES", {})
-            starts, crossed = [], []
-
-            def prefix(*args):
-                got = real_prefix(*args)
-                starts.append(got[0])
-                return got
+            crossed = []
 
             def cross(*args):
                 crossed.append(1)
                 return real_cross(*args)
 
             with monkeypatch.context() as m:
-                m.setattr(tableaux, "_stored_prefix", prefix)
                 m.setattr(soergel, "_cross", cross)
                 for q in order:
-                    paths.graded_path_count(params, q, q)
                     if q in words:
                         soergel.run_all(params, words[q])
             caches = geometry_for(params).caches
-            assert caches["count_tables"] == tables, name
             for q, word in words.items():
                 assert soergel.run_all(params, word) == runs[word], (name, q)
             prefixes = {w[:j] for w in words.values() for j in range(len(w) + 1)}
             assert set(caches["m_prefixes"]) == prefixes, name
-            reused[name] = sum(map(bool, starts))
             crossings[name] = len(crossed)
-        # in increasing order almost every class continues from a stored
-        # table (78 of 81 at l=2, 405 of 409 at INTRO), and the crossings,
-        # of m and of n together, do not depend on the order
-        assert reused["up"] > len(classes) // 2
+        # the crossings, of m and of n together, do not depend on the order
         assert len(set(crossings.values())) == 1
 
     def test_translated_block_reads_shifted_counts(self, monkeypatch):
