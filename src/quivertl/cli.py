@@ -266,9 +266,9 @@ def _render_matrix_json(matrix, cross_checked):
     polynomial are rendered once, and the entries are joined as text
     without building their dicts."""
     coords = {m: _indented(m, 3) for m in matrix.block.members}
-    # the text of each distinct polynomial, keyed by its terms: equal
-    # values recur as distinct objects, and a frozenset hashes and compares
-    # without calling into ``Laurent``
+    # the text of each distinct polynomial, keyed by the identity of its
+    # value: the routes store canonical values (``laurent.canonical``), so
+    # equal values are one object
     polys = {}
 
     def table(data):
@@ -282,10 +282,9 @@ def _render_matrix_json(matrix, cross_checked):
             row = rows[lam]
             row.sort()  # the mu of a row are distinct: no poly is compared
             for mu, poly in row:
-                key = frozenset(poly.terms.items())
-                text = polys.get(key)
+                text = polys.get(id(poly))
                 if text is None:
-                    text = polys[key] = _indented(poly.to_pairs(), 3)
+                    text = polys[id(poly)] = _indented(poly.to_pairs(), 3)
                 out.append("".join((
                     lam_text, coords[mu], ',\n      "poly": ', text, "\n    }"
                 )))
@@ -304,9 +303,10 @@ def _render_matrix_json(matrix, cross_checked):
 def _render_matrix_table(matrix):
     """The ``decompose`` table report: the three tables as member-by-member
     grids.  A zero cell is written ``0``, and each distinct polynomial is
-    rendered once, keyed by its terms as in ``_render_matrix_json``.  The
-    cells are read through ``matrix.d``, ``character`` and
-    ``standard_dim``, which return a member pair's value by key."""
+    rendered once, keyed by its value's identity as in
+    ``_render_matrix_json``.  The cells are read through ``matrix.d``,
+    ``character`` and ``standard_dim``, which return a member pair's value
+    by key."""
     members = matrix.block.members
     names = [str(list(m)) for m in members]
     lines = ["block: %s" % [list(m) for m in members]]
@@ -319,14 +319,13 @@ def _render_matrix_table(matrix):
         for lam, name in zip(members, names):
             row = [name]
             for mu in members:
-                terms = getter(lam, mu).terms
-                if not terms:
+                value = getter(lam, mu)
+                if not value.terms:
                     row.append("0")
                     continue
-                key = frozenset(terms.items())
-                text = polys.get(key)
+                text = polys.get(id(value))
                 if text is None:
-                    text = polys[key] = str(getter(lam, mu))
+                    text = polys[id(value)] = str(value)
                 row.append(text)
             rows.append(row)
         widths = [max(map(len, column)) for column in zip(*rows)]

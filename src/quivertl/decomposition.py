@@ -29,6 +29,13 @@ closure is enumerated here.
 
 The count table and the tables of a ``DecompositionMatrix`` hold nonzero
 values only: a pair of members that is not a key has the value zero.
+Each value in them is the canonical ``Laurent`` of its polynomial in the
+``Geometry``'s value table (``laurent.canonical``): the counts from the
+DP, the n and e of route 1 from ``soergel``, and the oracle's d and c.
+Equal values are one object, shared by the tables, the memos and every
+block of the same (l, e, kappa), so the check of m against the counts
+and ``first_difference`` mostly compare by identity.  No caller may
+change a stored value's ``.terms``.
 
 ``Block`` and ``DecompositionMatrix`` are plain ``__slots__`` classes
 rather than dataclasses, because importing ``dataclasses`` (and the
@@ -47,9 +54,11 @@ from .laurent import (
     ONE,
     ZERO,
     SplitImpossible,
+    canonical,
     from_terms,
     split_symmetric,
     subtract_product,
+    value_table,
 )
 from .paths import (
     NotAdmissible,
@@ -361,7 +370,8 @@ def kn_oracle(params, block):
     d(lam, nu) != 0: one fused multiply-subtract (``subtract_product``)
     per triple (lam, nu, mu) with nonzero d(lam, nu) and c(nu, mu), on the
     row's remainder as a term dict, copied from the count at the row's
-    first product and wrapped once before it is split.  That is exact
+    first product (the count's own terms are never changed) and wrapped
+    by ``from_terms`` before it is split.  That is exact
     because each row checks, before it is split, that it is shorter than
     mu (paths out of mu only reach shorter alcoves): a nonzero
     d(lam, nu) * c(nu, mu) then needs length(lam) < length(nu) <
@@ -369,10 +379,12 @@ def kn_oracle(params, block):
     (lam, mu).  Most rows have a zero character: a remainder with only
     positive exponents and coefficients is its own decomposition number,
     and ``split_symmetric`` returns it as it is, so such a row stores the
-    count object itself as d.
+    count object itself as d.  Every other d and c it stores is the
+    canonical value of its polynomial (``laurent.canonical``).
     """
     _require_regular(block)
     counts = _standard_dims(params, block)
+    values = value_table(geometry_for(params))
     members = block.members
     length = dict(zip(members, block.lengths))
     # each member's place in the row order: by decreasing length, and
@@ -400,7 +412,7 @@ def kn_oracle(params, block):
                     "path-counting oracle: weight %s is reached from mu=%s but "
                     "its alcove is not shorter" % (list(lam), list(mu))
                 )
-            f = column[lam]
+            count = f = column[lam]
             decs = row_dec.setdefault(lam, {})
             rest = None  # the row's remainder, copied from f at its first product
             for nu, c in support:
@@ -419,9 +431,12 @@ def kn_oracle(params, block):
                     % (exc, list(lam), list(mu))
                 ) from exc
             if dec.terms:
+                if dec is not count:
+                    dec = canonical(values, dec.terms)
                 decs[mu] = dec.terms
                 entries[(lam, mu)] = dec
             if char.terms:
+                char = canonical(values, char.terms)
                 support.append((lam, char.terms))
                 characters[(lam, mu)] = char
     return DecompositionMatrix(block, entries, characters, counts)

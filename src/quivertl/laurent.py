@@ -10,10 +10,20 @@ The hot loops (the oracle's triangular solve and the n and e
 recursions of ``soergel``) do their arithmetic on plain term dicts
 ``{exponent: coefficient}``, not on ``Laurent`` objects: a row's
 remainder is one dict, changed in place by ``subtract_product``, one
-fused multiply-subtract that builds no temporary polynomial.  A
-``Laurent`` is built once, when a value is stored, by ``from_terms``,
-which trusts its dict (no zero coefficient) and takes it over without
-checking or copying it.
+fused multiply-subtract that builds no temporary polynomial, and a
+wall crossing adds with ``plus_shifted``.  ``from_terms`` wraps such a
+dict as a ``Laurent``, trusting it (no zero coefficient) and taking it
+over without checking or copying it; it serves the values that live
+only as long as their call.
+
+The same few polynomials recur all over a block, so every value that
+outlives its call is canonical: ``canonical`` keeps one ``Laurent`` per
+distinct polynomial in a table (``value_table``, one per ``Geometry``,
+seeded with ``ONE``), and equal stored values are one object.  Comparing
+two stored values then mostly ends at their identity, and ``is ONE``
+tells a stored 1.  The rule that makes the sharing safe: the ``.terms``
+of a stored value is never changed, by anyone; code that subtracts from
+a value copies its terms first.
 
 Beyond ring arithmetic, ``split_symmetric`` writes a polynomial with
 nonnegative coefficients uniquely as (bar-symmetric part) + (part supported
@@ -34,6 +44,8 @@ class Laurent:
 
     Instances behave as immutable values: they hash and compare by their
     term dictionaries and every arithmetic operation returns a new object.
+    A stored value is shared by every table that holds an equal one
+    (``canonical``), so its ``terms`` must never be changed.
     """
 
     __slots__ = ("terms",)
@@ -134,10 +146,6 @@ class Laurent:
 
     __rmul__ = __mul__
 
-    def shift(self, k):
-        """Multiply by t^k."""
-        return from_terms({e + k: c for e, c in self.terms.items()})
-
     def bar(self):
         """The involution t -> t^-1."""
         return from_terms({-e: c for e, c in self.terms.items()})
@@ -178,10 +186,26 @@ def from_terms(terms):
     Precondition: ``terms`` maps exponents to integer coefficients and
     holds no zero coefficient.  Unlike ``Laurent(terms)`` nothing is
     checked or copied: the new object takes the dict over, so the caller
-    must not change it afterwards."""
+    must not change it afterwards.  For a value that outlives its call,
+    ``canonical`` is used instead."""
     out = _new(Laurent)
     out.terms = terms
     return out
+
+
+def plus_shifted(a, b, k):
+    """A new term dict of a + t^k * b, for term dicts ``a`` and ``b``,
+    which are only read; no coefficient of the result is zero."""
+    acc = dict(a)
+    get = acc.get
+    for e, c in b.items():
+        e += k
+        total = get(e, 0) + c
+        if total:
+            acc[e] = total
+        else:
+            del acc[e]
+    return acc
 
 
 def subtract_product(acc, a, b):
@@ -202,8 +226,33 @@ def subtract_product(acc, a, b):
             else:
                 del acc[e]
 
+
 ZERO = Laurent()
 ONE = Laurent.term(0)
+
+
+def value_table(geom):
+    """``geom.caches["values"]``, the canonical value of each distinct
+    polynomial stored under ``geom``, keyed by ``frozenset`` of its terms
+    (the key ``Laurent.__hash__`` hashes).  Made on first use and seeded
+    with ``ONE``, so a stored 1 is ``ONE`` itself."""
+    table = geom.caches.get("values")
+    if table is None:
+        table = geom.caches["values"] = {frozenset(ONE.terms.items()): ONE}
+    return table
+
+
+def canonical(table, terms):
+    """The value of the term dict ``terms`` in ``table`` (``value_table``):
+    the stored object on a hit; on a miss a new one, which takes ``terms``
+    over as ``from_terms`` does and is stored.  The precondition is
+    ``from_terms``'s, and on a miss the caller must not change ``terms``
+    afterwards; on a hit it is left as it was."""
+    key = frozenset(terms.items())
+    got = table.get(key)
+    if got is None:
+        got = table[key] = from_terms(terms)
+    return got
 
 
 def split_symmetric(f):

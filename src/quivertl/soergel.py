@@ -22,10 +22,16 @@ The graded simple characters e are not propagated: they are solved from
 the factorisation m = sum over alcoves nu of e(nu) * n_nu, and each
 solved value must be bar-symmetric.
 
-n and e subtract on term dicts: each value that a subtraction changes is
-copied once, on its first write, changed in place by
+Every value that the recursions store (m and the crossed n in
+``_cross``, n's subtracted values, the solved characters) is the
+canonical ``Laurent`` of its polynomial in the ``Geometry``'s value
+table (``laurent.canonical``), so equal values are one object, a stored
+1 is ``ONE`` itself, and the checks that m and n are 1 compare by
+identity.  The ``.terms`` of a stored value is never changed: n and e
+subtract on term dicts, each value that a subtraction changes copied
+once, on its first write, and changed in place by
 ``laurent.subtract_product`` (n's constant terms as the one-term factor
-{0: ct}), and wrapped as a ``Laurent`` once, by ``laurent.from_terms``,
+{0: ct}); the dict becomes a value, through ``laurent.canonical``, once,
 when it is stored or read as a solved character.
 
 Three memos in ``geom.caches`` hold the results.  ``n_functions`` is
@@ -53,7 +59,14 @@ shifted copies; they share one ``Geometry``, whose class records
 from __future__ import annotations
 
 from .geometry import InternalMismatch, geometry_for
-from .laurent import ONE, ZERO, from_terms, subtract_product
+from .laurent import (
+    ONE,
+    ZERO,
+    canonical,
+    plus_shifted,
+    subtract_product,
+    value_table,
+)
 
 
 def _cross(geom, fn, t):
@@ -61,9 +74,10 @@ def _cross(geom, fn, t):
 
     Each alcove of the support is paired with its star partner across its
     wall of type t; of a pair (low, high), high gets fn(low) + t^-1 fn(high)
-    and low gets fn(high) + t fn(low).  Zero values are dropped.
+    and low gets fn(high) + t fn(low).  Zero values are dropped, and the
+    others are canonical.
     """
-    out = {}
+    out = {}  # term dicts, each this call's own
     for key in fn:
         if key in out:
             continue
@@ -71,10 +85,11 @@ def _cross(geom, fn, t):
         if partner in out:
             raise InternalMismatch("alcove hit twice within one crossing")
         low, high = sorted((key, partner), key=geom.length)
-        fl, fh = fn.get(low, ZERO), fn.get(high, ZERO)
-        out[high] = fl + fh.shift(-1)
-        out[low] = fh + fl.shift(1)
-    return {k: v for k, v in out.items() if v}
+        fl, fh = fn.get(low, ZERO).terms, fn.get(high, ZERO).terms
+        out[high] = plus_shifted(fl, fh, -1)
+        out[low] = plus_shifted(fh, fl, 1)
+    values = value_table(geom)
+    return {k: canonical(values, v) for k, v in out.items() if v}
 
 
 def n_function(geom, a):
@@ -118,12 +133,13 @@ def n_function(geom, a):
                 acc = changed[key] = {} if value is None else dict(value.terms)
             subtract_product(acc, poly.terms, factor)
     got = dict(crossed)
+    values = value_table(geom)
     for key, acc in changed.items():
         if acc:
-            got[key] = from_terms(acc)
+            got[key] = canonical(values, acc)
         else:
             got.pop(key, None)
-    if got.get(a) != ONE:
+    if got.get(a) is not ONE:
         raise InternalMismatch("n is not 1 at alcove %r" % (a,))
     memo[a] = got
     return got
@@ -149,10 +165,14 @@ def _solve_characters(geom, m_fn):
     # is accounted for so far: None until its first write copies m's
     rest = dict.fromkeys(m_fn)
     e_fn = {}
+    values = value_table(geom)
     for key in sorted(m_fn, key=lambda k: (geom.length(k), k), reverse=True):
         acc = rest.pop(key)
-        e = m_fn[key] if acc is None else from_terms(acc)
-        if not e:
+        if acc is None:
+            e = m_fn[key]
+        elif acc:
+            e = canonical(values, acc)
+        else:
             continue
         if e.bar() != e:
             raise InternalMismatch(
@@ -208,7 +228,7 @@ def _m_along(geom, word):
         if geom.length(succ) != geom.length(cur) + 1:
             raise InternalMismatch("gallery crossing does not increase length")
         m_fn = _cross(geom, m_fn, t)
-        if m_fn.get(succ) != ONE:
+        if m_fn.get(succ) is not ONE:
             raise InternalMismatch("m is not 1 at the new gallery alcove")
         cur = succ
         prefixes[word[: j + 1]] = (m_fn, cur)

@@ -23,7 +23,10 @@ since no other root value changes.  The moves of a step depend only on
 the heights before it and the residue placed, so they are kept in
 ``geom.caches["transitions"]``, a table from ``(heights, residue)`` to
 the list of ``(next heights, degree increment)``, filled on first use and
-shared by every weight of every n with the same (l, e, kappa).
+shared by every weight of every n with the same (l, e, kappa).  The
+counts it returns are canonical values (``laurent.canonical``): one
+``Laurent`` per distinct polynomial in ``geom.caches["values"]``, shared
+by every table of that (l, e, kappa) and never changed.
 
 Translation lemma.  Let k = min(mu) and mu0 = mu - k*(1, ..., 1), the
 representative of mu's translation class (``translation_class``).  The
@@ -77,7 +80,7 @@ shorter representative stored on its side.
 from __future__ import annotations
 
 from .geometry import geometry_for
-from .laurent import from_terms
+from .laurent import canonical, value_table
 
 
 def node_residue(params, r, m):
@@ -125,8 +128,9 @@ def place_nodes(params, states, residues):
     """The one DP loop: the states after placing nodes of the residues
     ``residues``, in order, onto ``states``, a map from column heights to
     the term dict of the graded count of the partial tableaux with those
-    heights.  Returns the counts by shape as ``Laurent`` values; the term
-    dicts of ``states`` are read, never changed.
+    heights.  Returns the counts by shape as canonical ``Laurent`` values
+    (``laurent.canonical``); the term dicts of ``states`` are read, never
+    changed or taken over.
 
     Each placement extends a component whose next empty node has the
     residue, and partial tableaux with the same column heights are merged:
@@ -143,6 +147,9 @@ def place_nodes(params, states, residues):
     """
     geom = geometry_for(params)
     transitions = geom.caches.setdefault("transitions", {})
+    if not residues:
+        # the caller's dicts are not this call's to take over
+        states = {hs: dict(poly) for hs, poly in states.items()}
     for res in residues:
         grown = {}
         for heights, poly in states.items():
@@ -154,11 +161,11 @@ def place_nodes(params, states, residues):
                 for d, c in poly.items():
                     acc[d + deg] = acc.get(d + deg, 0) + c
         states = grown
-    # wrapped unchecked: every count has positive coefficients (a sum of
-    # powers of t, one per tableau), so none is zero; and after a placement
-    # each dict is this call's own (with no residue to place, the caller's
-    # states are wrapped as they are)
-    return {lam: from_terms(poly) for lam, poly in states.items()}
+    # taken over unchecked: every count has positive coefficients (a sum
+    # of powers of t, one per tableau), so none is zero, and each dict is
+    # this call's own
+    values = value_table(geom)
+    return {lam: canonical(values, poly) for lam, poly in states.items()}
 
 
 def _moves(geom, params, heights, res):

@@ -39,9 +39,9 @@ def gallery_n(geom, word, memo):
         for b, v in n_fn.items():
             p = geom.star(b, t)
             if geom.length(p) > geom.length(b):
-                parts = ((p, v), (b, v.shift(1)))
+                parts = ((p, v), (b, v * T))
             else:
-                parts = ((b, v.shift(-1)), (p, v))
+                parts = ((b, v * T_INV), (p, v))
             for key, poly in parts:
                 crossed[key] = crossed.get(key, ZERO) + poly
         n_fn = dict(crossed)

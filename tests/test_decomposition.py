@@ -660,6 +660,87 @@ class TestSparseRoutes:
         assert len(seen) == 4
 
 
+class TestSharedValues:
+    """Every stored value is the canonical value of its polynomial in its
+    ``Geometry``'s ``caches["values"]``, and no computation changes the
+    terms of one."""
+
+    def stored(self, params, matrices):
+        """(where, value) for every value held by the memos of params'
+        ``Geometry`` and by the three tables of each of ``matrices``."""
+        caches = geometry_for(params).caches
+        for mu0, record in caches["classes"].items():
+            for lam, f in record.table.items():
+                yield ("classes", mu0, lam), f
+        for a, fn in caches["n_functions"].items():
+            for b, f in fn.items():
+                yield ("n_functions", a, b), f
+        for word, (m_fn, n_fn, e_fn, _) in caches["runs"].items():
+            for name, fn in (("m", m_fn), ("n", n_fn), ("e", e_fn)):
+                for b, f in fn.items():
+                    yield ("runs", word, name, b), f
+        for word, (m_fn, _) in caches["m_prefixes"].items():
+            for b, f in m_fn.items():
+                yield ("m_prefixes", word, b), f
+        for i, matrix in enumerate(matrices):
+            for name in ("entries", "characters", "standard_dims"):
+                for key, f in getattr(matrix, name).items():
+                    yield (i, name, key), f
+
+    def test_every_stored_value_is_canonical(self, monkeypatch):
+        # INTRO, its n=16 translate and an l=2 block, each by both routes
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        matrices = {}
+        for params, n, mu in [
+            (P_INTRO, 13, (4, 9, 0)),
+            (P_INTRO, 16, (5, 10, 1)),
+            (P_RANK1, 40, (20, 20)),
+        ]:
+            block = block_of(params, n, mu)
+            matrices.setdefault(params, []).extend(
+                [decomposition_matrix(params, block), kn_oracle(params, block)]
+            )
+        for params, found in matrices.items():
+            values = geometry_for(params).caches["values"]
+            assert values[frozenset({(0, 1)})] is ONE
+            seen = 0
+            for where, f in self.stored(params, found):
+                assert values[frozenset(f.terms.items())] is f, where
+                seen += 1
+            # equal values are shared: far fewer objects than stored values
+            assert 10 * len(values) < seen
+
+    def test_no_stored_value_is_changed(self, monkeypatch):
+        # the terms of every canonical value after a first block of each
+        # Geometry, against those after further blocks by both routes and
+        # the reference DP of every member
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        first = [(P_INTRO, 13, (4, 9, 0)), (P_RANK1, 20, (10, 10))]
+        further = [
+            block_of(P_INTRO, 16, (5, 10, 1)),
+            *(b for b in blocks(P_INTRO, 14) if b.regular[0]),
+            block_of(P_RANK1, 40, (20, 20)),
+            block_of(P_RANK1, 41, (20, 21)),
+        ]
+        snapshots = {}
+        for params, n, mu in first:
+            block = block_of(params, n, mu)
+            decomposition_matrix(params, block)
+            kn_oracle(params, block)
+            values = geometry_for(params).caches["values"]
+            snapshots[params] = [(f, dict(f.terms)) for f in values.values()]
+        for block in further:
+            params = block.params
+            decomposition_matrix(params, block)
+            kn_oracle(params, block)
+            for mu in block.members:
+                graded_tableau_counts(params, mu)
+        for params, snapshot in snapshots.items():
+            assert all(f.terms == terms for f, terms in snapshot)
+            for key, f in geometry_for(params).caches["values"].items():
+                assert key == frozenset(f.terms.items()), f
+
+
 class TestStability:
     def test_intro_and_rank1(self):
         b = block_of(P_INTRO, 13, (4, 6, 3))

@@ -8,9 +8,12 @@ from quivertl.laurent import (
     ONE,
     SplitImpossible,
     ZERO,
+    canonical,
     from_terms,
+    plus_shifted,
     split_symmetric,
     subtract_product,
+    value_table,
 )
 
 from helpers import T, T_INV, is_in_plus_semiring, split_symmetric_by_difference
@@ -44,7 +47,11 @@ class TestArithmetic:
         assert T * T_INV == ONE
 
     def test_shift(self):
-        assert L((0, 1), (2, 1)).shift(-1) == L((-1, 1), (1, 1))
+        # a + t^k * b on term dicts, which are only read
+        a, b = {0: 1, 2: 1}, {1: -1, 3: 2}
+        assert plus_shifted({}, a, -1) == {-1: 1, 1: 1}
+        assert plus_shifted(a, b, -1) == {2: 3}  # the constant cancels
+        assert (a, b) == ({0: 1, 2: 1}, {1: -1, 3: 2})
 
     def test_bar(self):
         assert L((2, 1), (-1, 3)).bar() == L((-2, 1), (1, 3))
@@ -70,7 +77,8 @@ class TestArithmetic:
     @given(small_polys, small_polys, st.integers(-4, 4))
     def test_products_and_shifts_against_the_constructor(self, a, b, k):
         # ``Laurent(pairs)`` sums repeated exponents and drops zeros; the
-        # one-term products, shift and bar build their terms directly
+        # one-term products, bar and ``plus_shifted`` build their terms
+        # directly
         pairs = [
             (e1 + e2, c1 * c2)
             for e1, c1 in a.terms.items()
@@ -81,7 +89,10 @@ class TestArithmetic:
         tripled = Laurent((e + k, 3 * c) for e, c in terms)
         assert (a * Laurent.term(k, 3)).terms == tripled.terms
         assert (a * -2).terms == Laurent((e, -2 * c) for e, c in terms).terms
-        assert a.shift(k).terms == Laurent((e + k, c) for e, c in terms).terms
+        moved = Laurent((e + k, c) for e, c in terms)
+        assert plus_shifted({}, a.terms, k) == moved.terms
+        shifted = ((e + k, c) for e, c in b.terms.items())
+        assert plus_shifted(a.terms, b.terms, k) == Laurent([*terms, *shifted]).terms
         assert a.bar().terms == Laurent((-e, c) for e, c in terms).terms
         assert (a + b - b).terms == a.terms
 
@@ -212,6 +223,49 @@ class TestSplitSymmetric:
             return
         got = split_symmetric(f)
         assert [part.terms for part in got] == [part.terms for part in want]
+
+
+class TestCanonical:
+    """``canonical`` keeps one value per distinct polynomial in its table."""
+
+    def table(self):
+        return {frozenset(ONE.terms.items()): ONE}
+
+    def test_equal_dicts_in_any_order_give_one_object(self):
+        table = self.table()
+        first = canonical(table, {2: 1, -1: 3, 0: 5})
+        assert canonical(table, {0: 5, 2: 1, -1: 3}) is first
+        assert canonical(table, {-1: 3, 0: 5, 2: 1}) is first
+        assert canonical(table, {2: 1, -1: 3}) is not first
+        assert len(table) == 3
+
+    def test_a_miss_takes_the_dict_over(self):
+        table = self.table()
+        terms = {1: 2, 3: -1}
+        got = canonical(table, terms)
+        assert got.terms is terms
+        assert table[frozenset(terms.items())] is got
+
+    def test_a_hit_leaves_the_table_unchanged(self):
+        table = self.table()
+        stored = canonical(table, {1: 2, 3: -1})
+        before = dict(table)
+        terms = {3: -1, 1: 2}
+        assert canonical(table, terms) is stored
+        assert table == before and all(table[k] is v for k, v in before.items())
+        assert stored.terms is not terms and terms == {3: -1, 1: 2}
+
+    def test_one_is_stored_as_one(self):
+        assert canonical(self.table(), {0: 1}) is ONE
+
+    def test_value_table_is_made_once_per_geometry(self):
+        class Geom:
+            caches = {}
+
+        table = value_table(Geom)
+        assert Geom.caches == {"values": table}
+        assert table == {frozenset({(0, 1)}): ONE}
+        assert value_table(Geom) is table
 
 
 class TestPlusSemiring:

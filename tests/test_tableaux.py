@@ -19,6 +19,7 @@ from quivertl.tableaux import (
     graded_tableau_counts,
     loading,
     node_residue,
+    place_nodes,
 )
 
 from helpers import (
@@ -183,14 +184,25 @@ class TestGradedCounts:
                         assert counts.get(lam, ZERO) == want
 
     def test_counts_have_positive_coefficients(self):
-        # ``graded_tableau_counts`` wraps its DP dicts unchecked
-        # (``laurent.from_terms``), which needs every coefficient nonzero:
+        # ``place_nodes`` takes its DP dicts over unchecked
+        # (``laurent.canonical``), which needs every coefficient nonzero:
         # each count is a sum of powers of t, one per tableau
         for params, n in self.PARAMS:
             for mu in compositions(n, params.l):
                 for lam, poly in graded_tableau_counts(params, mu).items():
                     assert poly.terms and min(poly.terms.values()) > 0, (mu, lam)
                     assert poly == Laurent(poly.terms)
+
+    def test_no_residue_takes_no_dict_over(self, monkeypatch):
+        # with nothing to place, the states are still the caller's dicts:
+        # the stored counts must be equal to them but not be them, or a
+        # later change by the caller would change a shared value
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        states = {(0, 0): {0: 1}, (1, 0): {2: 1, 5: 3}}
+        counts = place_nodes(P7, states, [])
+        for heights, terms in states.items():
+            assert counts[heights].terms == terms
+            assert counts[heights].terms is not terms
 
     def test_column_rules_follow_from_residues(self):
         # the counts keep no column state: an entry of the next residue of
