@@ -19,7 +19,10 @@ only).  Reports are byte-deterministic.  JSON
 reports are ``json.dumps(report, indent=2)``; the ``decompose`` one is
 rendered directly as text, to the same bytes, since its tables run to
 thousands of entries: each table's nonzero items are grouped by row, and
-only they are rendered.
+only they are rendered.  An entry is joined from fragments shared by the
+whole report (a member's coordinates, a distinct polynomial), and the
+report is written table by table (``_emit`` takes the strings in turn),
+so that no copy of the whole document is ever made.
 
 The argument parser is built once per process, by the first ``main``
 call, and serves every later one; each call parses into a fresh
@@ -109,11 +112,13 @@ def _check_out(out):
         raise _CliError(EXIT_CONFIG, "cannot write %s: %s" % (out, ex.strerror))
 
 
-def _emit(text, out):
+def _emit(parts, out):
+    """Write the strings of the iterable ``parts``, in order, to ``out`` or
+    to standard output; each is written as soon as it is made."""
     if out is not None:
         try:
             with open(out, "w") as fh:
-                fh.write(text)
+                fh.writelines(parts)
         except OSError as ex:
             raise _CliError(EXIT_CONFIG, "cannot write %s: %s" % (out, ex.strerror))
     elif sys.stdout is None:
@@ -123,7 +128,7 @@ def _emit(text, out):
         )
     else:
         try:
-            sys.stdout.write(text)
+            sys.stdout.writelines(parts)
             sys.stdout.flush()
         except OSError as ex:
             _silence(sys.stdout)
@@ -170,7 +175,7 @@ def cmd_blocks(args):
             "n": args.n,
             "blocks": [b.to_json() for b in found],
         }
-        _emit(_json_dumps(report), args.out)
+        _emit([_json_dumps(report)], args.out)
         return EXIT_OK
     lines = ["blocks of TL_%d, l=%d e=%d kappa=%s" % (args.n, params.l, params.e, list(params.kappa))]
     for idx, b in enumerate(found):
@@ -179,7 +184,7 @@ def cmd_blocks(args):
             lines.append(
                 "  %s%s" % (list(member), "" if reg else "  (singular)")
             )
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -202,12 +207,12 @@ def cmd_paths(args):
                 {"steps": list(p.steps), "degree": d} for p, d in found
             ],
         }
-        _emit(_json_dumps(report), args.out)
+        _emit([_json_dumps(report)], args.out)
         return EXIT_OK
     lines = ["paths from %s to %s: %d" % (list(mu), list(lam), len(found))]
     for p, d in found:
         lines.append("  %s  degree %d" % ("".join(str(s) for s in p.steps), d))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -234,7 +239,7 @@ def cmd_decompose(args):
     if args.format == "json":
         _emit(_render_matrix_json(matrix, args.oracle == "on"), args.out)
         return EXIT_OK
-    _emit(_render_matrix_table(matrix), args.out)
+    _emit([_render_matrix_table(matrix)], args.out)
     return EXIT_OK
 
 
@@ -259,13 +264,23 @@ def _indented(data, depth):
 
 def _render_matrix_json(matrix, cross_checked):
     """The ``decompose`` report, ``matrix.to_json()`` with ``cross_checked``
-    appended, as the same bytes as ``_json_dumps`` of it.  Each table's
-    nonzero items are grouped by lambda in one pass, and each row is sorted
-    by mu, so that the order is ``sorted(table.items())`` whatever the
-    tables' insertion order.  Each member's coordinates and each distinct
-    polynomial are rendered once, and the entries are joined as text
-    without building their dicts."""
-    coords = {m: _indented(m, 3) for m in matrix.block.members}
+    appended, as the same bytes as ``_json_dumps`` of it, yielded as nine
+    strings: each table is one of them, rendered only when it is reached,
+    so that ``_emit`` writes it before the next one is built and the
+    report is never one string.
+
+    Each table's nonzero items are grouped by lambda in one pass, and each
+    row is sorted by mu, so that the order is ``sorted(table.items())``
+    whatever the tables' insertion order; a row holds each mu as its
+    index in the sorted members, so that the sort compares ints.  An
+    entry is three shared strings: its row's lambda text, made once per
+    row, the mu text, made once per member, and the poly text with the
+    entry's closing brace, made once per distinct value; each table is
+    joined once."""
+    members = sorted(matrix.block.members)
+    index = {m: i for i, m in enumerate(members)}
+    coords = [_indented(m, 3) for m in members]
+    mu_texts = [text + ',\n      "poly": ' for text in coords]
     # the text of each distinct polynomial, keyed by the identity of its
     # value: the routes store canonical values (``laurent.canonical``), so
     # equal values are one object
@@ -275,29 +290,34 @@ def _render_matrix_json(matrix, cross_checked):
         rows = {}
         for (lam, mu), poly in data.items():
             if poly.terms:
-                rows.setdefault(lam, []).append((mu, poly))
-        out = []
+                rows.setdefault(lam, []).append((index[mu], poly))
+        if not rows:
+            return "[]"
+        out = ["["]
         for lam in sorted(rows):
-            lam_text = '    {\n      "lambda": ' + coords[lam] + ',\n      "mu": '
+            coord = coords[index[lam]]
+            lam_text = ',\n    {\n      "lambda": ' + coord + ',\n      "mu": '
             row = rows[lam]
             row.sort()  # the mu of a row are distinct: no poly is compared
-            for mu, poly in row:
+            for i, poly in row:
                 text = polys.get(id(poly))
                 if text is None:
-                    text = polys[id(poly)] = _indented(poly.to_pairs(), 3)
-                out.append("".join((
-                    lam_text, coords[mu], ',\n      "poly": ', text, "\n    }"
-                )))
-        return "[\n" + ",\n".join(out) + "\n  ]" if out else "[]"
+                    text = polys[id(poly)] = _indented(poly.to_pairs(), 3) + "\n    }"
+                out += (lam_text, mu_texts[i], text)
+        # the first entry follows "[" with no comma
+        out[1] = out[1][1:]
+        out.append("\n  ]")
+        return "".join(out)
 
-    return "".join((
-        '{\n  "block": ', _indented(matrix.block.to_json(), 1),
-        ',\n  "decomposition_numbers": ', table(matrix.entries),
-        ',\n  "characters": ', table(matrix.characters),
-        ',\n  "standard_dims": ', table(matrix.standard_dims),
-        ',\n  "cross_checked": ', _indented(cross_checked, 1),
-        "\n}\n",
-    ))
+    yield '{\n  "block": '
+    yield _indented(matrix.block.to_json(), 1)
+    yield ',\n  "decomposition_numbers": '
+    yield table(matrix.entries)
+    yield ',\n  "characters": '
+    yield table(matrix.characters)
+    yield ',\n  "standard_dims": '
+    yield table(matrix.standard_dims)
+    yield ',\n  "cross_checked": ' + _indented(cross_checked, 1) + "\n}\n"
 
 
 def _render_matrix_table(matrix):
@@ -354,7 +374,7 @@ def cmd_svg(args):
         raise _CliError(EXIT_CONFIG, str(ex))
     except ClosureBudgetExceeded as ex:
         raise _CliError(EXIT_BUDGET, str(ex))
-    _emit(text, args.out)
+    _emit([text], args.out)
     return EXIT_OK
 
 

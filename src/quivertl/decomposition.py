@@ -364,23 +364,29 @@ def kn_oracle(params, block):
 
     Most counts are zero, and a zero count leaves both values zero, so a
     column's pass visits only its rows with a nonzero count, grouped by
-    column in one pass over the counts; the diagonal is always 1.  Most
-    characters are zero, so the sum runs only over the nu of the
-    column already solved with c(nu, mu) != 0, and multiplies only where
-    d(lam, nu) != 0: one fused multiply-subtract (``subtract_product``)
-    per triple (lam, nu, mu) with nonzero d(lam, nu) and c(nu, mu), on the
-    row's remainder as a term dict, copied from the count at the row's
-    first product (the count's own terms are never changed) and wrapped
-    by ``from_terms`` before it is split.  That is exact
-    because each row checks, before it is split, that it is shorter than
-    mu (paths out of mu only reach shorter alcoves): a nonzero
-    d(lam, nu) * c(nu, mu) then needs length(lam) < length(nu) <
-    length(mu), so both of its factors are solved before the pair
-    (lam, mu).  Most rows have a zero character: a remainder with only
-    positive exponents and coefficients is its own decomposition number,
-    and ``split_symmetric`` returns it as it is, so such a row stores the
-    count object itself as d.  Every other d and c it stores is the
-    canonical value of its polynomial (``laurent.canonical``).
+    column in one pass over the counts as (rank, lam, count) triples and
+    sorted once; the diagonal is always 1.  Most characters are zero, so
+    the sum runs only over the nu of the column already solved with
+    c(nu, mu) != 0, and multiplies only where d(lam, nu) != 0 (a row with
+    no d yet skips the sum): one fused multiply-subtract
+    (``subtract_product``) per triple (lam, nu, mu) with nonzero
+    d(lam, nu) and c(nu, mu), on the row's remainder as a term dict,
+    copied from the count at the row's first product (the count's own
+    terms are never changed).  That is exact because each row checks,
+    before it is split, that it is shorter than mu (paths out of mu only
+    reach shorter alcoves): a nonzero d(lam, nu) * c(nu, mu) then needs
+    length(lam) < length(nu) < length(mu), so both of its factors are
+    solved before the pair (lam, mu).
+
+    Most rows have a zero character.  A remainder with only positive
+    exponents and coefficients (``split_symmetric``'s own test) is its
+    own decomposition number, so such a row is not split: its d is the
+    count object itself when there were no products, and otherwise the
+    canonical value of the remainder's terms.  Every other row wraps its
+    remainder with ``from_terms`` and splits it with ``split_symmetric``;
+    a remainder that cancelled to zero stores neither value.  Every d and
+    c the oracle stores is the canonical value of its polynomial
+    (``laurent.canonical``).
     """
     _require_regular(block)
     counts = _standard_dims(params, block)
@@ -393,46 +399,56 @@ def kn_oracle(params, block):
     rank = {lam: i for i, lam in enumerate(order)}
     entries = {}
     characters = {}
-    columns = {}  # the nonzero off-diagonal counts of each column
-    for mu in members:
-        columns[mu] = {}
+    # the nonzero off-diagonal counts of each column, as (rank, lam, count)
+    columns = {mu: [] for mu in members}
     for (lam, mu), f in counts.items():
         if f.terms and lam != mu:
-            columns[mu][lam] = f
+            columns[mu].append((rank[lam], lam, f))
     # the terms of the nonzero off-diagonal decomposition numbers of each
     # row, by column: the ``.terms`` of stored values, only ever read
-    row_dec = {}
-    for mu, column in columns.items():
+    row_dec = {lam: {} for lam in members}
+    for mu in members:
         entries[(mu, mu)] = characters[(mu, mu)] = ONE
+        # taken out, so that a solved column's triples are freed; the ranks
+        # are distinct, so no lam or count is compared
+        column = columns.pop(mu)
+        column.sort()
         # (nu, terms of c(nu, mu)) for the solved nu != mu with c != 0
         support = []
-        for lam in sorted(column, key=rank.__getitem__):
-            if length[lam] >= length[mu]:
+        top = length[mu]
+        for _, lam, count in column:
+            if length[lam] >= top:
                 raise InternalMismatch(
                     "path-counting oracle: weight %s is reached from mu=%s but "
                     "its alcove is not shorter" % (list(lam), list(mu))
                 )
-            count = f = column[lam]
-            decs = row_dec.setdefault(lam, {})
-            rest = None  # the row's remainder, copied from f at its first product
-            for nu, c in support:
-                d = decs.get(nu)
-                if d is not None:
-                    if rest is None:
-                        rest = dict(f.terms)
-                    subtract_product(rest, d, c)
-            if rest is not None:
-                f = from_terms(rest)
+            decs = row_dec[lam]
+            rest = None  # the row's remainder, copied from count at its first product
+            if decs:
+                for nu, c in support:
+                    d = decs.get(nu)
+                    if d is not None:
+                        if rest is None:
+                            rest = dict(count.terms)
+                        subtract_product(rest, d, c)
+            terms = count.terms if rest is None else rest
+            # ``split_symmetric``'s own test: a nonzero remainder with
+            # positive exponents and coefficients is its own decomposition
+            # number; one that cancelled to {} stores neither value
+            if terms and min(terms) > 0 and min(terms.values()) > 0:
+                dec = count if rest is None else canonical(values, rest)
+                decs[mu] = dec.terms
+                entries[(lam, mu)] = dec
+                continue
             try:
-                char, dec = split_symmetric(f)
+                char, dec = split_symmetric(count if rest is None else from_terms(rest))
             except SplitImpossible as exc:
                 raise InternalMismatch(
                     "path-counting oracle: %s at lambda=%s, mu=%s"
                     % (exc, list(lam), list(mu))
                 ) from exc
             if dec.terms:
-                if dec is not count:
-                    dec = canonical(values, dec.terms)
+                dec = canonical(values, dec.terms)
                 decs[mu] = dec.terms
                 entries[(lam, mu)] = dec
             if char.terms:

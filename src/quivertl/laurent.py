@@ -265,9 +265,11 @@ def split_symmetric(f):
     coefficient, i.e. when no such decomposition exists.
 
     When every exponent and every coefficient of f is positive, the split
-    is (0, f), and f itself is returned as its positive part: most rows
-    of the oracle take this path.  The coefficients are checked too,
-    since a negative one in a positive degree has no split.
+    is (0, f), and f itself is returned as its positive part.  The
+    coefficients are checked too, since a negative one in a positive
+    degree has no split.  Most rows of the oracle pass this test, and
+    ``decomposition.kn_oracle`` makes it on the row's terms itself, so
+    that such a row is never wrapped or split.
     """
     terms = f.terms
     if min(terms, default=1) > 0 and min(terms.values(), default=1) > 0:

@@ -174,21 +174,25 @@ def gallery_word(params, mu):
         if record.running is None:
             steps = distinguished_path(params, base).steps
             raise NotAdmissible("path %r is not admissible" % (steps,))
-        record.word = _crossings(geom, record.landed, base)
+        # a singular endpoint ends no alcove, so it is not passed
+        record.word = _crossings(geom, record.landed, base if record.regular else None)
     return record.word
 
 
 class ClassRecord:
     """A class's count ``table``, the ``running`` degree of the walk along
-    its distinguished path (None when it is not admissible) and the walls
-    it ``landed`` on, and its gallery ``word`` once it is crossed."""
+    its distinguished path (None when it is not admissible), the walls it
+    ``landed`` on and whether the walk's endpoint is ``regular`` (read off
+    the root values the walk ends at), and its gallery ``word`` once it is
+    crossed."""
 
-    __slots__ = ("table", "running", "landed", "word")
+    __slots__ = ("table", "running", "landed", "regular", "word")
 
-    def __init__(self, table, running, landed):
+    def __init__(self, table, running, landed, regular):
         self.table = table
         self.running = running
         self.landed = landed
+        self.regular = regular
         self.word = None
 
 
@@ -204,7 +208,7 @@ def _record(geom, params, mu0):
         # the empty tableau's count
         zero = (0,) * geom.l
         records = geom.caches["classes"] = {
-            zero: ClassRecord(graded_tableau_counts(params, zero), 0, ())
+            zero: ClassRecord(graded_tableau_counts(params, zero), 0, (), True)
         }
     record = records.get(mu0)
     if record is not None:
@@ -223,10 +227,15 @@ def _record(geom, params, mu0):
     states = {lam: poly.terms for lam, poly in prefix.table.items()}
     landed = list(prefix.landed)
     running = prefix.running
+    regular = False
     if running is not None:
-        running = _walk(geom, geom.values(nu), running, landed, letters[::-1])
+        values = geom.values(nu)
+        running = _walk(geom, values, running, landed, letters[::-1])
+        # the walk ends at mu0's root values
+        e = geom.e
+        regular = running is not None and all(v % e for v in values)
     record = records[mu0] = ClassRecord(
-        place_nodes(params, states, residues[::-1]), running, tuple(landed)
+        place_nodes(params, states, residues[::-1]), running, tuple(landed), regular
     )
     return record
 
@@ -239,7 +248,11 @@ def alcove_series(params, path):
     landed = []
     if _walk(geom, list(geom.origin_values), 0, landed, path.steps) is None:
         raise NotAdmissible("path %r is not admissible" % (path.steps,))
-    return _crossings(geom, landed, path.endpoint())
+    endpoint = path.endpoint()
+    e = geom.e
+    return _crossings(
+        geom, landed, endpoint if all(v % e for v in geom.values(endpoint)) else None
+    )
 
 
 def _walk(geom, values, running, landed, steps):
@@ -289,9 +302,9 @@ def _walk(geom, values, running, landed, steps):
 def _crossings(geom, landed, endpoint):
     """The word of the wall types crossed from the fundamental alcove over
     the walls ``landed``, validated to be a minimal gallery of lengths
-    0, 1, ..., k that ends at the alcove of ``endpoint`` when that point is
-    regular.  The origin is regular (``Params`` keeps the residues
-    distinct)."""
+    0, 1, ..., k that ends at the alcove of ``endpoint``; the caller passes
+    None for an endpoint that lies on a wall, whose end is not checked.
+    The origin is regular (``Params`` keeps the residues distinct)."""
     word = []
     cur = geom.fundamental
     length = 0
@@ -304,7 +317,6 @@ def _crossings(geom, landed, endpoint):
             raise NotAGallery("crossing %r does not move away from the origin" % (h,))
         length += 1
         word.append(t)
-    e = geom.e
-    if all(v % e for v in geom.values(endpoint)) and cur != geom.alcove_of(endpoint):
+    if endpoint is not None and cur != geom.alcove_of(endpoint):
         raise NotAGallery("gallery does not end at the endpoint's alcove")
     return tuple(word)

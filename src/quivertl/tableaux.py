@@ -16,10 +16,13 @@ by degree for every shape at once, placing loading values in increasing
 order; this is how graded path counts are computed.  No tableau is ever
 built: the column heights are the path's current point, so a placement's
 degree is ``Geometry.step_degree`` from the heights before it to those
-after.  ``_moves`` computes it as ``paths._walk`` does: from the root
-values of the heights before, summing ``Geometry.root_step_degree`` over
+after.  ``_moves`` computes it as ``paths._walk`` does: it reads the
+residue of a component's next node as (kappa_m - height) mod e, and for
 the l - 1 roots that the placed coordinate touches (``Geometry.touches``),
-since no other root value changes.  The moves of a step depend only on
+the only ones whose value changes, it computes the value before the step
+from ``Geometry.origin_values`` and the heights, and calls
+``Geometry.root_step_degree`` only where the value lands on or leaves a
+multiple of e.  The moves of a step depend only on
 the heights before it and the residue placed, so they are kept in
 ``geom.caches["transitions"]``, a table from ``(heights, residue)`` to
 the list of ``(next heights, degree increment)``, filled on first use and
@@ -157,9 +160,21 @@ def place_nodes(params, states, residues):
             if moves is None:
                 moves = transitions[heights, res] = _moves(geom, params, heights, res)
             for hs, deg in moves:
-                acc = grown.setdefault(hs, {})
-                for d, c in poly.items():
-                    acc[d + deg] = acc.get(d + deg, 0) + c
+                acc = grown.get(hs)
+                if acc is None:
+                    # the first poly to reach hs, copied: the caller's
+                    # dicts are never taken over
+                    if deg:
+                        grown[hs] = {d + deg: c for d, c in poly.items()}
+                    else:
+                        grown[hs] = dict(poly)
+                elif deg:
+                    for d, c in poly.items():
+                        d += deg
+                        acc[d] = acc.get(d, 0) + c
+                else:
+                    for d, c in poly.items():
+                        acc[d] = acc.get(d, 0) + c
         states = grown
     # taken over unchecked: every count has positive coefficients (a sum
     # of powers of t, one per tableau), so none is zero, and each dict is
@@ -171,18 +186,23 @@ def place_nodes(params, states, residues):
 def _moves(geom, params, heights, res):
     """The placements of residue res onto the column heights ``heights``:
     ``(next heights, degree increment)`` for each component whose next
-    empty node has that residue."""
+    empty node has that residue.  Component m's next node is in row
+    heights[m] + 1, so its residue is (kappa[m] - heights[m]) % e."""
     out = []
-    values = geom.values(heights)
+    e, kappa = params.e, params.kappa
+    origin = geom.origin_values
     step = geom.root_step_degree
     for m in range(params.l):
-        if node_residue(params, heights[m] + 1, m + 1) == res:
-            hs = heights[:m] + (heights[m] + 1,) + heights[m + 1 :]
-            # only the l - 1 roots that touch coordinate m change value
+        h = heights[m]
+        if (kappa[m] - h) % e == res:
+            hs = heights[:m] + (h + 1,) + heights[m + 1 :]
+            # only the l - 1 roots that touch coordinate m change value,
+            # and only one that lands on or leaves a wall adds degree
             deg = 0
-            for r, sign, _, _ in geom.touches[m]:
-                v0 = values[r]
-                deg += step(r, v0, v0 + sign)
+            for r, sign, i, j in geom.touches[m]:
+                v0 = origin[r] + heights[i] - heights[j]
+                v1 = v0 + sign
+                if v0 % e == 0 or v1 % e == 0:
+                    deg += step(r, v0, v1)
             out.append((hs, deg))
     return out
-

@@ -172,7 +172,8 @@ class TestOutputs:
         block = block_of(Params(3, 8, (0, 4, 6), 1), 1, (0, 0, 1))
         empty = DecompositionMatrix(block, {}, {}, {})
         report = empty.to_json() | {"cross_checked": False}
-        assert cli._render_matrix_json(empty, False) == json.dumps(report, indent=2) + "\n"
+        text = "".join(cli._render_matrix_json(empty, False))
+        assert text == json.dumps(report, indent=2) + "\n"
 
     @pytest.mark.parametrize("data", [
         [], {}, [[], {}], [True, False, 0, -3, [7]],
@@ -200,9 +201,81 @@ class TestOutputs:
         )
         for matrix, checked in [(oracle, True), (backwards, False), (zero, True)]:
             report = matrix.to_json() | {"cross_checked": checked}
-            text = cli._render_matrix_json(matrix, checked)
+            text = "".join(cli._render_matrix_json(matrix, checked))
             assert text == json.dumps(report, indent=2) + "\n"
-        assert '"decomposition_numbers": [],' in cli._render_matrix_json(zero, True)
+        text = "".join(cli._render_matrix_json(zero, True))
+        assert '"decomposition_numbers": [],' in text
+
+    # blocks at levels 2 to 5, and an INTRO block with the oracle off
+    REPORTS = [
+        (2, 4, (0, 2), 20, (10, 10), "on"),
+        (3, 8, (0, 4, 6), 13, (4, 9, 0), "on"),
+        (3, 8, (0, 4, 6), 13, (4, 6, 3), "off"),
+        (4, 8, (0, 2, 4, 6), 12, (3, 3, 3, 3), "on"),
+        (5, 10, (0, 2, 4, 6, 8), 10, (2, 2, 2, 2, 2), "on"),
+    ]
+
+    @pytest.mark.parametrize("l, e, kappa, n, mu, oracle", REPORTS)
+    def test_report_file_is_the_dumps_of_the_matrix(
+        self, capsys, tmp_path, l, e, kappa, n, mu, oracle
+    ):
+        # the report as ``_emit`` writes it to --out, table by table, has
+        # the bytes of ``_json_dumps`` of the whole report
+        target = tmp_path / "report.json"
+        code = main([
+            "decompose", "--l", str(l), "--e", str(e),
+            "--kappa", ",".join(map(str, kappa)), "--n", str(n),
+            "--mu", ",".join(map(str, mu)), "--oracle", oracle,
+            "--format", "json", "--out", str(target),
+        ])
+        assert (code, capsys.readouterr().out) == (EXIT_OK, "")
+        params = Params(l, e, kappa, n)
+        matrix = decomposition_matrix(params, block_of(params, n, mu))
+        report = matrix.to_json() | {"cross_checked": oracle == "on"}
+        assert matrix.entries and matrix.characters
+        assert target.read_bytes() == cli._json_dumps(report).encode()
+
+    def test_report_is_written_one_table_at_a_time(self, monkeypatch):
+        # standard output receives the report as nine strings, each table
+        # one of them, each rendered only after the strings before it were
+        # written; an empty table is written as []
+        class Stream:
+            def __init__(self):
+                self.pieces = []
+
+            def writelines(self, parts):
+                for part in parts:
+                    self.pieces.append(part)
+
+            def flush(self):
+                pass
+
+        params = Params(3, 8, (0, 4, 6), 13)
+        block = block_of(params, 13, (4, 9, 0))
+        empty = DecompositionMatrix(block, {}, {}, {})
+        for matrix, checked in [(decomposition_matrix(params, block), True),
+                                (empty, False)]:
+            stream = Stream()
+            made = []
+
+            def parts():
+                for part in cli._render_matrix_json(matrix, checked):
+                    # every string made before this one is written
+                    assert stream.pieces == made
+                    made.append(part)
+                    yield part
+
+            with monkeypatch.context() as m:
+                m.setattr(sys, "stdout", stream)
+                cli._emit(parts(), None)
+            whole = cli._json_dumps(matrix.to_json() | {"cross_checked": checked})
+            assert "".join(stream.pieces) == whole
+            assert len(stream.pieces) == 9
+            assert max(map(len, stream.pieces)) < len(whole)
+            tables = stream.pieces[3:8:2]
+            assert all(t[0] == "[" and t[-1] == "]" for t in tables)
+            if matrix is empty:
+                assert tables == ["[]", "[]", "[]"]
 
     def test_decompose_table_bytes(self, capsys):
         # the table reports of four blocks, pinned by their sha256
@@ -467,6 +540,21 @@ class TestOutputs:
         with open("/dev/full", "w") as full:
             done = self._cli_process(["blocks"] + INTRO, full)
         self._assert_unwritable_stdout(done, errno.ENOSPC)
+
+    def test_full_out_file(self):
+        # --out names a device that takes no data: the decompose report
+        # fails part way and exits 2 with one error line
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        done = self._cli_process(
+            ["decompose"] + INTRO + ["--mu", "4,9,0", "--format", "json",
+                                     "--out", "/dev/full"],
+            subprocess.PIPE,
+        )
+        assert (done.returncode, done.stdout) == (EXIT_CONFIG, "")
+        assert done.stderr == "error: cannot write /dev/full: %s\n" % (
+            os.strerror(errno.ENOSPC)
+        )
 
     def test_closed_standard_output_pipe(self):
         # the reader of the pipe is gone before the report is written

@@ -660,6 +660,70 @@ class TestSparseRoutes:
         assert len(seen) == 4
 
 
+    @staticmethod
+    def _intro_products():
+        """{(block, lam, mu): the sum of d(lam, nu) * c(nu, mu) over the nu
+        strictly between them} for every pair of INTRO's regular blocks at
+        n <= 14 where the sum has a nonzero term: the products the oracle
+        subtracts from the row of lam in column mu."""
+        out = {}
+        for params, block in _regular_blocks():
+            if params != P_INTRO:
+                continue
+            matrix = kn_oracle(params, block)
+            for (lam, nu), d in matrix.entries.items():
+                for (nu2, mu), c in matrix.characters.items():
+                    if lam != nu == nu2 != mu:
+                        key = (block, lam, mu)
+                        out[key] = out.get(key, ZERO) + d * c
+        return out
+
+    def test_remainder_that_cancels_stores_neither_value(self, monkeypatch):
+        # with count(lam, mu) made the sum the oracle subtracts, the row's
+        # remainder cancels to zero: the oracle must agree with its dense
+        # twin and store neither d(lam, mu) nor c(lam, mu), though the
+        # count it was given is nonzero
+        real = decomposition._standard_dims
+        products = self._intro_products()
+        assert len(products) == 25
+        for (block, lam, mu), product in products.items():
+            assert product
+
+            def dims(params, block, key=(lam, mu), product=product):
+                changed = real(params, block)
+                changed[key] = product
+                return changed
+
+            with monkeypatch.context() as m:
+                m.setattr(decomposition, "_standard_dims", dims)
+                got = kn_oracle(P_INTRO, block)
+                assert matrices_equal(got, dense_kn_oracle(P_INTRO, block))
+                assert got.standard_dims[lam, mu] is product
+                assert (lam, mu) not in got.entries, (lam, mu)
+                assert (lam, mu) not in got.characters, (lam, mu)
+
+    def test_positive_remainder_is_its_canonical_value(self):
+        # a row whose remainder is positive is not split: its d is the
+        # value-table object itself, the count when nothing was subtracted
+        values = geometry_for(P_INTRO).caches["values"]
+        products = self._intro_products()
+        subtracted = 0
+        for block in {block for block, _, _ in products}:
+            got = kn_oracle(P_INTRO, block)
+            counts = got.standard_dims
+            for (lam, mu), d in got.entries.items():
+                assert values[frozenset(d.terms.items())] is d
+                if (block, lam, mu) in products:
+                    # count t + t^3 less d(lam, nu) * c(nu, mu) = t
+                    assert counts[lam, mu] == Laurent({1: 1, 3: 1})
+                    assert d is values[frozenset({(3, 1)})]
+                    assert (lam, mu) not in got.characters
+                    subtracted += 1
+                elif lam != mu and d == counts[lam, mu]:
+                    assert d is counts[lam, mu]
+        assert subtracted == 25
+
+
 class TestSharedValues:
     """Every stored value is the canonical value of its polynomial in its
     ``Geometry``'s ``caches["values"]``, and no computation changes the
