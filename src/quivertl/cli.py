@@ -22,7 +22,9 @@ thousands of entries: each table's nonzero items are grouped by row, and
 only they are rendered.  An entry is joined from fragments shared by the
 whole report (a member's coordinates, a distinct polynomial), and the
 report is written table by table (``_emit`` takes the strings in turn),
-so that no copy of the whole document is ever made.
+so that no copy of the whole document is ever made; the table report is
+written the same way, one line at a time.  A regular ``--out`` file is
+replaced only by a complete report (``_write_file``).
 
 The argument parser is built once per process, by the first ``main``
 call, and serves every later one; each call parses into a fresh
@@ -114,11 +116,11 @@ def _check_out(out):
 
 def _emit(parts, out):
     """Write the strings of the iterable ``parts``, in order, to ``out`` or
-    to standard output; each is written as soon as it is made."""
+    to standard output; each is written as soon as it is made.  A file
+    ``out`` is written as ``_write_file`` says."""
     if out is not None:
         try:
-            with open(out, "w") as fh:
-                fh.writelines(parts)
+            _write_file(parts, out)
         except OSError as ex:
             raise _CliError(EXIT_CONFIG, "cannot write %s: %s" % (out, ex.strerror))
     elif sys.stdout is None:
@@ -135,6 +137,46 @@ def _emit(parts, out):
             raise _CliError(
                 EXIT_CONFIG, "cannot write standard output: %s" % ex.strerror
             )
+
+
+def _write_file(parts, out):
+    """Write ``parts`` to the file ``out``.  A regular file, or a path that
+    names no file yet, is written through a new file next to it (the
+    symbolic links of ``out`` followed, as ``open`` follows them) that
+    replaces it only once every part is written: a write that fails part
+    way leaves the old file, or none, and no truncated report.  The new
+    file gets the mode that ``open(out, "w")`` would give it: the old
+    file's, or 0o666 less the umask.  Any other target, such as
+    ``/dev/null`` or a FIFO, is written directly."""
+    try:
+        old = os.stat(out)
+    except FileNotFoundError:
+        old = None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(out, "w") as fh:
+            fh.writelines(parts)
+        return
+    path = os.path.realpath(out)
+    head, tail = os.path.split(path)
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    attempt = 0
+    while True:
+        temp = os.path.join(head, ".%s.%d-%d.tmp" % (tail, os.getpid(), attempt))
+        try:
+            # created 0o666 less the umask, as open creates a new file
+            fd = os.open(temp, flags, 0o666)
+            break
+        except FileExistsError:
+            attempt += 1
+    try:
+        with open(fd, "w") as fh:
+            if old is not None:
+                os.chmod(temp, stat.S_IMODE(old.st_mode))
+            fh.writelines(parts)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def _silence(stream):
@@ -239,7 +281,7 @@ def cmd_decompose(args):
     if args.format == "json":
         _emit(_render_matrix_json(matrix, args.oracle == "on"), args.out)
         return EXIT_OK
-    _emit([_render_matrix_table(matrix)], args.out)
+    _emit(_render_matrix_table(matrix), args.out)
     return EXIT_OK
 
 
@@ -322,40 +364,49 @@ def _render_matrix_json(matrix, cross_checked):
 
 def _render_matrix_table(matrix):
     """The ``decompose`` table report: the three tables as member-by-member
-    grids.  A zero cell is written ``0``, and each distinct polynomial is
-    rendered once, keyed by its value's identity as in
-    ``_render_matrix_json``.  The cells are read through ``matrix.d``,
-    ``character`` and ``standard_dim``, which return a member pair's value
-    by key."""
+    grids, yielded one line at a time, so that ``_emit`` writes each row
+    before the next is made and the report is never one string.  A zero
+    cell is written ``0``, and each distinct polynomial is rendered once,
+    keyed by its value's identity as in ``_render_matrix_json``.
+
+    Each table takes two passes.  The first sets each column's width from
+    its header and its nonzero cells' texts, read from the table's items; a
+    zero cell's ``0`` is never wider than a header, which is a member
+    written as a list.  The second renders the rows, reading each cell
+    through ``matrix.d``, ``character`` or ``standard_dim``, which return a
+    member pair's value by key."""
     members = matrix.block.members
     names = [str(list(m)) for m in members]
-    lines = ["block: %s" % [list(m) for m in members]]
-    header = ["lambda \\ mu"] + names
+    index = {m: i for i, m in enumerate(members)}
+    first = max(len("lambda \\ mu"), *map(len, names))
     polys = {}
 
-    def table(title, getter):
-        lines.append(title)
-        rows = [header]
-        for lam, name in zip(members, names):
-            row = [name]
-            for mu in members:
-                value = getter(lam, mu)
-                if not value.terms:
-                    row.append("0")
-                    continue
-                text = polys.get(id(value))
-                if text is None:
-                    text = polys[id(value)] = str(value)
-                row.append(text)
-            rows.append(row)
-        widths = [max(map(len, column)) for column in zip(*rows)]
-        for row in rows:
-            lines.append("  " + "  ".join(map(str.ljust, row, widths)))
+    def text(value):
+        got = polys.get(id(value))
+        if got is None:
+            got = polys[id(value)] = str(value)
+        return got
 
-    table("decomposition numbers d:", matrix.d)
-    table("simple characters:", matrix.character)
-    table("standard dimensions:", matrix.standard_dim)
-    return "\n".join(lines) + "\n"
+    yield "block: %s\n" % [list(m) for m in members]
+    for title, data, getter in [
+        ("decomposition numbers d:", matrix.entries, matrix.d),
+        ("simple characters:", matrix.characters, matrix.character),
+        ("standard dimensions:", matrix.standard_dims, matrix.standard_dim),
+    ]:
+        widths = list(map(len, names))
+        for (_, mu), value in data.items():
+            if value.terms:
+                i = index[mu]
+                widths[i] = max(widths[i], len(text(value)))
+        yield title + "\n"
+        header = ["lambda \\ mu".ljust(first)] + list(map(str.ljust, names, widths))
+        yield "  " + "  ".join(header) + "\n"
+        for lam, name in zip(members, names):
+            row = [name.ljust(first)]
+            for mu, width in zip(members, widths):
+                value = getter(lam, mu)
+                row.append((text(value) if value.terms else "0").ljust(width))
+            yield "  " + "  ".join(row) + "\n"
 
 
 def cmd_svg(args):

@@ -22,10 +22,12 @@ are built in:
 
 Both routes read the graded path counts, which are also the graded
 standard dimensions, from one table per block (``_standard_dims``), built
-once per ``Block`` and copied for each route.  Each column of it, and
-each column's gallery word, is read from the column's translation class
-record in ``paths`` (``class_counts``, ``gallery_word``); no reflection
-closure is enumerated here.
+once per ``Block`` and copied for each route.  Each column of it is read
+from the column's translation class record in ``paths``
+(``class_counts``), and the block keeps the records it read, so that
+route 1 takes each column's gallery word (``paths.gallery_word``) and its
+run of the recursions from the same record, once per class: the run is
+kept on the record.  No reflection closure is enumerated here.
 
 The count table and the tables of a ``DecompositionMatrix`` hold nonzero
 values only: a pair of members that is not a key has the value zero.
@@ -89,17 +91,22 @@ class Block:
     """One orbit of one-column multipartitions of n, in a fixed order:
     by number of walls separating the weight from the fundamental alcove
     (``lengths``, each member's ``Geometry.point_length``), then
-    lexicographically.
+    lexicographically.  A regular member's length is that of its alcove,
+    read off the floors of its one ``Geometry.alcove_of`` call.
 
     ``regular`` flags each member as regular.  The flags are all equal: a
     root value is a difference of two residues, so a member is regular
     exactly when the block's residues are distinct.  They stay one per
     member because the JSON report and the benchmark read them so.
 
-    ``_counts``, the graded path counts between members, is filled by
-    ``_standard_dims``; it takes no part in equality, hashing or ``repr``."""
+    ``_counts``, the graded path counts between members, and ``_records``,
+    the class record of each member in member order, are filled by
+    ``_standard_dims``; they take no part in equality, hashing or
+    ``repr``."""
 
-    __slots__ = ("params", "n", "members", "regular", "lengths", "_counts")
+    __slots__ = (
+        "params", "n", "members", "regular", "lengths", "_counts", "_records"
+    )
 
     def __init__(self, params, n, members, regular, lengths):
         _set(self, "params", params)
@@ -108,6 +115,7 @@ class Block:
         _set(self, "regular", regular)
         _set(self, "lengths", lengths)
         _set(self, "_counts", {})
+        _set(self, "_records", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % (name,))
@@ -142,9 +150,15 @@ class Block:
 
 def _block(geom, params, n, key):
     """The block of the points of n boxes whose ``_orbit_key`` is key."""
-    ranked = sorted((geom.point_length(q), q) for q in geom.orbit_points(key, n))
-    members = tuple(q for _, q in ranked)
     regular = len(set(key)) == len(key)
+    if regular:
+        # a regular point's walls are its alcove's: its length is read off
+        # the floors of one root-value pass
+        length, alcove_of = geom.length, geom.alcove_of
+        ranked = sorted((length(alcove_of(q)), q) for q in geom.orbit_points(key, n))
+    else:
+        ranked = sorted((geom.point_length(q), q) for q in geom.orbit_points(key, n))
+    members = tuple(q for _, q in ranked)
     return Block(
         params, n, members, (regular,) * len(members), tuple(k for k, _ in ranked)
     )
@@ -262,18 +276,21 @@ def _standard_dims(params, block):
     by (lam, mu): the graded standard dimensions.  They are read once per
     block into ``block._counts``, one ``class_counts`` call per member
     column in block order, each column's class table with its shapes
-    shifted by +k*(1, ..., 1); each call returns its own copy, which the
-    caller may change.  A column's tableaux place the residues of mu, so
-    every shape it reaches is a member of mu's block, and one that is not
-    is the program's fault."""
+    shifted by +k*(1, ..., 1), and the records read are kept in
+    ``block._records``; each call returns its own copy, which the caller
+    may change.  A column's tableaux place the residues of mu, so every
+    shape it reaches is a member of mu's block, and one that is not is the
+    program's fault."""
     if not block._counts:
         # each shape keyed by its member tuple, so that no shifted copy is
         # kept
         members = {q: q for q in block.members}
         counts = {}
+        records = []
         for mu in block.members:
-            table, k = class_counts(params, mu)
-            for shape, f in table.items():
+            record, k = class_counts(params, mu)
+            records.append(record)
+            for shape, f in record.table.items():
                 if k:
                     shape = tuple([x + k for x in shape])
                 lam = members.get(shape)
@@ -286,23 +303,20 @@ def _standard_dims(params, block):
         # built whole before it is stored: a column that raises leaves no
         # partial table behind
         block._counts.update(counts)
+        _set(block, "_records", tuple(records))
     return dict(block._counts)
-
-
-def _gallery(params, mu):
-    """The gallery word of mu's distinguished path (``gallery_word``); a
-    path that is not a gallery is the program's fault."""
-    try:
-        return gallery_word(params, mu)
-    except (NotAdmissible, NotAGallery) as exc:
-        raise InternalMismatch(
-            "distinguished path of mu=%s: %s" % (list(mu), exc)
-        ) from exc
 
 
 def decomposition_matrix(params, block):
     """Graded decomposition data of a regular block via the wall-crossing
     recursions, cross-checked against graded path counts.
+
+    Each column's run (m, n, e and the gallery's end alcove) is taken from
+    its class record, the one ``_standard_dims`` read: the first column of
+    a class reads the gallery word off the record (``gallery_word``; a path
+    that is not a gallery is the program's fault) and keeps ``run_all`` of
+    it there.  The end alcove of each member's gallery, checked against
+    its endpoint's when the word was crossed, is its row's alcove.
 
     Each column's m must equal the column's nonzero counts, keyed by the
     rows' alcoves: the counts this call was given, not a memo.  Only when
@@ -312,23 +326,32 @@ def decomposition_matrix(params, block):
     alone.
     """
     _require_regular(block)
-    geom = geometry_for(params)
     members = block.members
     dims = _standard_dims(params, block)
+    runs = []
     alcove = {}
     member_at = {}
     columns = {}  # the nonzero counts of each column, by the row's alcove
-    for lam in members:
-        a = alcove[lam] = geom.alcove_of(lam)
-        member_at[a] = lam
-        columns[lam] = {}
+    for mu, record in zip(members, block._records):
+        run = record.run
+        if run is None:
+            try:
+                word = gallery_word(params, mu, record)
+            except (NotAdmissible, NotAGallery) as exc:
+                raise InternalMismatch(
+                    "distinguished path of mu=%s: %s" % (list(mu), exc)
+                ) from exc
+            run = record.run = run_all(params, word)
+        runs.append(run)
+        a = alcove[mu] = run[3]
+        member_at[a] = mu
+        columns[mu] = {}
     for (lam, mu), f in dims.items():
         if f.terms:
             columns[mu][alcove[lam]] = f
     entries = {}
     characters = {}
-    for mu, want in columns.items():
-        m_fn, n_fn, e_fn, _ = run_all(params, _gallery(params, mu))
+    for (mu, want), (m_fn, n_fn, e_fn, _) in zip(columns.items(), runs):
         if m_fn != want:
             # m may also hold alcoves of no member, which are not compared
             for lam in members:

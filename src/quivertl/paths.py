@@ -21,11 +21,17 @@ the ``paths`` and ``svg`` commands) and as the test oracle for the counts.
 
 A column's counts and gallery depend only on its translation class (the
 translation lemma of ``tableaux``), so ``geom.caches["classes"]`` keeps
-one ``ClassRecord`` per class, read by ``class_counts`` and
-``gallery_word``; a new record continues the DP and the walk of the
-longest stored prefix of its loading (the prefix lemma).  The reference
-entry points ``graded_tableau_counts`` and ``alcove_series`` run the same
-DP and walk from the empty tableau and the origin.  The records live as
+one ``ClassRecord`` per class, looked up by ``class_counts``; a new
+record continues the DP and the walk of the longest stored prefix of its
+loading (the prefix lemma).  Many classes land on the same walls, so
+``geom.caches["galleries"]`` keeps one ``Gallery`` per distinct
+landed-wall sequence, shared by the records of those classes.  A
+gallery keeps its word and end alcove once it crosses as a minimal
+gallery: each sequence is crossed once per ``Geometry``, and each class
+checks its own endpoint's alcove against the stored end
+(``gallery_word``).  The reference entry points ``graded_tableau_counts``
+and ``alcove_series`` run the same DP, walk and crossing from the empty
+tableau and the origin, with no memo.  The records and galleries live as
 long as the ``Geometry``.
 """
 
@@ -149,51 +155,81 @@ def graded_path_count(params, lam, mu):
     sum of t^(degree) over paths_between(lam, mu), read from mu's class
     table (lam and mu are tuples).  A shape that is in no table has
     count 0."""
-    table, k = class_counts(params, mu)
+    record, k = class_counts(params, mu)
     if k:
         lam = tuple([x - k for x in lam])
-    return table.get(lam, ZERO)
+    return record.table.get(lam, ZERO)
 
 
 def class_counts(params, mu):
-    """(table, k): mu's nonzero counts are its class record's ``table``
-    with every shape shifted by +k*(1, ..., 1), k = min(mu).  Callers must
-    not change the table."""
+    """(record, k): mu's class record, whose ``table`` with every shape
+    shifted by +k*(1, ..., 1), k = min(mu), holds mu's nonzero counts.
+    Callers must not change the table."""
     base, k = translation_class(mu)
-    return _record(geometry_for(params), params, base).table, k
+    return _record(geometry_for(params), params, base), k
 
 
-def gallery_word(params, mu):
-    """``alcove_series`` of mu's distinguished path, raising as it does:
-    crossed once per class from its record's walk, and kept there unless
-    it fails."""
-    base, _ = translation_class(mu)
+def gallery_word(params, mu, record=None):
+    """``alcove_series`` of mu's distinguished path, raising as it does,
+    from mu's class ``record`` (looked up when not given): the walls its
+    walk landed on, crossed the first time their ``Gallery`` is asked
+    for, and kept there when they cross; a sequence that fails is
+    crossed, and fails, again.  A regular endpoint's alcove is checked
+    against the gallery's end at every call; a singular one ends no
+    alcove, so it is not."""
+    if record is None:
+        record = class_counts(params, mu)[0]
+    if record.running is None:
+        steps = distinguished_path(params, translation_class(mu)[0]).steps
+        raise NotAdmissible("path %r is not admissible" % (steps,))
     geom = geometry_for(params)
-    record = _record(geom, params, base)
-    if record.word is None:
-        if record.running is None:
-            steps = distinguished_path(params, base).steps
-            raise NotAdmissible("path %r is not admissible" % (steps,))
-        # a singular endpoint ends no alcove, so it is not passed
-        record.word = _crossings(geom, record.landed, base if record.regular else None)
-    return record.word
+    gallery = record.gallery
+    if gallery.word is None:
+        gallery.word, gallery.end = _crossings(geom, gallery.landed)
+    if record.regular:
+        _check_end(geom, gallery.end, mu)
+    return gallery.word
 
 
 class ClassRecord:
     """A class's count ``table``, the ``running`` degree of the walk along
-    its distinguished path (None when it is not admissible), the walls it
-    ``landed`` on and whether the walk's endpoint is ``regular`` (read off
-    the root values the walk ends at), and its gallery ``word`` once it is
-    crossed."""
+    its distinguished path (None when it is not admissible), the
+    ``Gallery`` of the walls it landed on and whether the walk's endpoint
+    is ``regular`` (read off the root values the walk ends at).  ``run``
+    is free for the caller that runs the recursions along the class's
+    gallery to keep their result in (``decomposition.decomposition_matrix``);
+    it starts None."""
 
-    __slots__ = ("table", "running", "landed", "regular", "word")
+    __slots__ = ("table", "running", "gallery", "regular", "run")
 
-    def __init__(self, table, running, landed, regular):
+    def __init__(self, table, running, gallery, regular):
         self.table = table
         self.running = running
-        self.landed = landed
+        self.gallery = gallery
         self.regular = regular
-        self.word = None
+        self.run = None
+
+
+class Gallery:
+    """The walls a walk ``landed`` on, in order, and once they cross as a
+    minimal gallery (``_crossings``) its ``word`` and ``end`` alcove."""
+
+    __slots__ = ("landed", "word", "end")
+
+    def __init__(self, landed):
+        self.landed = landed
+        self.word = self.end = None
+
+
+def _gallery_of(geom, landed):
+    """The one ``Gallery`` of the tuple ``landed`` in ``caches["galleries"]``."""
+    galleries = geom.caches.get("galleries")
+    if galleries is None:
+        galleries = geom.caches["galleries"] = {}
+    got = galleries.get(landed)
+    if got is None:
+        got = galleries[landed] = Gallery(landed)
+    return got
 
 
 def _record(geom, params, mu0):
@@ -208,7 +244,9 @@ def _record(geom, params, mu0):
         # the empty tableau's count
         zero = (0,) * geom.l
         records = geom.caches["classes"] = {
-            zero: ClassRecord(graded_tableau_counts(params, zero), 0, (), True)
+            zero: ClassRecord(
+                graded_tableau_counts(params, zero), 0, _gallery_of(geom, ()), True
+            )
         }
     record = records.get(mu0)
     if record is not None:
@@ -225,7 +263,7 @@ def _record(geom, params, mu0):
         if prefix is not None:
             break
     states = {lam: poly.terms for lam, poly in prefix.table.items()}
-    landed = list(prefix.landed)
+    landed = list(prefix.gallery.landed)
     running = prefix.running
     regular = False
     if running is not None:
@@ -235,7 +273,10 @@ def _record(geom, params, mu0):
         e = geom.e
         regular = running is not None and all(v % e for v in values)
     record = records[mu0] = ClassRecord(
-        place_nodes(params, states, residues[::-1]), running, tuple(landed), regular
+        place_nodes(params, states, residues[::-1]),
+        running,
+        _gallery_of(geom, tuple(landed)),
+        regular,
     )
     return record
 
@@ -249,10 +290,10 @@ def alcove_series(params, path):
     if _walk(geom, list(geom.origin_values), 0, landed, path.steps) is None:
         raise NotAdmissible("path %r is not admissible" % (path.steps,))
     endpoint = path.endpoint()
-    e = geom.e
-    return _crossings(
-        geom, landed, endpoint if all(v % e for v in geom.values(endpoint)) else None
-    )
+    word, end = _crossings(geom, landed)
+    if all(v % geom.e for v in geom.values(endpoint)):
+        _check_end(geom, end, endpoint)
+    return word
 
 
 def _walk(geom, values, running, landed, steps):
@@ -299,12 +340,11 @@ def _walk(geom, values, running, landed, steps):
     return running
 
 
-def _crossings(geom, landed, endpoint):
-    """The word of the wall types crossed from the fundamental alcove over
-    the walls ``landed``, validated to be a minimal gallery of lengths
-    0, 1, ..., k that ends at the alcove of ``endpoint``; the caller passes
-    None for an endpoint that lies on a wall, whose end is not checked.
-    The origin is regular (``Params`` keeps the residues distinct)."""
+def _crossings(geom, landed):
+    """(word, end alcove): the word of the wall types crossed from the
+    fundamental alcove over the walls ``landed``, validated to be a
+    minimal gallery of lengths 0, 1, ..., k.  The origin is regular
+    (``Params`` keeps the residues distinct)."""
     word = []
     cur = geom.fundamental
     length = 0
@@ -317,6 +357,11 @@ def _crossings(geom, landed, endpoint):
             raise NotAGallery("crossing %r does not move away from the origin" % (h,))
         length += 1
         word.append(t)
-    if endpoint is not None and cur != geom.alcove_of(endpoint):
+    return tuple(word), cur
+
+
+def _check_end(geom, end, endpoint):
+    """A gallery ending at ``end`` must end at the alcove of the regular
+    point ``endpoint``."""
+    if end != geom.alcove_of(endpoint):
         raise NotAGallery("gallery does not end at the endpoint's alcove")
-    return tuple(word)

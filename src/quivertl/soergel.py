@@ -39,7 +39,9 @@ keyed by alcove and is read and written by ``n_function`` only.  ``runs``
 keeps each ``run_all`` result under the gallery's whole word, not its
 end: m is defined by the gallery, and e is solved from m.  It is keyed by
 word rather than by translation class, because distinct classes share
-words, and each shared word then solves e once.  The prefix
+words, and each shared word then solves e once; route 1 of
+``decomposition`` keeps each class's result on its class record, so it
+calls ``run_all`` once per class and hashes a word only then.  The prefix
 memo ``m_prefixes`` keeps (m, end alcove) under every prefix of every
 word run so far; m is built one crossing at a time, so a new word's m
 continues from its longest stored prefix.  Every prefix is stored, not
@@ -53,7 +55,8 @@ so there the memo holds no m that some column does not need anyway.
 Columns that differ by a multiple of (1, ..., 1) have the same gallery
 (the translation lemma of ``tableaux``), so blocks at n and n + l are
 shifted copies; they share one ``Geometry``, whose class records
-(``paths``) give one gallery word per class and ``runs`` one run per word.
+(``paths``) give one gallery word per class, crossed once per distinct
+landed-wall sequence, and ``runs`` one run per word.
 """
 
 from __future__ import annotations

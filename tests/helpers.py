@@ -16,7 +16,7 @@ from quivertl.decomposition import (
 )
 from quivertl.geometry import InternalMismatch, geometry_for
 from quivertl.laurent import Laurent, ONE, SplitImpossible, ZERO, split_symmetric
-from quivertl.paths import NotAdmissible, NotAGallery, PathWord
+from quivertl.paths import NotAdmissible, NotAGallery, PathWord, gallery_word
 from quivertl.soergel import n_function, run_all
 from quivertl.tableaux import loading, node_residue
 
@@ -575,7 +575,13 @@ def dense_decomposition_matrix(params, block):
     entries = {}
     characters = {}
     for mu in members:
-        m_fn, n_fn, e_fn, _ = run_all(params, decomposition._gallery(params, mu))
+        try:
+            word = gallery_word(params, mu)
+        except (NotAdmissible, NotAGallery) as exc:
+            raise InternalMismatch(
+                "distinguished path of mu=%s: %s" % (list(mu), exc)
+            ) from exc
+        m_fn, n_fn, e_fn, _ = run_all(params, word)
         for lam in members:
             key = alcove[lam]
             m = m_fn.get(key, ZERO)

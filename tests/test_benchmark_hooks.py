@@ -6,6 +6,7 @@ surface only as ``MissingHook`` in a traced benchmark run.  The file is read
 and executed here, never imported, so no bytecode is written next to it.
 """
 
+import random
 import types
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from quivertl.geometry import Geometry, geometry_for
 from quivertl.params import Params
 from quivertl.paths import alcove_series, distinguished_path
 from quivertl.soergel import run_all
-from quivertl.tableaux import graded_tableau_counts
+from quivertl.tableaux import graded_tableau_counts, translation_class
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -116,3 +117,52 @@ def test_every_n_function_passes_the_n_function_hook(monkeypatch):
         stored = geometry_for(params).caches["n_functions"]
         assert len(stored) > 1
         assert set(stored) <= seen
+
+
+def test_traced_counts_do_not_depend_on_request_order(monkeypatch):
+    # the benchmark requires each traced ``.calls`` count to repeat exactly
+    # across request orders; the memos of class records, galleries, runs,
+    # m prefixes and n functions must make the same calls whatever order
+    # fills them.  Every regular block of INTRO at n = 10..16 and of
+    # l=2 e=4 at n = 30..34 is requested (``block_of`` and both routes) on
+    # fresh geometries in three orders, under the benchmark's own tracer
+    intro = Params(3, 8, (0, 4, 6))
+    rank1 = Params(2, 4, (0, 2))
+    work = [
+        (params, n, block.members[0])
+        for params, ns in [(intro, range(10, 17)), (rank1, range(30, 35))]
+        for n in ns
+        for block in decomposition.blocks(params, n)
+        if block.regular[0]
+    ]
+    classes = {
+        (params.l, params.e, params.kappa, translation_class(mu)[0])
+        for params, n, member in work
+        for mu in block_of(params, n, member).members
+    }
+    shuffled = list(work)
+    random.Random(5).shuffle(shuffled)
+    names = (
+        "geometry.star", "geometry.alcove_of", "soergel.run_all", "soergel.n_function"
+    )
+    tracing = load_tracing()
+    counts = []
+    for order in (work, work[::-1], shuffled):
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        tracer = tracing.Tracer()
+        restore = tracer.install(OWNERS)
+        tracer.on = True
+        try:
+            for params, n, member in order:
+                block = decomposition.block_of(params, n, member)
+                decomposition.decomposition_matrix(params, block)
+                decomposition.kn_oracle(params, block)
+        finally:
+            tracer.on = False
+            restore()
+        summary = tracer.summary()
+        counts.append({name: summary[name + ".calls"] for name in names})
+    assert counts[0] == counts[1] == counts[2]
+    assert all(counts[0].values())
+    # one run of the recursions per translation class
+    assert counts[0]["soergel.run_all"] == len(classes)

@@ -4,6 +4,7 @@ import errno
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -312,7 +313,7 @@ class TestOutputs:
             matrix = decomposition_matrix(params, block)
             if params is l3:
                 assert len(block.members) == 44
-            text = cli._render_matrix_table(matrix)
+            text = "".join(cli._render_matrix_table(matrix))
             assert text == reference_render_matrix_table(matrix), (params, mu)
         lam, mu = block.members[0], block.members[-1]
         sparse = DecompositionMatrix(
@@ -321,9 +322,31 @@ class TestOutputs:
             dict(matrix.characters) | {(mu, lam): Laurent({-2: -3, 1: 1})},
             dict(matrix.standard_dims) | {(lam, lam): ZERO},
         )
-        text = cli._render_matrix_table(sparse)
+        text = "".join(cli._render_matrix_table(sparse))
         assert text == reference_render_matrix_table(sparse)
         assert "-3*t^-2 + t" in text
+
+    def test_table_report_is_streamed_line_by_line(self):
+        # the renderer yields one line at a time, the header and the rows
+        # of each table after its title, and the lines join to the bytes
+        # of the cell-by-cell reference; the 91-member block's report is
+        # also pinned by its sha256
+        for params, n, mu, digest in [
+            (Params(3, 8, (0, 4, 6)), 13, (4, 9, 0), None),
+            (Params(2, 4, (0, 2)), 11, (0, 11), None),
+            (Params(3, 6, (0, 2, 4)), 31, (10, 10, 11),
+             "77be3dc88dc113438ffeae6c8f3cada3769be08f96d6495bcebe61b6f59efdf0"),
+        ]:
+            block = block_of(params, n, mu)
+            matrix = decomposition_matrix(params, block)
+            lines = list(cli._render_matrix_table(matrix))
+            assert len(lines) == 1 + 3 * (2 + len(block.members))
+            assert all(line.count("\n") == 1 and line[-1] == "\n" for line in lines)
+            text = "".join(lines)
+            assert text == reference_render_matrix_table(matrix), mu
+            if digest:
+                assert len(block.members) == 91
+                assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_mismatch_names_table_and_pair(self, capsys, monkeypatch):
         real = cli.kn_oracle
@@ -433,9 +456,9 @@ class TestOutputs:
         params = Params(3, 8, (0, 4, 6))
         members = block_of(params, 13, (4, 9, 0)).members
         assert (12, 1, 0) in members and (12, 0, 1) not in members
-        table, k = paths.class_counts(params, (4, 9, 0))
+        record, k = paths.class_counts(params, (4, 9, 0))
         assert k == 0
-        monkeypatch.setitem(table, (12, 0, 1), Laurent.term(1))
+        monkeypatch.setitem(record.table, (12, 0, 1), Laurent.term(1))
         code = main(["decompose"] + INTRO + ["--mu", "4,9,0"])
         err = capsys.readouterr().err
         assert code == EXIT_MISMATCH
@@ -480,6 +503,52 @@ class TestOutputs:
         assert code == EXIT_OK
         assert out == ""
         json.loads(target.read_text())
+
+    def test_out_file_mode_and_links_are_those_of_open(self, capsys, tmp_path):
+        # a new file gets 0o666 less the umask and an old one keeps its
+        # mode, as open(out, "w") gives them; a link is written through,
+        # and no other file is left in the directory
+        mask = os.umask(0o022)
+        os.umask(mask)
+        new, old, link = (tmp_path / name for name in ("new", "old", "link"))
+        old.write_text("old\n")
+        old.chmod(0o640)
+        link.symlink_to(old)
+        for target in (new, old, link, "/dev/null"):
+            code, out = run(capsys, ["blocks"] + RANK1 + ["--out", str(target)])
+            assert (code, out) == (EXIT_OK, "")
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~mask
+        assert stat.S_IMODE(old.stat().st_mode) == 0o640
+        assert link.is_symlink() and link.resolve() == old
+        assert old.read_text() == new.read_text() != "old\n"
+        assert sorted(tmp_path.iterdir()) == [link, new, old]
+
+    def test_failed_out_write_leaves_no_truncated_file(self, tmp_path):
+        # under a file size limit of 4 KiB the 31,850-byte INTRO report
+        # fails part way: exit 2 with one error line, and the old file, or
+        # no file, is left, with no partial copy beside it
+        resource = pytest.importorskip("resource")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+
+        argv = ["decompose"] + INTRO + ["--mu", "4,9,0", "--format", "json"]
+        target = tmp_path / "x.json"
+        for before in (None, "old\n"):
+            if before is not None:
+                target.write_text(before)
+            done = self._cli_process(
+                argv + ["--out", str(target)], subprocess.PIPE, preexec_fn=limit
+            )
+            assert (done.returncode, done.stdout) == (EXIT_CONFIG, "")
+            assert done.stderr == "error: cannot write %s: %s\n" % (
+                target, os.strerror(errno.EFBIG)
+            )
+            if before is None:
+                assert list(tmp_path.iterdir()) == []
+            else:
+                assert list(tmp_path.iterdir()) == [target]
+                assert target.read_text() == before
 
     @pytest.mark.parametrize("where", ["missing/report.json", ".", "file/report.json"])
     def test_unwritable_out_file(self, capsys, tmp_path, where):

@@ -92,6 +92,24 @@ class TestBlocks:
                 seen.add(b.regular[0])
         assert seen == {False, True}
 
+    def test_lengths_are_point_lengths(self):
+        # a regular member's length is read off its alcove's floors, a
+        # singular one's from ``point_length``; either way every length
+        # is the member's ``point_length``, and the members are ordered
+        # by (point_length, member), in ``blocks`` and in ``block_of``
+        seen = set()
+        for params, n in _block_grid():
+            g = geometry_for(params)
+            for b in blocks(params, n):
+                lengths = tuple(g.point_length(q) for q in b.members)
+                assert b.lengths == lengths, (params, n, b.members)
+                assert list(b.members) == sorted(
+                    b.members, key=lambda q: (g.point_length(q), q)
+                ), (params, n)
+                assert block_of(params, n, b.members[-1]) == b
+                seen.add(b.regular[0])
+        assert seen == {False, True}
+
     def test_member_order(self):
         g = geometry_for(P_INTRO)
         b = block_of(P_INTRO, 13, (4, 6, 3))
@@ -238,12 +256,14 @@ class TestDecompositionMatrix:
     def test_dp_and_walk_run_once_per_class(self, monkeypatch):
         # columns that differ by a multiple of (1, ..., 1) share one class
         # record, kept under the class representative: over both routes
-        # one DP pass, one walk and one crossing per class, and the n=16
-        # translate of INTRO then runs none of them
+        # one DP pass, one walk and one run of the recursions per class,
+        # kept on its record, and one crossing per distinct landed-wall
+        # sequence, which classes share; the n=16 translate of INTRO then
+        # runs none of them
         monkeypatch.setattr(geometry, "_GEOMETRIES", {})
-        placed, walks, crossed = [], [], []
+        placed, walks, crossed, ran = [], [], [], []
         real_place, real_walk = paths.place_nodes, paths._walk
-        real_cross = paths._crossings
+        real_cross, real_run = paths._crossings, decomposition.run_all
 
         def place(params, states, residues):
             placed.append(len(residues))
@@ -253,13 +273,18 @@ class TestDecompositionMatrix:
             walks.append(len(steps))
             return real_walk(geom, values, running, landed, steps)
 
-        def cross(geom, landed, endpoint):
-            crossed.append(endpoint)
-            return real_cross(geom, landed, endpoint)
+        def cross(geom, landed):
+            crossed.append(landed)
+            return real_cross(geom, landed)
+
+        def run(params, word):
+            ran.append(word)
+            return real_run(params, word)
 
         monkeypatch.setattr(paths, "place_nodes", place)
         monkeypatch.setattr(paths, "_walk", walk)
         monkeypatch.setattr(paths, "_crossings", cross)
+        monkeypatch.setattr(decomposition, "run_all", run)
         first = block_of(P_INTRO, 13, (4, 9, 0))
         second = block_of(P_INTRO, 14, (4, 10, 0))
         for block in (first, second):
@@ -272,18 +297,21 @@ class TestDecompositionMatrix:
         both = classes(first.members + second.members)
         records = geometry_for(P_INTRO).caches["classes"]
         assert set(records) == both | {(0, 0, 0)}
-        assert len(placed) == len(walks) == len(both)
+        assert len(placed) == len(walks) == len(ran) == len(both)
         # each pass places the nodes its walk steps over
         assert placed == walks
-        assert sorted(crossed) == sorted(both)
+        galleries = {records[q].gallery.landed for q in both}
+        assert sorted(crossed) == sorted(galleries)
+        assert len(galleries) < len(both)
+        assert all(records[q].run is not None for q in both)
         translate = block_of(P_INTRO, 16, (5, 10, 1))
         assert translate.members == tuple(
             tuple(x + 1 for x in mu) for mu in first.members
         )
-        del placed[:], walks[:], crossed[:]
+        del placed[:], walks[:], crossed[:], ran[:]
         decomposition_matrix(P_INTRO, translate)
         kn_oracle(P_INTRO, translate)
-        assert placed == walks == crossed == []
+        assert placed == walks == crossed == ran == []
         assert set(records) == both | {(0, 0, 0)}
 
     @staticmethod
@@ -348,7 +376,8 @@ class TestDecompositionMatrix:
                 m.setattr(paths, "_walk", walk)
                 for q in order:
                     before = len(nodes), len(walked)
-                    assert paths.class_counts(params, q) == (tables[q], 0), (name, q)
+                    record, k = paths.class_counts(params, q)
+                    assert (record.table, k) == (tables[q], 0), (name, q)
                     # a new record places the last nodes of its class's
                     # loading, and walks them unless its prefix is not
                     # admissible
@@ -393,7 +422,7 @@ class TestDecompositionMatrix:
         classes = self._classes(params, n_max)
         geom = geometry_for(params)
         words = {
-            q: decomposition._gallery(params, q)
+            q: paths.gallery_word(params, q)
             for q in classes
             if not geom.classify(q)
         }
