@@ -146,16 +146,20 @@ def _write_file(parts, out):
     replaces it only once every part is written: a write that fails part
     way leaves the old file, or none, and no truncated report.  The new
     file gets the mode that ``open(out, "w")`` would give it: the old
-    file's, or 0o666 less the umask.  Any other target, such as
-    ``/dev/null`` or a FIFO, is written directly."""
+    file's, or 0o666 less the umask.  ``open``'s permission rules hold: a
+    file that may not be written is refused, and where no new file may be
+    made next to it, ``out`` is written directly.  Any other target, such
+    as ``/dev/null`` or a FIFO, is written directly."""
     try:
         old = os.stat(out)
     except FileNotFoundError:
         old = None
-    if old is not None and not stat.S_ISREG(old.st_mode):
-        with open(out, "w") as fh:
-            fh.writelines(parts)
-        return
+    if old is not None:
+        if not stat.S_ISREG(old.st_mode):
+            _write_directly(parts, out)
+            return
+        # refused as open(out, "w") would refuse it, without truncating it
+        os.close(os.open(out, os.O_WRONLY))
     path = os.path.realpath(out)
     head, tail = os.path.split(path)
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
@@ -168,6 +172,11 @@ def _write_file(parts, out):
             break
         except FileExistsError:
             attempt += 1
+        except PermissionError:
+            # a directory that takes no new file: open writes in place, or
+            # fails as open fails
+            _write_directly(parts, out)
+            return
     try:
         with open(fd, "w") as fh:
             if old is not None:
@@ -177,6 +186,11 @@ def _write_file(parts, out):
     except BaseException:
         os.unlink(temp)
         raise
+
+
+def _write_directly(parts, out):
+    with open(out, "w") as fh:
+        fh.writelines(parts)
 
 
 def _silence(stream):

@@ -25,9 +25,8 @@ standard dimensions, from one table per block (``_standard_dims``), built
 once per ``Block`` and copied for each route.  Each column of it is read
 from the column's translation class record in ``paths``
 (``class_counts``), and the block keeps the records it read, so that
-route 1 takes each column's gallery word (``paths.gallery_word``) and its
-run of the recursions from the same record, once per class: the run is
-kept on the record.  No reflection closure is enumerated here.
+route 1 takes each column's gallery word (``paths.gallery_word``) from the
+same record.  No reflection closure is enumerated here.
 
 The count table and the tables of a ``DecompositionMatrix`` hold nonzero
 values only: a pair of members that is not a key has the value zero.
@@ -91,8 +90,7 @@ class Block:
     """One orbit of one-column multipartitions of n, in a fixed order:
     by number of walls separating the weight from the fundamental alcove
     (``lengths``, each member's ``Geometry.point_length``), then
-    lexicographically.  A regular member's length is that of its alcove,
-    read off the floors of its one ``Geometry.alcove_of`` call.
+    lexicographically.
 
     ``regular`` flags each member as regular.  The flags are all equal: a
     root value is a difference of two residues, so a member is regular
@@ -150,15 +148,9 @@ class Block:
 
 def _block(geom, params, n, key):
     """The block of the points of n boxes whose ``_orbit_key`` is key."""
-    regular = len(set(key)) == len(key)
-    if regular:
-        # a regular point's walls are its alcove's: its length is read off
-        # the floors of one root-value pass
-        length, alcove_of = geom.length, geom.alcove_of
-        ranked = sorted((length(alcove_of(q)), q) for q in geom.orbit_points(key, n))
-    else:
-        ranked = sorted((geom.point_length(q), q) for q in geom.orbit_points(key, n))
+    ranked = sorted((geom.point_length(q), q) for q in geom.orbit_points(key, n))
     members = tuple(q for _, q in ranked)
+    regular = len(set(key)) == len(key)
     return Block(
         params, n, members, (regular,) * len(members), tuple(k for k, _ in ranked)
     )
@@ -311,12 +303,11 @@ def decomposition_matrix(params, block):
     """Graded decomposition data of a regular block via the wall-crossing
     recursions, cross-checked against graded path counts.
 
-    Each column's run (m, n, e and the gallery's end alcove) is taken from
-    its class record, the one ``_standard_dims`` read: the first column of
-    a class reads the gallery word off the record (``gallery_word``; a path
-    that is not a gallery is the program's fault) and keeps ``run_all`` of
-    it there.  The end alcove of each member's gallery, checked against
-    its endpoint's when the word was crossed, is its row's alcove.
+    Each column's gallery word is read off its class record, the one
+    ``_standard_dims`` read (``gallery_word``; a path that is not a gallery
+    is the program's fault), and run through ``run_all``.  The end alcove
+    of each member's gallery, which ``gallery_word`` checked against its
+    endpoint's, is its row's alcove.
 
     Each column's m must equal the column's nonzero counts, keyed by the
     rows' alcoves: the counts this call was given, not a memo.  Only when
@@ -333,15 +324,13 @@ def decomposition_matrix(params, block):
     member_at = {}
     columns = {}  # the nonzero counts of each column, by the row's alcove
     for mu, record in zip(members, block._records):
-        run = record.run
-        if run is None:
-            try:
-                word = gallery_word(params, mu, record)
-            except (NotAdmissible, NotAGallery) as exc:
-                raise InternalMismatch(
-                    "distinguished path of mu=%s: %s" % (list(mu), exc)
-                ) from exc
-            run = record.run = run_all(params, word)
+        try:
+            word = gallery_word(params, mu, record)
+        except (NotAdmissible, NotAGallery) as exc:
+            raise InternalMismatch(
+                "distinguished path of mu=%s: %s" % (list(mu), exc)
+            ) from exc
+        run = run_all(params, word)
         runs.append(run)
         a = alcove[mu] = run[3]
         member_at[a] = mu

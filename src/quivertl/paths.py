@@ -28,11 +28,11 @@ loading (the prefix lemma).  Many classes land on the same walls, so
 landed-wall sequence, shared by the records of those classes.  A
 gallery keeps its word and end alcove once it crosses as a minimal
 gallery: each sequence is crossed once per ``Geometry``, and each class
-checks its own endpoint's alcove against the stored end
-(``gallery_word``).  The reference entry points ``graded_tableau_counts``
-and ``alcove_series`` run the same DP, walk and crossing from the empty
-tableau and the origin, with no memo.  The records and galleries live as
-long as the ``Geometry``.
+checks its own endpoint's alcove against the stored end before its
+record keeps the word (``gallery_word``).  The reference entry points
+``graded_tableau_counts`` and ``alcove_series`` run the same DP, walk and
+crossing from the empty tableau and the origin, with no memo.  The
+records and galleries live as long as the ``Geometry``.
 """
 
 from __future__ import annotations
@@ -169,45 +169,45 @@ def class_counts(params, mu):
     return _record(geometry_for(params), params, base), k
 
 
-def gallery_word(params, mu, record=None):
+def gallery_word(params, mu, record):
     """``alcove_series`` of mu's distinguished path, raising as it does,
-    from mu's class ``record`` (looked up when not given): the walls its
-    walk landed on, crossed the first time their ``Gallery`` is asked
-    for, and kept there when they cross; a sequence that fails is
-    crossed, and fails, again.  A regular endpoint's alcove is checked
-    against the gallery's end at every call; a singular one ends no
-    alcove, so it is not."""
-    if record is None:
-        record = class_counts(params, mu)[0]
-    if record.running is None:
-        steps = distinguished_path(params, translation_class(mu)[0]).steps
-        raise NotAdmissible("path %r is not admissible" % (steps,))
-    geom = geometry_for(params)
-    gallery = record.gallery
-    if gallery.word is None:
-        gallery.word, gallery.end = _crossings(geom, gallery.landed)
-    if record.regular:
-        _check_end(geom, gallery.end, mu)
-    return gallery.word
+    from mu's class ``record`` (``class_counts(params, mu)[0]``), and kept
+    there unless it fails.  The walls the class's walk landed on are
+    crossed the first time their ``Gallery`` is asked for, and kept there
+    when they cross; a sequence that fails is crossed, and fails, again.
+    Each class checks its regular endpoint's alcove against the gallery's
+    end before it keeps the word; a singular endpoint ends no alcove, so
+    it is not checked."""
+    word = record.word
+    if word is None:
+        if record.running is None:
+            steps = distinguished_path(params, translation_class(mu)[0]).steps
+            raise NotAdmissible("path %r is not admissible" % (steps,))
+        geom = geometry_for(params)
+        gallery = record.gallery
+        if gallery.word is None:
+            gallery.word, gallery.end = _crossings(geom, gallery.landed)
+        if record.regular:
+            _check_end(geom, gallery.end, mu)
+        word = record.word = gallery.word
+    return word
 
 
 class ClassRecord:
     """A class's count ``table``, the ``running`` degree of the walk along
     its distinguished path (None when it is not admissible), the
     ``Gallery`` of the walls it landed on and whether the walk's endpoint
-    is ``regular`` (read off the root values the walk ends at).  ``run``
-    is free for the caller that runs the recursions along the class's
-    gallery to keep their result in (``decomposition.decomposition_matrix``);
-    it starts None."""
+    is ``regular`` (read off the root values the walk ends at), and its
+    gallery ``word`` once ``gallery_word`` has checked it."""
 
-    __slots__ = ("table", "running", "gallery", "regular", "run")
+    __slots__ = ("table", "running", "gallery", "regular", "word")
 
     def __init__(self, table, running, gallery, regular):
         self.table = table
         self.running = running
         self.gallery = gallery
         self.regular = regular
-        self.run = None
+        self.word = None
 
 
 class Gallery:

@@ -39,9 +39,7 @@ keyed by alcove and is read and written by ``n_function`` only.  ``runs``
 keeps each ``run_all`` result under the gallery's whole word, not its
 end: m is defined by the gallery, and e is solved from m.  It is keyed by
 word rather than by translation class, because distinct classes share
-words, and each shared word then solves e once; route 1 of
-``decomposition`` keeps each class's result on its class record, so it
-calls ``run_all`` once per class and hashes a word only then.  The prefix
+words, and each shared word then solves e once.  The prefix
 memo ``m_prefixes`` keeps (m, end alcove) under every prefix of every
 word run so far; m is built one crossing at a time, so a new word's m
 continues from its longest stored prefix.  Every prefix is stored, not

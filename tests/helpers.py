@@ -16,7 +16,13 @@ from quivertl.decomposition import (
 )
 from quivertl.geometry import InternalMismatch, geometry_for
 from quivertl.laurent import Laurent, ONE, SplitImpossible, ZERO, split_symmetric
-from quivertl.paths import NotAdmissible, NotAGallery, PathWord, gallery_word
+from quivertl.paths import (
+    NotAdmissible,
+    NotAGallery,
+    PathWord,
+    class_counts,
+    gallery_word,
+)
 from quivertl.soergel import n_function, run_all
 from quivertl.tableaux import loading, node_residue
 
@@ -576,7 +582,7 @@ def dense_decomposition_matrix(params, block):
     characters = {}
     for mu in members:
         try:
-            word = gallery_word(params, mu)
+            word = gallery_word(params, mu, class_counts(params, mu)[0])
         except (NotAdmissible, NotAGallery) as exc:
             raise InternalMismatch(
                 "distinguished path of mu=%s: %s" % (list(mu), exc)

@@ -4,6 +4,7 @@ import errno
 import hashlib
 import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -550,6 +551,50 @@ class TestOutputs:
                 assert list(tmp_path.iterdir()) == [target]
                 assert target.read_text() == before
 
+    def test_out_file_permissions_are_those_of_open(self, tmp_path):
+        # a file that may not be written is refused, unchanged, and a
+        # writable file in a directory that takes no new file is written
+        # in place, as open(out, "w") would do; a process run by root is
+        # run without the capabilities that pass over file permissions
+        if os.geteuid() != 0:
+            prefix = []
+        elif shutil.which("setpriv"):
+            prefix = ["setpriv", "--bounding-set", "-dac_override,-dac_read_search"]
+        else:
+            pytest.skip("root, and no setpriv to drop its file capabilities")
+
+        def write(target):
+            return self._cli_process(
+                ["blocks"] + RANK1 + ["--out", str(target)], subprocess.PIPE,
+                prefix=prefix,
+            )
+
+        locked, shut = tmp_path / "locked", tmp_path / "shut"
+        locked.write_text("old\n")
+        locked.chmod(0o444)
+        shut.mkdir()
+        (shut / "open").write_text("old\n")
+        shut.chmod(0o555)
+        try:
+            done = write(locked)
+            assert (done.returncode, done.stdout) == (EXIT_CONFIG, "")
+            assert done.stderr == "error: cannot write %s: %s\n" % (
+                locked, os.strerror(errno.EACCES)
+            )
+            assert locked.read_text() == "old\n"
+            done = write(shut / "open")
+            assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, "", "")
+            assert (shut / "open").read_text().startswith("block")
+            done = write(shut / "new")
+            assert (done.returncode, done.stdout) == (EXIT_CONFIG, "")
+            assert done.stderr == "error: cannot write %s: %s\n" % (
+                shut / "new", os.strerror(errno.EACCES)
+            )
+            assert sorted(tmp_path.iterdir()) == [locked, shut]
+            assert list(shut.iterdir()) == [shut / "open"]
+        finally:
+            shut.chmod(0o755)
+
     @pytest.mark.parametrize("where", ["missing/report.json", ".", "file/report.json"])
     def test_unwritable_out_file(self, capsys, tmp_path, where):
         # a missing parent directory, a directory itself and a parent that
@@ -582,12 +627,13 @@ class TestOutputs:
             )
 
     @staticmethod
-    def _cli_process(argv, stdout, stderr=subprocess.PIPE, **kwargs):
-        """A fresh ``quivertl`` process writing its report to ``stdout``."""
+    def _cli_process(argv, stdout, stderr=subprocess.PIPE, prefix=(), **kwargs):
+        """A fresh ``quivertl`` process writing its report to ``stdout``,
+        run through the command ``prefix``, if any."""
         src = str(Path(quivertl.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
-            [sys.executable, "-m", "quivertl.cli"] + argv,
+            list(prefix) + [sys.executable, "-m", "quivertl.cli"] + argv,
             stdout=stdout, stderr=stderr,
             env=dict(os.environ, PYTHONPATH=path), text=True, timeout=120,
             **kwargs,

@@ -93,10 +93,9 @@ class TestBlocks:
         assert seen == {False, True}
 
     def test_lengths_are_point_lengths(self):
-        # a regular member's length is read off its alcove's floors, a
-        # singular one's from ``point_length``; either way every length
-        # is the member's ``point_length``, and the members are ordered
-        # by (point_length, member), in ``blocks`` and in ``block_of``
+        # every length is the member's ``point_length``, regular blocks
+        # and singular ones alike, and the members are ordered by
+        # (point_length, member), in ``blocks`` and in ``block_of``
         seen = set()
         for params, n in _block_grid():
             g = geometry_for(params)
@@ -256,14 +255,14 @@ class TestDecompositionMatrix:
     def test_dp_and_walk_run_once_per_class(self, monkeypatch):
         # columns that differ by a multiple of (1, ..., 1) share one class
         # record, kept under the class representative: over both routes
-        # one DP pass, one walk and one run of the recursions per class,
-        # kept on its record, and one crossing per distinct landed-wall
-        # sequence, which classes share; the n=16 translate of INTRO then
-        # runs none of them
+        # one DP pass and one walk per class, one crossing per distinct
+        # landed-wall sequence, which classes share, and one m recursion
+        # per distinct gallery word; the n=16 translate of INTRO then runs
+        # none of them
         monkeypatch.setattr(geometry, "_GEOMETRIES", {})
         placed, walks, crossed, ran = [], [], [], []
         real_place, real_walk = paths.place_nodes, paths._walk
-        real_cross, real_run = paths._crossings, decomposition.run_all
+        real_cross, real_run = paths._crossings, soergel._m_along
 
         def place(params, states, residues):
             placed.append(len(residues))
@@ -277,14 +276,14 @@ class TestDecompositionMatrix:
             crossed.append(landed)
             return real_cross(geom, landed)
 
-        def run(params, word):
+        def run(geom, word):
             ran.append(word)
-            return real_run(params, word)
+            return real_run(geom, word)
 
         monkeypatch.setattr(paths, "place_nodes", place)
         monkeypatch.setattr(paths, "_walk", walk)
         monkeypatch.setattr(paths, "_crossings", cross)
-        monkeypatch.setattr(decomposition, "run_all", run)
+        monkeypatch.setattr(soergel, "_m_along", run)
         first = block_of(P_INTRO, 13, (4, 9, 0))
         second = block_of(P_INTRO, 14, (4, 10, 0))
         for block in (first, second):
@@ -297,13 +296,14 @@ class TestDecompositionMatrix:
         both = classes(first.members + second.members)
         records = geometry_for(P_INTRO).caches["classes"]
         assert set(records) == both | {(0, 0, 0)}
-        assert len(placed) == len(walks) == len(ran) == len(both)
+        assert len(placed) == len(walks) == len(both)
         # each pass places the nodes its walk steps over
         assert placed == walks
         galleries = {records[q].gallery.landed for q in both}
         assert sorted(crossed) == sorted(galleries)
         assert len(galleries) < len(both)
-        assert all(records[q].run is not None for q in both)
+        words = {records[q].gallery.word for q in both}
+        assert sorted(ran) == sorted(words)
         translate = block_of(P_INTRO, 16, (5, 10, 1))
         assert translate.members == tuple(
             tuple(x + 1 for x in mu) for mu in first.members
@@ -391,7 +391,7 @@ class TestDecompositionMatrix:
                         else:
                             assert words[q] is NotAdmissible, (name, q)
                     try:
-                        word = paths.gallery_word(params, q)
+                        word = paths.gallery_word(params, q, record)
                     except (NotAdmissible, NotAGallery) as exc:
                         word = type(exc)
                     assert word == words[q], (name, q)
@@ -422,7 +422,7 @@ class TestDecompositionMatrix:
         classes = self._classes(params, n_max)
         geom = geometry_for(params)
         words = {
-            q: paths.gallery_word(params, q)
+            q: paths.gallery_word(params, q, paths.class_counts(params, q)[0])
             for q in classes
             if not geom.classify(q)
         }
