@@ -35,7 +35,9 @@ Each value in them is the canonical ``Laurent`` of its polynomial in the
 DP, the n and e of route 1 from ``soergel``, and the oracle's d and c.
 Equal values are one object, shared by the tables, the memos and every
 block of the same (l, e, kappa), so the check of m against the counts
-and ``first_difference`` mostly compare by identity.  No caller may
+and ``first_difference`` mostly compare by identity, and the oracle
+solves each distinct short row once per ``Geometry``, keyed by the
+identities of its inputs (``caches["oracle_rows"]``).  No caller may
 change a stored value's ``.terms``.
 
 ``Block`` and ``DecompositionMatrix`` are plain ``__slots__`` classes
@@ -362,6 +364,58 @@ def decomposition_matrix(params, block):
     return DecompositionMatrix(block, entries, characters, dims)
 
 
+# A row of the oracle is short when its lam has at most this many nonzero
+# d(lam, nu) so far or its column at most this many nonzero c(nu, mu): it
+# then subtracts at most this many products, and is looked up in the
+# ``oracle_rows`` memo.  Longer rows are rare and mostly distinct:
+# keeping every row kept 6 times as many entries at l=2 e=4 n=400 and 34
+# times as many at l=3 e=8 n=75.  The two sizes tell a short row without
+# a scan, where counting a row's products first scans the start of every
+# long row twice.
+_MEMO_PRODUCTS = 4
+
+
+def _solve_row(values, count, rest, lam, mu):
+    """(d, c) of the row of lam in column mu, each its canonical value or
+    None for zero: the split of ``rest``, the count less the row's
+    products as a term dict the caller gives up, or of ``count`` itself
+    when ``rest`` is None.  A remainder with only positive exponents and
+    coefficients (``split_symmetric``'s own test) is its own decomposition
+    number and is not split."""
+    terms = count.terms if rest is None else rest
+    if terms and min(terms) > 0 and min(terms.values()) > 0:
+        return (count if rest is None else canonical(values, rest)), None
+    try:
+        char, dec = split_symmetric(count if rest is None else from_terms(rest))
+    except SplitImpossible as exc:
+        raise InternalMismatch(
+            "path-counting oracle: %s at lambda=%s, mu=%s"
+            % (exc, list(lam), list(mu))
+        ) from exc
+    return (
+        canonical(values, dec.terms) if dec.terms else None,
+        canonical(values, char.terms) if char.terms else None,
+    )
+
+
+def _short_row(values, count, decs, support, lam, mu):
+    """The ``oracle_rows`` entry (inputs, d, c) of a short row: the inputs
+    are the count, then the terms of d(lam, nu) and of c(nu, mu) for each
+    nu of ``support``, (nu, terms of c) pairs, that is in ``decs``
+    (nu -> terms of d), in scan order."""
+    inputs = [count]
+    for nu, c in support:
+        d = decs.get(nu)
+        if d is not None:
+            inputs += (d, c)
+    rest = None
+    if len(inputs) > 1:
+        rest = dict(count.terms)
+        for i in range(1, len(inputs), 2):
+            subtract_product(rest, inputs[i], inputs[i + 1])
+    return (tuple(inputs),) + _solve_row(values, count, rest, lam, mu)
+
+
 def kn_oracle(params, block):
     """The same decomposition data from path counting alone.
 
@@ -372,53 +426,86 @@ def kn_oracle(params, block):
     rows lam by decreasing length: the count minus
     the sum of d(lam, nu) * c(nu, mu) over the intermediate nu then splits
     uniquely into a bar-symmetric part (the character value) plus a
-    positively graded part (the decomposition number).
+    positively graded part (the decomposition number).  Each count(mu, mu)
+    must be 1, since D and C are unitriangular; one that is missing or is
+    not 1 is the program's fault, found before any column is solved.
 
     Most counts are zero, and a zero count leaves both values zero, so a
     column's pass visits only its rows with a nonzero count, grouped by
     column in one pass over the counts as (rank, lam, count) triples and
-    sorted once; the diagonal is always 1.  Most characters are zero, so
-    the sum runs only over the nu of the column already solved with
-    c(nu, mu) != 0, and multiplies only where d(lam, nu) != 0 (a row with
-    no d yet skips the sum): one fused multiply-subtract
-    (``subtract_product``) per triple (lam, nu, mu) with nonzero
-    d(lam, nu) and c(nu, mu), on the row's remainder as a term dict,
-    copied from the count at the row's first product (the count's own
-    terms are never changed).  That is exact because each row checks,
-    before it is split, that it is shorter than mu (paths out of mu only
-    reach shorter alcoves): a nonzero d(lam, nu) * c(nu, mu) then needs
+    sorted once.  Most characters are zero, so the sum runs only over the
+    nu of the column already solved with c(nu, mu) != 0, and multiplies
+    only where d(lam, nu) != 0 (a row with no d yet skips the sum).  That
+    is exact because each row checks, before it is solved, that it is
+    shorter than mu (paths out of mu only reach shorter alcoves): a
+    nonzero d(lam, nu) * c(nu, mu) then needs
     length(lam) < length(nu) < length(mu), so both of its factors are
     solved before the pair (lam, mu).
 
-    Most rows have a zero character.  A remainder with only positive
-    exponents and coefficients (``split_symmetric``'s own test) is its
-    own decomposition number, so such a row is not split: its d is the
-    count object itself when there were no products, and otherwise the
-    canonical value of the remainder's terms.  Every other row wraps its
-    remainder with ``from_terms`` and splits it with ``split_symmetric``;
-    a remainder that cancelled to zero stores neither value.  Every d and
-    c the oracle stores is the canonical value of its polynomial
-    (``laurent.canonical``).
+    Every count, d and c is the canonical value of its polynomial
+    (``laurent.canonical``), so a row's d and c depend only on the
+    identities of its count and of the (d(lam, nu), c(nu, mu)) pairs it
+    subtracts, and the same few inputs recur across rows, columns and
+    blocks.  A short row, whose lam has at most ``_MEMO_PRODUCTS`` nonzero
+    d so far or whose column has at most that many nonzero c, and which
+    so has at most that many products, is solved once per ``Geometry``:
+    ``caches["oracle_rows"]`` maps the ids of its inputs (the count, then
+    the terms of each d and c in the order of the scan) to (inputs, d, c),
+    the entry keeping the inputs so that no id is reused, and d or c None
+    for zero.  Only a row that is solved is kept.  Any other row is
+    solved at every visit and is not kept.  Either way the products are
+    subtracted with one fused multiply-subtract (``subtract_product``) per
+    nu with nonzero d(lam, nu) and c(nu, mu), on the row's remainder as a
+    term dict copied from the count (the count's own terms are never
+    changed).
+
+    Most rows have a zero character.  A row with no products whose count
+    has only positive exponents and coefficients (``split_symmetric``'s
+    own test) is its own decomposition number: its d is the count object
+    itself, with no lookup.  Every other row is solved by ``_solve_row``
+    (a positive remainder is its canonical value, anything else is split
+    with ``split_symmetric``); a remainder that cancelled to zero stores
+    neither value.
     """
     _require_regular(block)
     counts = _standard_dims(params, block)
-    values = value_table(geometry_for(params))
+    geom = geometry_for(params)
+    values = value_table(geom)
+    memo = geom.caches.get("oracle_rows")
+    if memo is None:
+        memo = geom.caches["oracle_rows"] = {}
     members = block.members
     length = dict(zip(members, block.lengths))
-    # each member's place in the row order: by decreasing length, and
-    # lexicographically within a length
-    order = sorted(members, key=lambda q: (-length[q], q))
-    rank = {lam: i for i, lam in enumerate(order)}
+    # each member's place in the row order (by decreasing length, and
+    # lexicographically within a length); the nonzero off-diagonal counts
+    # of each column, as (rank, lam, count); and the terms of the nonzero
+    # off-diagonal decomposition numbers of each row, by column: the
+    # ``.terms`` of stored values, only ever read
+    rank = {}
+    columns = {}
+    row_dec = {}
+    for i, (_, lam) in enumerate(sorted(zip([-k for k in block.lengths], members))):
+        rank[lam] = i
+        columns[lam] = []
+        row_dec[lam] = {}
     entries = {}
     characters = {}
-    # the nonzero off-diagonal counts of each column, as (rank, lam, count)
-    columns = {mu: [] for mu in members}
+    ones = 0  # the diagonal counts that are the stored 1
     for (lam, mu), f in counts.items():
         if f.terms and lam != mu:
             columns[mu].append((rank[lam], lam, f))
-    # the terms of the nonzero off-diagonal decomposition numbers of each
-    # row, by column: the ``.terms`` of stored values, only ever read
-    row_dec = {lam: {} for lam in members}
+        elif f is ONE:
+            ones += 1
+    if ones < len(members):
+        # some diagonal count is missing or is not 1
+        for mu in members:
+            diagonal = counts.get((mu, mu), ZERO)
+            if diagonal != ONE:
+                raise InternalMismatch(
+                    "path-counting oracle: the count of mu=%s at itself is %s, "
+                    "not 1" % (list(mu), diagonal)
+                )
+    cap = _MEMO_PRODUCTS
     for mu in members:
         entries[(mu, mu)] = characters[(mu, mu)] = ONE
         # taken out, so that a solved column's triples are freed; the ranks
@@ -435,36 +522,44 @@ def kn_oracle(params, block):
                     "its alcove is not shorter" % (list(lam), list(mu))
                 )
             decs = row_dec[lam]
-            rest = None  # the row's remainder, copied from count at its first product
+            key = None  # the ids of a short row's inputs
+            rest = None  # the remainder of a row that is not short
             if decs:
-                for nu, c in support:
-                    d = decs.get(nu)
-                    if d is not None:
-                        if rest is None:
-                            rest = dict(count.terms)
-                        subtract_product(rest, d, c)
-            terms = count.terms if rest is None else rest
-            # ``split_symmetric``'s own test: a nonzero remainder with
-            # positive exponents and coefficients is its own decomposition
-            # number; one that cancelled to {} stores neither value
-            if terms and min(terms) > 0 and min(terms.values()) > 0:
-                dec = count if rest is None else canonical(values, rest)
+                if len(decs) > cap < len(support):
+                    # not short: subtracted as it is scanned, and not kept
+                    get = decs.get
+                    for nu, c in support:
+                        d = get(nu)
+                        if d is not None:
+                            if rest is None:
+                                rest = dict(count.terms)
+                            subtract_product(rest, d, c)
+                else:
+                    for nu, c in support:
+                        d = decs.get(nu)
+                        if d is not None:
+                            if key is None:
+                                key = (id(count), id(d), id(c))
+                            else:
+                                key += (id(d), id(c))
+            if rest is not None:
+                dec, char = _solve_row(values, count, rest, lam, mu)
+            else:
+                if key is None:
+                    terms = count.terms
+                    if min(terms) > 0 and min(terms.values()) > 0:
+                        decs[mu] = terms
+                        entries[(lam, mu)] = count
+                        continue
+                    key = (id(count),)
+                row = memo.get(key)
+                if row is None:
+                    row = memo[key] = _short_row(values, count, decs, support, lam, mu)
+                _, dec, char = row
+            if dec is not None:
                 decs[mu] = dec.terms
                 entries[(lam, mu)] = dec
-                continue
-            try:
-                char, dec = split_symmetric(count if rest is None else from_terms(rest))
-            except SplitImpossible as exc:
-                raise InternalMismatch(
-                    "path-counting oracle: %s at lambda=%s, mu=%s"
-                    % (exc, list(lam), list(mu))
-                ) from exc
-            if dec.terms:
-                dec = canonical(values, dec.terms)
-                decs[mu] = dec.terms
-                entries[(lam, mu)] = dec
-            if char.terms:
-                char = canonical(values, char.terms)
+            if char is not None:
                 support.append((lam, char.terms))
                 characters[(lam, mu)] = char
     return DecompositionMatrix(block, entries, characters, counts)

@@ -604,7 +604,8 @@ def dense_decomposition_matrix(params, block):
 
 def dense_kn_oracle(params, block):
     """``kn_oracle``, visiting every row of every column in the order
-    (-length, lam)."""
+    (-length, lam), with no memo, once every diagonal count is checked to
+    be 1."""
     decomposition._require_regular(block)
     counts = decomposition._standard_dims(params, block)
     length = dict(zip(block.members, block.lengths))
@@ -612,6 +613,13 @@ def dense_kn_oracle(params, block):
     entries = {}
     characters = {}
     row_dec = {lam: {} for lam in block.members}
+    for mu in block.members:
+        diagonal = counts.get((mu, mu), ZERO)
+        if diagonal != ONE:
+            raise InternalMismatch(
+                "path-counting oracle: the count of mu=%s at itself is %s, "
+                "not 1" % (list(mu), diagonal)
+            )
     for mu in block.members:
         support = []
         for lam in rows:

@@ -526,13 +526,50 @@ class TestDecompositionMatrix:
         assert "weight %s" % list(nu) in message
         assert "mu=%s" % list(mu0) in message
 
-    def test_oracle_multiplies_only_over_the_support(self, monkeypatch):
-        # one multiply-subtract per triple (lam, nu, mu) with a nonzero
-        # count(lam, mu), d(lam, nu) and c(nu, mu); a loop over every nu
-        # that mu reaches would make more.  The oracle multiplies through
+    @pytest.mark.parametrize(
+        "diagonal", [None, Laurent.term(2), Laurent()], ids=["missing", "t^2", "zero"]
+    )
+    def test_oracle_rejects_a_diagonal_count_other_than_1(
+        self, monkeypatch, diagonal
+    ):
+        # D and C are unitriangular, so count(mu, mu) must be 1: a missing
+        # or changed diagonal count cannot factor as D * C, and both the
+        # oracle and its dense twin name mu
+        real = decomposition._standard_dims
+        block = block_of(P_INTRO, 13, (4, 9, 0))
+        mu = (5, 6, 2)
+        assert mu in block.members
+
+        def dims(params, b):
+            counts = real(params, b)
+            assert counts[(mu, mu)] is ONE
+            if diagonal is None:
+                del counts[(mu, mu)]
+            else:
+                counts[(mu, mu)] = diagonal
+            return counts
+
+        monkeypatch.setattr(decomposition, "_standard_dims", dims)
+        for route in (kn_oracle, dense_kn_oracle):
+            with pytest.raises(InternalMismatch) as info:
+                route(P_INTRO, block)
+            message = str(info.value)
+            assert message.startswith("path-counting oracle: ")
+            assert "mu=%s" % list(mu) in message
+            assert "is %s, not 1" % (diagonal or ZERO) in message
+
+    def test_oracle_multiplies_once_per_distinct_short_row(self, monkeypatch):
+        # a short row (``_oracle_rows``), of at most four products
+        # (d(lam, nu), c(nu, mu)), is solved once per distinct input per
+        # Geometry, any other row at every visit; none multiplies outside
+        # the triples (lam, nu, mu) with a nonzero count(lam, mu),
+        # d(lam, nu) and c(nu, mu), where a loop over every nu that mu
+        # reaches would make more.  The oracle multiplies through
         # ``subtract_product``, counted where it looks the kernel up
         real_kernel = decomposition.subtract_product
-        for n, member in [(13, (4, 9, 0)), (24, (8, 8, 8))]:
+        long_seen = 0
+        for n, member in [(13, (4, 9, 0)), (24, (8, 8, 8)), (45, (15, 15, 15))]:
+            monkeypatch.setattr(geometry, "_GEOMETRIES", {})
             block = block_of(P_INTRO, n, member)
             decomposition_matrix(P_INTRO, block)  # fills the count memo
             products = []
@@ -544,21 +581,28 @@ class TestDecompositionMatrix:
             with monkeypatch.context() as m:
                 m.setattr(decomposition, "subtract_product", counted)
                 result = kn_oracle(P_INTRO, block)
-            # the accessors read a missing pair as ZERO
-            counts, d, c = result.standard_dim, result.d, result.character
-            regs = block.members
-            support = reached = 0
-            for mu in regs:
-                for lam in regs:
-                    if lam == mu or not counts(lam, mu):
-                        continue
-                    for nu in regs:
-                        if nu in (lam, mu):
-                            continue
-                        support += bool(d(lam, nu) and c(nu, mu))
-                        reached += bool(counts(lam, nu) and counts(nu, mu))
-            assert len(products) == support
+                cold = len(products)
+                again = kn_oracle(P_INTRO, block)
+                warm = len(products) - cold
+            assert matrices_equal(result, again)
+            rows = _oracle_rows(result)
+            # stored values are canonical, so equal inputs are one object
+            # and the polynomials key the rows as their identities do
+            distinct = {
+                (result.standard_dims[key], *pairs)
+                for key, (pairs, short) in rows.items()
+                if short and pairs
+            }
+            other = sum(len(p) for p, short in rows.values() if not short)
+            support = sum(len(p) for p, _ in rows.values())
+            reached = _reached(result)
+            assert all(len(p) <= 4 for p, short in rows.values() if short)
+            assert cold == sum(len(k) - 1 for k in distinct) + other
+            assert cold <= support
+            assert warm == other
             assert 0 < support < reached
+            long_seen += sum(len(p) > 4 for p, _ in rows.values())
+        assert long_seen > 0
 
     def test_multicharge_shift_invariance(self):
         # adding a constant to the multicharge leaves everything unchanged
@@ -580,6 +624,51 @@ class TestDecompositionMatrix:
         dm = decomposition_matrix(P_RANK1, b)
         text = json.dumps(dm.to_json())
         assert json.dumps(json.loads(text)) == text
+
+
+def _oracle_rows(matrix):
+    """{(lam, mu): (pairs, short)} for each off-diagonal pair of the matrix
+    with a nonzero count: the (d(lam, nu), c(nu, mu)) pairs with both
+    nonzero, in the order the oracle scans them, which it subtracts from
+    the row of lam in column mu; and whether the row is short, with at
+    most four nonzero d(lam, nu) of the columns nu solved before mu, or at
+    most four nonzero c(nu, mu) of the rows nu solved before lam."""
+    block = matrix.block
+    length = dict(zip(block.members, block.lengths))
+    column = {q: i for i, q in enumerate(block.members)}
+    rank = {q: (-length[q], q) for q in block.members}
+    decs = {}  # lam -> [(column of nu, d(lam, nu))]
+    chars = {}  # mu -> [(rank of nu, nu, c(nu, mu))]
+    for (lam, nu), d in matrix.entries.items():
+        if lam != nu:
+            decs.setdefault(lam, []).append((column[nu], nu, d))
+    for (nu, mu), c in matrix.characters.items():
+        if nu != mu:
+            chars.setdefault(mu, []).append((rank[nu], nu, c))
+    rows = {}
+    for (lam, mu), f in matrix.standard_dims.items():
+        if not f or lam == mu:
+            continue
+        row = {nu: d for i, nu, d in decs.get(lam, ()) if i < column[mu]}
+        support = sorted(x for x in chars.get(mu, ()) if x[0] < rank[lam])
+        pairs = [(row[nu], c) for _, nu, c in support if nu in row]
+        rows[lam, mu] = pairs, len(row) <= 4 or len(support) <= 4
+    return rows
+
+
+def _reached(matrix):
+    """The triples (lam, nu, mu) of distinct members with nonzero
+    count(lam, nu), count(nu, mu) and count(lam, mu)."""
+    counts = {k: f for k, f in matrix.standard_dims.items() if f and k[0] != k[1]}
+    out_of = {}
+    for lam, nu in counts:
+        out_of.setdefault(lam, []).append(nu)
+    return sum(
+        (lam, mu) in counts
+        for lam, nu in counts
+        for mu in out_of.get(nu, ())
+        if mu != lam
+    )
 
 
 # each route and its dense twin (``helpers``), which visits every pair
@@ -753,6 +842,138 @@ class TestSparseRoutes:
         assert subtracted == 25
 
 
+# l=3 e=8 kappa=(0,4,6) at n=45: 91 members and 2,520 rows, 285 of them
+# of more than four products (up to ten), which INTRO's grid never reaches
+N_LONG, MU_LONG = 45, (15, 15, 15)
+
+
+class TestOracleRowMemo:
+    """``kn_oracle`` solves each distinct short row once per ``Geometry``,
+    in ``caches["oracle_rows"]``, and every other row at each visit; the
+    results must not depend on what the memo already holds."""
+
+    @staticmethod
+    def fresh_block(monkeypatch):
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        return block_of(P_INTRO, N_LONG, MU_LONG)
+
+    def test_cold_and_warm_memo_equal_the_dense_twin(self, monkeypatch):
+        block = self.fresh_block(monkeypatch)
+        want = _nonzero(_outcome(dense_kn_oracle, P_INTRO, block))
+        cold = _outcome(kn_oracle, P_INTRO, block)
+        memo = geometry_for(P_INTRO).caches["oracle_rows"]
+        size = len(memo)
+        warm = _outcome(kn_oracle, P_INTRO, block)
+        assert cold == warm == want
+        assert want[0] == "returned" and len(memo) == size
+
+    def test_changed_counts_with_a_warm_memo_give_the_dense_outcome(
+        self, monkeypatch
+    ):
+        # a count changed in a short row with products and in a row of
+        # more than four, each by t^2 and by t^-1, after the memo is warm
+        block = self.fresh_block(monkeypatch)
+        rows = _oracle_rows(kn_oracle(P_INTRO, block))
+        short = min(k for k, (p, is_short) in rows.items() if is_short and p)
+        long = min(k for k, (p, _) in rows.items() if len(p) > 4)
+        real = decomposition._standard_dims
+        outcomes = set()
+        for key in (short, long):
+            for change in (Laurent.term(2), Laurent.term(-1)):
+
+                def dims(params, b, key=key, change=change):
+                    counts = real(params, b)
+                    counts[key] = counts[key] + change
+                    return counts
+
+                with monkeypatch.context() as m:
+                    m.setattr(decomposition, "_standard_dims", dims)
+                    got = _nonzero(_outcome(kn_oracle, P_INTRO, block))
+                    want = _nonzero(_outcome(dense_kn_oracle, P_INTRO, block))
+                    assert got == want, (key, change)
+                    outcomes.add(got[0])
+        # the memo still gives the unchanged block's tables
+        assert _outcome(kn_oracle, P_INTRO, block) == _nonzero(
+            _outcome(dense_kn_oracle, P_INTRO, block)
+        )
+        assert outcomes == {"raised", "returned"}
+
+    def test_each_key_is_the_ids_of_the_inputs_it_keeps(self, monkeypatch):
+        block = self.fresh_block(monkeypatch)
+        matrix = kn_oracle(P_INTRO, block)
+        products = [len(p) for p, _ in _oracle_rows(matrix).values()]
+        assert len(block.members) == 91 and len(products) == 2520
+        assert sum(k > 4 for k in products) == 285 and max(products) == 10
+        values = geometry_for(P_INTRO).caches["values"]
+        memo = geometry_for(P_INTRO).caches["oracle_rows"]
+        assert memo
+        lengths = set()
+        for key, (inputs, d, c) in memo.items():
+            assert key == tuple(map(id, inputs))
+            assert len(inputs) % 2 == 1 and len(inputs) <= 9
+            lengths.add(len(inputs))
+            count, rest = inputs[0], inputs[1:]
+            # the count is a stored value, and each d and c the terms of one
+            assert values[frozenset(count.terms.items())] is count
+            for terms in rest:
+                assert values[frozenset(terms.items())].terms is terms
+            assert d is not None or c is not None or rest
+        # rows of no product, and of up to four, are kept
+        assert lengths == {1, 3, 5, 7, 9}
+
+    def test_block_orders_give_equal_tables_and_work(self, monkeypatch):
+        # the memo is shared by every block of the Geometry: in any order
+        # of the blocks, the tables are equal and so are the splits and
+        # products made, each distinct short row solved once
+        real_split = decomposition.split_symmetric
+        real_kernel = decomposition.subtract_product
+        members = [
+            (13, (4, 9, 0)), (16, (5, 10, 1)), (24, (8, 8, 8)), (N_LONG, MU_LONG)
+        ]
+        seen = []
+        for order in (members, members[::-1], members[1::2] + members[::2]):
+            monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+            calls = {"split": 0, "product": 0}
+
+            def split(f):
+                calls["split"] += 1
+                return real_split(f)
+
+            def kernel(acc, a, b):
+                calls["product"] += 1
+                return real_kernel(acc, a, b)
+
+            tables = {}
+            with monkeypatch.context() as m:
+                m.setattr(decomposition, "split_symmetric", split)
+                m.setattr(decomposition, "subtract_product", kernel)
+                for n, member in order:
+                    matrix = kn_oracle(P_INTRO, block_of(P_INTRO, n, member))
+                    tables[n] = (matrix.entries, matrix.characters)
+            seen.append((tables, calls))
+        assert seen[0] == seen[1] == seen[2]
+        assert seen[0][1]["split"] > 0 and seen[0][1]["product"] > 0
+
+    def test_equal_but_distinct_counts_give_equal_tables(self, monkeypatch):
+        # counts that equal the stored ones but are other objects miss the
+        # warm memo, and give the same tables
+        block = self.fresh_block(monkeypatch)
+        warm = kn_oracle(P_INTRO, block)
+        real = decomposition._standard_dims
+
+        def dims(params, b):
+            return {k: Laurent(dict(f.terms)) for k, f in real(params, b).items()}
+
+        monkeypatch.setattr(decomposition, "_standard_dims", dims)
+        copied = kn_oracle(P_INTRO, block)
+        assert all(
+            copied.standard_dims[k] is not f for k, f in warm.standard_dims.items()
+        )
+        assert copied.entries == warm.entries
+        assert copied.characters == warm.characters
+        assert copied.standard_dims == warm.standard_dims
+
+
 class TestSharedValues:
     """Every stored value is the canonical value of its polynomial in its
     ``Geometry``'s ``caches["values"]``, and no computation changes the
@@ -775,6 +996,10 @@ class TestSharedValues:
         for word, (m_fn, _) in caches["m_prefixes"].items():
             for b, f in m_fn.items():
                 yield ("m_prefixes", word, b), f
+        for key, (_, d, c) in caches["oracle_rows"].items():
+            for name, f in (("d", d), ("c", c)):
+                if f is not None:
+                    yield ("oracle_rows", key, name), f
         for i, matrix in enumerate(matrices):
             for name in ("entries", "characters", "standard_dims"):
                 for key, f in getattr(matrix, name).items():
