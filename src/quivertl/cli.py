@@ -430,7 +430,7 @@ def cmd_svg(args):
 
     params = _params(args)
     mu = _parse_multipartition(args.mu, params.l)
-    lam = _parse_multipartition(args.lam, params.l) if args.lam else mu
+    lam = _parse_multipartition(args.lam, params.l) if args.lam is not None else mu
     if sum(lam) != args.n or sum(mu) != args.n:
         raise _CliError(EXIT_CONFIG, "multipartitions must have n=%d boxes" % args.n)
     try:

@@ -6,15 +6,15 @@ simple characters) lives in the ring Z[t, t^-1].  Polynomials are stored
 sparsely as a map from exponent to nonzero integer coefficient, so every
 operation is exact.
 
-The hot loops (the oracle's triangular solve and the n and e
-recursions of ``soergel``) do their arithmetic on plain term dicts
-``{exponent: coefficient}``, not on ``Laurent`` objects: a row's
-remainder is one dict, changed in place by ``subtract_product``, one
-fused multiply-subtract that builds no temporary polynomial, and a
-wall crossing adds with ``plus_shifted``.  ``from_terms`` wraps such a
-dict as a ``Laurent``, trusting it (no zero coefficient) and taking it
-over without checking or copying it; it serves the values that live
-only as long as their call.
+A ``Laurent`` is a stored, comparable value with no ring operators.  All
+arithmetic runs on plain term dicts ``{exponent: coefficient}``: a row's
+remainder, in the oracle's triangular solve and in the n and e
+recursions of ``soergel``, is one dict, changed in place by
+``subtract_product``, one fused multiply-subtract that builds no
+temporary polynomial, and a wall crossing adds with ``plus_shifted``.
+``from_terms`` wraps such a dict as a ``Laurent``, trusting it (no zero
+coefficient) and taking it over without checking or copying it; it
+serves the values that live only as long as their call.
 
 The same few polynomials recur all over a block, so every value that
 outlives its call is canonical: ``canonical`` keeps one ``Laurent`` per
@@ -25,11 +25,11 @@ tells a stored 1.  The rule that makes the sharing safe: the ``.terms``
 of a stored value is never changed, by anyone; code that subtracts from
 a value copies its terms first.
 
-Beyond ring arithmetic, ``split_symmetric`` writes a polynomial with
-nonnegative coefficients uniquely as (bar-symmetric part) + (part supported
-in strictly positive degrees).  This is the arithmetic engine of the
-path-counting oracle: a graded dimension splits into a simple character
-plus t times a polynomial.
+``split_symmetric`` writes a polynomial with nonnegative coefficients
+uniquely as (bar-symmetric part) + (part supported in strictly positive
+degrees).  This is the arithmetic engine of the path-counting oracle: a
+graded dimension splits into a simple character plus t times a
+polynomial.
 """
 
 from __future__ import annotations
@@ -42,10 +42,11 @@ class SplitImpossible(ValueError):
 class Laurent:
     """A sparse Laurent polynomial in t with integer coefficients.
 
-    Instances behave as immutable values: they hash and compare by their
-    term dictionaries and every arithmetic operation returns a new object.
-    A stored value is shared by every table that holds an equal one
-    (``canonical``), so its ``terms`` must never be changed.
+    Instances are stored, comparable values: they hash and compare by
+    their term dictionaries, and they have no arithmetic operators; sums
+    and products are formed on term dicts (``subtract_product``,
+    ``plus_shifted``).  A stored value is shared by every table that holds
+    an equal one (``canonical``), so its ``terms`` must never be changed.
     """
 
     __slots__ = ("terms",)
@@ -74,7 +75,7 @@ class Laurent:
     def constant_term(self):
         return self.terms.get(0, 0)
 
-    # -- ring structure ----------------------------------------------
+    # -- comparison and bar -------------------------------------------
 
     def __bool__(self):
         return bool(self.terms)
@@ -95,56 +96,6 @@ class Laurent:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def __neg__(self):
-        return from_terms({e: -c for e, c in self.terms.items()})
-
-    def _plus(self, other, sign):
-        """self + sign * other, for sign 1 or -1."""
-        if type(other) is not Laurent:
-            if isinstance(other, int):
-                other = Laurent.term(0, other)
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            total = acc.get(e, 0) + sign * c
-            if total:
-                acc[e] = total
-            else:
-                del acc[e]
-        return from_terms(acc)
-
-    def __add__(self, other):
-        return self._plus(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def __mul__(self, other):
-        if type(other) is not Laurent:
-            if isinstance(other, int):
-                other = Laurent.term(0, other)
-        a, b = self.terms, other.terms
-        if len(a) == 1:
-            a, b = b, a
-        if len(b) == 1:
-            # one term: a product of nonzero coefficients is nonzero, and
-            # the exponents stay distinct
-            ((e2, c2),) = b.items()
-            return from_terms({e1 + e2: c1 * c2 for e1, c1 in a.items()})
-        acc = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                total = acc.get(e, 0) + c1 * c2
-                if total:
-                    acc[e] = total
-                else:
-                    del acc[e]
-        return from_terms(acc)
-
-    __rmul__ = __mul__
 
     def bar(self):
         """The involution t -> t^-1."""

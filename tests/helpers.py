@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from quivertl import decomposition
+from quivertl import decomposition, soergel
 from quivertl.decomposition import (
     Block,
     DecompositionMatrix,
@@ -45,11 +45,11 @@ def gallery_n(geom, word, memo):
         for b, v in n_fn.items():
             p = geom.star(b, t)
             if geom.length(p) > geom.length(b):
-                parts = ((p, v), (b, v * T))
+                parts = ((p, v), (b, mul(v, T)))
             else:
-                parts = ((b, v * T_INV), (p, v))
+                parts = ((b, mul(v, T_INV)), (p, v))
             for key, poly in parts:
-                crossed[key] = crossed.get(key, ZERO) + poly
+                crossed[key] = add(crossed.get(key, ZERO), poly)
         n_fn = dict(crossed)
         for d, poly in crossed.items():
             ct = poly.constant_term()
@@ -58,7 +58,7 @@ def gallery_n(geom, word, memo):
             if d not in memo:
                 memo[d] = gallery_n(geom, geom.minimal_gallery(d), memo)
             for key, aux in memo[d].items():
-                n_fn[key] = n_fn.get(key, ZERO) - aux * ct
+                n_fn[key] = sub(n_fn.get(key, ZERO), mul(aux, Laurent.term(0, ct)))
         n_fn = {k: v for k, v in n_fn.items() if v}
     return n_fn
 
@@ -79,20 +79,98 @@ def verify_factorization(params, gallery):
         if n_nu != n_function(geom, nu):
             return False
         for key, poly in n_nu.items():
-            total[key] = total.get(key, ZERO) + e * poly
+            total[key] = add(total.get(key, ZERO), mul(e, poly))
     return {k: v for k, v in total.items() if v} == m_fn
 
 
+def _times_bar_hs(geom, g, s):
+    """The element g = sum g(x) H_x, as {alcove: term dict}, times
+    bar(H_s) = H_s + (t - t^-1) on the right: of a pair (low, high =
+    star(low, s)), high gets g(low) and low gets g(high) + (t - t^-1)
+    g(low).  Zero values are dropped."""
+    out = {}
+    for key in g:
+        if key in out:
+            continue
+        partner = geom.star(key, s)
+        low, high = sorted((key, partner), key=geom.length)
+        fl, fh = g.get(low, {}), g.get(high, {})
+        out[high] = fl
+        out[low] = Laurent(
+            [*fh.items(), *((e + 1, c) for e, c in fl.items()),
+             *((e - 1, -c) for e, c in fl.items())]
+        ).terms
+    return {k: v for k, v in out.items() if v}
+
+
+def bar_standard(geom, x, memo):
+    """bar(H_x) as {alcove: term dict}, memoised per alcove in ``memo``:
+    H_fundamental is 1, and x = star(b, s) with (b, s) from
+    ``soergel._lower(x)`` gives bar(H_x) = bar(H_b) bar(H_s)."""
+    got = memo.get(x)
+    if got is None:
+        if x == geom.fundamental:
+            got = {x: {0: 1}}
+        else:
+            b, s = soergel._lower(geom, x)
+            got = _times_bar_hs(geom, bar_standard(geom, b, memo), s)
+        memo[x] = got
+    return got
+
+
+def is_kl_basis_element(geom, w, n_fn, memo):
+    """Whether N_w = sum over alcoves x of n_fn(x) H_x is the
+    Kazhdan-Lusztig basis element of w, by the characterization that
+    determines it (D. Kazhdan and G. Lusztig, Invent. Math. 53 (1979), in
+    W. Soergel's normalisation): n_fn(w) = 1, n_fn(x) lies in tZ[t] for
+    x != w, and sum over x of bar(n_fn(x)) bar(H_x) equals N_w.  ``memo``
+    holds ``bar_standard``'s values for the alcoves of one ``geom``."""
+    if n_fn.get(w, ZERO).terms != {0: 1}:
+        return False
+    if any(min(f.terms, default=1) < 1 for x, f in n_fn.items() if x != w):
+        return False
+    pairs = {}
+    for x, f in n_fn.items():
+        for y, h in bar_standard(geom, x, memo).items():
+            pairs.setdefault(y, []).extend(
+                (e - e1, c * c1) for e1, c1 in f.terms.items() for e, c in h.items()
+            )
+    barred = {y: Laurent(p).terms for y, p in pairs.items()}
+    return {y: v for y, v in barred.items() if v} == {
+        x: f.terms for x, f in n_fn.items()
+    }
+
+
 # -- Laurent polynomials -----------------------------------------------
+#
+# ``Laurent`` is a stored value with no ring operators.  The reference code
+# sums and multiplies through its constructor, which adds the coefficients
+# of repeated exponents and drops those that reach 0.
 
 
 T = Laurent.term(1)
 T_INV = Laurent.term(-1)
 
 
-def _symmetric_power(k):
-    """(t + t^-1)^k as a Laurent polynomial."""
-    return Laurent({k - 2 * j: comb(k, j) for j in range(k + 1)})
+def add(*fs):
+    """The sum of the Laurent polynomials ``fs``."""
+    return Laurent([pair for f in fs for pair in f.terms.items()])
+
+
+def sub(a, b):
+    """The Laurent polynomial a - b."""
+    return Laurent([*a.terms.items(), *((e, -c) for e, c in b.terms.items())])
+
+
+def mul(a, b):
+    """The Laurent polynomial a * b."""
+    pairs = b.terms.items()
+    return Laurent([(e + f, c * d) for e, c in a.terms.items() for f, d in pairs])
+
+
+def _symmetric_power(k, c):
+    """c * (t + t^-1)^k as a Laurent polynomial."""
+    return Laurent({k - 2 * j: c * comb(k, j) for j in range(k + 1)})
 
 
 def is_in_plus_semiring(f):
@@ -109,7 +187,7 @@ def is_in_plus_semiring(f):
         c = rem.terms[k]
         if k < 0 or c < 0:
             return False
-        rem = rem - _symmetric_power(k) * c
+        rem = sub(rem, _symmetric_power(k, c))
     return True
 
 
@@ -556,7 +634,7 @@ def split_symmetric_by_difference(f):
         elif e == 0:
             sym[0] = c
     e_part = Laurent(sym)
-    n_part = f - e_part
+    n_part = sub(f, e_part)
     if any(c < 0 for c in n_part.terms.values()):
         raise SplitImpossible("no symmetric + positive decomposition of %s" % f)
     return e_part, n_part
@@ -638,7 +716,7 @@ def dense_kn_oracle(params, block):
                 for nu, c in support:
                     d = decs.get(nu)
                     if d is not None:
-                        f = f - d * c
+                        f = sub(f, mul(d, c))
                 try:
                     char, dec = split_symmetric(f)
                 except SplitImpossible as exc:

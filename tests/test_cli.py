@@ -82,6 +82,19 @@ class TestExitCodes:
             code, _ = run(capsys, argv)
             assert code == EXIT_CONFIG
 
+    def test_svg_empty_lambda_is_a_bad_multipartition(self, capsys, tmp_path):
+        # an empty --lambda is rejected as for paths, not read as absent
+        # (which would draw mu's paths to itself)
+        argv = ["svg", "--l", "2", "--e", "4", "--kappa", "0,2", "--n", "4",
+                "--mu", "2,2", "--lambda="]
+        target = tmp_path / "paths.svg"
+        for extra in ([], ["--out", str(target)]):
+            assert main(argv + extra) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "error: bad multipartition ''" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_svg_rank_too_high(self, capsys):
         code, out = run(capsys, ["svg", "--l", "4", "--e", "8", "--kappa",
                                  "0,2,4,6", "--n", "13", "--mu", "3,3,3,4"])

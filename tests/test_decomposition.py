@@ -26,12 +26,14 @@ from quivertl.decomposition import (
 )
 
 from helpers import (
+    add,
     blocks_by_scan,
     compositions,
     dense_decomposition_matrix,
     dense_kn_oracle,
     is_in_plus_semiring,
     level2_hom_dim,
+    mul,
     residue_multiset,
     stability_check,
 )
@@ -756,8 +758,8 @@ class TestSparseRoutes:
             for k in rng.sample(nonzero, min(2, len(nonzero))):
                 changes += [
                     (k, Laurent()),
-                    (k, counts[k] + Laurent.term(2)),
-                    (k, counts[k] + Laurent.term(-1)),
+                    (k, add(counts[k], Laurent.term(2))),
+                    (k, add(counts[k], Laurent.term(-1))),
                 ]
             for key, poly in changes:
 
@@ -793,7 +795,7 @@ class TestSparseRoutes:
                 for (nu2, mu), c in matrix.characters.items():
                     if lam != nu == nu2 != mu:
                         key = (block, lam, mu)
-                        out[key] = out.get(key, ZERO) + d * c
+                        out[key] = add(out.get(key, ZERO), mul(d, c))
         return out
 
     def test_remainder_that_cancels_stores_neither_value(self, monkeypatch):
@@ -883,7 +885,7 @@ class TestOracleRowMemo:
 
                 def dims(params, b, key=key, change=change):
                     counts = real(params, b)
-                    counts[key] = counts[key] + change
+                    counts[key] = add(counts[key], change)
                     return counts
 
                 with monkeypatch.context() as m:

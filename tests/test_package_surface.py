@@ -13,6 +13,10 @@ own body:
   benchmark's tracer looks names up by string);
 * a method, unless it is a dunder, as an attribute or a string literal.
 
+Dunders are exempt here because operators call them without naming them;
+``test_arithmetic_dunders`` checks instead that the package calls every
+arithmetic dunder it defines.
+
 Names are matched by spelling, so a method is used when any class's method
 of that name is.  ``__init__`` is checked on its syntax tree, not on
 ``vars(quivertl)``, which also lists the submodules imported so far.

@@ -18,7 +18,15 @@ from quivertl.params import Params
 from quivertl.paths import alcove_series, distinguished_path, graded_path_count
 from quivertl.soergel import n_function, run_all
 
-from helpers import T, T_INV, evaluate_at_points, gallery_n, verify_factorization
+from helpers import (
+    T,
+    add,
+    evaluate_at_points,
+    gallery_n,
+    is_kl_basis_element,
+    mul,
+    verify_factorization,
+)
 
 P_RANK1 = Params(2, 4, (0, 2))
 P_INTRO = Params(3, 8, (0, 4, 6))
@@ -62,9 +70,9 @@ class TestRankOneWorkedExample:
         assert m == {
             (-3,): ONE,
             (-2,): T,
-            (-1,): ONE + T * T,
-            (0,): T + T * T * T,
-            (1,): T * T,
+            (-1,): Laurent({0: 1, 2: 1}),
+            (0,): Laurent({1: 1, 3: 1}),
+            (1,): Laurent.term(2),
             (2,): T,
         }
 
@@ -73,9 +81,9 @@ class TestRankOneWorkedExample:
         assert n == {
             (-3,): ONE,
             (-2,): T,
-            (-1,): T * T,
-            (0,): T * T * T,
-            (1,): T * T,
+            (-1,): Laurent.term(2),
+            (0,): Laurent.term(3),
+            (1,): Laurent.term(2),
             (2,): T,
         }
 
@@ -87,8 +95,8 @@ class TestRankOneWorkedExample:
         _, n, e, _ = run_all(P_RANK1, self.series())
         pts = [(4, 7), (5, 6), (0, 11)]
         assert evaluate_at_points(P_RANK1, n, pts) == {
-            (4, 7): T * T,
-            (5, 6): T * T * T,
+            (4, 7): Laurent.term(2),
+            (5, 6): Laurent.term(3),
             (0, 11): ONE,
         }
         assert evaluate_at_points(P_RANK1, e, pts) == {
@@ -108,7 +116,7 @@ class TestNegativeDegreeExample:
         g = geometry_for(P_NEG)
         assert e.get(g.alcove_of((4, 17, 0)), ZERO) == ONE
         assert e.get(g.alcove_of((15, 4, 2)), ZERO) == ONE
-        assert e.get(g.alcove_of((6, 9, 0)), ZERO) == T + T_INV
+        assert e.get(g.alcove_of((6, 9, 0)), ZERO) == Laurent({-1: 1, 1: 1})
         assert len(e) == 3
 
     def test_stated_factorisation(self):
@@ -120,10 +128,10 @@ class TestNegativeDegreeExample:
         n_c = n_function(g, g.alcove_of((6, 9, 0)))
         keys = set(m) | set(n_a) | set(n_b) | set(n_c)
         for key in keys:
-            combined = (
-                n_a.get(key, ZERO)
-                + n_b.get(key, ZERO)
-                + (T + T_INV) * n_c.get(key, ZERO)
+            combined = add(
+                n_a.get(key, ZERO),
+                n_b.get(key, ZERO),
+                mul(Laurent({-1: 1, 1: 1}), n_c.get(key, ZERO)),
             )
             assert m.get(key, ZERO) == combined
 
@@ -168,6 +176,61 @@ class TestCrossChecks:
         assert verify_factorization(P_RANK1, series)
         for params, _, word in both_galleries(monkeypatch):
             assert verify_factorization(params, word)
+
+
+def alcoves_up_to(g, length):
+    """Every alcove of ``g`` of length at most ``length``, found by
+    crossing each wall that lengthens an alcove, shortest first."""
+    found = [g.fundamental]
+    layer = found
+    for k in range(length):
+        layer = sorted(
+            {c for a in layer for t in range(g.l) if g.length(c := g.star(a, t)) == k + 1}
+        )
+        found += layer
+    return found
+
+
+class TestKazhdanLusztigCertificate:
+    """n of every alcove up to a length is the Kazhdan-Lusztig basis
+    element of that alcove: 1 there, in tZ[t] elsewhere, and bar-invariant
+    (``helpers.is_kl_basis_element``).  This certifies n whatever computed
+    it, apart from the geometry (``star`` and ``length``) it shares with
+    the recursion."""
+
+    @pytest.mark.parametrize(
+        "params, length, count",
+        [
+            (P_RANK1, 30, 61),
+            (P_INTRO, 9, 136),
+            (P_NEG, 9, 136),
+            (Params(4, 8, (0, 2, 4, 6)), 6, 195),
+        ],
+        ids=["l2", "l3-intro", "l3-e6", "l4"],
+    )
+    def test_every_alcove_up_to_a_length(self, monkeypatch, params, length, count):
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        g = geometry_for(params)
+        alcoves = alcoves_up_to(g, length)
+        assert len(alcoves) == count
+        memo = {}
+        for w in alcoves:
+            assert is_kl_basis_element(g, w, n_function(g, w), memo), w
+
+    def test_a_dropped_value_fails(self):
+        # n of an alcove of length 8 with one value three lengths below it
+        # removed keeps the positivity, degree and parity of d, but is not
+        # bar-invariant
+        g = geometry_for(P_INTRO)
+        memo = {}
+        w = alcoves_up_to(g, 8)[-1]
+        n_w = n_function(g, w)
+        assert is_kl_basis_element(g, w, n_w, memo)
+        below = [x for x in n_w if g.length(x) == g.length(w) - 3]
+        assert below
+        for x in below:
+            dropped = {k: v for k, v in n_w.items() if k != x}
+            assert not is_kl_basis_element(g, w, dropped, memo), x
 
 
 class TestDepth:
@@ -241,7 +304,7 @@ class TestConsistencyChecks:
         "key, poly, check",
         [
             ((9,), ONE, "outside the unsolved support"),
-            ((-1,), T * T + T, "is not bar-symmetric"),
+            ((-1,), Laurent({2: 1, 1: 1}), "is not bar-symmetric"),
         ],
         ids=["support", "bar"],
     )
