@@ -25,8 +25,8 @@ standard dimensions, from one table per block (``_standard_dims``), built
 once per ``Block`` and copied for each route.  Each column of it is read
 from the column's translation class record in ``paths``
 (``class_counts``), and the block keeps the records it read, so that
-route 1 takes each column's gallery word (``paths.gallery_word``) from the
-same record.  No reflection closure is enumerated here.
+route 1 takes each column's gallery (``paths.gallery_of``), a node of the
+``Geometry``'s trie of galleries, from the same record.  No reflection closure is enumerated here.
 
 The count table and the tables of a ``DecompositionMatrix`` hold nonzero
 values only: a pair of members that is not a key has the value zero.
@@ -68,10 +68,10 @@ from .paths import (
     NotAGallery,
     # no longer called here: the benchmark's tracer still wraps these two
     # names in this module until ROADMAP item 1 hooks ``class_counts`` and
-    # ``gallery_word`` instead
+    # ``gallery_of`` instead
     alcove_series,
     class_counts,
-    gallery_word,
+    gallery_of,
     graded_path_count,
 )
 from .soergel import run_all
@@ -305,10 +305,10 @@ def decomposition_matrix(params, block):
     """Graded decomposition data of a regular block via the wall-crossing
     recursions, cross-checked against graded path counts.
 
-    Each column's gallery word is read off its class record, the one
-    ``_standard_dims`` read (``gallery_word``; a path that is not a gallery
+    Each column's gallery is read off its class record, the one
+    ``_standard_dims`` read (``gallery_of``; a path that is not a gallery
     is the program's fault), and run through ``run_all``.  The end alcove
-    of each member's gallery, which ``gallery_word`` checked against its
+    of each member's gallery, which its record checked against its
     endpoint's, is its row's alcove.
 
     Each column's m must equal the column's nonzero counts, keyed by the
@@ -327,14 +327,13 @@ def decomposition_matrix(params, block):
     columns = {}  # the nonzero counts of each column, by the row's alcove
     for mu, record in zip(members, block._records):
         try:
-            word = gallery_word(params, mu, record)
+            gallery = gallery_of(params, mu, record)
         except (NotAdmissible, NotAGallery) as exc:
             raise InternalMismatch(
                 "distinguished path of mu=%s: %s" % (list(mu), exc)
             ) from exc
-        run = run_all(params, word)
-        runs.append(run)
-        a = alcove[mu] = run[3]
+        runs.append(run_all(params, gallery))
+        a = alcove[mu] = gallery.end
         member_at[a] = mu
         columns[mu] = {}
     for (lam, mu), f in dims.items():
@@ -342,7 +341,7 @@ def decomposition_matrix(params, block):
             columns[mu][alcove[lam]] = f
     entries = {}
     characters = {}
-    for (mu, want), (m_fn, n_fn, e_fn, _) in zip(columns.items(), runs):
+    for (mu, want), (m_fn, n_fn, e_fn) in zip(columns.items(), runs):
         if m_fn != want:
             # m may also hold alcoves of no member, which are not compared
             for lam in members:

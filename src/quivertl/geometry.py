@@ -100,7 +100,10 @@ class Geometry:
         self._colour_type = {colour: t for t, (_, colour) in enumerate(coloured)}
         # the walls of every alcove asked for, by type
         self._wall_memo = {self.fundamental: tuple(self._walls)}
-        # scratch caches for other layers (alcove functions, path closures)
+        # the memos of the other layers, each made on first use by the
+        # module that owns it: transitions (tableaux), values (laurent),
+        # classes, galleries and closures (paths), n_functions (soergel)
+        # and oracle_rows (decomposition)
         self.caches = {}
 
     # -- basic values -------------------------------------------------

@@ -22,23 +22,25 @@ the ``paths`` and ``svg`` commands) and as the test oracle for the counts.
 A column's counts and gallery depend only on its translation class (the
 translation lemma of ``tableaux``), so ``geom.caches["classes"]`` keeps
 one ``ClassRecord`` per class, looked up by ``class_counts``; a new
-record continues the DP and the walk of the longest stored prefix of its
-loading (the prefix lemma).  Many classes land on the same walls, so
-``geom.caches["galleries"]`` keeps one ``Gallery`` per distinct
-landed-wall sequence, shared by the records of those classes.  A
-gallery keeps its word and end alcove once it crosses as a minimal
-gallery: each sequence is crossed once per ``Geometry``, and each class
-checks its own endpoint's alcove against the stored end before its
-record keeps the word (``gallery_word``).  The reference entry points
-``graded_tableau_counts`` and ``alcove_series`` run the same DP, walk and
-crossing from the empty tableau and the origin, with no memo.  The
-records and galleries live as long as the ``Geometry``.
+record continues the DP, the walk and the gallery of the longest stored
+prefix of its loading (the prefix lemma).  A gallery is a node of the
+``Geometry``'s trie of galleries (``caches["galleries"]``, its root
+``root_gallery``): ``cross_wall`` makes each child, keyed by (parent,
+wall type), once, and checks it there, so each distinct prefix is
+crossed once per ``Geometry`` whatever the order of requests.  A record
+crosses only the walls its own steps land on, checks a regular
+endpoint's alcove against the end, and keeps the node or the
+``NotAGallery`` message, which ``gallery_of`` raises.  The reference
+entry points ``graded_tableau_counts`` and ``alcove_series`` run the
+same DP, walk and crossing from the empty tableau and from a root of
+their own, with no memo.  The records and the trie live as long as the
+``Geometry``.
 """
 
 from __future__ import annotations
 
 from .geometry import geometry_for
-from .laurent import ZERO
+from .laurent import ONE, ZERO
 from .tableaux import (
     graded_tableau_counts,
     loading,
@@ -169,75 +171,103 @@ def class_counts(params, mu):
     return _record(geometry_for(params), params, base), k
 
 
-def gallery_word(params, mu, record):
-    """``alcove_series`` of mu's distinguished path, raising as it does,
-    from mu's class ``record`` (``class_counts(params, mu)[0]``), and kept
-    there unless it fails.  The walls the class's walk landed on are
-    crossed the first time their ``Gallery`` is asked for, and kept there
-    when they cross; a sequence that fails is crossed, and fails, again.
-    Each class checks its regular endpoint's alcove against the gallery's
-    end before it keeps the word; a singular endpoint ends no alcove, so
-    it is not checked."""
-    word = record.word
-    if word is None:
-        if record.running is None:
-            steps = distinguished_path(params, translation_class(mu)[0]).steps
-            raise NotAdmissible("path %r is not admissible" % (steps,))
-        geom = geometry_for(params)
-        gallery = record.gallery
-        if gallery.word is None:
-            gallery.word, gallery.end = _crossings(geom, gallery.landed)
-        if record.regular:
-            _check_end(geom, gallery.end, mu)
-        word = record.word = gallery.word
-    return word
+def gallery_of(params, mu, record):
+    """mu's gallery from mu's class ``record`` (``class_counts(params,
+    mu)[0]``): its ``Gallery`` node, or the ``NotAdmissible`` or
+    ``NotAGallery`` that ``alcove_series`` of mu's distinguished path
+    raises, with the same message."""
+    if record.running is None:
+        steps = distinguished_path(params, translation_class(mu)[0]).steps
+        raise NotAdmissible("path %r is not admissible" % (steps,))
+    gallery = record.gallery
+    if gallery.__class__ is str:
+        raise NotAGallery(gallery)
+    return gallery
 
 
 class ClassRecord:
     """A class's count ``table``, the ``running`` degree of the walk along
-    its distinguished path (None when it is not admissible), the
-    ``Gallery`` of the walls it landed on and whether the walk's endpoint
-    is ``regular`` (read off the root values the walk ends at), and its
-    gallery ``word`` once ``gallery_word`` has checked it."""
+    its distinguished path (None when it is not admissible), and, when it
+    is, its ``gallery``: the ``Gallery`` node of the walls the walk landed
+    on, or the message of the ``NotAGallery`` that crossing them raised."""
 
-    __slots__ = ("table", "running", "gallery", "regular", "word")
+    __slots__ = ("table", "running", "gallery")
 
-    def __init__(self, table, running, gallery, regular):
+    def __init__(self, table, running, gallery):
         self.table = table
         self.running = running
         self.gallery = gallery
-        self.regular = regular
-        self.word = None
 
 
 class Gallery:
-    """The walls a walk ``landed`` on, in order, and once they cross as a
-    minimal gallery (``_crossings``) its ``word`` and ``end`` alcove."""
+    """A node of a ``Geometry``'s trie of galleries: the ``word`` of wall
+    types crossed from the fundamental alcove, its ``end`` alcove, its
+    ``parent`` node (None at a root) and its children, ``next``, by wall
+    type.  ``soergel`` keeps the gallery's ``m`` and its ``run`` on it."""
 
-    __slots__ = ("landed", "word", "end")
+    __slots__ = ("word", "end", "parent", "next", "m", "run")
 
-    def __init__(self, landed):
-        self.landed = landed
-        self.word = self.end = None
+    def __init__(self, word, end, parent):
+        self.word = word
+        self.end = end
+        self.parent = parent
+        self.next = {}
+        self.m = self.run = None
 
 
-def _gallery_of(geom, landed):
-    """The one ``Gallery`` of the tuple ``landed`` in ``caches["galleries"]``."""
-    galleries = geom.caches.get("galleries")
-    if galleries is None:
-        galleries = geom.caches["galleries"] = {}
-    got = galleries.get(landed)
-    if got is None:
-        got = galleries[landed] = Gallery(landed)
-    return got
+def root_gallery(geom):
+    """The empty gallery at the root of geom's trie,
+    ``caches["galleries"]``, with m = 1 at the fundamental alcove."""
+    root = geom.caches.get("galleries")
+    if root is None:
+        start = geom.fundamental
+        root = geom.caches["galleries"] = Gallery((), start, None)
+        root.m = {start: ONE}
+    return root
+
+
+def cross_wall(geom, gallery, h):
+    """The child of ``gallery`` across the wall h of its end alcove, made
+    once.  Raises ``NotAGallery`` when h does not bound the end alcove,
+    or when the crossing's length is not one more than the gallery's: the
+    trie holds minimal galleries only, of lengths 0, 1, ..., k (the
+    origin is regular, since ``Params`` keeps the residues distinct)."""
+    end = gallery.end
+    t = geom.wall_type(end, h)
+    if t is None:
+        raise NotAGallery("hyperplane %r does not bound alcove %r" % (h, end))
+    child = gallery.next.get(t)
+    if child is None:
+        nxt = geom.star(end, t)
+        word = gallery.word + (t,)
+        if geom.length(nxt) != len(word):
+            raise NotAGallery("crossing %r does not move away from the origin" % (h,))
+        child = gallery.next[t] = Gallery(word, nxt, gallery)
+    return child
+
+
+def _extend(geom, gallery, landed, values, point):
+    """``gallery`` crossed over the walls ``landed`` to the end of a walk
+    at ``point``, whose root values are ``values``.  A regular point must
+    lie in the end alcove, or ``NotAGallery`` is raised; a singular point
+    ends no alcove, so it is not checked."""
+    for h in landed:
+        gallery = cross_wall(geom, gallery, h)
+    e = geom.e
+    if all(v % e for v in values) and gallery.end != geom.alcove_of(point):
+        raise NotAGallery("gallery does not end at the endpoint's alcove")
+    return gallery
 
 
 def _record(geom, params, mu0):
     """The record of the representative mu0, kept in ``caches["classes"]``.
-    A new one continues the DP and the walk from the stored record of the
-    longest proper prefix nu of mu0's loading, found by taking the last
-    loading node (row max(nu), the highest component there) off the shape
-    one at a time; the empty shape's record is always stored."""
+    A new one continues the DP, the walk and the gallery from the stored
+    record of the longest proper prefix nu of mu0's loading, found by
+    taking the last loading node (row max(nu), the highest component
+    there) off the shape one at a time; the empty shape's record, at the
+    root of the trie, is always stored.  The gallery crosses only the
+    walls its own steps land on, and a record whose prefix failed to cross
+    keeps the prefix's message."""
     records = geom.caches.get("classes")
     if records is None:
         # the root every record extends: the empty shape, whose table is
@@ -245,7 +275,7 @@ def _record(geom, params, mu0):
         zero = (0,) * geom.l
         records = geom.caches["classes"] = {
             zero: ClassRecord(
-                graded_tableau_counts(params, zero), 0, _gallery_of(geom, ()), True
+                graded_tableau_counts(params, zero), 0, root_gallery(geom)
             )
         }
     record = records.get(mu0)
@@ -263,20 +293,21 @@ def _record(geom, params, mu0):
         if prefix is not None:
             break
     states = {lam: poly.terms for lam, poly in prefix.table.items()}
-    landed = list(prefix.gallery.landed)
     running = prefix.running
-    regular = False
+    gallery = prefix.gallery
     if running is not None:
         values = geom.values(nu)
+        landed = []
         running = _walk(geom, values, running, landed, letters[::-1])
-        # the walk ends at mu0's root values
-        e = geom.e
-        regular = running is not None and all(v % e for v in values)
+        if running is not None and gallery.__class__ is Gallery:
+            # the walk ends at mu0's root values, so a regular end is in
+            # mu0's alcove
+            try:
+                gallery = _extend(geom, gallery, landed, values, mu0)
+            except NotAGallery as exc:
+                gallery = str(exc)
     record = records[mu0] = ClassRecord(
-        place_nodes(params, states, residues[::-1]),
-        running,
-        _gallery_of(geom, tuple(landed)),
-        regular,
+        place_nodes(params, states, residues[::-1]), running, gallery
     )
     return record
 
@@ -284,16 +315,15 @@ def _record(geom, params, mu0):
 def alcove_series(params, path):
     """The gallery traced by an admissible path: starting at the fundamental
     alcove, every step onto a new wall (``_walk``) crosses that wall
-    (``_crossings``).  Returned as the word of the wall types crossed."""
+    (``cross_wall``), from a root of its own, so that no memo is read or
+    kept.  Returned as the word of the wall types crossed."""
     geom = geometry_for(params)
+    values = list(geom.origin_values)
     landed = []
-    if _walk(geom, list(geom.origin_values), 0, landed, path.steps) is None:
+    if _walk(geom, values, 0, landed, path.steps) is None:
         raise NotAdmissible("path %r is not admissible" % (path.steps,))
-    endpoint = path.endpoint()
-    word, end = _crossings(geom, landed)
-    if all(v % geom.e for v in geom.values(endpoint)):
-        _check_end(geom, end, endpoint)
-    return word
+    root = Gallery((), geom.fundamental, None)
+    return _extend(geom, root, landed, values, path.endpoint()).word
 
 
 def _walk(geom, values, running, landed, steps):
@@ -338,30 +368,3 @@ def _walk(geom, values, running, landed, steps):
         if len(landed) - new >= 2:
             return None
     return running
-
-
-def _crossings(geom, landed):
-    """(word, end alcove): the word of the wall types crossed from the
-    fundamental alcove over the walls ``landed``, validated to be a
-    minimal gallery of lengths 0, 1, ..., k.  The origin is regular
-    (``Params`` keeps the residues distinct)."""
-    word = []
-    cur = geom.fundamental
-    length = 0
-    for h in landed:
-        t = geom.wall_type(cur, h)
-        if t is None:
-            raise NotAGallery("hyperplane %r does not bound alcove %r" % (h, cur))
-        cur = geom.star(cur, t)
-        if geom.length(cur) != length + 1:
-            raise NotAGallery("crossing %r does not move away from the origin" % (h,))
-        length += 1
-        word.append(t)
-    return tuple(word), cur
-
-
-def _check_end(geom, end, endpoint):
-    """A gallery ending at ``end`` must end at the alcove of the regular
-    point ``endpoint``."""
-    if end != geom.alcove_of(endpoint):
-        raise NotAGallery("gallery does not end at the endpoint's alcove")

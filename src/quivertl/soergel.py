@@ -12,11 +12,13 @@ them are built by the same two-term crossing (``_cross``):
   shorter than a subtracted off through their own n (W. Soergel,
   Represent. Theory 1 (1997)).
 
-A gallery is the word of the wall types it crosses (``geometry``).  At a
-crossing of type t every alcove b is paired with ``geom.star(b, t)``, its
-image under reflection in its own wall of type t; the recursion only
-mixes values within such a pair.  m is checked to be 1 at each gallery
-alcove, and n to be 1 at each alcove it is computed for.
+A gallery is a node of the ``Geometry``'s trie of galleries
+(``paths.Gallery``): the word of the wall types it crosses, its end
+alcove and its parent.  At a crossing of type t every alcove b is paired
+with ``geom.star(b, t)``, its image under reflection in its own wall of
+type t; the recursion only mixes values within such a pair.  m is
+checked to be 1 at each gallery alcove, and n to be 1 at each alcove it
+is computed for.
 
 The graded simple characters e are not propagated: they are solved from
 the factorisation m = sum over alcoves nu of e(nu) * n_nu, and each
@@ -34,27 +36,26 @@ once, on its first write, and changed in place by
 {0: ct}); the dict becomes a value, through ``laurent.canonical``, once,
 when it is stored or read as a solved character.
 
-Three memos in ``geom.caches`` hold the results.  ``n_functions`` is
-keyed by alcove and is read and written by ``n_function`` only.  ``runs``
-keeps each ``run_all`` result under the gallery's whole word, not its
-end: m is defined by the gallery, and e is solved from m.  It is keyed by
-word rather than by translation class, because distinct classes share
-words, and each shared word then solves e once.  The prefix
-memo ``m_prefixes`` keeps (m, end alcove) under every prefix of every
-word run so far; m is built one crossing at a time, so a new word's m
-continues from its longest stored prefix.  Every prefix is stored, not
-only whole words, so that each distinct prefix is crossed exactly once
-per ``Geometry``: the crossings made, and the ``star`` calls they make,
-then do not depend on the order in which words are requested.  On the
-regular blocks of l = 2 e = 4 at n = 30..40 and of l = 3 e = 6 at
-n = 19..25 every prefix of a column's word is itself a column's word,
-so there the memo holds no m that some column does not need anyway.
+The results are kept in two places.  ``caches["n_functions"]`` is
+keyed by alcove and is read and written by ``n_function`` only.  m is
+defined by the gallery, not by its end alcove, so it is kept on the
+gallery's trie node, as is the node's ``run``, its (m, n, e).  The
+root's m, 1 at the fundamental alcove, is set by ``paths.root_gallery``;
+this module writes every other m and every run.  m is built one crossing at a time,
+so a node's m continues from its nearest ancestor that holds one, and
+every node crossed on the way keeps its own: each node is crossed
+exactly once per ``Geometry``, so the crossings made, and the ``star``
+calls they make, do not depend on the order in which galleries are
+run.  On the regular blocks of l = 2 e = 4 at n = 30..40 and of l = 3
+e = 6 at n = 19..25 every prefix of a column's gallery is itself a
+column's gallery, so there no node holds an m that some column does not
+need anyway.
 
 Columns that differ by a multiple of (1, ..., 1) have the same gallery
 (the translation lemma of ``tableaux``), so blocks at n and n + l are
 shifted copies; they share one ``Geometry``, whose class records
-(``paths``) give one gallery word per class, crossed once per distinct
-landed-wall sequence, and ``runs`` one run per word.
+(``paths``) give one gallery node per class, and distinct classes with
+one gallery word share its node, so its run is made once.
 """
 
 from __future__ import annotations
@@ -195,42 +196,33 @@ def _solve_characters(geom, m_fn):
     return e_fn
 
 
-def run_all(params, word):
-    """Run the m recursion along the gallery ``word`` (a tuple of wall
-    types, as from ``alcove_series``), take n of its final alcove, and
-    solve m = sum e(nu) * n_nu for the characters e.  Returns (m, n, e) as
-    dicts from alcove to nonzero Laurent polynomial, plus the final
-    alcove, memoised per word; callers must not modify them."""
-    geom = geometry_for(params)
-    memo = geom.caches.setdefault("runs", {})
-    got = memo.get(word)
+def run_all(params, gallery):
+    """(m, n, e) of the ``paths.Gallery`` node ``gallery``: the m
+    recursion along it (``_m_of``), n of its end alcove, and the
+    characters e solved from m = sum e(nu) * n_nu, as dicts from alcove to
+    nonzero Laurent polynomial.  Kept on the node as its ``run``; callers
+    must not modify them."""
+    got = gallery.run
     if got is None:
-        m_fn, cur = _m_along(geom, word)
-        n_fn = n_function(geom, cur)
-        got = memo[word] = (m_fn, n_fn, _solve_characters(geom, m_fn), cur)
+        geom = geometry_for(params)
+        m_fn = _m_of(geom, gallery)
+        n_fn = n_function(geom, gallery.end)
+        got = gallery.run = (m_fn, n_fn, _solve_characters(geom, m_fn))
     return got
 
 
-def _m_along(geom, word):
-    """(m, end alcove) of the gallery ``word``: m continues from the
-    longest prefix of the word in ``caches["m_prefixes"]``, and every
-    prefix crossed on the way is stored there."""
-    prefixes = geom.caches.get("m_prefixes")
-    if prefixes is None:
-        start = geom.fundamental
-        prefixes = geom.caches["m_prefixes"] = {(): ({start: ONE}, start)}
-    j = len(word)
-    while word[:j] not in prefixes:
-        j -= 1
-    m_fn, cur = prefixes[word[:j]]
-    for j in range(j, len(word)):
-        t = word[j]
-        succ = geom.star(cur, t)
-        if geom.length(succ) != geom.length(cur) + 1:
-            raise InternalMismatch("gallery crossing does not increase length")
-        m_fn = _cross(geom, m_fn, t)
-        if m_fn.get(succ) is not ONE:
+def _m_of(geom, gallery):
+    """m of the gallery: crossed from the nearest ancestor node that holds
+    an m, each node on the way keeping its own, and checked to be 1 at
+    each new gallery alcove."""
+    below = []  # the nodes from the gallery up to that ancestor
+    while gallery.m is None:
+        below.append(gallery)
+        gallery = gallery.parent
+    m_fn = gallery.m
+    for node in reversed(below):
+        m_fn = _cross(geom, m_fn, node.word[-1])
+        if m_fn.get(node.end) is not ONE:
             raise InternalMismatch("m is not 1 at the new gallery alcove")
-        cur = succ
-        prefixes[word[: j + 1]] = (m_fn, cur)
-    return m_fn, cur
+        node.m = m_fn
+    return m_fn

@@ -21,7 +21,9 @@ from quivertl.paths import (
     NotAGallery,
     PathWord,
     class_counts,
-    gallery_word,
+    cross_wall,
+    gallery_of,
+    root_gallery,
 )
 from quivertl.soergel import n_function, run_all
 from quivertl.tableaux import loading, node_residue
@@ -63,15 +65,36 @@ def gallery_n(geom, word, memo):
     return n_fn
 
 
-def verify_factorization(params, gallery):
-    """Check m = sum over alcoves nu of e(nu) * n_nu along ``gallery``.
+def gallery_along(params, word):
+    """The node of the gallery ``word`` (a tuple of wall types) in the
+    trie of params' ``Geometry``: crossed from ``root_gallery`` with
+    ``cross_wall``, so that it raises ``NotAGallery`` as a crossing does."""
+    geom = geometry_for(params)
+    gallery = root_gallery(geom)
+    for t in word:
+        gallery = cross_wall(geom, gallery, geom.walls(gallery.end)[t])
+    return gallery
+
+
+def trie_nodes(geom):
+    """Every node of geom's trie of galleries, root first, each node's
+    children in wall-type order."""
+    out = [root_gallery(geom)]
+    for node in out:
+        out.extend(node.next[t] for t in sorted(node.next))
+    return out
+
+
+def verify_factorization(params, word):
+    """Check m = sum over alcoves nu of e(nu) * n_nu along the gallery
+    ``word``.
 
     Each n_nu is propagated afresh along a minimal gallery to nu
     (``gallery_n``) and must equal ``n_function``'s, and the sum is formed
     here, so a character solve that drifted from m would show.
     """
     geom = geometry_for(params)
-    m_fn, _, e_fn, _ = run_all(params, gallery)
+    m_fn, _, e_fn = run_all(params, gallery_along(params, word))
     memo = {}
     total = {}
     for nu, e in e_fn.items():
@@ -660,12 +683,12 @@ def dense_decomposition_matrix(params, block):
     characters = {}
     for mu in members:
         try:
-            word = gallery_word(params, mu, class_counts(params, mu)[0])
+            gallery = gallery_of(params, mu, class_counts(params, mu)[0])
         except (NotAdmissible, NotAGallery) as exc:
             raise InternalMismatch(
                 "distinguished path of mu=%s: %s" % (list(mu), exc)
             ) from exc
-        m_fn, n_fn, e_fn, _ = run_all(params, word)
+        m_fn, n_fn, e_fn = run_all(params, gallery)
         for lam in members:
             key = alcove[lam]
             m = m_fn.get(key, ZERO)

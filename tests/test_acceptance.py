@@ -34,6 +34,7 @@ from helpers import (
     T,
     add,
     component_word,
+    gallery_along,
     is_in_plus_semiring,
     mul,
     semistandard_tableaux,
@@ -91,7 +92,9 @@ class TestCriterion2RankOne:
         params = Params(2, 4, (0, 2))
         mu = (0, 11)
         series = alcove_series(params, distinguished_path(params, mu))
-        m, n, e, target = run_all(params, series)
+        gallery = gallery_along(params, series)
+        m, n, e = run_all(params, gallery)
+        target = gallery.end
         g = geometry_for(params)
         # row over the alcoves at floors -3..2, left to right
         row = [m[k] for k in sorted(m)]
@@ -122,7 +125,7 @@ class TestCriterion3NegativeDegree:
         params = Params(3, 6, (0, 2, 4))
         mu = (4, 17, 0)
         series = alcove_series(params, distinguished_path(params, mu))
-        m, _, e, _ = run_all(params, series)
+        m, _, e = run_all(params, gallery_along(params, series))
         g = geometry_for(params)
         assert e.get(g.alcove_of((6, 9, 0)), ZERO) == Laurent({-1: 1, 1: 1})
         assert e.get(g.alcove_of((15, 4, 2)), ZERO) == ONE

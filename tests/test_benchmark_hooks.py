@@ -18,6 +18,8 @@ from quivertl.paths import alcove_series, distinguished_path
 from quivertl.soergel import run_all
 from quivertl.tableaux import graded_tableau_counts
 
+from helpers import gallery_along
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 OWNERS = {
@@ -100,7 +102,8 @@ def test_every_n_function_passes_the_n_function_hook(monkeypatch):
         decomposition_matrix(intro, block_of(intro, 13, (4, 9, 0)))
 
     def long_gallery():
-        run_all(rank1, alcove_series(rank1, distinguished_path(rank1, (0, 40))))
+        word = alcove_series(rank1, distinguished_path(rank1, (0, 40)))
+        run_all(rank1, gallery_along(rank1, word))
 
     for params, run in [(intro, matrix), (rank1, long_gallery)]:
         monkeypatch.setattr(geometry, "_GEOMETRIES", {})
@@ -121,9 +124,9 @@ def test_every_n_function_passes_the_n_function_hook(monkeypatch):
 
 def test_traced_counts_do_not_depend_on_request_order(monkeypatch):
     # the benchmark requires each traced ``.calls`` count to repeat exactly
-    # across request orders; the memos of class records, galleries, runs,
-    # m prefixes and n functions must make the same calls whatever order
-    # fills them.  Every regular block of INTRO at n = 10..16 and of
+    # across request orders; the class records, the trie of galleries,
+    # with the m and run of each node, and the n functions must make the
+    # same calls whatever order fills them.  Every regular block of INTRO at n = 10..16 and of
     # l=2 e=4 at n = 30..34 is requested (``block_of`` and both routes) on
     # fresh geometries in three orders, under the benchmark's own tracer
     intro = Params(3, 8, (0, 4, 6))
@@ -162,5 +165,6 @@ def test_traced_counts_do_not_depend_on_request_order(monkeypatch):
         counts.append({name: summary[name + ".calls"] for name in names})
     assert counts[0] == counts[1] == counts[2]
     assert all(counts[0].values())
-    # route 1 takes each column's run through ``run_all``'s memo
+    # route 1 takes each column's run through ``run_all``, which keeps it
+    # on the column's gallery node
     assert counts[0]["soergel.run_all"] == columns

@@ -3,15 +3,23 @@ and the level-two closed forms."""
 
 import json
 import random
-from itertools import permutations
+from functools import cache
+from itertools import permutations, product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quivertl import decomposition, geometry, paths, soergel
 from quivertl.geometry import InternalMismatch, geometry_for
 from quivertl.laurent import Laurent, ONE, ZERO
 from quivertl.params import Params, ParamsError
-from quivertl.paths import NotAdmissible, NotAGallery, alcove_series, distinguished_path
+from quivertl.paths import (
+    Gallery,
+    NotAdmissible,
+    NotAGallery,
+    alcove_series,
+    distinguished_path,
+)
 from quivertl.tableaux import graded_tableau_counts, loading, translation_class
 from quivertl.decomposition import (
     NoRegularMember,
@@ -31,11 +39,13 @@ from helpers import (
     compositions,
     dense_decomposition_matrix,
     dense_kn_oracle,
+    gallery_along,
     is_in_plus_semiring,
     level2_hom_dim,
     mul,
     residue_multiset,
     stability_check,
+    trie_nodes,
 )
 
 P_INTRO = Params(3, 8, (0, 4, 6))
@@ -254,67 +264,121 @@ class TestDecompositionMatrix:
 
         assert reports(work) == reports(work[::-1])
 
+    @staticmethod
+    def _crossing_stars(monkeypatch, calls):
+        """Count in ``calls`` the ``Geometry.star`` calls made inside
+        ``paths.cross_wall``, which makes the trie's nodes."""
+        real_star, real_cross = geometry.Geometry.star, paths.cross_wall
+        inside = []
+
+        def star(self, b, t):
+            if inside:
+                calls.append(1)
+            return real_star(self, b, t)
+
+        def cross(geom, gallery, h):
+            inside.append(1)
+            try:
+                return real_cross(geom, gallery, h)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(geometry.Geometry, "star", star)
+        monkeypatch.setattr(paths, "cross_wall", cross)
+
+    @staticmethod
+    def _crossed_words(records):
+        """The gallery words of the records that crossed their walls."""
+        return {
+            r.gallery.word for r in records.values() if r.gallery.__class__ is Gallery
+        }
+
+    @staticmethod
+    def _prefixes(words):
+        return {w[:j] for w in words for j in range(len(w) + 1)}
+
     def test_dp_and_walk_run_once_per_class(self, monkeypatch):
         # columns that differ by a multiple of (1, ..., 1) share one class
-        # record, kept under the class representative: over both routes
-        # one DP pass and one walk per class, one crossing per distinct
-        # landed-wall sequence, which classes share, and one m recursion
-        # per distinct gallery word; the n=16 translate of INTRO then runs
-        # none of them
-        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
-        placed, walks, crossed, ran = [], [], [], []
-        real_place, real_walk = paths.place_nodes, paths._walk
-        real_cross, real_run = paths._crossings, soergel._m_along
+        # record, kept under the class representative.  Over both routes,
+        # in three block orders, each on a fresh Geometry: one DP pass and
+        # one walk per class; trie nodes exactly the prefixes of the words
+        # crossed, each made with one star call, the same in every order;
+        # one m recursion per distinct gallery word, which classes share;
+        # and every run equal to one on a fresh Geometry.  The n=16
+        # translate of INTRO then runs none of them.  Each order builds its
+        # own blocks, which keep the records they read
+        work = [
+            (n, block.members[0])
+            for n in (13, 14)
+            for block in blocks(P_INTRO, n)
+            if block.regular[0]
+        ]
+        shuffled = list(work)
+        random.Random(4).shuffle(shuffled)
+        zero = (0, 0, 0)
+        stars = {}
+        runs = {}
+        for name, order in [("up", work), ("down", work[::-1]), ("shuffled", shuffled)]:
+            monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+            placed, walks, crossing, ran = [], [], [], []
+            real_place, real_walk, real_run = paths.place_nodes, paths._walk, soergel._m_of
 
-        def place(params, states, residues):
-            placed.append(len(residues))
-            return real_place(params, states, residues)
+            def place(params, states, residues):
+                placed.append(len(residues))
+                return real_place(params, states, residues)
 
-        def walk(geom, values, running, landed, steps):
-            walks.append(len(steps))
-            return real_walk(geom, values, running, landed, steps)
+            def walk(geom, values, running, landed, steps):
+                walks.append(len(steps))
+                return real_walk(geom, values, running, landed, steps)
 
-        def cross(geom, landed):
-            crossed.append(landed)
-            return real_cross(geom, landed)
+            def run(geom, gallery):
+                ran.append(gallery.word)
+                return real_run(geom, gallery)
 
-        def run(geom, word):
-            ran.append(word)
-            return real_run(geom, word)
-
-        monkeypatch.setattr(paths, "place_nodes", place)
-        monkeypatch.setattr(paths, "_walk", walk)
-        monkeypatch.setattr(paths, "_crossings", cross)
-        monkeypatch.setattr(soergel, "_m_along", run)
-        first = block_of(P_INTRO, 13, (4, 9, 0))
-        second = block_of(P_INTRO, 14, (4, 10, 0))
-        for block in (first, second):
-            decomposition_matrix(P_INTRO, block)
-            kn_oracle(P_INTRO, block)
-
-        def classes(members):
-            return {translation_class(mu)[0] for mu in members}
-
-        both = classes(first.members + second.members)
-        records = geometry_for(P_INTRO).caches["classes"]
-        assert set(records) == both | {(0, 0, 0)}
-        assert len(placed) == len(walks) == len(both)
-        # each pass places the nodes its walk steps over
-        assert placed == walks
-        galleries = {records[q].gallery.landed for q in both}
-        assert sorted(crossed) == sorted(galleries)
-        assert len(galleries) < len(both)
-        words = {records[q].gallery.word for q in both}
-        assert sorted(ran) == sorted(words)
-        translate = block_of(P_INTRO, 16, (5, 10, 1))
-        assert translate.members == tuple(
-            tuple(x + 1 for x in mu) for mu in first.members
-        )
-        del placed[:], walks[:], crossed[:], ran[:]
-        decomposition_matrix(P_INTRO, translate)
-        kn_oracle(P_INTRO, translate)
-        assert placed == walks == crossed == ran == []
-        assert set(records) == both | {(0, 0, 0)}
+            with monkeypatch.context() as m:
+                m.setattr(paths, "place_nodes", place)
+                m.setattr(paths, "_walk", walk)
+                m.setattr(soergel, "_m_of", run)
+                self._crossing_stars(m, crossing)
+                both = set()
+                for n, member in order:
+                    block = block_of(P_INTRO, n, member)
+                    both |= {translation_class(mu)[0] for mu in block.members}
+                    decomposition_matrix(P_INTRO, block)
+                    kn_oracle(P_INTRO, block)
+                geom = geometry_for(P_INTRO)
+                records = geom.caches["classes"]
+                assert set(records) == both | {zero}, name
+                assert len(placed) == len(walks) == len(both), name
+                # each pass places the nodes its walk steps over
+                assert placed == walks, name
+                words = self._crossed_words(records)
+                assert len(words) < len(both), name
+                nodes = trie_nodes(geom)
+                assert {node.word for node in nodes} == self._prefixes(words), name
+                assert len(nodes) == len(self._prefixes(words)), name
+                assert len(crossing) == len(nodes) - 1, name
+                assert sorted(ran) == sorted(words), name
+                stars[name] = len(crossing)
+                for record in records.values():
+                    runs.setdefault(record.gallery.word, []).append(
+                        soergel.run_all(P_INTRO, record.gallery)
+                    )
+                translate = block_of(P_INTRO, 16, (5, 10, 1))
+                assert translate.members == tuple(
+                    tuple(x + 1 for x in mu)
+                    for mu in block_of(P_INTRO, 13, (4, 9, 0)).members
+                )
+                del placed[:], walks[:], crossing[:], ran[:]
+                decomposition_matrix(P_INTRO, translate)
+                kn_oracle(P_INTRO, translate)
+                assert placed == walks == crossing == ran == [], name
+                assert set(records) == both | {zero}, name
+        assert len(set(stars.values())) == 1
+        for word, found in runs.items():
+            monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+            fresh = soergel.run_all(P_INTRO, gallery_along(P_INTRO, word))
+            assert all(run == fresh for run in found), word
 
     @staticmethod
     def _classes(params, n_max):
@@ -331,28 +395,39 @@ class TestDecompositionMatrix:
         random.Random(3).shuffle(shuffled)
         return [("up", classes), ("down", classes[::-1]), ("shuffled", shuffled)]
 
+    @staticmethod
+    def _outcome(call, *args):
+        """("gallery", word) of what ``call(*args)`` returns, a word or a
+        ``Gallery``, or the class and message of the ``NotAdmissible`` or
+        ``NotAGallery`` it raises."""
+        try:
+            got = call(*args)
+        except (NotAdmissible, NotAGallery) as exc:
+            return type(exc), str(exc)
+        return "gallery", got.word if got.__class__ is Gallery else got
+
     @pytest.mark.parametrize("params, n_max", [(P_RANK1, 40), (P_INTRO, 16)])
     def test_class_records_are_exact_in_any_order(self, monkeypatch, params, n_max):
         # a class record extends the stored record of the longest prefix of
         # its loading; built in three class orders, each on a fresh
         # Geometry, every table must equal a DP from the empty tableau and
-        # every word alcove_series of the distinguished path (or both
-        # raise the same exception class), with the same star calls
+        # every gallery's word alcove_series of the distinguished path (or
+        # both raise the same exception with the same message), with the
+        # same star calls
         classes = self._classes(params, n_max)
 
         def series(q):
-            try:
-                return alcove_series(params, distinguished_path(params, q))
-            except (NotAdmissible, NotAGallery) as exc:
-                return type(exc)
+            return self._outcome(alcove_series, params, distinguished_path(params, q))
 
         monkeypatch.setattr(geometry, "_GEOMETRIES", {})
         tables = {q: graded_tableau_counts(params, q) for q in classes}
         words = {q: series(q) for q in classes}
-        assert "classes" not in geometry_for(params).caches
+        # the references keep no record and no trie
+        assert not {"classes", "galleries"} & set(geometry_for(params).caches)
         # at INTRO 31 of the 409 paths are not admissible
-        failed = sum(isinstance(w, type) for w in words.values())
-        assert failed == (31 if params == P_INTRO else 0)
+        failed = [w for w in words.values() if w[0] != "gallery"]
+        assert len(failed) == (31 if params == P_INTRO else 0)
+        assert {w[0] for w in failed} <= {NotAdmissible}
         stars, placed = {}, {}
         real_star, real_place = geometry.Geometry.star, paths.place_nodes
         real_walk = paths._walk
@@ -391,12 +466,9 @@ class TestDecompositionMatrix:
                         if steps:
                             assert steps[0] == [c for _, _, c in tail], (name, q)
                         else:
-                            assert words[q] is NotAdmissible, (name, q)
-                    try:
-                        word = paths.gallery_word(params, q, record)
-                    except (NotAdmissible, NotAGallery) as exc:
-                        word = type(exc)
-                    assert word == words[q], (name, q)
+                            assert words[q][0] is NotAdmissible, (name, q)
+                    got = self._outcome(paths.gallery_of, params, q, record)
+                    assert got == words[q], (name, q)
             records = geometry_for(params).caches["classes"]
             assert set(records) == set(classes), name
             stars[name] = len(calls)
@@ -415,30 +487,81 @@ class TestDecompositionMatrix:
         assert placed["up"] == len(classes) - 1
         assert max(placed.values()) <= sum(map(sum, classes))
 
+    def test_a_failed_crossing_is_inherited_with_its_message(self, monkeypatch):
+        # INTRO's distinguished paths all cross, so a fresh Geometry's
+        # ``wall_type`` is made to refuse the wall (1, 2, 1).  A record
+        # whose walk lands on it fails to cross there; a record that
+        # continues a failed prefix keeps the prefix's message without
+        # crossing.  In three class orders gallery_of must raise what
+        # alcove_series raises on the same Geometry, with the same message
+        classes = self._classes(P_INTRO, 16)
+        refused = (1, 2, 1)
+        inherited = {}
+        for name, order in self._orders(classes):
+            monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+            geom = geometry_for(P_INTRO)
+            real = geom.wall_type
+            monkeypatch.setattr(
+                geom, "wall_type", lambda a, h: None if h == refused else real(a, h)
+            )
+            want = {
+                q: self._outcome(alcove_series, P_INTRO, distinguished_path(P_INTRO, q))
+                for q in classes
+            }
+            raised = []
+            real_cross = paths.cross_wall
+
+            def cross(geom, gallery, h):
+                try:
+                    return real_cross(geom, gallery, h)
+                except NotAGallery:
+                    raised.append(h)
+                    raise
+
+            with monkeypatch.context() as m:
+                m.setattr(paths, "cross_wall", cross)
+                for q in order:
+                    record = paths.class_counts(P_INTRO, q)[0]
+                    got = self._outcome(paths.gallery_of, P_INTRO, q, record)
+                    assert got == want[q], (name, q)
+            failed = [q for q in classes if want[q][0] is NotAGallery]
+            assert failed, name
+            assert all(
+                want[q][1].startswith("hyperplane (1, 2, 1) does not bound")
+                for q in failed
+            ), name
+            assert set(raised) == {refused}, name
+            inherited[name] = len(failed) - len(raised)
+        # in decreasing order no prefix is stored before its extensions, so
+        # every record crosses from the root; in increasing order most
+        # failed records inherit their message
+        assert inherited["down"] == 0 < inherited["up"]
+
     @pytest.mark.parametrize("params, n_max", [(P_RANK1, 40), (P_INTRO, 16)])
     def test_prefix_reuse_is_exact_in_any_order(self, monkeypatch, params, n_max):
-        # m continues from the longest stored prefix of a gallery word;
-        # filled in three column orders, every run must equal one from the
-        # fundamental alcove, and the crossings must not depend on the order
-        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        # a node's m continues from its nearest ancestor's; filled in three
+        # column orders, each on a fresh Geometry, the trie's nodes must be
+        # exactly the prefixes of the words crossed, each made with one
+        # star call, the nodes holding an m exactly the prefixes of the
+        # words run, and every run must equal one on a fresh Geometry; the
+        # crossings must not depend on the order
         classes = self._classes(params, n_max)
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
         geom = geometry_for(params)
         words = {
-            q: paths.gallery_word(params, q, paths.class_counts(params, q)[0])
+            q: alcove_series(params, distinguished_path(params, q))
             for q in classes
             if not geom.classify(q)
         }
-        # the run memos are emptied before each word
         runs = {}
         for word in set(words.values()):
-            geom.caches.pop("runs", None)
-            geom.caches.pop("m_prefixes", None)
-            runs[word] = soergel.run_all(params, word)
-        crossings = {}
+            monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+            runs[word] = soergel.run_all(params, gallery_along(params, word))
+        stars, crossings = {}, {}
         real_cross = soergel._cross
         for name, order in self._orders(classes):
             monkeypatch.setattr(geometry, "_GEOMETRIES", {})
-            crossed = []
+            crossing, crossed = [], []
 
             def cross(*args):
                 crossed.append(1)
@@ -446,16 +569,27 @@ class TestDecompositionMatrix:
 
             with monkeypatch.context() as m:
                 m.setattr(soergel, "_cross", cross)
+                self._crossing_stars(m, crossing)
                 for q in order:
+                    record = paths.class_counts(params, q)[0]
                     if q in words:
-                        soergel.run_all(params, words[q])
-            caches = geometry_for(params).caches
-            for q, word in words.items():
-                assert soergel.run_all(params, word) == runs[word], (name, q)
-            prefixes = {w[:j] for w in words.values() for j in range(len(w) + 1)}
-            assert set(caches["m_prefixes"]) == prefixes, name
+                        gallery = paths.gallery_of(params, q, record)
+                        assert gallery.word == words[q], (name, q)
+                        assert soergel.run_all(params, gallery) == runs[words[q]], (
+                            name, q
+                        )
+            geom = geometry_for(params)
+            nodes = trie_nodes(geom)
+            crossed_words = self._crossed_words(geom.caches["classes"])
+            assert {node.word for node in nodes} == self._prefixes(crossed_words), name
+            assert len(crossing) == len(nodes) - 1, name
+            with_m = {node.word for node in nodes if node.m is not None}
+            assert with_m == self._prefixes(words.values()), name
+            stars[name] = len(crossing)
             crossings[name] = len(crossed)
-        # the crossings, of m and of n together, do not depend on the order
+        # the star calls of the trie, and the crossings of m and of n
+        # together, do not depend on the order
+        assert len(set(stars.values())) == 1
         assert len(set(crossings.values())) == 1
 
     def test_translated_block_reads_shifted_counts(self, monkeypatch):
@@ -710,6 +844,58 @@ def _nonzero(outcome):
         return outcome
     kind, tables, report = outcome
     return kind, tuple({k: v for k, v in t.items() if v} for t in tables), report
+
+
+@cache
+def _valid_multicharges(l, e):
+    """Every multicharge that ``Params`` accepts at (l, e)."""
+    out = []
+    for kappa in product(range(e), repeat=l):
+        try:
+            out.append(Params(l, e, kappa).kappa)
+        except ParamsError:
+            pass
+    return out
+
+
+class TestObservedSymmetries:
+    """Two symmetries of the parameters, observed on every block tried but
+    not proved here (ROADMAP item 8): shifting kappa by c * (1, ..., 1) mod
+    e, and rotating kappa and every weight by the same r places."""
+
+    @staticmethod
+    def _rotate(x, r):
+        return tuple(x[r:]) + tuple(x[:r])
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_kappa_shift_and_rotation(self, data):
+        # a drawn regular block against the block of its rotated member at
+        # the rotated, shifted kappa: each route's three tables must be
+        # equal once each (lam, mu) is rotated
+        l = data.draw(st.sampled_from((2, 3, 4)), "l")
+        e = data.draw(st.integers(2 * l, 2 * l + 3), "e")
+        kappa = data.draw(st.sampled_from(_valid_multicharges(l, e)), "kappa")
+        c = data.draw(st.integers(0, e - 1), "shift")
+        r = data.draw(st.integers(0, l - 1), "rotation")
+        n = data.draw(st.integers(0, 12), "n")
+        params = Params(l, e, kappa)
+        regular = [b for b in blocks(params, n) if b.regular[0]]
+        assume(regular)
+        block = data.draw(st.sampled_from(regular), "block")
+        mu = data.draw(st.sampled_from(block.members), "member")
+        rot = self._rotate
+        moved = Params(l, e, tuple((k + c) % e for k in rot(kappa, r)))
+        image = block_of(moved, n, rot(mu, r))
+        assert set(image.members) == {rot(q, r) for q in block.members}
+        for route in (decomposition_matrix, kn_oracle):
+            want, got = route(params, block), route(moved, image)
+            for name in ("entries", "characters", "standard_dims"):
+                rekeyed = {
+                    (rot(lam, r), rot(nu, r)): f
+                    for (lam, nu), f in getattr(want, name).items()
+                }
+                assert getattr(got, name) == rekeyed, (route.__name__, name)
 
 
 class TestSparseRoutes:
@@ -991,13 +1177,14 @@ class TestSharedValues:
         for a, fn in caches["n_functions"].items():
             for b, f in fn.items():
                 yield ("n_functions", a, b), f
-        for word, (m_fn, n_fn, e_fn, _) in caches["runs"].items():
-            for name, fn in (("m", m_fn), ("n", n_fn), ("e", e_fn)):
-                for b, f in fn.items():
-                    yield ("runs", word, name, b), f
-        for word, (m_fn, _) in caches["m_prefixes"].items():
-            for b, f in m_fn.items():
-                yield ("m_prefixes", word, b), f
+        for node in trie_nodes(geometry_for(params)):
+            if node.m is not None:
+                for b, f in node.m.items():
+                    yield ("m", node.word, b), f
+            if node.run is not None:
+                for name, fn in zip("mne", node.run):
+                    for b, f in fn.items():
+                        yield ("run", node.word, name, b), f
         for key, (_, d, c) in caches["oracle_rows"].items():
             for name, f in (("d", d), ("c", c)):
                 if f is not None:

@@ -27,6 +27,7 @@ from helpers import (
     NotOnHyperplane,
     alcove_series_by_points,
     gallery_alcoves,
+    gallery_along,
     is_admissible,
     reflect_tail,
 )
@@ -221,7 +222,9 @@ class TestAlcoveSeries:
         g = geometry_for(P_RANK1)
         word = alcove_series(P_RANK1, distinguished_path(P_RANK1, (5, 6)))
         assert word == ()
-        assert run_all(P_RANK1, word)[3] == g.fundamental
+        gallery = gallery_along(P_RANK1, word)
+        assert gallery.end == g.fundamental
+        assert run_all(P_RANK1, gallery)[0] == {g.fundamental: ONE}
 
     def test_non_admissible_rejected(self):
         # crossing a wall and coming straight back has prefix degree 1

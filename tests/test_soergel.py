@@ -15,13 +15,19 @@ from quivertl.decomposition import blocks
 from quivertl.geometry import InternalMismatch, geometry_for
 from quivertl.laurent import Laurent, ONE, ZERO
 from quivertl.params import Params
-from quivertl.paths import alcove_series, distinguished_path, graded_path_count
+from quivertl.paths import (
+    NotAGallery,
+    alcove_series,
+    distinguished_path,
+    graded_path_count,
+)
 from quivertl.soergel import n_function, run_all
 
 from helpers import (
     T,
     add,
     evaluate_at_points,
+    gallery_along,
     gallery_n,
     is_kl_basis_element,
     mul,
@@ -62,11 +68,12 @@ class TestRankOneWorkedExample:
     """The full run towards the last alcove on the left of a strip of
     six alcoves, whose intermediate rows are known in closed form."""
 
-    def series(self):
-        return alcove_series(P_RANK1, distinguished_path(P_RANK1, (0, 11)))
+    def run(self):
+        word = alcove_series(P_RANK1, distinguished_path(P_RANK1, (0, 11)))
+        return run_all(P_RANK1, gallery_along(P_RANK1, word))
 
     def test_final_m_row(self):
-        m, _, _, _ = run_all(P_RANK1, self.series())
+        m, _, _ = self.run()
         assert m == {
             (-3,): ONE,
             (-2,): T,
@@ -77,7 +84,7 @@ class TestRankOneWorkedExample:
         }
 
     def test_final_n_row(self):
-        _, n, _, _ = run_all(P_RANK1, self.series())
+        _, n, _ = self.run()
         assert n == {
             (-3,): ONE,
             (-2,): T,
@@ -88,11 +95,11 @@ class TestRankOneWorkedExample:
         }
 
     def test_final_e_row(self):
-        _, _, e, _ = run_all(P_RANK1, self.series())
+        _, _, e = self.run()
         assert e == {(-3,): ONE, (-1,): ONE}
 
     def test_evaluate_at_points(self):
-        _, n, e, _ = run_all(P_RANK1, self.series())
+        _, n, e = self.run()
         pts = [(4, 7), (5, 6), (0, 11)]
         assert evaluate_at_points(P_RANK1, n, pts) == {
             (4, 7): Laurent.term(2),
@@ -112,7 +119,7 @@ class TestNegativeDegreeExample:
 
     def test_character_values(self):
         series = alcove_series(P_NEG, distinguished_path(P_NEG, (4, 17, 0)))
-        _, n, e, _ = run_all(P_NEG, series)
+        _, n, e = run_all(P_NEG, gallery_along(P_NEG, series))
         g = geometry_for(P_NEG)
         assert e.get(g.alcove_of((4, 17, 0)), ZERO) == ONE
         assert e.get(g.alcove_of((15, 4, 2)), ZERO) == ONE
@@ -121,7 +128,7 @@ class TestNegativeDegreeExample:
 
     def test_stated_factorisation(self):
         series = alcove_series(P_NEG, distinguished_path(P_NEG, (4, 17, 0)))
-        m, _, _, _ = run_all(P_NEG, series)
+        m, _, _ = run_all(P_NEG, gallery_along(P_NEG, series))
         g = geometry_for(P_NEG)
         n_a = n_function(g, g.alcove_of((4, 17, 0)))
         n_b = n_function(g, g.alcove_of((15, 4, 2)))
@@ -145,7 +152,7 @@ class TestCrossChecks:
         g = geometry_for(P_INTRO)
         for mu in [(5, 6, 2), (4, 9, 0), (13, 0, 0), (10, 1, 2)]:
             series = alcove_series(P_INTRO, distinguished_path(P_INTRO, mu))
-            m, _, _, _ = run_all(P_INTRO, series)
+            m, _, _ = run_all(P_INTRO, gallery_along(P_INTRO, series))
             for lam in g.orbit_points(g._orbit_key(mu), 13):
                 if not g.classify(lam):
                     assert m.get(g.alcove_of(lam), ZERO) == graded_path_count(
@@ -159,13 +166,16 @@ class TestCrossChecks:
         for params, a, word in both_galleries(monkeypatch):
             g = geometry_for(params)
             assert gallery_n(g, word, memo) == n_function(g, a)
-            _, n, _, end = run_all(params, word)
-            assert end == a and n is n_function(g, a)
+            gallery = gallery_along(params, word)
+            _, n, _ = run_all(params, gallery)
+            assert gallery.end == a and n is n_function(g, a)
 
     def test_target_values_are_one(self):
         for mu in [(5, 6, 2), (4, 9, 0), (13, 0, 0)]:
             series = alcove_series(P_INTRO, distinguished_path(P_INTRO, mu))
-            m, n, e, target = run_all(P_INTRO, series)
+            gallery = gallery_along(P_INTRO, series)
+            m, n, e = run_all(P_INTRO, gallery)
+            target = gallery.end
             assert m.get(target, ZERO) == ONE
             assert n.get(target, ZERO) == ONE
             assert e.get(target, ZERO) == ONE
@@ -272,9 +282,15 @@ class TestConsistencyChecks:
         return geometry_for(params)
 
     def test_word_that_is_not_a_gallery(self):
-        # the second crossing of wall type 0 returns to the fundamental alcove
-        with pytest.raises(InternalMismatch, match="does not increase length"):
-            run_all(P_INTRO, (0, 0))
+        # the second crossing of wall type 0 returns to the fundamental
+        # alcove: the trie's one length check per crossing refuses it
+        g = geometry_for(P_INTRO)
+        with pytest.raises(NotAGallery) as info:
+            gallery_along(P_INTRO, (0, 0))
+        wall = g.walls(g.fundamental)[0]
+        assert str(info.value) == "crossing %r does not move away from the origin" % (
+            wall,
+        )
 
     def test_m_not_one_at_the_new_gallery_alcove(self, monkeypatch):
         # a crossing that leaves m as it was keeps it on the fundamental
@@ -282,7 +298,7 @@ class TestConsistencyChecks:
         self.fresh(monkeypatch, P_INTRO)
         monkeypatch.setattr(soergel, "_cross", lambda geom, fn, t: fn)
         with pytest.raises(InternalMismatch, match="m is not 1 at the new gallery"):
-            run_all(P_INTRO, (0,))
+            run_all(P_INTRO, gallery_along(P_INTRO, (0,)))
 
     def test_n_not_one_at_its_alcove(self, monkeypatch):
         g = self.fresh(monkeypatch, P_INTRO)
@@ -317,7 +333,7 @@ class TestConsistencyChecks:
         tampered[key] = poly
         g.caches["n_functions"][(-3,)] = tampered
         with pytest.raises(InternalMismatch, match=check):
-            run_all(P_RANK1, series)
+            run_all(P_RANK1, gallery_along(P_RANK1, series))
 
     def test_decompose_exits_on_a_failed_check(self, monkeypatch, capsys):
         g = self.fresh(monkeypatch, P_INTRO)
