@@ -40,6 +40,17 @@ solves each distinct short row once per ``Geometry``, keyed by the
 identities of its inputs (``caches["oracle_rows"]``).  No caller may
 change a stored value's ``.terms``.
 
+A column's counts depend only on its translation class (``tableaux``,
+translation lemma), and so does everything the oracle solves from them,
+since a column's products read only its own rows and the columns of
+those rows, solved before it and translated alike.  So each column with
+a row that needed work (a product, a split or a lookup) is solved once
+per ``Geometry`` and kept under its class record
+(``caches["oracle_columns"]``), and a later block that holds a translate
+of the class reads the column's d and c.  The memo is read and written
+only when the oracle is given the block's own counts; ``kn_oracle`` has
+the proof.
+
 ``Block`` and ``DecompositionMatrix`` are plain ``__slots__`` classes
 rather than dataclasses, because importing ``dataclasses`` (and the
 ``inspect`` it pulls in) is a large share of a one-shot ``quivertl``
@@ -434,9 +445,10 @@ def kn_oracle(params, block):
     column in one pass over the counts as (rank, lam, count) triples and
     sorted once.  Most characters are zero, so the sum runs only over the
     nu of the column already solved with c(nu, mu) != 0, and multiplies
-    only where d(lam, nu) != 0 (a row with no d yet skips the sum).  That
-    is exact because each row checks, before it is solved, that it is
-    shorter than mu (paths out of mu only reach shorter alcoves): a
+    only where d(lam, nu) != 0 (a row with no d yet, or a column with no c
+    yet, skips the sum).  That is exact because each column checks, before
+    it is solved, that its first row, the longest, is shorter than mu, so
+    that every row is (paths out of mu only reach shorter alcoves): a
     nonzero d(lam, nu) * c(nu, mu) then needs
     length(lam) < length(nu) < length(mu), so both of its factors are
     solved before the pair (lam, mu).
@@ -452,11 +464,11 @@ def kn_oracle(params, block):
     the terms of each d and c in the order of the scan) to (inputs, d, c),
     the entry keeping the inputs so that no id is reused, and d or c None
     for zero.  Only a row that is solved is kept.  Any other row is
-    solved at every visit and is not kept.  Either way the products are
-    subtracted with one fused multiply-subtract (``subtract_product``) per
-    nu with nonzero d(lam, nu) and c(nu, mu), on the row's remainder as a
-    term dict copied from the count (the count's own terms are never
-    changed).
+    solved whenever its column is, and is not kept there.  Either way the
+    products are subtracted with one fused multiply-subtract
+    (``subtract_product``) per nu with nonzero d(lam, nu) and c(nu, mu),
+    on the row's remainder as a term dict copied from the count (the
+    count's own terms are never changed).
 
     Most rows have a zero character.  A row with no products whose count
     has only positive exponents and coefficients (``split_symmetric``'s
@@ -465,14 +477,54 @@ def kn_oracle(params, block):
     (a positive remainder is its canonical value, anything else is split
     with ``split_symmetric``); a remainder that cancelled to zero stores
     neither value.
+
+    A column's d and c depend only on its translation class, so each
+    column is solved once per ``Geometry``: ``caches["oracle_columns"]``
+    maps the column's class record (``block._records``) to the d and c of
+    its off-diagonal rows with a nonzero count, in the order the rows are
+    solved, from the first row that needed work on, as one flat list
+    (d, c, d, c, ...) of stored values, None for zero; the rows before it
+    are their own counts, with no character.  A block that holds a
+    translate of the class reads the column's d and c from it instead of
+    solving it.  That is exact, by induction on the length of mu:
+
+    * The rows of mu's column are its class table's shapes, shifted by
+      min(mu)*(1, ..., 1), with the same counts (``tableaux``, translation
+      lemma).  The shift leaves root values, and so lengths, unchanged,
+      and keeps the lexicographic order, so the rows are solved in the
+      same order in every block that holds the class.
+    * The products of the row of lam use only c(nu, mu) of rows nu of
+      mu's column and d(lam, nu) of columns nu that are such rows.  Each
+      such nu is shorter than mu and is solved earlier in block order, so
+      by induction its column is its class's column.
+    * A translate block can hold more members than the shifted block, but
+      none of the extra members is a row of a translated column, so none
+      of them enters its solve.
+
+    The memo is read and written only when the counts this call was given
+    are the block's own (``counts == block._counts``: a dict compare in C,
+    by identity first); changed counts are solved, and their columns are
+    never kept.  A column is kept only when one of its rows needed work,
+    a product, a split or a lookup: solving again a column whose rows are
+    all their own counts costs one positivity test per row.  Nothing is
+    recorded for a column until its first row that needs work.
     """
     _require_regular(block)
     counts = _standard_dims(params, block)
     geom = geometry_for(params)
     values = value_table(geom)
-    memo = geom.caches.get("oracle_rows")
+    caches = geom.caches
+    memo = caches.get("oracle_rows")
     if memo is None:
-        memo = geom.caches["oracle_rows"] = {}
+        memo = caches["oracle_rows"] = {}
+    # the solved columns are read and kept only for the block's own counts
+    if counts == block._counts:
+        column_memo = caches.get("oracle_columns")
+        if column_memo is None:
+            column_memo = caches["oracle_columns"] = {}
+        records = block._records
+    else:
+        column_memo = None
     members = block.members
     length = dict(zip(members, block.lengths))
     # each member's place in the row order (by decreasing length, and
@@ -505,27 +557,51 @@ def kn_oracle(params, block):
                     "not 1" % (list(mu), diagonal)
                 )
     cap = _MEMO_PRODUCTS
-    for mu in members:
+    for i, mu in enumerate(members):
         entries[(mu, mu)] = characters[(mu, mu)] = ONE
         # taken out, so that a solved column's triples are freed; the ranks
         # are distinct, so no lam or count is compared
         column = columns.pop(mu)
+        if not column:
+            continue
         column.sort()
+        # the first row is the longest
+        lam = column[0][1]
+        if length[lam] >= length[mu]:
+            raise InternalMismatch(
+                "path-counting oracle: weight %s is reached from mu=%s but "
+                "its alcove is not shorter" % (list(lam), list(mu))
+            )
+        if column_memo is not None:
+            record = records[i]
+            kept = column_memo.get(record)
+            if kept is not None:
+                # the rows before the first that needed work are their own d
+                own = len(column) - len(kept) // 2
+                for _, lam, count in column[:own]:
+                    row_dec[lam][mu] = count.terms
+                    entries[(lam, mu)] = count
+                pairs = iter(kept)
+                for (_, lam, _), dec, char in zip(column[own:], pairs, pairs):
+                    if dec is not None:
+                        row_dec[lam][mu] = dec.terms
+                        entries[(lam, mu)] = dec
+                    if char is not None:
+                        characters[(lam, mu)] = char
+                continue
         # (nu, terms of c(nu, mu)) for the solved nu != mu with c != 0
         support = []
-        top = length[mu]
+        # each row's d and c for the column memo, from the first row that
+        # needed work on
+        kept = None
         for _, lam, count in column:
-            if length[lam] >= top:
-                raise InternalMismatch(
-                    "path-counting oracle: weight %s is reached from mu=%s but "
-                    "its alcove is not shorter" % (list(lam), list(mu))
-                )
             decs = row_dec[lam]
             key = None  # the ids of a short row's inputs
             rest = None  # the remainder of a row that is not short
-            if decs:
+            if decs and support:
                 if len(decs) > cap < len(support):
-                    # not short: subtracted as it is scanned, and not kept
+                    # not short: subtracted as it is scanned, and not kept in
+                    # ``oracle_rows``
                     get = decs.get
                     for nu, c in support:
                         d = get(nu)
@@ -549,18 +625,27 @@ def kn_oracle(params, block):
                     if min(terms) > 0 and min(terms.values()) > 0:
                         decs[mu] = terms
                         entries[(lam, mu)] = count
+                        if kept is not None:
+                            kept.append(count)
+                            kept.append(None)
                         continue
                     key = (id(count),)
                 row = memo.get(key)
                 if row is None:
                     row = memo[key] = _short_row(values, count, decs, support, lam, mu)
                 _, dec, char = row
+            if kept is None:
+                kept = []
+            kept.append(dec)
+            kept.append(char)
             if dec is not None:
                 decs[mu] = dec.terms
                 entries[(lam, mu)] = dec
             if char is not None:
                 support.append((lam, char.terms))
                 characters[(lam, mu)] = char
+        if kept is not None and column_memo is not None:
+            column_memo[record] = kept
     return DecompositionMatrix(block, entries, characters, counts)
 
 

@@ -100,10 +100,10 @@ class Geometry:
         self._colour_type = {colour: t for t, (_, colour) in enumerate(coloured)}
         # the walls of every alcove asked for, by type
         self._wall_memo = {self.fundamental: tuple(self._walls)}
-        # the memos of the other layers, each made on first use by the
-        # module that owns it: transitions (tableaux), values (laurent),
-        # classes, galleries and closures (paths), n_functions (soergel)
-        # and oracle_rows (decomposition)
+        # the eight memos of the other layers, each made on first use by
+        # the module that owns it: transitions (tableaux), values
+        # (laurent), classes, galleries and closures (paths), n_functions
+        # (soergel), and oracle_rows and oracle_columns (decomposition)
         self.caches = {}
 
     # -- basic values -------------------------------------------------

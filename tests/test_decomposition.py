@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from quivertl import decomposition, geometry, paths, soergel
 from quivertl.geometry import InternalMismatch, geometry_for
-from quivertl.laurent import Laurent, ONE, ZERO
+from quivertl.laurent import Laurent, ONE, ZERO, value_table
 from quivertl.params import Params, ParamsError
 from quivertl.paths import (
     Gallery,
@@ -697,10 +697,10 @@ class TestDecompositionMatrix:
     def test_oracle_multiplies_once_per_distinct_short_row(self, monkeypatch):
         # a short row (``_oracle_rows``), of at most four products
         # (d(lam, nu), c(nu, mu)), is solved once per distinct input per
-        # Geometry, any other row at every visit; none multiplies outside
-        # the triples (lam, nu, mu) with a nonzero count(lam, mu),
-        # d(lam, nu) and c(nu, mu), where a loop over every nu that mu
-        # reaches would make more.  The oracle multiplies through
+        # Geometry, any other row whenever its column is solved; none
+        # multiplies outside the triples (lam, nu, mu) with a nonzero
+        # count(lam, mu), d(lam, nu) and c(nu, mu), where a loop over every
+        # nu that mu reaches would make more.  The oracle multiplies through
         # ``subtract_product``, counted where it looks the kernel up
         real_kernel = decomposition.subtract_product
         long_seen = 0
@@ -735,7 +735,9 @@ class TestDecompositionMatrix:
             assert all(len(p) <= 4 for p, short in rows.values() if short)
             assert cold == sum(len(k) - 1 for k in distinct) + other
             assert cold <= support
-            assert warm == other
+            # a second call reads every column that needed work from the
+            # column memo, and multiplies nothing
+            assert warm == 0
             assert 0 < support < reached
             long_seen += sum(len(p) > 4 for p, _ in rows.values())
         assert long_seen > 0
@@ -1011,7 +1013,8 @@ class TestSparseRoutes:
     def test_positive_remainder_is_its_canonical_value(self):
         # a row whose remainder is positive is not split: its d is the
         # value-table object itself, the count when nothing was subtracted
-        values = geometry_for(P_INTRO).caches["values"]
+        # made on first use: this test may run before anything filled it
+        values = value_table(geometry_for(P_INTRO))
         products = self._intro_products()
         subtracted = 0
         for block in {block for block, _, _ in products}:
@@ -1162,6 +1165,180 @@ class TestOracleRowMemo:
         assert copied.standard_dims == warm.standard_dims
 
 
+def _translated_blocks():
+    """(block, translate) for every regular block of INTRO at n <= 16 and
+    of l=2 e=4 kappa=(0,2) at n <= 40: translate is the block at n + l of
+    the block's first member plus (1, ..., 1)."""
+    for params, ns in [(P_INTRO, range(17)), (P_RANK1, range(41))]:
+        for n in ns:
+            for block in blocks(params, n):
+                if block.regular[0]:
+                    shifted = tuple(x + 1 for x in block.members[0])
+                    yield block, block_of(params, n + params.l, shifted)
+
+
+class TestOracleColumnMemo:
+    """``kn_oracle`` solves each column that needed work once per
+    ``Geometry``, kept under its class record in
+    ``caches["oracle_columns"]``, and a block holding a translate of the
+    class reads it; the memo is read and written only for the block's own
+    counts."""
+
+    @staticmethod
+    def counting(monkeypatch, calls):
+        """Count the oracle's ``split_symmetric`` and ``subtract_product``
+        calls in calls["split"] and calls["product"]."""
+        real_split = decomposition.split_symmetric
+        real_kernel = decomposition.subtract_product
+
+        def split(f):
+            calls["split"] += 1
+            return real_split(f)
+
+        def kernel(acc, a, b):
+            calls["product"] += 1
+            return real_kernel(acc, a, b)
+
+        monkeypatch.setattr(decomposition, "split_symmetric", split)
+        monkeypatch.setattr(decomposition, "subtract_product", kernel)
+
+    def test_exact_in_any_order(self, monkeypatch):
+        # in three block orders, each on fresh geometries, every table
+        # equals the one a fresh Geometry gives the block alone, and a
+        # second call on a block solves nothing
+        pairs = list(_translated_blocks())
+        # the blocks in order, each followed by its translate when that is
+        # not listed yet
+        found = list({b: b for pair in pairs for b in pair})
+        assert (len(pairs), len(found)) == (165, 189)
+        # most translates hold members with a zero coordinate that the
+        # shifted block does not
+        larger = sum(len(t.members) > len(b.members) for b, t in pairs)
+        assert larger == 134
+
+        def tables(matrix):
+            return matrix.entries, matrix.characters, matrix.standard_dims
+
+        def rebuilt(block):
+            # a new Block in the current Geometry: a Block keeps the counts
+            # and class records it read
+            return block_of(block.params, block.n, block.members[0])
+
+        fresh = {}
+        for block in found:
+            monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+            fresh[block] = tables(kn_oracle(block.params, rebuilt(block)))
+        shuffled = list(found)
+        random.Random(5).shuffle(shuffled)
+        calls = {"split": 0, "product": 0}
+        self.counting(monkeypatch, calls)
+        kept = []
+        for order in (found, found[::-1], shuffled):
+            monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+            for block in order:
+                block = rebuilt(block)
+                assert tables(kn_oracle(block.params, block)) == fresh[block]
+                before = dict(calls)
+                again = kn_oracle(block.params, block)
+                assert calls == before, block
+                assert tables(again) == fresh[block]
+            kept.append(
+                sum(
+                    len(geometry_for(p).caches.get("oracle_columns", ()))
+                    for p in (P_INTRO, P_RANK1)
+                )
+            )
+        # each class that needed work is kept once, in any order
+        assert kept[0] == kept[1] == kept[2] > 0
+
+    def test_changed_counts_with_a_warm_memo_give_the_dense_outcome(
+        self, monkeypatch
+    ):
+        # with the memo warm, a count changed in a kept column, and in a
+        # column whose d feeds a kept column's products, by t^2 and by
+        # t^-1: the dense outcome, and nothing read from or written to the
+        # memo; the unchanged block then still gives its own tables
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        block = block_of(P_INTRO, N_LONG, MU_LONG)
+        own = _outcome(kn_oracle, P_INTRO, block)
+        memo = geometry_for(P_INTRO).caches["oracle_columns"]
+        stored = dict(memo)
+        column = dict(zip(block._records, block.members))
+        matrix = kn_oracle(P_INTRO, block)
+        rows = _oracle_rows(matrix)
+        # a row with products in a kept column, and the pair (lam, nu) of
+        # its first product, d(lam, nu) from column nu
+        lam, mu = min(
+            (lam, mu)
+            for (lam, mu), (pairs, _) in rows.items()
+            if pairs and any(column[r] == mu for r in stored)
+        )
+        nu = min(
+            nu
+            for nu in block.members
+            if nu not in (lam, mu)
+            and (lam, nu) in matrix.entries
+            and (nu, mu) in matrix.characters
+        )
+        real = decomposition._standard_dims
+        outcomes = set()
+        for key in ((lam, mu), (lam, nu)):
+            for change in (Laurent.term(2), Laurent.term(-1)):
+
+                def dims(params, b, key=key, change=change):
+                    counts = real(params, b)
+                    counts[key] = add(counts[key], change)
+                    return counts
+
+                with monkeypatch.context() as m:
+                    m.setattr(decomposition, "_standard_dims", dims)
+                    got = _nonzero(_outcome(kn_oracle, P_INTRO, block))
+                    want = _nonzero(_outcome(dense_kn_oracle, P_INTRO, block))
+                    assert got == want, (key, change)
+                    outcomes.add(got[0])
+                assert memo == stored and all(memo[r] is stored[r] for r in memo)
+        assert outcomes == {"raised", "returned"}
+        assert _outcome(kn_oracle, P_INTRO, block) == own
+        assert own == _nonzero(_outcome(dense_kn_oracle, P_INTRO, block))
+
+    def test_only_columns_that_needed_work_are_kept(self, monkeypatch):
+        # a column is kept exactly when some row is not its own count with
+        # no character, as the stored d and c (None for zero) of its
+        # off-diagonal rows with a nonzero count, in solve order (by
+        # decreasing length, then lexicographically), from the first row
+        # that is not its own count with no character on
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        block = block_of(P_INTRO, N_LONG, MU_LONG)
+        matrix = kn_oracle(P_INTRO, block)
+        memo = geometry_for(P_INTRO).caches["oracle_columns"]
+        counts = matrix.standard_dims
+        order = sorted(zip([-k for k in block.lengths], block.members))
+        kept = 0
+        for record, mu in zip(block._records, block.members):
+            rows = [lam for _, lam in order if lam != mu and (lam, mu) in counts]
+            own = [
+                matrix.entries.get((lam, mu)) is counts[lam, mu]
+                and (lam, mu) not in matrix.characters
+                for lam in rows
+            ]
+            if record in memo:
+                kept += 1
+                assert not all(own), mu
+                solved = [
+                    f
+                    for lam in rows[own.index(False) :]
+                    for f in (
+                        matrix.entries.get((lam, mu)),
+                        matrix.characters.get((lam, mu)),
+                    )
+                ]
+                assert len(memo[record]) == len(solved)
+                assert all(a is b for a, b in zip(memo[record], solved)), mu
+            else:
+                assert all(own), mu
+        assert 0 < kept < len(block.members)
+
+
 class TestSharedValues:
     """Every stored value is the canonical value of its polynomial in its
     ``Geometry``'s ``caches["values"]``, and no computation changes the
@@ -1189,6 +1366,10 @@ class TestSharedValues:
             for name, f in (("d", d), ("c", c)):
                 if f is not None:
                     yield ("oracle_rows", key, name), f
+        for record, kept in caches["oracle_columns"].items():
+            for i, f in enumerate(kept):
+                if f is not None:
+                    yield ("oracle_columns", id(record), i // 2, "dc"[i % 2]), f
         for i, matrix in enumerate(matrices):
             for name in ("entries", "characters", "standard_dims"):
                 for key, f in getattr(matrix, name).items():
