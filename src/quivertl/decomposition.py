@@ -160,13 +160,14 @@ class Block:
 
 
 def _block(geom, params, n, key):
-    """The block of the points of n boxes whose ``_orbit_key`` is key."""
-    ranked = sorted((geom.point_length(q), q) for q in geom.orbit_points(key, n))
-    members = tuple(q for _, q in ranked)
+    """The block of the points of n boxes whose ``_orbit_key`` is key,
+    sorted once by (length, point)."""
+    length = geom.point_length
+    ranked = sorted([(length(q), q) for q in geom.orbit_points(key, n)])
+    # empty only for the key of a point not of n boxes, which block_of refuses
+    lengths, members = zip(*ranked) if ranked else ((), ())
     regular = len(set(key)) == len(key)
-    return Block(
-        params, n, members, (regular,) * len(members), tuple(k for k, _ in ranked)
-    )
+    return Block(params, n, members, (regular,) * len(members), lengths)
 
 
 def _reduced_points(l, e, n):

@@ -51,9 +51,17 @@ lands on or leaves a multiple of e.
 
 A shifted W_e-orbit is one multiset of the l residues (coordinate + rho)
 mod e, ``Geometry._orbit_key``, and ``Geometry.orbit_points`` builds its
-points of n boxes from the multiset directly.  A point lies on a wall
+points of n boxes from the multiset directly, in one pass of the
+module-level recursion ``_orbit_tail``: each coordinate in turn takes a
+residue not yet used, at its values (residue - rho_c) mod e upward in
+steps of e, the last coordinate takes what is left of n, and the points
+are sorted once.  No closure takes part, so building an orbit leaves no
+reference cycle for the cyclic garbage collector.  A point lies on a wall
 exactly when two of its residues are equal, since a root value is their
 difference mod e, so regularity is a property of the orbit.
+``Geometry.point_length`` counts the walls separating a point from the
+fundamental alcove in one loop over the roots, from each root's value and
+floor at the origin.
 """
 
 from __future__ import annotations
@@ -78,11 +86,14 @@ class Geometry:
         self.e = params.e
         self.rho = params.rho
         self.roots = [(i, j) for i in range(self.l) for j in range(i + 1, self.l)]
-        # each root's (value at the origin, i, j) and value at the origin,
-        # and for each coordinate the (root index, sign, i, j) of the roots
-        # it touches, in root order
-        self._value_terms = [(self.rho[i] - self.rho[j], i, j) for i, j in self.roots]
-        self.origin_values = tuple(v0 for v0, _, _ in self._value_terms)
+        # each root's (value at the origin, i, j, floor of that value over
+        # e) and value at the origin, and for each coordinate the (root
+        # index, sign, i, j) of the roots it touches, in root order
+        rho, e = self.rho, self.e
+        self._value_terms = [
+            (rho[i] - rho[j], i, j, (rho[i] - rho[j]) // e) for i, j in self.roots
+        ]
+        self.origin_values = tuple(v0 for v0, _, _, _ in self._value_terms)
         self.touches = tuple(
             tuple(
                 (r, 1 if c == i else -1, i, j)
@@ -91,7 +102,7 @@ class Geometry:
             )
             for c in range(self.l)
         )
-        self.fundamental = tuple(v // self.e for v in self.origin_values)
+        self.fundamental = tuple(f0 for _, _, _, f0 in self._value_terms)
         self._root_index = {root: r for r, root in enumerate(self.roots)}
         # the fundamental walls in sorted order, a wall's index being its
         # type, and the type of each vertex colour
@@ -113,7 +124,7 @@ class Geometry:
         order."""
         # a loop: on lists this short a comprehension's call costs more
         out = []
-        for v0, i, j in self._value_terms:
+        for v0, i, j, _ in self._value_terms:
             out.append(v0 + p[i] - p[j])
         return out
 
@@ -207,13 +218,19 @@ class Geometry:
         Defined for singular points too (walls through p do not count),
         which is what the deterministic block-member order needs.  Per root
         this is the number of multiples of e strictly between the values
-        of p and of the origin.
+        of p and of the origin.  The origin is regular, so its value v0 is
+        no multiple of e, and with f0 = v0 // e those multiples are k * e
+        for f0 < k <= (v - 1) // e when p's value v is above v0, and for
+        v // e < k <= f0 otherwise.
         """
         e = self.e
         total = 0
-        for v, v0 in zip(self.values(p), self.origin_values):
-            lo, hi = (v, v0) if v < v0 else (v0, v)
-            total += max(0, (hi - 1) // e - lo // e)
+        for v0, i, j, f0 in self._value_terms:
+            v = v0 + p[i] - p[j]
+            if v > v0:
+                total += (v - 1) // e - f0
+            else:
+                total += f0 - v // e
         return total
 
     def minimal_gallery(self, target):
@@ -260,47 +277,59 @@ class Geometry:
 
     def _orbit_key(self, p):
         """The orbit of p: its sorted (coordinate + rho) residues mod e."""
-        return tuple(sorted((p[i] + self.rho[i]) % self.e for i in range(self.l)))
+        e = self.e
+        return tuple(sorted([(x + r) % e for x, r in zip(p, self.rho)]))
 
     def orbit_points(self, key, n):
         """All points with nonnegative coordinates summing to n in the
         shifted W_e-orbit whose ``_orbit_key`` is ``key``, in lexicographic
         order.
 
-        The points are built coordinate by coordinate: each coordinate
-        takes one of the residues of ``key`` not yet used, its value runs
-        from the least representative upward in steps of e, and the last
-        coordinate takes what is left of n.
+        The points exist only when n + sum(rho) and sum(key) agree mod e,
+        since a point's residues are its coordinates plus rho.  Then
+        ``_orbit_tail`` builds them by giving each coordinate in turn one of
+        the residues of ``key`` not yet used, and the list is sorted once.
         """
-        e, rho, last = self.e, self.rho, self.l - 1
-        unused = {r: key.count(r) for r in key}
-        # per coordinate, the residues as (least representative, residue),
-        # so that within each window of e values the values come in
-        # increasing order; ``extend`` skips the ones used up
-        starts = [sorted(((r - rho[c]) % e, r) for r in unused) for c in range(last)]
-        point = [0] * self.l
+        e, rho = self.e, self.rho
+        if (n + sum(rho) - sum(key)) % e:
+            return []
+        if len(key) == 1:
+            return [(n,)]
         out = []
-
-        def extend(c, rest):
-            if c == last:
-                if unused.get((rest + rho[c]) % e):
-                    point[c] = rest
-                    out.append(tuple(point))
-                return
-            for base in range(0, rest + 1, e):
-                for start, r in starts[c]:
-                    v = base + start
-                    if v > rest:
-                        break
-                    if not unused[r]:
-                        continue
-                    unused[r] -= 1
-                    point[c] = v
-                    extend(c + 1, rest - v)
-                    unused[r] += 1
-
-        extend(0, n)
+        _orbit_tail(out, (), n, key, rho, e)
+        out.sort()
         return out
+
+
+def _orbit_tail(out, head, rest, key, rho, e):
+    """Append to ``out`` every point head + tail in which tail has
+    nonnegative coordinates summing to ``rest`` and takes the residues of
+    ``key`` (sorted, at least two) at the coordinates after head.
+
+    Coordinate c = len(head) takes each distinct residue r of key in turn,
+    at the values (r - rho_c) mod e upward in steps of e, up to rest.  With
+    two residues left the last coordinate takes rest - v, and its residue
+    is the other one with no test: ``orbit_points`` checks once that n plus
+    the sum of rho agrees with the sum of key mod e, and each step keeps
+    that agreement for what is left.  A module-level recursion, not a
+    closure, so that a call leaves no reference cycle.
+    """
+    rc = rho[len(head)]
+    if len(key) == 2:
+        a, b = key
+        for v in range((a - rc) % e, rest + 1, e):
+            out.append(head + (v, rest - v))
+        if b != a:
+            for v in range((b - rc) % e, rest + 1, e):
+                out.append(head + (v, rest - v))
+        return
+    prev = None
+    for i, r in enumerate(key):
+        if r != prev:
+            prev = r
+            others = key[:i] + key[i + 1:]
+            for v in range((r - rc) % e, rest + 1, e):
+                _orbit_tail(out, head + (v,), rest - v, others, rho, e)
 
 
 _GEOMETRIES = {}

@@ -296,6 +296,19 @@ def root_value(rho, p, i, j):
     return (p[i] + rho[i]) - (p[j] + rho[j])
 
 
+def length_by_count(geom, p):
+    """The hyperplanes strictly separating p from the fundamental alcove,
+    counted one multiple of e at a time: per root, the multiples of e
+    strictly between its values at p and at the origin, both read off rho
+    by ``root_value``.  The reference for ``Geometry.point_length``."""
+    e, zero = geom.e, (0,) * geom.l
+    total = 0
+    for i, j in geom.roots:
+        v, v0 = root_value(geom.rho, p, i, j), root_value(geom.rho, zero, i, j)
+        total += sum(x % e == 0 for x in range(min(v, v0) + 1, max(v, v0)))
+    return total
+
+
 def reflect_point(geom, h, p):
     """The rho-shifted reflection of p in the wall h = (i, j, m)."""
     i, j, m = h
@@ -363,22 +376,22 @@ def orbit_points_by_scan(geom, p, n):
 def blocks_by_scan(params, n):
     """``decomposition.blocks`` found by scanning every composition of n
     and grouping by ``_orbit_key``: each member flagged regular when
-    ``classify`` finds no wall through it, and ordered by its
-    ``point_length``."""
+    ``classify`` finds no wall through it, and ordered by its length from
+    ``length_by_count``."""
     geom = geometry_for(params)
     groups = {}
     for q in compositions(n, params.l):
         groups.setdefault(geom._orbit_key(q), []).append(q)
     out = []
     for members in groups.values():
-        members.sort(key=lambda q: (geom.point_length(q), q))
+        ranked = sorted((length_by_count(geom, q), q) for q in members)
         out.append(
             Block(
                 params,
                 n,
-                tuple(members),
-                tuple(not geom.classify(q) for q in members),
-                tuple(geom.point_length(q) for q in members),
+                tuple(q for _, q in ranked),
+                tuple(not geom.classify(q) for _, q in ranked),
+                tuple(k for k, _ in ranked),
             )
         )
     out.sort(key=lambda b: b.members[0])

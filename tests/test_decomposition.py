@@ -1,6 +1,7 @@
 """Blocks, decomposition matrices, the path-counting oracle, stability
 and the level-two closed forms."""
 
+import gc
 import json
 import random
 from functools import cache
@@ -55,7 +56,7 @@ P_RANK1 = Params(2, 4, (0, 2))
 def _block_grid():
     """(params, n) for every valid kappa order at l = 1..4 and small e,
     singular blocks and n < l included, with n = 0..10; then INTRO and
-    RANK1 at larger n, and e much larger than n."""
+    RANK1 at larger n, e much larger than n, and l = 5 to 7 at small n."""
     for l, es in [(1, (2, 3)), (2, (4, 5)), (3, (6, 7)), (4, (8,))]:
         for e in es:
             for kappa in permutations(range(e), l):
@@ -70,6 +71,10 @@ def _block_grid():
         (P_RANK1, range(11, 21)),
         (Params(3, 40, (0, 13, 27)), range(4)),
         (Params(2, 1000, (0, 500)), range(4)),
+        (Params(5, 10, (0, 2, 4, 6, 8)), range(13)),
+        (Params(5, 11, (0, 3, 5, 7, 9)), range(11)),
+        (Params(6, 12, (0, 2, 4, 6, 8, 10)), range(11)),
+        (Params(6, 13, (0, 2, 5, 7, 9, 11)), range(9)),
         (Params(7, 14, tuple(range(0, 14, 2))), range(6)),
     ]:
         for n in ns:
@@ -120,6 +125,24 @@ class TestBlocks:
                 assert block_of(params, n, b.members[-1]) == b
                 seen.add(b.regular[0])
         assert seen == {False, True}
+
+    def test_blocks_leave_no_cyclic_garbage(self):
+        # building a block makes no reference cycle: with the collector
+        # off, a collection after every block of the grid, each built again
+        # by ``block_of``, finds nothing to free
+        grid = list(_block_grid())
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for params, n in grid:
+                for b in blocks(params, n):
+                    block_of(params, n, b.members[-1])
+            found = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        assert found == 0
 
     def test_member_order(self):
         g = geometry_for(P_INTRO)

@@ -25,6 +25,7 @@ from helpers import (
     element_wall,
     gallery_alcoves,
     inverse,
+    length_by_count,
     orbit_points_by_scan,
     reflect_point,
     reflection_element,
@@ -118,11 +119,7 @@ class TestClassify:
         if alcove is not None:
             assert g.point_length(p) == g.length(alcove)
         # on any p: the multiples of e strictly between p's and the origin's
-        origin = [root_value(g.rho, (0,) * l, i, j) for i, j in g.roots]
-        assert g.point_length(p) == sum(
-            sum(x % e == 0 for x in range(min(v, v0) + 1, max(v, v0)))
-            for v, v0 in zip(values, origin)
-        )
+        assert g.point_length(p) == length_by_count(g, p)
         for c in range(l):
             q = p[:c] + (p[c] + 1,) + p[c + 1:]
             after = [root_value(g.rho, q, i, j) for i, j in g.roots]
