@@ -170,14 +170,22 @@ def _block(geom, params, n, key):
     return Block(params, n, members, (regular,) * len(members), lengths)
 
 
-def _reduced_points(l, e, n):
-    """The points of n boxes whose first l - 1 coordinates are below e."""
-    if l == 1:
-        yield (n,)
+def _reduced_keys(keys, head, rest, rho, e):
+    """Add to ``keys`` the sorted residues (coordinate + rho) mod e of every
+    point whose coordinates after the len(head) first sum to ``rest``, all
+    but the last of them below e; ``head`` holds the residues of the first
+    coordinates.  Each residue is taken as its coordinate is chosen, so no
+    point is built."""
+    c = len(head)
+    rc = rho[c]
+    if c == len(rho) - 2:
+        # the last two coordinates: v and what is left
+        rl = rho[c + 1]
+        for v in range(min(rest, e - 1) + 1):
+            keys.add(tuple(sorted(head + ((v + rc) % e, (rest - v + rl) % e))))
         return
-    for v in range(min(n, e - 1) + 1):
-        for rest in _reduced_points(l - 1, e, n - v):
-            yield (v,) + rest
+    for v in range(min(rest, e - 1) + 1):
+        _reduced_keys(keys, head + ((v + rc) % e,), rest - v, rho, e)
 
 
 def blocks(params, n):
@@ -186,10 +194,15 @@ def blocks(params, n):
     Every block has a member whose first l - 1 coordinates are below e:
     moving multiples of e from them to the last coordinate keeps each
     residue.  So the residue multisets of those points, of which there are
-    no more than compositions of n, are the blocks' multisets, and each
-    is built once."""
+    no more than compositions of n, are the blocks' multisets
+    (``_reduced_keys``), and each is built once."""
     geom = geometry_for(params)
-    keys = {geom._orbit_key(p) for p in _reduced_points(params.l, params.e, n)}
+    rho, e = geom.rho, geom.e
+    if geom.l == 1:
+        keys = {((n + rho[0]) % e,)}
+    else:
+        keys = set()
+        _reduced_keys(keys, (), n, rho, e)
     out = [_block(geom, params, n, key) for key in keys]
     out.sort(key=lambda b: b.members[0])
     return out

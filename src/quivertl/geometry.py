@@ -47,7 +47,10 @@ the l - 1 roots that touch c, by +1 or -1, so ``Geometry.__init__`` keeps
 those roots per coordinate (``touches``, in root order, with their
 signs); ``alcove_series`` walks a path by updating the values from
 ``origin_values`` on and applies the per-root rule only where a value
-lands on or leaves a multiple of e.
+lands on or leaves a multiple of e.  The path-count DP reads the same
+roots from ``components``, with kappa_c and each root's value at the
+origin.  ``alcove_of`` takes a regular point's floors in one loop over
+the roots, as ``point_length`` does.
 
 A shifted W_e-orbit is one multiset of the l residues (coordinate + rho)
 mod e, ``Geometry._orbit_key``, and ``Geometry.orbit_points`` builds its
@@ -102,6 +105,20 @@ class Geometry:
             )
             for c in range(self.l)
         )
+        # the DP's constants of each component c (``tableaux._moves``): c,
+        # kappa_c, and the (root index, sign, value at the origin, i, j) of
+        # each root that c touches
+        self.components = tuple(
+            (
+                c,
+                params.kappa[c],
+                tuple(
+                    (r, sign, self.origin_values[r], i, j)
+                    for r, sign, i, j in touched
+                ),
+            )
+            for c, touched in enumerate(self.touches)
+        )
         self.fundamental = tuple(f0 for _, _, _, f0 in self._value_terms)
         self._root_index = {root: r for r, root in enumerate(self.roots)}
         # the fundamental walls in sorted order, a wall's index being its
@@ -112,7 +129,8 @@ class Geometry:
         # the walls of every alcove asked for, by type
         self._wall_memo = {self.fundamental: tuple(self._walls)}
         # the eight memos of the other layers, each made on first use by
-        # the module that owns it: transitions (tableaux), values
+        # the module that owns it: transitions (tableaux; a list of e
+        # dicts, one per residue, from heights to moves), values
         # (laurent), classes, galleries and closures (paths), n_functions
         # (soergel), and oracle_rows and oracle_columns (decomposition)
         self.caches = {}
@@ -201,9 +219,12 @@ class Geometry:
     # -- alcoves ------------------------------------------------------
 
     def alcove_of(self, p):
+        """The alcove of the regular point p: the floors of its root values
+        over e, taken in one loop over the roots."""
         e = self.e
         out = []
-        for v in self.values(p):
+        for v0, i, j, _ in self._value_terms:
+            v = v0 + p[i] - p[j]
             if v % e == 0:
                 raise SingularPoint("point %r lies on a hyperplane" % (p,))
             out.append(v // e)

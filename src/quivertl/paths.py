@@ -254,7 +254,10 @@ def _extend(geom, gallery, landed, values, point):
     for h in landed:
         gallery = cross_wall(geom, gallery, h)
     e = geom.e
-    if all(v % e for v in values) and gallery.end != geom.alcove_of(point):
+    for v in values:
+        if v % e == 0:
+            return gallery
+    if gallery.end != geom.alcove_of(point):
         raise NotAGallery("gallery does not end at the endpoint's alcove")
     return gallery
 
@@ -263,11 +266,12 @@ def _record(geom, params, mu0):
     """The record of the representative mu0, kept in ``caches["classes"]``.
     A new one continues the DP, the walk and the gallery from the stored
     record of the longest proper prefix nu of mu0's loading, found by
-    taking the last loading node (row max(nu), the highest component
-    there) off the shape one at a time; the empty shape's record, at the
-    root of the trie, is always stored.  The gallery crosses only the
-    walls its own steps land on, and a record whose prefix failed to cross
-    keeps the prefix's message."""
+    taking the last loading node off one list nu in place, one node at a
+    time: row max(nu) of the component at the last index of that maximum.
+    The empty shape's record, at the root of the trie, is always stored.
+    The DP reads the prefix's stored table as it is, the gallery crosses
+    only the walls its own steps land on, and a record whose prefix failed
+    to cross keeps the prefix's message."""
     records = geom.caches.get("classes")
     if records is None:
         # the root every record extends: the empty shape, whose table is
@@ -285,14 +289,15 @@ def _record(geom, params, mu0):
     residues, letters = [], []  # of the nodes beyond nu, last node first
     while True:
         top = max(nu)
-        m = geom.l - nu[::-1].index(top)
+        m = geom.l
+        while nu[m - 1] != top:
+            m -= 1
         residues.append(node_residue(params, top, m))
         letters.append(m)
         nu[m - 1] = top - 1
         prefix = records.get(tuple(nu))
         if prefix is not None:
             break
-    states = {lam: poly.terms for lam, poly in prefix.table.items()}
     running = prefix.running
     gallery = prefix.gallery
     if running is not None:
@@ -307,7 +312,7 @@ def _record(geom, params, mu0):
             except NotAGallery as exc:
                 gallery = str(exc)
     record = records[mu0] = ClassRecord(
-        place_nodes(params, states, residues[::-1]), running, gallery
+        place_nodes(params, prefix.table, residues[::-1]), running, gallery
     )
     return record
 

@@ -16,20 +16,26 @@ by degree for every shape at once, placing loading values in increasing
 order; this is how graded path counts are computed.  No tableau is ever
 built: the column heights are the path's current point, so a placement's
 degree is ``Geometry.step_degree`` from the heights before it to those
-after.  ``_moves`` computes it as ``paths._walk`` does: it reads the
-residue of a component's next node as (kappa_m - height) mod e, and for
-the l - 1 roots that the placed coordinate touches (``Geometry.touches``),
-the only ones whose value changes, it computes the value before the step
-from ``Geometry.origin_values`` and the heights, and calls
-``Geometry.root_step_degree`` only where the value lands on or leaves a
-multiple of e.  The moves of a step depend only on
-the heights before it and the residue placed, so they are kept in
-``geom.caches["transitions"]``, a table from ``(heights, residue)`` to
-the list of ``(next heights, degree increment)``, filled on first use and
-shared by every weight of every n with the same (l, e, kappa).  The
+after.  ``_moves`` computes it as ``paths._walk`` does, from the
+constants of each component m that ``Geometry.__init__`` computes once
+(``Geometry.components``: m, kappa_m, and the l - 1 roots that m
+touches, the only ones whose value changes, each with its value at the
+origin): it reads the residue of m's next node as (kappa_m - height) mod
+e, computes each touched root's value before the step from its value at
+the origin and the heights, and calls ``Geometry.root_step_degree`` only
+where the value lands on or leaves a multiple of e.  The moves of a step
+depend only on the heights before it and the residue placed, so they are
+kept in ``geom.caches["transitions"]``: a list of e tables, one per
+residue, each a dict from heights to the tuple of ``(next heights,
+degree increment)`` pairs, filled on first use and shared by every weight
+of every n with the same (l, e, kappa).  A DP step takes its residue's
+table once and looks each state up by its heights alone.  The
 counts it returns are canonical values (``laurent.canonical``): one
 ``Laurent`` per distinct polynomial in ``geom.caches["values"]``, shared
-by every table of that (l, e, kappa) and never changed.
+by every table of that (l, e, kappa) and never changed.  It continues
+from such values too: a count that no placement shifts or merges is
+handed back as the same value, and only the others are copied, summed
+and looked up.
 
 Translation lemma.  Let k = min(mu) and mu0 = mu - k*(1, ..., 1), the
 representative of mu's translation class (``translation_class``).  The
@@ -130,13 +136,17 @@ def graded_tableau_counts(params, mu):
 def place_nodes(params, states, residues):
     """The one DP loop: the states after placing nodes of the residues
     ``residues``, in order, onto ``states``, a map from column heights to
-    the term dict of the graded count of the partial tableaux with those
-    heights.  Returns the counts by shape as canonical ``Laurent`` values
-    (``laurent.canonical``); the term dicts of ``states`` are read, never
-    changed or taken over.
+    the graded count of the partial tableaux with those heights, each a
+    stored value (``laurent.canonical``) of this (l, e, kappa) or a term
+    dict.  Returns the counts by shape as stored values.  Neither kind is
+    changed or taken over: a stored value that no placement shifts or
+    merges is returned as itself, with no copy and no lookup, and every
+    other count is a dict of this call's own until it is stored.
 
     Each placement extends a component whose next empty node has the
-    residue, and partial tableaux with the same column heights are merged:
+    residue, read from the residue's table of ``caches["transitions"]``
+    by the heights alone (``_moves`` on a miss), and partial tableaux with
+    the same column heights are merged:
     the heights fix the residues and degree increments of every later
     placement.  The column rules (first entry of component m at least
     m - 1, each later entry at least the previous plus l) need no state,
@@ -149,60 +159,81 @@ def place_nodes(params, states, residues):
     would be a first-row node of a component c < m with kappa_c = kappa_m.
     """
     geom = geometry_for(params)
-    transitions = geom.caches.setdefault("transitions", {})
+    transitions = geom.caches.get("transitions")
+    if transitions is None:
+        transitions = geom.caches["transitions"] = [{} for _ in range(params.e)]
     if not residues:
         # the caller's dicts are not this call's to take over
-        states = {hs: dict(poly) for hs, poly in states.items()}
+        states = {
+            hs: dict(poly) if poly.__class__ is dict else poly
+            for hs, poly in states.items()
+        }
     for res in residues:
+        table = transitions[res]
+        # each state is a stored value or a dict of this call's own, made
+        # at its first shift or merge; only the first step reads the
+        # caller's dicts
         grown = {}
         for heights, poly in states.items():
-            moves = transitions.get((heights, res))
+            terms = poly if poly.__class__ is dict else poly.terms
+            moves = table.get(heights)
             if moves is None:
-                moves = transitions[heights, res] = _moves(geom, params, heights, res)
+                moves = table[heights] = _moves(geom, params, heights, res)
             for hs, deg in moves:
                 acc = grown.get(hs)
                 if acc is None:
-                    # the first poly to reach hs, copied: the caller's
-                    # dicts are never taken over
                     if deg:
-                        grown[hs] = {d + deg: c for d, c in poly.items()}
-                    else:
+                        grown[hs] = {d + deg: c for d, c in terms.items()}
+                    elif terms is poly:
+                        # a dict may move to several heights, and the
+                        # caller's are never taken over
                         grown[hs] = dict(poly)
-                elif deg:
-                    for d, c in poly.items():
+                    else:
+                        grown[hs] = poly
+                    continue
+                if acc.__class__ is not dict:
+                    acc = grown[hs] = dict(acc.terms)
+                if deg:
+                    for d, c in terms.items():
                         d += deg
                         acc[d] = acc.get(d, 0) + c
                 else:
-                    for d, c in poly.items():
+                    for d, c in terms.items():
                         acc[d] = acc.get(d, 0) + c
         states = grown
-    # taken over unchecked: every count has positive coefficients (a sum
-    # of powers of t, one per tableau), so none is zero, and each dict is
-    # this call's own
+    # dicts taken over unchecked: every count has positive coefficients (a
+    # sum of powers of t, one per tableau), so none is zero, and each dict
+    # is this call's own
     values = value_table(geom)
-    return {lam: canonical(values, poly) for lam, poly in states.items()}
+    return {
+        lam: canonical(values, poly) if poly.__class__ is dict else poly
+        for lam, poly in states.items()
+    }
 
 
 def _moves(geom, params, heights, res):
-    """The placements of residue res onto the column heights ``heights``:
-    ``(next heights, degree increment)`` for each component whose next
-    empty node has that residue.  Component m's next node is in row
-    heights[m] + 1, so its residue is (kappa[m] - heights[m]) % e."""
-    out = []
-    e, kappa = params.e, params.kappa
-    origin = geom.origin_values
+    """The placements of residue res onto the column heights ``heights``,
+    as a tuple of ``(next heights, degree increment)`` pairs, one for each
+    component whose next empty node has that residue, in component order.
+    Component m's next node is in row heights[m] + 1, so its residue is
+    (kappa_m - heights[m]) % e; m, kappa_m and the roots m touches, with
+    their values at the origin, are ``Geometry.components``, and each
+    touched root's degree is ``Geometry.root_step_degree``'s."""
+    out = ()
+    e = params.e
     step = geom.root_step_degree
-    for m in range(params.l):
+    for m, kappa_m, touched in geom.components:
         h = heights[m]
-        if (kappa[m] - h) % e == res:
-            hs = heights[:m] + (h + 1,) + heights[m + 1 :]
+        if (kappa_m - h) % e == res:
             # only the l - 1 roots that touch coordinate m change value,
             # and only one that lands on or leaves a wall adds degree
             deg = 0
-            for r, sign, i, j in geom.touches[m]:
-                v0 = origin[r] + heights[i] - heights[j]
+            for r, sign, v, i, j in touched:
+                v0 = v + heights[i] - heights[j]
                 v1 = v0 + sign
                 if v0 % e == 0 or v1 % e == 0:
                     deg += step(r, v0, v1)
-            out.append((hs, deg))
+            hs = [*heights]
+            hs[m] = h + 1
+            out += ((tuple(hs), deg),)
     return out

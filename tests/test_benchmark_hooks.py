@@ -126,14 +126,19 @@ def test_traced_counts_do_not_depend_on_request_order(monkeypatch):
     # the benchmark requires each traced ``.calls`` count to repeat exactly
     # across request orders; the class records, the trie of galleries,
     # with the m and run of each node, and the n functions must make the
-    # same calls whatever order fills them.  Every regular block of INTRO at n = 10..16 and of
-    # l=2 e=4 at n = 30..34 is requested (``block_of`` and both routes) on
-    # fresh geometries in three orders, under the benchmark's own tracer
+    # same calls whatever order fills them.  Every regular block of INTRO
+    # at n = 10..16, of l=2 e=4 at n = 30..34 and of sweep's l=4 family at
+    # n = 7..11, where each new record continues the longest stored prefix
+    # of its loading, is requested (``block_of`` and both routes) on fresh
+    # geometries in three orders, under the benchmark's own tracer
     intro = Params(3, 8, (0, 4, 6))
     rank1 = Params(2, 4, (0, 2))
+    level4 = Params(4, 10, (0, 3, 5, 7))
     work = [
         (params, n, block.members[0])
-        for params, ns in [(intro, range(10, 17)), (rank1, range(30, 35))]
+        for params, ns in [
+            (intro, range(10, 17)), (rank1, range(30, 35)), (level4, range(7, 12))
+        ]
         for n in ns
         for block in decomposition.blocks(params, n)
         if block.regular[0]

@@ -16,6 +16,7 @@ from quivertl.paths import (
     paths_between,
 )
 from quivertl.tableaux import (
+    _moves,
     graded_tableau_counts,
     loading,
     node_residue,
@@ -145,15 +146,22 @@ class TestStepDegree:
     def test_step_degree_is_placement_degree(self, params, side):
         # the path-side step degree, from wall contacts, equals the
         # tableau-side one, addable minus removable nodes, on all moves and
-        # not only on those the DP stores
+        # not only on those the DP stores; so do the DP's own moves
+        # (``tableaux._moves``) of every residue, which reach heights on
+        # both sides of every wall
         g = geometry_for(params)
         seen = set()
         for p in itertools.product(range(side), repeat=params.l):
+            want = {}
             for m in range(1, params.l + 1):
                 q = p[: m - 1] + (p[m - 1] + 1,) + p[m:]
                 d = g.step_degree(p, q)
                 assert d == placement_degree(params, q, m), (params, p, m)
                 seen.add(d)
+                want.setdefault(node_residue(params, q[m - 1], m), []).append((q, d))
+            for res in range(params.e):
+                moves = _moves(g, params, p, res)
+                assert moves == tuple(want.get(res, ())), (params, p, res)
         if params.l > 1:
             assert {-1, 0, 1} <= seen
 
@@ -204,6 +212,26 @@ class TestGradedCounts:
             assert counts[heights].terms == terms
             assert counts[heights].terms is not terms
 
+    def test_stored_values_are_read_never_changed(self, monkeypatch):
+        # a class record continues the DP from a stored table: its values
+        # are shared by every table of the Geometry, so the DP must copy
+        # one before it merges into it.  Every split of every loading is
+        # continued from the stored table of its prefix
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        for params, n in self.PARAMS:
+            for mu in compositions(n, params.l):
+                nodes = loading(params, mu)
+                for j in range(len(nodes)):
+                    nu = [0] * params.l
+                    for _, _, m in nodes[:j]:
+                        nu[m - 1] += 1
+                    stored = graded_tableau_counts(params, tuple(nu))
+                    before = {lam: dict(poly.terms) for lam, poly in stored.items()}
+                    rest = [res for _, res, _ in nodes[j:]]
+                    counts = place_nodes(params, stored, rest)
+                    assert counts == graded_tableau_counts(params, mu), (params, mu, j)
+                    assert {lam: poly.terms for lam, poly in stored.items()} == before
+
     def test_column_rules_follow_from_residues(self):
         # the counts keep no column state: an entry of the next residue of
         # a component never comes less than l after its predecessor there,
@@ -242,15 +270,18 @@ class TestGradedCounts:
                 with monkeypatch.context() as m:
                     m.setattr(geometry, "_GEOMETRIES", {})
                     assert graded_tableau_counts(params, mu) == counts, (params, mu)
-            for (heights, res), moves in table.items():
-                want = []
-                for c in range(1, params.l + 1):
-                    if node_residue(params, heights[c - 1] + 1, c) == res:
-                        hs = list(heights)
-                        hs[c - 1] += 1
-                        hs = tuple(hs)
-                        want.append((hs, placement_degree(params, hs, c)))
-                assert moves == want, (params, heights, res)
+            # one table per residue, from heights to the moves
+            assert len(table) == params.e
+            for res, moves_of in enumerate(table):
+                for heights, moves in moves_of.items():
+                    want = []
+                    for c in range(1, params.l + 1):
+                        if node_residue(params, heights[c - 1] + 1, c) == res:
+                            hs = list(heights)
+                            hs[c - 1] += 1
+                            hs = tuple(hs)
+                            want.append((hs, placement_degree(params, hs, c)))
+                    assert moves == tuple(want), (params, heights, res)
 
 
 class TestTranslationLemma:
