@@ -15,15 +15,16 @@ enumerate reflection closures and take ``--budget``, a cap on their size.
 Exit codes: 0 success, 2 configuration error (an empty or unwritable
 ``--out`` among them, and a standard output that cannot be written), 3
 cross-check mismatch, 4 path-closure budget exceeded (``paths`` and ``svg``
-only).  Reports are byte-deterministic.  JSON
-reports are ``json.dumps(report, indent=2)``; the ``decompose`` one is
-rendered directly as text, to the same bytes, since its tables run to
-thousands of entries: each table's nonzero items are grouped by row, and
-only they are rendered.  An entry is joined from fragments shared by the
-whole report (a member's coordinates, a distinct polynomial), and the
-report is written table by table (``_emit`` takes the strings in turn),
-so that no copy of the whole document is ever made; the table report is
-written the same way, one line at a time.  A regular ``--out`` file is
+only).  Reports are byte-deterministic.  A JSON report has the bytes of
+``json.dumps(report, indent=2)`` and a newline, rendered by the one
+writer ``_indented``: ``blocks`` and ``paths`` render the whole report
+with it, and ``decompose`` renders its fragments with it, since its
+tables run to thousands of entries: each table's nonzero items are
+grouped by row, and only they are rendered.  An entry is joined from
+fragments shared by the whole report (a member's coordinates, a distinct
+polynomial), and the report is written table by table (``_emit`` takes
+the strings in turn), so that no copy of the whole document is ever
+made; the table report is written the same way, one line at a time.  A regular ``--out`` file is
 replaced only by a complete report (``_write_file``).
 
 The argument parser is built once per process, by the first ``main``
@@ -218,10 +219,6 @@ def _report(message):
         _silence(sys.stderr)
 
 
-def _json_dumps(data):
-    return json.dumps(data, indent=2, sort_keys=False) + "\n"
-
-
 def cmd_blocks(args):
     params = _params(args)
     found = blocks(params, args.n)
@@ -231,7 +228,7 @@ def cmd_blocks(args):
             "n": args.n,
             "blocks": [b.to_json() for b in found],
         }
-        _emit([_json_dumps(report)], args.out)
+        _emit([_indented(report, 0) + "\n"], args.out)
         return EXIT_OK
     lines = ["blocks of TL_%d, l=%d e=%d kappa=%s" % (args.n, params.l, params.e, list(params.kappa))]
     for idx, b in enumerate(found):
@@ -263,7 +260,7 @@ def cmd_paths(args):
                 {"steps": list(p.steps), "degree": d} for p, d in found
             ],
         }
-        _emit([_json_dumps(report)], args.out)
+        _emit([_indented(report, 0) + "\n"], args.out)
         return EXIT_OK
     lines = ["paths from %s to %s: %d" % (list(mu), list(lam), len(found))]
     for p, d in found:
@@ -320,10 +317,10 @@ def _indented(data, depth):
 
 def _render_matrix_json(matrix, cross_checked):
     """The ``decompose`` report, ``matrix.to_json()`` with ``cross_checked``
-    appended, as the same bytes as ``_json_dumps`` of it, yielded as nine
-    strings: each table is one of them, rendered only when it is reached,
-    so that ``_emit`` writes it before the next one is built and the
-    report is never one string.
+    appended, as the bytes of ``json.dumps(report, indent=2)`` and a
+    newline, yielded as nine strings: each table is one of them, rendered
+    only when it is reached, so that ``_emit`` writes it before the next
+    one is built and the report is never one string.
 
     Each table's nonzero items are grouped by lambda in one pass, and each
     row is sorted by mu, so that the order is ``sorted(table.items())``

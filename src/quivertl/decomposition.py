@@ -51,13 +51,9 @@ of the class reads the column's d and c.  The memo is read and written
 only when the oracle is given the block's own counts; ``kn_oracle`` has
 the proof.
 
-``Block`` and ``DecompositionMatrix`` are plain ``__slots__`` classes
-rather than dataclasses, because importing ``dataclasses`` (and the
-``inspect`` it pulls in) is a large share of a one-shot ``quivertl``
-process's start-up.  They keep the dataclasses' behaviour: the same
-constructors, equality and ``repr``; a ``Block`` is hashable and its
-fields cannot be assigned, and a ``DecompositionMatrix`` is mutable and
-unhashable.
+``Block`` is a ``params.FrozenFields`` class: hashable, its fields
+read-only.  ``DecompositionMatrix`` is a ``params.Fields`` class: mutable
+and unhashable.
 """
 
 from __future__ import annotations
@@ -74,6 +70,7 @@ from .laurent import (
     subtract_product,
     value_table,
 )
+from .params import Fields, FrozenFields, _set
 from .paths import (
     NotAdmissible,
     NotAGallery,
@@ -96,10 +93,7 @@ class NotLevelTwo(ValueError):
     """A level-two closed form was requested with l != 2."""
 
 
-_set = object.__setattr__
-
-
-class Block:
+class Block(FrozenFields):
     """One orbit of one-column multipartitions of n, in a fixed order:
     by number of walls separating the weight from the fundamental alcove
     (``lengths``, each member's ``Geometry.point_length``), then
@@ -112,12 +106,11 @@ class Block:
 
     ``_counts``, the graded path counts between members, and ``_records``,
     the class record of each member in member order, are filled by
-    ``_standard_dims``; they take no part in equality, hashing or
-    ``repr``."""
+    ``_standard_dims``; they are not in ``_fields``, so they take no part
+    in equality, hashing or ``repr``."""
 
-    __slots__ = (
-        "params", "n", "members", "regular", "lengths", "_counts", "_records"
-    )
+    _fields = ("params", "n", "members", "regular", "lengths")
+    __slots__ = _fields + ("_counts", "_records")
 
     def __init__(self, params, n, members, regular, lengths):
         _set(self, "params", params)
@@ -127,28 +120,6 @@ class Block:
         _set(self, "lengths", lengths)
         _set(self, "_counts", {})
         _set(self, "_records", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % (name,))
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % (name,))
-
-    def _key(self):
-        return (self.params, self.n, self.members, self.regular, self.lengths)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "Block(params=%r, n=%r, members=%r, regular=%r, lengths=%r)" % (
-            self._key()
-        )
 
     def to_json(self):
         return {
@@ -225,7 +196,7 @@ def _require_regular(block):
         raise NoRegularMember("block %r has no regular member" % (block.members,))
 
 
-class DecompositionMatrix:
+class DecompositionMatrix(Fields):
     """Graded data of one block.
 
     ``entries[(lam, mu)]`` is the graded decomposition number d_{lam,mu},
@@ -236,30 +207,13 @@ class DecompositionMatrix:
     pair as ``ZERO``.
     """
 
-    __slots__ = ("block", "entries", "characters", "standard_dims")
+    __slots__ = _fields = ("block", "entries", "characters", "standard_dims")
 
     def __init__(self, block, entries, characters, standard_dims):
         self.block = block
         self.entries = entries
         self.characters = characters
         self.standard_dims = standard_dims
-
-    def _key(self):
-        return (self.block, self.entries, self.characters, self.standard_dims)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    # mutable, so unhashable
-    __hash__ = None
-
-    def __repr__(self):
-        return (
-            "DecompositionMatrix(block=%r, entries=%r, characters=%r, "
-            "standard_dims=%r)" % self._key()
-        )
 
     def d(self, lam, mu):
         return self.entries.get((tuple(lam), tuple(mu)), ZERO)

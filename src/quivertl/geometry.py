@@ -44,13 +44,13 @@ step degree of the package; the path-count DP caches it per move.  It
 sums ``Geometry.root_step_degree``, the one per-root rule, over the
 positive roots.  A unit step in coordinate c changes only the values of
 the l - 1 roots that touch c, by +1 or -1, so ``Geometry.__init__`` keeps
-those roots per coordinate (``touches``, in root order, with their
-signs); ``alcove_series`` walks a path by updating the values from
-``origin_values`` on and applies the per-root rule only where a value
-lands on or leaves a multiple of e.  The path-count DP reads the same
-roots from ``components``, with kappa_c and each root's value at the
-origin.  ``alcove_of`` takes a regular point's floors in one loop over
-the roots, as ``point_length`` does.
+those roots per coordinate, once (``components``: c, kappa_c, and each
+root's index, sign, value at the origin and pair, in root order).  The
+walk of ``paths`` updates the values from ``origin_values`` on, and the
+path-count DP of ``tableaux`` computes them from the heights; both apply
+the per-root rule only where a value lands on or leaves a multiple of e.
+``alcove_of`` takes a regular point's floors in one loop over the roots,
+as ``point_length`` does.
 
 A shifted W_e-orbit is one multiset of the l residues (coordinate + rho)
 mod e, ``Geometry._orbit_key``, and ``Geometry.orbit_points`` builds its
@@ -90,34 +90,27 @@ class Geometry:
         self.rho = params.rho
         self.roots = [(i, j) for i in range(self.l) for j in range(i + 1, self.l)]
         # each root's (value at the origin, i, j, floor of that value over
-        # e) and value at the origin, and for each coordinate the (root
-        # index, sign, i, j) of the roots it touches, in root order
+        # e) and value at the origin
         rho, e = self.rho, self.e
         self._value_terms = [
             (rho[i] - rho[j], i, j, (rho[i] - rho[j]) // e) for i, j in self.roots
         ]
         self.origin_values = tuple(v0 for v0, _, _, _ in self._value_terms)
-        self.touches = tuple(
-            tuple(
-                (r, 1 if c == i else -1, i, j)
-                for r, (i, j) in enumerate(self.roots)
-                if c in (i, j)
-            )
-            for c in range(self.l)
-        )
-        # the DP's constants of each component c (``tableaux._moves``): c,
-        # kappa_c, and the (root index, sign, value at the origin, i, j) of
-        # each root that c touches
+        # the constants of each coordinate c, read by the path-count DP
+        # (``tableaux._moves``) and the walk (``paths._walk``): c, kappa_c,
+        # and the (root index, sign, value at the origin, i, j) of each
+        # root that c touches, in root order
         self.components = tuple(
             (
                 c,
                 params.kappa[c],
                 tuple(
-                    (r, sign, self.origin_values[r], i, j)
-                    for r, sign, i, j in touched
+                    (r, 1 if c == i else -1, v0, i, j)
+                    for r, (v0, i, j, _) in enumerate(self._value_terms)
+                    if c in (i, j)
                 ),
             )
-            for c, touched in enumerate(self.touches)
+            for c in range(self.l)
         )
         self.fundamental = tuple(f0 for _, _, _, f0 in self._value_terms)
         self._root_index = {root: r for r, root in enumerate(self.roots)}
@@ -128,11 +121,11 @@ class Geometry:
         self._colour_type = {colour: t for t, (_, colour) in enumerate(coloured)}
         # the walls of every alcove asked for, by type
         self._wall_memo = {self.fundamental: tuple(self._walls)}
-        # the eight memos of the other layers, each made on first use by
+        # the seven memos of the other layers, each made on first use by
         # the module that owns it: transitions (tableaux; a list of e
         # dicts, one per residue, from heights to moves), values
-        # (laurent), classes, galleries and closures (paths), n_functions
-        # (soergel), and oracle_rows and oracle_columns (decomposition)
+        # (laurent), classes and galleries (paths), n_functions (soergel),
+        # and oracle_rows and oracle_columns (decomposition)
         self.caches = {}
 
     # -- basic values -------------------------------------------------

@@ -87,13 +87,6 @@ class Laurent:
             return self.terms == ({0: other} if other else {})
         return NotImplemented
 
-    def __ne__(self, other):
-        if type(other) is Laurent:
-            return self.terms != other.terms
-        if isinstance(other, int):
-            return self.terms != ({0: other} if other else {})
-        return NotImplemented
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 

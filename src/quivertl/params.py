@@ -7,12 +7,10 @@ one-column (Temperley-Lieb) regime needs 2l <= e and the adjacency-free
 condition on the multicharge; both are enforced at construction time so
 every downstream computation can assume a well-posed alcove geometry.
 
-``Params`` is a plain ``__slots__`` class rather than a frozen dataclass:
-importing ``dataclasses`` pulls in ``inspect`` and takes about a quarter
-of the package's import time, which every one-shot ``quivertl`` process
-pays at start-up.  It behaves as the frozen dataclass did: the same
-constructor, equality, hash and ``repr``, and assigning a field raises
-``AttributeError``.
+``Fields`` and its frozen subclass ``FrozenFields`` are the package's one
+value-class protocol: ``Params`` here, and ``Block`` and
+``DecompositionMatrix`` in ``decomposition``, name their fields in
+``_fields`` and write no equality, hash or ``repr`` of their own.
 """
 
 from __future__ import annotations
@@ -25,7 +23,57 @@ class ParamsError(ValueError):
 _set = object.__setattr__
 
 
-class Params:
+class Fields:
+    """A value class whose equality and ``repr`` are those of its
+    ``_fields``, in order; it is mutable and unhashable.  A slot that is
+    not in ``_fields`` takes no part in either.
+
+    The value classes are plain ``__slots__`` classes rather than
+    dataclasses: importing ``dataclasses`` pulls in ``inspect`` and takes
+    about a quarter of the package's import time, which every one-shot
+    ``quivertl`` process pays at start-up.  They behave as the dataclasses
+    did: the same constructors, equality and ``repr``, the same hash for
+    a ``FrozenFields``, and read-only fields for it too."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    # mutable, so unhashable
+    __hash__ = None
+
+    def __repr__(self):
+        pairs = zip(self._fields, self._values())
+        return "%s(%s)" % (
+            self.__class__.__name__, ", ".join("%s=%r" % pair for pair in pairs)
+        )
+
+
+class FrozenFields(Fields):
+    """A ``Fields`` class that hashes as the tuple of its fields and whose
+    attributes cannot be assigned or deleted: its ``__init__`` sets them
+    with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+
+class Params(FrozenFields):
     """Algebra parameters: l components, quantum characteristic e, multicharge.
 
     ``kappa`` is normalised into [0, e).  Derived data: ``rho`` is the shift
@@ -33,7 +81,7 @@ class Params:
     and written into ``to_json`` (the ``params`` of every CLI report).
     """
 
-    __slots__ = ("l", "e", "kappa", "n")
+    __slots__ = _fields = ("l", "e", "kappa", "n")
 
     def __init__(self, l, e, kappa=(), n=None):
         if not isinstance(l, int) or l < 1:
@@ -61,26 +109,6 @@ class Params:
         _set(self, "e", e)
         _set(self, "kappa", kappa)
         _set(self, "n", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % (name,))
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % (name,))
-
-    def _key(self):
-        return (self.l, self.e, self.kappa, self.n)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "Params(l=%r, e=%r, kappa=%r, n=%r)" % self._key()
 
     @property
     def rho(self):

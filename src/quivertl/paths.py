@@ -17,7 +17,8 @@ component word.  Graded path counts are therefore taken from the tableau
 DP (``tableaux.place_nodes``), which serves every lam at once, instead of
 enumerating the closure, which has 2^length(mu) paths.  The closure is
 enumerated only where the paths themselves are wanted (``paths_between``,
-the ``paths`` and ``svg`` commands) and as the test oracle for the counts.
+the ``paths`` and ``svg`` commands), where it is kept nowhere, and as the
+test oracle for the counts.
 
 A column's counts and gallery depend only on its translation class (the
 translation lemma of ``tableaux``), so ``geom.caches["classes"]`` keeps
@@ -131,25 +132,18 @@ def reflection_closure(params, path, budget=CLOSURE_BUDGET):
 
 def paths_between(params, lam, mu, budget=CLOSURE_BUDGET):
     """All closure paths of the distinguished path of mu ending at lam,
-    lexicographically sorted, each with its degree."""
+    lexicographically sorted, each with its degree.  Nothing is kept: a
+    ``paths`` or ``svg`` process asks for one closure."""
     lam = tuple(lam)
     closure = _closure_cached(params, tuple(mu), budget)
-    return [(p, d) for p, d in closure if p.endpoint() == lam]
+    return [(p, path_degree(params, p)) for p in closure if p.endpoint() == lam]
 
 
 def _closure_cached(params, mu, budget):
-    geom = geometry_for(params)
-    cache = geom.caches.setdefault("closures", {})
-    got = cache.get(mu)
-    if got is None:
-        # only complete closures are cached; a budget overrun raises first
-        closure = reflection_closure(params, distinguished_path(params, mu), budget)
-        got = [(p, path_degree(params, p)) for p in closure]
-        cache[mu] = got
-    elif len(got) > budget:
-        # a cached closure over this call's budget fails as it would uncached
-        raise ClosureBudgetExceeded("reflection closure exceeded budget %d" % budget)
-    return got
+    """The reflection closure of mu's distinguished path, which
+    ``paths_between`` scans.  Nothing is cached; the name stays because
+    the benchmark's tracer counts the paths scanned under it."""
+    return reflection_closure(params, distinguished_path(params, mu), budget)
 
 
 def graded_path_count(params, lam, mu):
@@ -339,11 +333,11 @@ def _walk(geom, values, running, landed, steps):
 
     Admissible means that every proper prefix has degree 0 and that any
     two walls through a common point touch disjoint coordinate pairs.  A
-    step updates the l - 1 values its coordinate touches
-    (``Geometry.touches``), and only a root that lands on or leaves a
-    wall adds to the degree or changes the walls.  A step that leaves one
-    wall for an orthogonal one skips an alcove, which the crossings still
-    insert.
+    step updates the l - 1 values its coordinate touches (the roots of its
+    ``Geometry.components`` entry; the walk reads no value at the origin
+    from it), and only a root that lands on or leaves a wall adds to the
+    degree or changes the walls.  A step that leaves one wall for an
+    orthogonal one skips an alcove, which the crossings still insert.
 
     Two walls through the new point share a coordinate exactly when the
     step landed on two or more walls, so the walk checks only that count.
@@ -355,14 +349,14 @@ def _walk(geom, values, running, landed, steps):
     that both miss i were both on the old point, which passed the check.
     """
     e = geom.e
-    touches = geom.touches
+    components = geom.components
     step = geom.root_step_degree
     for s in steps:
         if running:
             # the walk so far is a proper prefix of this one
             return None
         new = len(landed)
-        for r, sign, i, j in touches[s - 1]:
+        for r, sign, _, i, j in components[s - 1][2]:
             v0 = values[r]
             v1 = values[r] = v0 + sign
             if v0 % e == 0:

@@ -235,7 +235,8 @@ class TestOutputs:
         self, capsys, tmp_path, l, e, kappa, n, mu, oracle
     ):
         # the report as ``_emit`` writes it to --out, table by table, has
-        # the bytes of ``_json_dumps`` of the whole report
+        # the bytes of ``json.dumps`` of the whole report, indent 2, and a
+        # newline
         target = tmp_path / "report.json"
         code = main([
             "decompose", "--l", str(l), "--e", str(e),
@@ -248,7 +249,7 @@ class TestOutputs:
         matrix = decomposition_matrix(params, block_of(params, n, mu))
         report = matrix.to_json() | {"cross_checked": oracle == "on"}
         assert matrix.entries and matrix.characters
-        assert target.read_bytes() == cli._json_dumps(report).encode()
+        assert target.read_bytes() == (json.dumps(report, indent=2) + "\n").encode()
 
     def test_report_is_written_one_table_at_a_time(self, monkeypatch):
         # standard output receives the report as nine strings, each table
@@ -283,7 +284,8 @@ class TestOutputs:
             with monkeypatch.context() as m:
                 m.setattr(sys, "stdout", stream)
                 cli._emit(parts(), None)
-            whole = cli._json_dumps(matrix.to_json() | {"cross_checked": checked})
+            report = matrix.to_json() | {"cross_checked": checked}
+            whole = json.dumps(report, indent=2) + "\n"
             assert "".join(stream.pieces) == whole
             assert len(stream.pieces) == 9
             assert max(map(len, stream.pieces)) < len(whole)
@@ -308,6 +310,34 @@ class TestOutputs:
         ]:
             code, out = run(capsys, ["decompose"] + argv + ["--format", "table"])
             assert code == EXIT_OK
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_blocks_and_paths_json_bytes(self, capsys):
+        # each report is json.dumps of the library's data, indent 2, and a
+        # newline, and its bytes are pinned by their sha256; no closure
+        # path of (4, 9, 0) ends at (13, 0, 0), so that report's list is
+        # empty
+        params = Params(3, 8, (0, 4, 6), 13)
+        found = decomposition.blocks(params, 13)
+        want = {"params": params.to_json(), "n": 13,
+                "blocks": [b.to_json() for b in found]}
+        cases = [(["blocks"], want,
+                  "89a1ffce4944df5095a35585bcd97829c4975c7e98e5eb4f8bdc151efbdc7f29")]
+        for lam, count, digest in [
+            ((4, 6, 3), 2,
+             "6bcd674c56d56afdbb4272d195bc5fbcaf37465815b51fa2696c4c8a6fc06564"),
+            ((13, 0, 0), 0,
+             "ff803af11aec48e60db8f16ae9493491b79b0b838bc412e9e95740c20cce5289"),
+        ]:
+            found = paths.paths_between(params, lam, (4, 9, 0))
+            assert len(found) == count
+            want = {"params": params.to_json(), "lambda": list(lam), "mu": [4, 9, 0],
+                    "paths": [{"steps": list(p.steps), "degree": d} for p, d in found]}
+            argv = ["paths", "--lambda", ",".join(map(str, lam)), "--mu", "4,9,0"]
+            cases.append((argv, want, digest))
+        for argv, want, digest in cases:
+            code, out = run(capsys, argv[:1] + INTRO + argv[1:] + ["--format", "json"])
+            assert (code, out) == (EXIT_OK, json.dumps(want, indent=2) + "\n")
             assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_table_renderer_matches_the_reference(self):

@@ -116,6 +116,14 @@ class TestClosure:
         assert found == sorted(found)
         assert len(found) == 2
 
+    def test_paths_between_keeps_no_closure(self, monkeypatch):
+        # a paths or svg process asks for one closure, so none is kept
+        monkeypatch.setattr(geometry, "_GEOMETRIES", {})
+        found = paths_between(P_INTRO, (4, 6, 3), (4, 9, 0))
+        assert sorted(d for _, d in found) == [1, 3]
+        assert all(d == path_degree(P_INTRO, p) for p, d in found)
+        assert "closures" not in geometry_for(P_INTRO).caches
+
     def test_graded_path_count(self):
         gamma = (4, 9, 0)
         assert str(graded_path_count(P_INTRO, (4, 6, 3), gamma)) == "t + t^3"
