@@ -3,10 +3,11 @@ Blocks and graded decomposition matrices.
 
 A block of TL_n(kappa) is an orbit of the shifted affine Weyl group
 action on one-column multipartitions of n: the points of n boxes with one
-multiset of residues (coordinate + rho) mod e (``Geometry.orbit_points``).
-``blocks`` builds one block per multiset that points of n boxes have,
-``block_of`` the block of its member's.  The block is regular exactly
-when its residues are distinct.
+multiset of residues (coordinate + rho) mod e.  ``blocks`` groups every
+point of n boxes by its multiset in one pass and ranks each group into a
+block; ``block_of`` builds its member's orbit alone
+(``Geometry.orbit_points``).  The block is regular exactly when its
+residues are distinct.
 For a block of regular weights the graded decomposition numbers d and
 the graded standard-module dimensions are computed by running the
 wall-crossing recursions along the alcove series of each column's
@@ -57,6 +58,8 @@ and unhashable.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 from .geometry import InternalMismatch, geometry_for
 from .laurent import (
@@ -130,51 +133,40 @@ class Block(FrozenFields):
         }
 
 
-def _block(geom, params, n, key):
-    """The block of the points of n boxes whose ``_orbit_key`` is key,
-    sorted once by (length, point)."""
+def _block(geom, params, n, key, points):
+    """The block of ``points``, the points of n boxes whose ``_orbit_key``
+    is key, sorted once by (length, point)."""
     length = geom.point_length
-    ranked = sorted([(length(q), q) for q in geom.orbit_points(key, n)])
+    ranked = sorted([(length(q), q) for q in points])
     # empty only for the key of a point not of n boxes, which block_of refuses
     lengths, members = zip(*ranked) if ranked else ((), ())
     regular = len(set(key)) == len(key)
     return Block(params, n, members, (regular,) * len(members), lengths)
 
 
-def _reduced_keys(keys, head, rest, rho, e):
-    """Add to ``keys`` the sorted residues (coordinate + rho) mod e of every
-    point whose coordinates after the len(head) first sum to ``rest``, all
-    but the last of them below e; ``head`` holds the residues of the first
-    coordinates.  Each residue is taken as its coordinate is chosen, so no
-    point is built."""
+def _group_points(groups, head, keys, rest, rho, e):
+    """Append every point head + tail, in which tail has nonnegative
+    coordinates summing to ``rest``, to ``groups[key]`` for its sorted
+    residues (coordinate + rho) mod e; ``keys`` holds the residues of
+    head.  Each residue is taken as its coordinate is chosen, and the last
+    coordinate takes what is left."""
     c = len(head)
     rc = rho[c]
-    if c == len(rho) - 2:
-        # the last two coordinates: v and what is left
-        rl = rho[c + 1]
-        for v in range(min(rest, e - 1) + 1):
-            keys.add(tuple(sorted(head + ((v + rc) % e, (rest - v + rl) % e))))
+    if c == len(rho) - 1:
+        groups[tuple(sorted(keys + ((rest + rc) % e,)))].append(head + (rest,))
         return
-    for v in range(min(rest, e - 1) + 1):
-        _reduced_keys(keys, head + ((v + rc) % e,), rest - v, rho, e)
+    for v in range(rest + 1):
+        _group_points(groups, head + (v,), keys + ((v + rc) % e,), rest - v, rho, e)
 
 
 def blocks(params, n):
-    """All blocks of TL_n(kappa), sorted by their first member.
-
-    Every block has a member whose first l - 1 coordinates are below e:
-    moving multiples of e from them to the last coordinate keeps each
-    residue.  So the residue multisets of those points, of which there are
-    no more than compositions of n, are the blocks' multisets
-    (``_reduced_keys``), and each is built once."""
+    """All blocks of TL_n(kappa), sorted by their first member: the points
+    of n boxes grouped by their residue multiset in one pass
+    (``_group_points``), each group ranked into its block."""
     geom = geometry_for(params)
-    rho, e = geom.rho, geom.e
-    if geom.l == 1:
-        keys = {((n + rho[0]) % e,)}
-    else:
-        keys = set()
-        _reduced_keys(keys, (), n, rho, e)
-    out = [_block(geom, params, n, key) for key in keys]
+    groups = defaultdict(list)
+    _group_points(groups, (), (), n, geom.rho, geom.e)
+    out = [_block(geom, params, n, key, points) for key, points in groups.items()]
     out.sort(key=lambda b: b.members[0])
     return out
 
@@ -185,7 +177,8 @@ def block_of(params, n, member):
     member = tuple(member)
     if len(member) == params.l:
         geom = geometry_for(params)
-        block = _block(geom, params, n, geom._orbit_key(member))
+        key = geom._orbit_key(member)
+        block = _block(geom, params, n, key, geom.orbit_points(key, n))
         if member in block.members:
             return block
     raise ValueError("%r is not a one-column multipartition of %d" % (member, n))
@@ -293,9 +286,9 @@ def decomposition_matrix(params, block):
     Each column's m must equal the column's nonzero counts, keyed by the
     rows' alcoves: the counts this call was given, not a memo.  Only when
     the two differ are the members scanned in order, to name the first
-    pair that differs.  n and e are read on their supports (alcoves that
-    hold no member are skipped), so each column writes its nonzero values
-    alone.
+    pair that differs.  n and e are read by one loop on their supports
+    (alcoves that hold no member are skipped), so each column writes its
+    nonzero values alone.
     """
     _require_regular(block)
     members = block.members
@@ -331,14 +324,11 @@ def decomposition_matrix(params, block):
                         "recursion route: graded dimension mismatch at lambda=%s, "
                         "mu=%s: %s vs %s" % (list(lam), list(mu), m, count)
                     )
-        for a, value in n_fn.items():
-            lam = member_at.get(a)
-            if lam is not None:
-                entries[(lam, mu)] = value
-        for a, value in e_fn.items():
-            lam = member_at.get(a)
-            if lam is not None:
-                characters[(lam, mu)] = value
+        for table, fn in ((entries, n_fn), (characters, e_fn)):
+            for a, value in fn.items():
+                lam = member_at.get(a)
+                if lam is not None:
+                    table[(lam, mu)] = value
     return DecompositionMatrix(block, entries, characters, dims)
 
 

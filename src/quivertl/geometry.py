@@ -53,8 +53,9 @@ the per-root rule only where a value lands on or leaves a multiple of e.
 as ``point_length`` does.
 
 A shifted W_e-orbit is one multiset of the l residues (coordinate + rho)
-mod e, ``Geometry._orbit_key``, and ``Geometry.orbit_points`` builds its
-points of n boxes from the multiset directly, in one pass of the
+mod e, ``Geometry._orbit_key``.  ``Geometry.orbit_points``, which
+``decomposition.block_of`` calls for its member's orbit, builds the
+orbit's points of n boxes from the multiset directly, in one pass of the
 module-level recursion ``_orbit_tail``: each coordinate in turn takes a
 residue not yet used, at its values (residue - rho_c) mod e upward in
 steps of e, the last coordinate takes what is left of n, and the points

@@ -208,16 +208,13 @@ def split_symmetric(f):
     pass over its terms.  Raises SplitImpossible when n has a negative
     coefficient, i.e. when no such decomposition exists.
 
-    When every exponent and every coefficient of f is positive, the split
-    is (0, f), and f itself is returned as its positive part.  The
-    coefficients are checked too, since a negative one in a positive
-    degree has no split.  Most rows of the oracle pass this test, and
-    ``decomposition.kn_oracle`` makes it on the row's terms itself, so
-    that such a row is never wrapped or split.
+    Both parts are new values, and the split of 0 is two zeros.  When
+    every exponent and every coefficient of f is positive, the split is
+    (0, f); most rows of the oracle are such, and
+    ``decomposition.kn_oracle`` tests that on the row's terms itself
+    before it calls this, so that such a row is never wrapped or split.
     """
     terms = f.terms
-    if min(terms, default=1) > 0 and min(terms.values(), default=1) > 0:
-        return ZERO, f
     sym = {}
     pos = {}
     for e, c in terms.items():

@@ -40,7 +40,7 @@ their own, with no memo.  The records and the trie live as long as the
 
 from __future__ import annotations
 
-from .geometry import geometry_for
+from .geometry import SingularPoint, geometry_for
 from .laurent import ONE, ZERO
 from .tableaux import (
     graded_tableau_counts,
@@ -119,13 +119,13 @@ def reflection_closure(params, path, budget=CLOSURE_BUDGET):
             for i, j, _ in geom.classify(cur.points[k]):
                 swap = {i + 1: j + 1, j + 1: i + 1}
                 tail = tuple(swap.get(s, s) for s in cur.steps[k:])
-                new = PathWord(cur.l, cur.steps[:k] + tail)
-                if new.steps not in seen:
+                steps = cur.steps[:k] + tail
+                if steps not in seen:
                     if len(seen) >= budget:
                         raise ClosureBudgetExceeded(
                             "reflection closure exceeded budget %d" % budget
                         )
-                    seen[new.steps] = new
+                    new = seen[steps] = PathWord(cur.l, steps)
                     work.append(new)
     return sorted(seen.values(), key=lambda p: p.steps)
 
@@ -240,18 +240,19 @@ def cross_wall(geom, gallery, h):
     return child
 
 
-def _extend(geom, gallery, landed, values, point):
+def _extend(geom, gallery, landed, point):
     """``gallery`` crossed over the walls ``landed`` to the end of a walk
-    at ``point``, whose root values are ``values``.  A regular point must
-    lie in the end alcove, or ``NotAGallery`` is raised; a singular point
-    ends no alcove, so it is not checked."""
+    at ``point``.  A regular point must lie in the end alcove, or
+    ``NotAGallery`` is raised; a singular point ends no alcove
+    (``Geometry.alcove_of`` raises ``SingularPoint``), so it is not
+    checked."""
     for h in landed:
         gallery = cross_wall(geom, gallery, h)
-    e = geom.e
-    for v in values:
-        if v % e == 0:
-            return gallery
-    if gallery.end != geom.alcove_of(point):
+    try:
+        end = geom.alcove_of(point)
+    except SingularPoint:
+        return gallery
+    if gallery.end != end:
         raise NotAGallery("gallery does not end at the endpoint's alcove")
     return gallery
 
@@ -299,10 +300,9 @@ def _record(geom, params, mu0):
         landed = []
         running = _walk(geom, values, running, landed, letters[::-1])
         if running is not None and gallery.__class__ is Gallery:
-            # the walk ends at mu0's root values, so a regular end is in
-            # mu0's alcove
+            # the walk ends at mu0, so a regular end must lie in mu0's alcove
             try:
-                gallery = _extend(geom, gallery, landed, values, mu0)
+                gallery = _extend(geom, gallery, landed, mu0)
             except NotAGallery as exc:
                 gallery = str(exc)
     record = records[mu0] = ClassRecord(
@@ -322,7 +322,7 @@ def alcove_series(params, path):
     if _walk(geom, values, 0, landed, path.steps) is None:
         raise NotAdmissible("path %r is not admissible" % (path.steps,))
     root = Gallery((), geom.fundamental, None)
-    return _extend(geom, root, landed, values, path.endpoint()).word
+    return _extend(geom, root, landed, path.endpoint()).word
 
 
 def _walk(geom, values, running, landed, steps):

@@ -37,7 +37,8 @@ once, on its first write, and changed in place by
 when it is stored or read as a solved character.
 
 The results are kept in two places.  ``caches["n_functions"]`` is
-keyed by alcove and is read and written by ``n_function`` only.  m is
+keyed by alcove, made holding the fundamental alcove's n, and read and
+written by ``n_function`` only.  m is
 defined by the gallery, not by its end alcove, so it is kept on the
 gallery's trie node, as is the node's ``run``, its (m, n, e).  The
 root's m, 1 at the fundamental alcove, is set by ``paths.root_gallery``;
@@ -97,23 +98,25 @@ def _cross(geom, fn, t):
 def n_function(geom, a):
     """The n alcove function of the alcove ``a``, memoised.
 
-    The fundamental alcove has n = 1 there.  Any other alcove a has a wall
-    type t whose crossing b = star(a, t) is shorter; n_a is the crossing of
-    n_b, minus ct * n_d for each alcove d shorter than a, where ct is the
-    constant term at d of the crossed function.  The chain of such b is
-    walked down to a stored n and filled in bottom up, to keep it shallow.
+    The fundamental alcove has n = 1 there, and the memo is made holding
+    it.  Any other alcove a has a wall type t whose crossing b = star(a, t)
+    is shorter; n_a is the crossing of n_b, minus ct * n_d for each alcove
+    d shorter than a, where ct is the constant term at d of the crossed
+    function.  The chain of such b is walked down to a stored n, at the
+    latest the fundamental alcove's, and filled in bottom up, to keep it
+    shallow.
     """
-    memo = geom.caches.setdefault("n_functions", {})
+    memo = geom.caches.get("n_functions")
+    if memo is None:
+        start = geom.fundamental
+        memo = geom.caches["n_functions"] = {start: {start: ONE}}
     got = memo.get(a)
     if got is not None:
-        return got
-    if a == geom.fundamental:
-        got = memo[a] = {a: ONE}
         return got
     size = geom.length(a)
     b, t = _lower(geom, a)
     chain = [b]
-    while chain[-1] not in memo and chain[-1] != geom.fundamental:
+    while chain[-1] not in memo:
         chain.append(_lower(geom, chain[-1])[0])
     for c in reversed(chain):
         n_function(geom, c)

@@ -89,7 +89,7 @@ shorter representative stored on its side.
 from __future__ import annotations
 
 from .geometry import geometry_for
-from .laurent import canonical, value_table
+from .laurent import ONE, canonical, value_table
 
 
 def node_residue(params, r, m):
@@ -129,7 +129,7 @@ def graded_tableau_counts(params, mu):
     is the reference count of any weight, which ``paths`` gets per
     translation class from stored prefixes instead."""
     return place_nodes(
-        params, {(0,) * params.l: {0: 1}}, [res for _, res, _ in loading(params, mu)]
+        params, {(0,) * params.l: ONE}, [res for _, res, _ in loading(params, mu)]
     )
 
 
@@ -137,11 +137,11 @@ def place_nodes(params, states, residues):
     """The one DP loop: the states after placing nodes of the residues
     ``residues``, in order, onto ``states``, a map from column heights to
     the graded count of the partial tableaux with those heights, each a
-    stored value (``laurent.canonical``) of this (l, e, kappa) or a term
-    dict.  Returns the counts by shape as stored values.  Neither kind is
-    changed or taken over: a stored value that no placement shifts or
-    merges is returned as itself, with no copy and no lookup, and every
-    other count is a dict of this call's own until it is stored.
+    stored value (``laurent.canonical``) of this (l, e, kappa).  Returns
+    the counts by shape as stored values.  No stored value is changed: one
+    that no placement shifts or merges is returned as itself, with no copy
+    and no lookup, and every other count is a dict of this call's own
+    until it is stored.
 
     Each placement extends a component whose next empty node has the
     residue, read from the residue's table of ``caches["transitions"]``
@@ -162,17 +162,10 @@ def place_nodes(params, states, residues):
     transitions = geom.caches.get("transitions")
     if transitions is None:
         transitions = geom.caches["transitions"] = [{} for _ in range(params.e)]
-    if not residues:
-        # the caller's dicts are not this call's to take over
-        states = {
-            hs: dict(poly) if poly.__class__ is dict else poly
-            for hs, poly in states.items()
-        }
     for res in residues:
         table = transitions[res]
         # each state is a stored value or a dict of this call's own, made
-        # at its first shift or merge; only the first step reads the
-        # caller's dicts
+        # at its first shift or merge
         grown = {}
         for heights, poly in states.items():
             terms = poly if poly.__class__ is dict else poly.terms
@@ -185,8 +178,7 @@ def place_nodes(params, states, residues):
                     if deg:
                         grown[hs] = {d + deg: c for d, c in terms.items()}
                     elif terms is poly:
-                        # a dict may move to several heights, and the
-                        # caller's are never taken over
+                        # a dict may move to several heights
                         grown[hs] = dict(poly)
                     else:
                         grown[hs] = poly

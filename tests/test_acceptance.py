@@ -228,24 +228,26 @@ class TestCriterion6CrossOracle:
         assert matrices_equal(dm, kn_oracle(params, block))
         regs = block.members
         for mu in regs:
+            # the closure paths of mu ending at each lam, with their
+            # degrees, asked for once per pair and read by (d), (g) and (c)
+            between = {lam: paths_between(params, lam, mu) for lam in block.members}
             # (d) closure cardinality 2^length
-            size = sum(len(paths_between(params, lam, mu)) for lam in block.members)
+            size = sum(map(len, between.values()))
             assert size == 2 ** g.length(g.alcove_of(mu))
             for lam in block.members:
+                found = between[lam]
                 # (a) standard dimensions equal graded path counts
                 assert dm.standard_dim(lam, mu) == graded_path_count(params, lam, mu)
                 # (g) the counts equal the graded closure paths
                 assert graded_path_count(params, lam, mu) == Laurent(
-                    (d, 1) for _, d in paths_between(params, lam, mu)
+                    (d, 1) for _, d in found
                 )
                 # (c) degree-preserving bijection tableaux -> paths
                 got = sorted(
                     (component_word(params, t).steps, tableau_degree(params, t))
                     for t in semistandard_tableaux(params, lam, mu)
                 )
-                want = sorted(
-                    (p.steps, d) for p, d in paths_between(params, lam, mu)
-                )
+                want = sorted((p.steps, d) for p, d in found)
                 assert got == want
             for lam in regs:
                 entry = dm.d(lam, mu)

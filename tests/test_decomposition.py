@@ -126,6 +126,25 @@ class TestBlocks:
                 seen.add(b.regular[0])
         assert seen == {False, True}
 
+    def test_blocks_build_no_orbit(self, monkeypatch):
+        # blocks groups the points of n boxes in one pass, so over the
+        # grid it never calls ``Geometry.orbit_points``; block_of builds
+        # its member's orbit alone, with one call
+        calls = []
+        real = geometry.Geometry.orbit_points
+
+        def counted(geom, key, n):
+            calls.append(key)
+            return real(geom, key, n)
+
+        monkeypatch.setattr(geometry.Geometry, "orbit_points", counted)
+        for params, n in _block_grid():
+            found = blocks(params, n)
+            assert calls == [], (params, n)
+            assert block_of(params, n, found[-1].members[0]) == found[-1]
+            assert len(calls) == 1, (params, n)
+            calls.clear()
+
     def test_blocks_leave_no_cyclic_garbage(self):
         # building a block makes no reference cycle: with the collector
         # off, a collection after every block of the grid, each built again

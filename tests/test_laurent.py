@@ -183,6 +183,9 @@ class TestSplitSymmetric:
         assert e == L((1, 1), (-1, 1)) and n == L((2, 1))
         e, n = split_symmetric(ONE)
         assert e == ONE and n == ZERO
+        # an oracle remainder that cancelled to zero stores neither value
+        e, n = split_symmetric(ZERO)
+        assert not e.terms and not n.terms
 
     def test_impossible(self):
         # the forced symmetric part would leave t^1 with coefficient -1
@@ -190,9 +193,12 @@ class TestSplitSymmetric:
             split_symmetric(L((-1, 2), (1, 1)))
 
     def test_positive_polynomial_is_its_own_positive_part(self):
+        # its positive part is a new value equal to f: the oracle tests
+        # positivity before it calls the split, so the split has no
+        # shortcut that returns f itself
         f = L((1, 2), (3, 1))
         e, n = split_symmetric(f)
-        assert e == ZERO and n is f
+        assert e == ZERO and n == f
 
     def test_negative_coefficient_in_positive_degree_is_impossible(self):
         # every exponent is positive, but n = f has a negative coefficient

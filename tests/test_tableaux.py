@@ -6,7 +6,7 @@ import pytest
 
 from quivertl import geometry
 from quivertl.geometry import geometry_for
-from quivertl.laurent import Laurent, ZERO
+from quivertl.laurent import Laurent, ONE, ZERO, canonical, value_table
 from quivertl.params import Params, ParamsError
 from quivertl.paths import (
     NotAdmissible,
@@ -201,16 +201,19 @@ class TestGradedCounts:
                     assert poly.terms and min(poly.terms.values()) > 0, (mu, lam)
                     assert poly == Laurent(poly.terms)
 
-    def test_no_residue_takes_no_dict_over(self, monkeypatch):
-        # with nothing to place, the states are still the caller's dicts:
-        # the stored counts must be equal to them but not be them, or a
-        # later change by the caller would change a shared value
+    def test_no_residue_returns_the_stored_states(self, monkeypatch):
+        # the states are stored values: with nothing to place, each comes
+        # back as the same object, with no copy and no lookup
         monkeypatch.setattr(geometry, "_GEOMETRIES", {})
-        states = {(0, 0): {0: 1}, (1, 0): {2: 1, 5: 3}}
+        values = value_table(geometry_for(P7))
+        states = {
+            (0, 0): ONE,
+            (1, 0): canonical(values, {2: 1, 5: 3}),
+        }
         counts = place_nodes(P7, states, [])
-        for heights, terms in states.items():
-            assert counts[heights].terms == terms
-            assert counts[heights].terms is not terms
+        assert counts == states
+        for heights, value in states.items():
+            assert counts[heights] is value
 
     def test_stored_values_are_read_never_changed(self, monkeypatch):
         # a class record continues the DP from a stored table: its values
