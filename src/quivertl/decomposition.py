@@ -11,8 +11,9 @@ residues are distinct.
 For a block of regular weights the graded decomposition numbers d and
 the graded standard-module dimensions are computed by running the
 wall-crossing recursions along the alcove series of each column's
-distinguished path, and the graded simple characters by solving
-m = sum e(nu) * n_nu.  Two independent cross-checks
+distinguished path, and the graded simple characters, with
+m = sum e(nu) * n_nu, are carried along each gallery with m
+(``soergel``).  Two independent cross-checks
 are built in:
 
 * graded dimensions from the recursion must equal graded path counts,
@@ -348,8 +349,8 @@ def _solve_row(values, count, rest, lam, mu):
     None for zero: the split of ``rest``, the count less the row's
     products as a term dict the caller gives up, or of ``count`` itself
     when ``rest`` is None.  A remainder with only positive exponents and
-    coefficients (``split_symmetric``'s own test) is its own decomposition
-    number and is not split."""
+    coefficients, which this function tests before any split, is its own
+    decomposition number and is not split."""
     terms = count.terms if rest is None else rest
     if terms and min(terms) > 0 and min(terms.values()) > 0:
         return (count if rest is None else canonical(values, rest)), None
@@ -429,9 +430,10 @@ def kn_oracle(params, block):
     count's own terms are never changed).
 
     Most rows have a zero character.  A row with no products whose count
-    has only positive exponents and coefficients (``split_symmetric``'s
-    own test) is its own decomposition number: its d is the count object
-    itself, with no lookup.  Every other row is solved by ``_solve_row``
+    has only positive exponents and coefficients (the positivity test that
+    ``_solve_row`` makes, made here on the count's terms) is its own
+    decomposition number: its d is the count object itself, with no
+    lookup.  Every other row is solved by ``_solve_row``
     (a positive remainder is its canonical value, anything else is split
     with ``split_symmetric``); a remainder that cancelled to zero stores
     neither value.

@@ -35,9 +35,22 @@ crosses.
 
 The wall-crossing ("star") operation takes b = v . fundamental to
 v s_t . fundamental, the reflection of b in its wall h of type t: the
-floor of h's root moves to the other side of h (m - 1 <-> m).  Minimal
-galleries are built by crossing, the same way, the first wall of the
-current alcove on the side of the target.
+floor of h's root moves to the other side of h (m - 1 <-> m).  Since it
+moves that one floor, ``Geometry.crossing`` also tells in O(1) which side
+of the pair is longer, with no length summed: for the wall (i, j, m) at
+root r the partner's floor is 2m - 1 - b_r, and the partner is longer
+exactly when |2m - 1 - b_r - f0_r| > |b_r - f0_r|, f0 being the
+fundamental alcove's floors.  The wall-crossing recursions of
+``soergel`` take the side of every crossing from it: m's and n's
+two-term crossing, the walk down to a shorter neighbour, and the
+graded simple characters e, which are carried along a gallery with m by
+the Kazhdan-Lusztig multiplication formula (W. Soergel, Represent.
+Theory 1 (1997)) instead of being solved from m = sum e(nu) * n_nu; the
+solve's checks moved there (each new e bar-symmetric, each run's n of
+e's support inside m's support).
+
+Minimal galleries are built by crossing, the same way, the first wall of
+the current alcove on the side of the target.
 
 ``Geometry.step_degree``, the degree of a unit step of a path, is the one
 step degree of the package; the path-count DP caches it per move.  It
@@ -279,14 +292,25 @@ class Geometry:
     def star(self, b, t):
         """Reflect alcove b = v . fundamental in its own wall of type t,
         giving v s_t . fundamental."""
+        return self.crossing(b, t)[0]
+
+    def crossing(self, b, t):
+        """(star(b, t), whether it is longer than b), the side read in
+        O(1): the star moves one floor, b_r to b'_r = 2m - 1 - b_r for the
+        wall (i, j, m) of type t at root r, and a length is a sum over the
+        roots of |a_r - f0_r|, so the partner is longer exactly when
+        |b'_r - f0_r| > |b_r - f0_r|."""
         walls = self.walls(b)
         i, j, m = walls[t]
         r = self._root_index[i, j]
-        if m not in (b[r], b[r] + 1):
+        old = b[r]
+        if m != old and m != old + 1:
             raise InternalMismatch(
                 "wall %r of type %d does not bound alcove %r" % (walls[t], t, b)
             )
-        return b[:r] + (2 * m - 1 - b[r],) + b[r + 1:]
+        new = 2 * m - 1 - old
+        f0 = self.fundamental[r]
+        return b[:r] + (new,) + b[r + 1:], abs(new - f0) > abs(old - f0)
 
     # -- orbits -------------------------------------------------------
 

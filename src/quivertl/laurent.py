@@ -8,10 +8,18 @@ operation is exact.
 
 A ``Laurent`` is a stored, comparable value with no ring operators.  All
 arithmetic runs on plain term dicts ``{exponent: coefficient}``: a row's
-remainder, in the oracle's triangular solve and in the n and e
-recursions of ``soergel``, is one dict, changed in place by
-``subtract_product``, one fused multiply-subtract that builds no
-temporary polynomial, and a wall crossing adds with ``plus_shifted``.
+remainder, in the oracle's triangular solve and in the n recursion of
+``soergel``, is one dict, changed in place by ``subtract_product``, one
+fused multiply-subtract that builds no temporary polynomial, and a wall
+crossing adds with ``plus_shifted``.  The graded simple characters e are
+carried along a gallery with m, not solved from m = sum e(nu) * n_nu:
+``soergel`` crosses them by the Kazhdan-Lusztig multiplication formula
+(W. Soergel, Represent. Theory 1 (1997)), with the side of each crossing
+read in O(1) from the one root floor that moves
+(|2m - 1 - b_r - f0_r| > |b_r - f0_r|, ``Geometry.crossing``), and their
+sums add through ``subtract_product`` with negated factors.  The solve's
+checks moved with it: each new e value must be bar-symmetric, and each
+run's n of e's support must stay inside m's support.
 ``from_terms`` wraps such a dict as a ``Laurent``, trusting it (no zero
 coefficient) and taking it over without checking or copying it; it
 serves the values that live only as long as their call.

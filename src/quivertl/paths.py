@@ -197,26 +197,29 @@ class Gallery:
     """A node of a ``Geometry``'s trie of galleries: the ``word`` of wall
     types crossed from the fundamental alcove, its ``end`` alcove, its
     ``parent`` node (None at a root) and its children, ``next``, by wall
-    type.  ``soergel`` keeps the gallery's ``m`` and its ``run`` on it."""
+    type.  ``soergel`` keeps the gallery's ``m``, its characters ``e``
+    and its ``run`` on it."""
 
-    __slots__ = ("word", "end", "parent", "next", "m", "run")
+    __slots__ = ("word", "end", "parent", "next", "m", "e", "run")
 
     def __init__(self, word, end, parent):
         self.word = word
         self.end = end
         self.parent = parent
         self.next = {}
-        self.m = self.run = None
+        self.m = self.e = self.run = None
 
 
 def root_gallery(geom):
     """The empty gallery at the root of geom's trie,
-    ``caches["galleries"]``, with m = 1 at the fundamental alcove."""
+    ``caches["galleries"]``, with m = 1 and e = 1 at the fundamental
+    alcove."""
     root = geom.caches.get("galleries")
     if root is None:
         start = geom.fundamental
         root = geom.caches["galleries"] = Gallery((), start, None)
         root.m = {start: ONE}
+        root.e = {start: ONE}
     return root
 
 

@@ -15,7 +15,16 @@ from quivertl.decomposition import (
     decomposition_matrix,
 )
 from quivertl.geometry import InternalMismatch, geometry_for
-from quivertl.laurent import Laurent, ONE, SplitImpossible, ZERO, split_symmetric
+from quivertl.laurent import (
+    Laurent,
+    ONE,
+    SplitImpossible,
+    ZERO,
+    canonical,
+    split_symmetric,
+    subtract_product,
+    value_table,
+)
 from quivertl.paths import (
     NotAdmissible,
     NotAGallery,
@@ -87,11 +96,19 @@ def trie_nodes(geom):
 
 def verify_factorization(params, word):
     """Check m = sum over alcoves nu of e(nu) * n_nu along the gallery
-    ``word``.
+    ``word``, for the m and the e that ``run_all`` carries along it.
 
-    Each n_nu is propagated afresh along a minimal gallery to nu
-    (``gallery_n``) and must equal ``n_function``'s, and the sum is formed
-    here, so a character solve that drifted from m would show.
+    e is not solved from m: it is crossed along the gallery with m, by the
+    multiplication formula of the Kazhdan-Lusztig basis
+    (``soergel._cross_characters``; W. Soergel, Represent. Theory 1
+    (1997)), with the side of each crossing read in O(1) from the one
+    floor that moves (|2m - 1 - b_r - f0_r| > |b_r - f0_r|,
+    ``Geometry.crossing``), so this identity is a check of it.  The
+    former solve's checks moved into the package: each new e value must
+    be bar-symmetric, and each run's n of e's support must stay inside
+    m's support.  Each n_nu is propagated afresh along a minimal gallery
+    to nu (``gallery_n``) and must equal ``n_function``'s, and the sum is
+    formed here, so a carried e that drifted from m would show.
     """
     geom = geometry_for(params)
     m_fn, _, e_fn = run_all(params, gallery_along(params, word))
@@ -104,6 +121,64 @@ def verify_factorization(params, word):
         for key, poly in n_nu.items():
             total[key] = add(total.get(key, ZERO), mul(e, poly))
     return {k: v for k, v in total.items() if v} == m_fn
+
+
+def solve_characters(geom, m_fn):
+    """The e with m = sum over alcoves nu of e(nu) * n_nu, solved from m:
+    the reference that the characters ``run_all`` carries along the
+    gallery are checked against.
+
+    n_nu is 1 at nu and otherwise lives on shorter alcoves, so walking m's
+    support by decreasing length, the part of m not yet accounted for at
+    an alcove is e there.  Each e is the canonical value of its polynomial
+    (``laurent.canonical``), so it can be compared with run_all's by
+    identity.  Raises ``InternalMismatch`` when an e is not bar-symmetric
+    or an n_nu reaches outside the unsolved support of m.
+    """
+    # the unsolved alcoves, each with the term dict of m there minus what
+    # is accounted for so far: None until its first write copies m's
+    rest = dict.fromkeys(m_fn)
+    e_fn = {}
+    values = value_table(geom)
+    for key in sorted(m_fn, key=lambda k: (geom.length(k), k), reverse=True):
+        acc = rest.pop(key)
+        if acc is None:
+            e = m_fn[key]
+        elif acc:
+            e = canonical(values, acc)
+        else:
+            continue
+        if e.bar() != e:
+            raise InternalMismatch(
+                "character at alcove %r is not bar-symmetric: %s" % (key, e)
+            )
+        e_fn[key] = e
+        for b_key, poly in n_function(geom, key).items():
+            if b_key == key:
+                continue
+            if b_key not in rest:
+                raise InternalMismatch(
+                    "n of alcove %r reaches %r outside the unsolved support of m"
+                    % (key, b_key)
+                )
+            acc = rest[b_key]
+            if acc is None:
+                acc = rest[b_key] = dict(m_fn[b_key].terms)
+            subtract_product(acc, poly.terms, e.terms)
+    return e_fn
+
+
+def alcoves_up_to(g, length):
+    """Every alcove of ``g`` of length at most ``length``, found by
+    crossing each wall that lengthens an alcove, shortest first."""
+    found = [g.fundamental]
+    layer = found
+    for k in range(length):
+        layer = sorted(
+            {c for a in layer for t in range(g.l) if g.length(c := g.star(a, t)) == k + 1}
+        )
+        found += layer
+    return found
 
 
 def _times_bar_hs(geom, g, s):

@@ -45,8 +45,10 @@ from helpers import (
     level2_hom_dim,
     mul,
     residue_multiset,
+    solve_characters,
     stability_check,
     trie_nodes,
+    verify_factorization,
 )
 
 P_INTRO = Params(3, 8, (0, 4, 6))
@@ -900,6 +902,46 @@ def _valid_multicharges(l, e):
         except ParamsError:
             pass
     return out
+
+
+def _grid_galleries():
+    """(params, gallery node) for each column of every regular block of
+    the block grid up to l = 5, INTRO's and RANK1's chains of n included,
+    each distinct node once."""
+    seen = set()
+    for params, n in _block_grid():
+        if params.l > 5:
+            continue
+        for block in blocks(params, n):
+            if not block.regular[0]:
+                continue
+            for mu in block.members:
+                gallery = paths.gallery_of(params, mu, paths.class_counts(params, mu)[0])
+                if gallery not in seen:
+                    seen.add(gallery)
+                    yield params, gallery
+
+
+class TestCarriedCharacters:
+    """The characters that route 1 crosses along each gallery with m
+    (``soergel._cross_characters``) against the reference that solves them
+    from m = sum e(nu) * n_nu (``helpers.solve_characters``), and against
+    that factorisation itself (``helpers.verify_factorization``)."""
+
+    def test_equal_to_the_reference_solve(self):
+        checked = 0
+        for params, gallery in _grid_galleries():
+            m_fn, _, e_fn = soergel.run_all(params, gallery)
+            want = solve_characters(geometry_for(params), m_fn)
+            assert e_fn == want, (params, gallery.word)
+            # canonical in one value table, so equal values are one object
+            assert all(e_fn[k] is v for k, v in want.items())
+            checked += 1
+        assert checked == 2576
+
+    def test_factorization_over_the_grid(self):
+        for params, gallery in _grid_galleries():
+            assert verify_factorization(params, gallery.word), (params, gallery.word)
 
 
 class TestObservedSymmetries:

@@ -19,6 +19,7 @@ from quivertl.params import Params, ParamsError
 
 from helpers import (
     AffineElement,
+    alcoves_up_to,
     apply,
     compositions,
     element_along,
@@ -212,6 +213,30 @@ class TestGalleries:
                 image = g.star(b, t)
                 assert g.star(image, t) == b
                 assert abs(g.length(image) - g.length(b)) == 1
+
+    @pytest.mark.parametrize(
+        "params, length, count",
+        [
+            (P_RANK1, 30, 61),
+            (P_INTRO, 9, 136),
+            (Params(4, 8, (0, 2, 4, 6)), 6, 195),
+        ],
+        ids=["l2", "l3", "l4"],
+    )
+    def test_crossing_side_is_the_length_comparison(self, params, length, count):
+        # the side that ``crossing`` reads off the one floor that moves is
+        # the comparison of the two summed lengths, for every wall type of
+        # every alcove up to a length, where both sides occur
+        g = Geometry(params)
+        alcoves = alcoves_up_to(g, length)
+        assert len(alcoves) == count
+        sides = set()
+        for b in alcoves:
+            for t in range(params.l):
+                partner, longer = g.crossing(b, t)
+                assert longer == (g.length(partner) > g.length(b)), (b, t)
+                sides.add(longer)
+        assert sides == {False, True}
 
     def test_star_matches_conjugation(self):
         # star(b, t) is v s_t . fundamental; the reference conjugates the

@@ -26,6 +26,7 @@ from quivertl.soergel import n_function, run_all
 from helpers import (
     T,
     add,
+    alcoves_up_to,
     evaluate_at_points,
     gallery_along,
     gallery_n,
@@ -188,19 +189,6 @@ class TestCrossChecks:
             assert verify_factorization(params, word)
 
 
-def alcoves_up_to(g, length):
-    """Every alcove of ``g`` of length at most ``length``, found by
-    crossing each wall that lengthens an alcove, shortest first."""
-    found = [g.fundamental]
-    layer = found
-    for k in range(length):
-        layer = sorted(
-            {c for a in layer for t in range(g.l) if g.length(c := g.star(a, t)) == k + 1}
-        )
-        found += layer
-    return found
-
-
 class TestKazhdanLusztigCertificate:
     """n of every alcove up to a length is the Kazhdan-Lusztig basis
     element of that alcove: 1 there, in tZ[t] elsewhere, and bar-invariant
@@ -312,26 +300,51 @@ class TestConsistencyChecks:
         g = self.fresh(monkeypatch, P_INTRO)
         a = g.star(g.fundamental, 0)
         longer = g.star(a, 1)
-        monkeypatch.setattr(g, "star", lambda b, t: longer)
+        # every crossing of a, whose side ``_lower`` reads, leads to a
+        # longer alcove
+        monkeypatch.setattr(g, "crossing", lambda b, t: (longer, True))
         with pytest.raises(InternalMismatch, match="no wall of alcove"):
             n_function(g, a)
 
-    @pytest.mark.parametrize(
-        "key, poly, check",
-        [
-            ((9,), ONE, "outside the unsolved support"),
-            ((-1,), Laurent({2: 1, 1: 1}), "is not bar-symmetric"),
-        ],
-        ids=["support", "bar"],
-    )
-    def test_character_solve(self, monkeypatch, key, poly, check):
-        # the rank-one run's n of its final alcove (-3,), with one value
-        # changed before the characters are solved from m
+    def test_chain_that_does_not_end(self, monkeypatch):
+        # with every side inverted, the chain below an alcove of length 2
+        # climbs instead of reaching the fundamental alcove
+        g = self.fresh(monkeypatch, P_INTRO)
+        a = g.star(g.star(g.fundamental, 0), 1)
+        assert g.length(a) == 2
+        real = g.crossing
+
+        def inverted(b, t):
+            partner, longer = real(b, t)
+            return partner, not longer
+
+        monkeypatch.setattr(g, "crossing", inverted)
+        with pytest.raises(InternalMismatch) as exc:
+            n_function(g, a)
+        assert str(exc.value) == "the chain below alcove %r does not end" % (a,)
+
+    @pytest.mark.parametrize("case", ["support", "bar"])
+    def test_character_solve(self, monkeypatch, case):
+        # the rank-one run to its final alcove (-3,), with one value
+        # changed first: in "support", n of (-3,) also reaches (9,), where m
+        # is zero, which run_all's support check refuses; in "bar", the
+        # characters carried to the gallery one crossing shorter, 1 at
+        # (-2,), become t + t^2, which the last crossing adds at (-1,)
+        # with mu((-1,), (-2,)) = 1, and the sum fails its bar-symmetry
+        # check
         g = self.fresh(monkeypatch, P_RANK1)
         series = alcove_series(P_RANK1, distinguished_path(P_RANK1, (0, 11)))
-        tampered = dict(n_function(g, (-3,)))
-        tampered[key] = poly
-        g.caches["n_functions"][(-3,)] = tampered
+        if case == "support":
+            tampered = dict(n_function(g, (-3,)))
+            tampered[(9,)] = ONE
+            g.caches["n_functions"][(-3,)] = tampered
+            check = "outside the support of m"
+        else:
+            prefix = gallery_along(P_RANK1, series[:-1])
+            run_all(P_RANK1, prefix)
+            assert prefix.e == {(-2,): ONE}
+            prefix.e = {(-2,): Laurent({2: 1, 1: 1})}
+            check = "character at alcove \\(-1,\\) is not bar-symmetric"
         with pytest.raises(InternalMismatch, match=check):
             run_all(P_RANK1, gallery_along(P_RANK1, series))
 
